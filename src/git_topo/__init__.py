@@ -4,141 +4,8 @@ Three model families (quiver representations, linear control systems,
 star-DAG Gaussian samples) share one pipeline: point-level stability
 checks in exact arithmetic, destabilizing 1-PS stratum tables under a
 choice of orbit convention, the connectivity bound d_min with its
-homotopy consequences, and a seeded verification harness.
+homotopy consequences, and a seeded verification harness.  Import from
+the submodules (`git_topo.families`, `git_topo.reports`, ...).
 """
 
-from git_topo.connectivity import (
-    AbelianGroup,
-    ConnectivityReport,
-    connectivity_bound,
-    dimension_inequality,
-    min_stratum_value,
-    quotient_homotopy_group,
-    summarize_strata,
-    unitary_group_pi,
-)
-from git_topo.errors import (
-    DomainError,
-    GitTopoError,
-    PreconditionError,
-    SamplingError,
-    SchemaError,
-    ShapeError,
-    SizeLimitError,
-)
-from git_topo.families import (
-    ControlFamily,
-    ControlInstance,
-    DagFamily,
-    DagInstance,
-    QuiverSpec,
-    StabilityStatus,
-    StratumClass,
-    ThinQuiverRep,
-    Verdict,
-    WeightDecomposition,
-    control_status,
-    controllability_matrix,
-    dag_solve_mle,
-    dag_stabilize,
-    dag_status,
-    default_convention,
-    enumerate_strata,
-    euler_form,
-    invariant_subspace_dim,
-    kronecker_spec,
-    limit_exists,
-    negative_weight_dim,
-    quiver_thin_status,
-    stability_status,
-    weight_decompose,
-)
-from git_topo.groups import (
-    Character,
-    GroupSpec,
-    OnePSClass,
-    OrbitConvention,
-    centralizer_dim,
-    character_pairing,
-    group_dim,
-    orbit_dim,
-    parabolic_dim,
-)
-from git_topo.harness import (
-    HarnessReport,
-    TrialConfig,
-    detect_constructed_degenerates,
-    kronecker_oracle_check,
-    sample_generic_points,
-    sample_path_stability,
-)
-from git_topo.linalg import ComplexRational, Matrix, nullspace, rank, unimodular_pair
-from git_topo.reports import build_connectivity_report
-from git_topo.rng import CounterRng
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianGroup",
-    "Character",
-    "ComplexRational",
-    "ConnectivityReport",
-    "ControlFamily",
-    "ControlInstance",
-    "CounterRng",
-    "DagFamily",
-    "DagInstance",
-    "DomainError",
-    "GitTopoError",
-    "GroupSpec",
-    "HarnessReport",
-    "Matrix",
-    "OnePSClass",
-    "OrbitConvention",
-    "PreconditionError",
-    "QuiverSpec",
-    "SamplingError",
-    "SchemaError",
-    "ShapeError",
-    "SizeLimitError",
-    "StabilityStatus",
-    "StratumClass",
-    "ThinQuiverRep",
-    "TrialConfig",
-    "Verdict",
-    "WeightDecomposition",
-    "build_connectivity_report",
-    "centralizer_dim",
-    "character_pairing",
-    "connectivity_bound",
-    "control_status",
-    "controllability_matrix",
-    "dag_solve_mle",
-    "dag_stabilize",
-    "dag_status",
-    "default_convention",
-    "detect_constructed_degenerates",
-    "dimension_inequality",
-    "enumerate_strata",
-    "euler_form",
-    "group_dim",
-    "invariant_subspace_dim",
-    "kronecker_oracle_check",
-    "kronecker_spec",
-    "limit_exists",
-    "min_stratum_value",
-    "negative_weight_dim",
-    "nullspace",
-    "orbit_dim",
-    "parabolic_dim",
-    "quiver_thin_status",
-    "quotient_homotopy_group",
-    "rank",
-    "sample_generic_points",
-    "sample_path_stability",
-    "stability_status",
-    "summarize_strata",
-    "unimodular_pair",
-    "unitary_group_pi",
-    "weight_decompose",
-]

@@ -5,7 +5,8 @@ Four subcommands: analyze (strata and connectivity for a family), check
 free-action attestation), and verify (the randomized harness).  Text goes
 to stdout; --json writes the same payload as canonical JSON.  Exit
 status: 0 on success, 1 when a verify counter fails, 2 on any validation
-or schema error.
+or schema error or when the --json file cannot be written.  The family
+flags come from each family's spec class (see git_topo.families).
 """
 
 from __future__ import annotations
@@ -13,23 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
 from git_topo.errors import GitTopoError, SchemaError
 from git_topo.families import (
-    ControlFamily,
+    FAMILIES,
     DagFamily,
     DagInstance,
-    QuiverSpec,
-    dag_solve_mle,
     dag_stabilize,
-    family_name,
-    family_of,
-    kronecker_spec,
     stability_status,
 )
+from git_topo.families.base import parse_int_list
+from git_topo.families.dag import dag_solve_mle
 from git_topo.groups import OrbitConvention
 from git_topo.harness import (
     TrialConfig,
@@ -55,31 +52,6 @@ from git_topo.serialize import (
     status_to_json,
 )
 
-_ARROW_RE = re.compile(r"^(\d+)->(\d+)$")
-
-
-def _parse_arrows(text: str) -> tuple[tuple[int, int], ...]:
-    arrows = []
-    for token in text.split(","):
-        token = token.strip()
-        match = _ARROW_RE.match(token)
-        if not match:
-            raise SchemaError(
-                f"--arrows: {token!r} is not of the form 's->t' (1-indexed)"
-            )
-        s, t = int(match.group(1)), int(match.group(2))
-        if s < 1 or t < 1:
-            raise SchemaError("--arrows: vertices are 1-indexed")
-        arrows.append((s - 1, t - 1))
-    return tuple(arrows)
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
-    except ValueError:
-        raise SchemaError(f"{flag}: expected comma-separated integers") from None
-
 
 def _parse_rational(text: str, flag: str) -> Fraction:
     try:
@@ -88,28 +60,14 @@ def _parse_rational(text: str, flag: str) -> Fraction:
         raise SchemaError(f"{flag}: {text!r} is not a rational p/q") from None
 
 
-def _quiver_from_args(args: argparse.Namespace) -> QuiverSpec:
-    dim = _parse_int_list(args.dim, "--dim")
-    theta = _parse_int_list(args.theta, "--theta")
-    arrows = _parse_arrows(args.arrows)
-    vertices = len(dim)
-    for s, t in arrows:
-        if s >= vertices or t >= vertices:
-            raise SchemaError(
-                f"--arrows: vertex {max(s, t) + 1} exceeds the vertex count "
-                f"{vertices} implied by --dim"
-            )
-    return QuiverSpec(vertices, arrows, dim, theta)
-
-
 def _family_from_args(args: argparse.Namespace):
-    if args.family == "quiver":
-        return _quiver_from_args(args)
-    if args.family == "control":
-        return ControlFamily(args.n, args.m)
-    if args.family == "dag":
-        return DagFamily(args.samples, args.parents)
-    raise SchemaError(f"unknown family {args.family!r}")
+    cls = FAMILIES[args.family]
+    missing = [
+        f"--{dest}" for dest, _, _ in cls.CLI_ARGS if getattr(args, dest) is None
+    ]
+    if missing:
+        raise SchemaError(f"{args.family} needs {', '.join(missing)}")
+    return cls.from_args(args)
 
 
 def _convention_from_args(args: argparse.Namespace) -> OrbitConvention | None:
@@ -130,65 +88,27 @@ def _seed_from_args(args: argparse.Namespace) -> int:
         raise SchemaError(f"GIT_TOPO_SEED: {raw!r} is not an integer") from None
 
 
-def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
-    for line in lines:
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(payload))
-            fh.write("\n")
+def _add_family_args(
+    parser: argparse.ArgumentParser, extra: tuple[str, ...] = ()
+) -> None:
+    parser.add_argument("family", choices=[*FAMILIES, *extra], help="model family")
+    for cls in FAMILIES.values():
+        for dest, kind, text in cls.CLI_ARGS:
+            parser.add_argument(f"--{dest}", type=kind, help=text)
 
 
-def _add_family_subparsers(parser: argparse.ArgumentParser, families: list[str]) -> None:
-    parser.add_argument("family", choices=families, help="model family")
+# Each handler returns (JSON payload, text lines, exit status); main
+# prints the lines and writes the payload.
 
 
-def _add_quiver_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arrows", help='arrow list "s->t,s->t" (1-indexed)')
-    parser.add_argument("--dim", help="comma-separated dimension vector")
-    parser.add_argument("--theta", help="comma-separated stability parameter")
-
-
-def _add_control_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="state dimension")
-    parser.add_argument("--m", type=int, help="input dimension")
-
-
-def _add_dag_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, help="sample count n")
-    parser.add_argument("--parents", type=int, help="parent count k")
-
-
-def _add_common_family_args(parser: argparse.ArgumentParser) -> None:
-    _add_quiver_args(parser)
-    _add_control_args(parser)
-    _add_dag_args(parser)
-
-
-def _require_family_args(args: argparse.Namespace) -> None:
-    needed = {
-        "quiver": ("arrows", "dim", "theta"),
-        "control": ("n", "m"),
-        "dag": ("samples", "parents"),
-    }[args.family]
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
-    if missing:
-        raise SchemaError(
-            f"{args.family} needs {', '.join(missing)}"
-        )
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    _require_family_args(args)
-    spec = _family_from_args(args)
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     report = build_connectivity_report(
-        spec, _convention_from_args(args), max_q=args.max_q
+        _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
-    _emit(report_to_json(report), render_connectivity_text(report), args)
-    return 0
+    return report_to_json(report), render_connectivity_text(report), 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -197,7 +117,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{args.file} is not valid JSON: {exc}") from None
     instance = instance_from_json(data)
-    family = family_name(family_of(instance))
+    family = instance.family().name
     status = stability_status(instance)
     payload: dict = {"family": family, "status": status_to_json(status)}
     lines = render_status_text(family, status)
@@ -219,21 +139,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         beta = dag_solve_mle(working)
         payload["mle"] = [rational_to_str(b) for b in beta]
         lines.append("mle: (" + ", ".join(rational_to_str(b) for b in beta) + ")")
-    _emit(payload, lines, args)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_homotopy(args: argparse.Namespace) -> int:
+def cmd_homotopy(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if not args.assume_free_action:
         raise SchemaError(
             "homotopy tables assume the group acts freely on the stable "
             "locus, which this tool cannot verify; pass --assume-free-action "
             "to attest it"
         )
-    _require_family_args(args)
-    spec = _family_from_args(args)
     report = build_connectivity_report(
-        spec, _convention_from_args(args), max_q=args.max_q
+        _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
     payload = {
         "family": report.family,
@@ -244,24 +161,18 @@ def cmd_homotopy(args: argparse.Namespace) -> int:
         ],
         "notes": list(report.notes),
     }
-    _emit(payload, render_homotopy_text(report), args)
-    return 0
+    return payload, render_homotopy_text(report), 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     seed = _seed_from_args(args)
     reports = []
     if args.family == "kronecker":
-        theta = (
-            tuple(_parse_int_list(args.theta, "--theta"))
-            if args.theta
-            else (1, -1)
-        )
+        theta = parse_int_list(args.theta, "--theta") if args.theta else (1, -1)
         if len(theta) != 2:
             raise SchemaError("--theta: the Kronecker quiver has two vertices")
         reports.append(kronecker_oracle_check(args.grid, theta))
     else:
-        _require_family_args(args)
         spec = _family_from_args(args)
         cfg = TrialConfig(
             family_spec=spec,
@@ -294,8 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "ok": ok,
         "reports": [harness_report_to_json(r) for r in reports],
     }
-    _emit(payload, lines, args)
-    return 0 if ok else 1
+    return payload, lines, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     analyze = sub.add_parser("analyze", help="strata, d_min, connectivity")
-    _add_family_subparsers(analyze, ["quiver", "control", "dag"])
-    _add_common_family_args(analyze)
+    _add_family_args(analyze)
     analyze.add_argument(
         "--orbit-convention",
         choices=["parabolic", "centralizer"],
@@ -336,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(handler=cmd_check)
 
     homotopy = sub.add_parser("homotopy", help="homotopy-group table")
-    _add_family_subparsers(homotopy, ["quiver", "control", "dag"])
-    _add_common_family_args(homotopy)
+    _add_family_args(homotopy)
     homotopy.add_argument("--max-q", type=int, required=True, help="table up to q")
     homotopy.add_argument(
         "--assume-free-action",
@@ -353,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     homotopy.set_defaults(handler=cmd_homotopy)
 
     verify = sub.add_parser("verify", help="seeded verification harness")
-    _add_family_subparsers(verify, ["quiver", "control", "dag", "kronecker"])
-    _add_common_family_args(verify)
+    _add_family_args(verify, extra=("kronecker",))
     verify.add_argument("--trials", type=int, default=1000, help="generic-point trials")
     verify.add_argument("--seed", type=int, default=None, help="64-bit seed")
     verify.add_argument(
@@ -393,15 +300,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        payload, lines, code = args.handler(args)
     except GitTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "json", None):
-            payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        lines, code = [], 2
+    for line in lines:
+        print(line)
+    if args.json:
+        try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(canonical_dumps(payload))
                 fh.write("\n")
-        return 2
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return 2
+    return code
 
 
 if __name__ == "__main__":

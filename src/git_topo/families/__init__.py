@@ -1,144 +1,53 @@
-"""Model families and the generic dispatch over them.
+"""Model families behind one interface, and the registry that names them.
 
-Three families share one downstream interface: a family spec (shape), an
-instance (point), a stability check, a stratum enumeration, and weight
-machinery for 1-PS classes.  The functions here dispatch on type so the
-connectivity and harness layers stay family-agnostic.
+Each family module owns everything that is particular to its family.  Its
+spec class (`QuiverSpec`, `ControlFamily`, `DagFamily`) is the shape of
+the family and exposes:
+
+- `name`, `CLI_ARGS` (dest, type, help per flag) and `from_args(args)`;
+- `to_json()`, `from_json(data)` and `instance_from_json(data)`;
+- `draw_flat(rng, bound)`, `draw_generic(rng, bound)` (the same, minus
+  points generic sampling excludes), `instance_from_flat(flat)` and
+  `is_stable_flat(flat)` on the flat integer encoding the harness
+  samples in;
+- `DEFAULT_CONVENTION`, `strata(convention=DEFAULT_CONVENTION)`,
+  `thresholds()` and `group()`.
+
+Its instance class (`ThinQuiverRep`, `ControlInstance`, `DagInstance`)
+is one point and exposes `family()`, `status()` and `to_json()`.
+`FAMILIES` maps each name to its spec class.  Outside the family
+modules only the DAG-only extras (stabilization, the MLE, constructed
+degenerates) and the Kronecker oracle check a family's type.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from git_topo.errors import DomainError
-from git_topo.families import control as _control
-from git_topo.families import dag as _dag
-from git_topo.families import quiver as _quiver
-from git_topo.families.base import (
-    StabilityStatus,
-    StratumClass,
-    Verdict,
-    WeightDecomposition,
-)
-from git_topo.families.control import (
-    ControlFamily,
-    ControlInstance,
-    control_status,
-    controllability_matrix,
-    controllability_rank_ints,
-    invariant_subspace_dim,
-    one_ps_for_subspace,
-)
-from git_topo.families.dag import (
-    DagFamily,
-    DagInstance,
-    dag_solve_mle,
-    dag_stabilize,
-    dag_status,
-    one_ps_redundant,
-    parent_rank_ints,
-)
+from git_topo.families.base import StabilityStatus, StratumClass, Verdict
+from git_topo.families.control import ControlFamily, ControlInstance
+from git_topo.families.dag import DagFamily, DagInstance, dag_stabilize, dag_status
 from git_topo.families.quiver import (
     QuiverSpec,
     ThinQuiverRep,
-    euler_form,
     kronecker_spec,
-    one_ps_for_subdim,
     quiver_thin_status,
-    sub_dimension_vectors,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 
 FamilySpec = Union[QuiverSpec, ControlFamily, DagFamily]
 Instance = Union[ThinQuiverRep, ControlInstance, DagInstance]
 
-_MODULES = {
-    QuiverSpec: _quiver,
-    ControlFamily: _control,
-    DagFamily: _dag,
+FAMILIES: dict[str, type] = {
+    cls.name: cls for cls in (QuiverSpec, ControlFamily, DagFamily)
 }
-
-_FAMILY_NAMES = {
-    QuiverSpec: "quiver",
-    ControlFamily: "control",
-    DagFamily: "dag",
-}
-
-
-def _module_for(spec: FamilySpec):
-    mod = _MODULES.get(type(spec))
-    if mod is None:
-        raise DomainError(f"not a family spec: {type(spec).__name__}")
-    return mod
-
-
-def family_name(spec: FamilySpec) -> str:
-    name = _FAMILY_NAMES.get(type(spec))
-    if name is None:
-        raise DomainError(f"not a family spec: {type(spec).__name__}")
-    return name
-
-
-def family_of(instance: Instance) -> FamilySpec:
-    if isinstance(instance, ThinQuiverRep):
-        return instance.spec
-    if isinstance(instance, (ControlInstance, DagInstance)):
-        return instance.family()
-    raise DomainError(f"not a family instance: {type(instance).__name__}")
-
-
-def default_convention(spec: FamilySpec) -> OrbitConvention:
-    return _module_for(spec).DEFAULT_CONVENTION
-
-
-def group_of(spec: FamilySpec) -> GroupSpec:
-    return spec.group()
-
-
-def enumerate_strata(
-    spec: FamilySpec, convention: OrbitConvention | None = None
-) -> list[StratumClass]:
-    mod = _module_for(spec)
-    if convention is None:
-        convention = mod.DEFAULT_CONVENTION
-    return mod.enumerate_strata(spec, convention)
-
-
-def negative_weight_dim(spec: FamilySpec, lam: OnePSClass) -> int:
-    return _module_for(spec).negative_weight_dim(spec, lam)
 
 
 def stability_status(instance: Instance) -> StabilityStatus:
-    if isinstance(instance, ThinQuiverRep):
-        return quiver_thin_status(instance)
-    if isinstance(instance, ControlInstance):
-        return control_status(instance)
-    if isinstance(instance, DagInstance):
-        return dag_status(instance)
-    raise DomainError(f"not a family instance: {type(instance).__name__}")
-
-
-def weight_decompose(instance: Instance, lam: OnePSClass) -> WeightDecomposition:
-    if isinstance(instance, ThinQuiverRep):
-        return _quiver.weight_decompose(instance, lam)
-    if isinstance(instance, ControlInstance):
-        return _control.weight_decompose(instance, lam)
-    if isinstance(instance, DagInstance):
-        return _dag.weight_decompose(instance, lam)
-    raise DomainError(f"not a family instance: {type(instance).__name__}")
-
-
-def limit_exists(instance: Instance, lam: OnePSClass) -> bool:
-    if isinstance(instance, ThinQuiverRep):
-        return _quiver.limit_exists(instance, lam)
-    if isinstance(instance, ControlInstance):
-        return _control.limit_exists(instance, lam)
-    if isinstance(instance, DagInstance):
-        return _dag.limit_exists(instance, lam)
-    raise DomainError(f"not a family instance: {type(instance).__name__}")
+    return instance.status()
 
 
 __all__ = [
+    "FAMILIES",
     "ControlFamily",
     "ControlInstance",
     "DagFamily",
@@ -150,29 +59,9 @@ __all__ = [
     "StratumClass",
     "ThinQuiverRep",
     "Verdict",
-    "WeightDecomposition",
-    "control_status",
-    "controllability_matrix",
-    "controllability_rank_ints",
-    "dag_solve_mle",
     "dag_stabilize",
     "dag_status",
-    "default_convention",
-    "enumerate_strata",
-    "euler_form",
-    "family_name",
-    "family_of",
-    "group_of",
-    "invariant_subspace_dim",
     "kronecker_spec",
-    "limit_exists",
-    "negative_weight_dim",
-    "one_ps_for_subdim",
-    "one_ps_for_subspace",
-    "one_ps_redundant",
-    "parent_rank_ints",
     "quiver_thin_status",
     "stability_status",
-    "sub_dimension_vectors",
-    "weight_decompose",
 ]

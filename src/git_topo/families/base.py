@@ -1,20 +1,111 @@
-"""Shared value types for the model families.
+"""Shared value types and format primitives for the model families.
 
 Each family contributes three things downstream: a stability verdict for a
 point, a table of destabilizing strata (one per 1-PS class that can occur
 as a worst destabilizer), and a weight decomposition of points under a
 given 1-PS.  The types here are family-agnostic; the per-family modules
-fill them in.
+fill them in.  The JSON and command-line primitives live here too, so
+each family module can encode and parse its own shapes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from git_topo.errors import DomainError
+from git_topo.errors import DomainError, SchemaError
 from git_topo.groups import OnePSClass, OrbitConvention
+from git_topo.linalg import ComplexRational, Matrix
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def rational_to_str(value: int | Fraction) -> str:
+    return str(Fraction(value))
+
+
+def rational_from_json(value: Any, field: str) -> Fraction:
+    if isinstance(value, bool) or isinstance(value, float):
+        raise SchemaError(f"{field}: rationals must be strings or integers")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if not _RATIONAL_RE.match(value):
+            raise SchemaError(f"{field}: malformed rational string {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise SchemaError(f"{field}: zero denominator in {value!r}") from None
+    raise SchemaError(f"{field}: expected a rational string, got {type(value).__name__}")
+
+
+def complex_to_json(value: ComplexRational) -> str | list[str]:
+    if not value.im:
+        return rational_to_str(value.re)
+    return [rational_to_str(value.re), rational_to_str(value.im)]
+
+
+def complex_from_json(value: Any, field: str) -> ComplexRational:
+    if isinstance(value, list):
+        if len(value) != 2:
+            raise SchemaError(f"{field}: complex values are [re, im] pairs")
+        return ComplexRational(
+            rational_from_json(value[0], f"{field}[0]"),
+            rational_from_json(value[1], f"{field}[1]"),
+        )
+    return ComplexRational(rational_from_json(value, field), Fraction(0))
+
+
+def matrix_to_json(matrix: Matrix) -> list[list[str]]:
+    return [
+        [rational_to_str(matrix.at(i, j)) for j in range(matrix.cols)]
+        for i in range(matrix.rows)
+    ]
+
+
+def matrix_from_json(value: Any, rows: int, cols: int, field: str) -> Matrix:
+    if not isinstance(value, list) or len(value) != rows:
+        raise SchemaError(f"{field}: expected {rows} rows")
+    data = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SchemaError(f"{field}[{i}]: expected {cols} entries")
+        data.append(
+            [rational_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
+        )
+    return Matrix.from_rows(data)
+
+
+def require_int(value: Any, field: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{field}: expected an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{field}: must be at least {minimum}")
+    return value
+
+
+def require_list(value: Any, field: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{field}: expected a list")
+    return value
+
+
+def int_list(value: Any, field: str) -> tuple[int, ...]:
+    return tuple(
+        require_int(e, f"{field}[{i}]")
+        for i, e in enumerate(require_list(value, field))
+    )
+
+
+def parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """A comma-separated command-line integer list."""
+    try:
+        return tuple(int(tok.strip()) for tok in text.split(","))
+    except ValueError:
+        raise SchemaError(f"{flag}: expected comma-separated integers") from None
 
 
 class Verdict(Enum):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
@@ -19,19 +20,29 @@ from git_topo.families.base import (
     WeightDecomposition,
     assemble_decomposition,
     limit_exists_from_weights,
+    matrix_from_json,
+    matrix_to_json,
+    require_int,
 )
 from git_topo.groups import Character, GroupSpec, OnePSClass, OrbitConvention, orbit_dim
-from git_topo.linalg import Matrix, int_rank
+from git_topo.linalg import Matrix, int_rank, integer_rows
 
 DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
 
 @dataclass(frozen=True)
 class ControlFamily:
-    """Shape of the family: state dimension n, input dimension m."""
+    """Shape of the family: state dimension n, input dimension m.
+
+    The flat encoding of a point is A row-major, then B row-major.
+    """
 
     n: int
     m: int
+
+    name = "control"
+    CLI_ARGS = (("n", int, "state dimension"), ("m", int, "input dimension"))
+    DEFAULT_CONVENTION = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
@@ -42,6 +53,56 @@ class ControlFamily:
 
     def character(self) -> Character:
         return Character(det_powers=(1,))
+
+    @classmethod
+    def from_args(cls, args) -> "ControlFamily":
+        return cls(args.n, args.m)
+
+    def to_json(self) -> dict:
+        return {"family": self.name, "n": self.n, "m": self.m}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ControlFamily":
+        return cls(
+            require_int(data.get("n"), "n", 1), require_int(data.get("m"), "m", 1)
+        )
+
+    @staticmethod
+    def instance_from_json(data: dict) -> "ControlInstance":
+        n = require_int(data.get("n"), "n", 1)
+        m = require_int(data.get("m"), "m", 1)
+        return ControlInstance(
+            n,
+            m,
+            matrix_from_json(data.get("A"), n, n, "A"),
+            matrix_from_json(data.get("B"), n, m, "B"),
+        )
+
+    def draw_flat(self, rng, bound: int) -> list[int]:
+        count = self.n * (self.n + self.m)
+        return [rng.int_between(-bound, bound) for _ in range(count)]
+
+    draw_generic = draw_flat
+
+    def instance_from_flat(self, flat: Sequence[int]) -> "ControlInstance":
+        n, m = self.n, self.m
+        return ControlInstance(
+            n, m, Matrix(n, n, tuple(flat[: n * n])), Matrix(n, m, tuple(flat[n * n :]))
+        )
+
+    def is_stable_flat(self, flat: Sequence[int]) -> bool:
+        n, m = self.n, self.m
+        a_rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        b_rows = [list(flat[n * n + i * m : n * n + (i + 1) * m]) for i in range(n)]
+        return controllability_rank_ints(n, m, a_rows, b_rows) == n
+
+    def strata(
+        self, convention: OrbitConvention = DEFAULT_CONVENTION
+    ) -> list[StratumClass]:
+        return enumerate_strata(self, convention)
+
+    def thresholds(self) -> tuple[tuple[str, int], ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -63,6 +124,16 @@ class ControlInstance:
 
     def family(self) -> ControlFamily:
         return ControlFamily(self.n, self.m)
+
+    def status(self) -> StabilityStatus:
+        return control_status(self)
+
+    def to_json(self) -> dict:
+        return {
+            **self.family().to_json(),
+            "A": matrix_to_json(self.a),
+            "B": matrix_to_json(self.b),
+        }
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
@@ -93,23 +164,6 @@ def controllability_rank_ints(
     return int_rank(krylov)
 
 
-def _integerized(matrix: Matrix) -> list[list[int]]:
-    """Clear denominators with one global scale (keeps Krylov structure)."""
-    scale = 1
-    for e in matrix.entries:
-        d = e.denominator
-        if d != 1:
-            g = _gcd(scale, d)
-            scale = scale // g * d
-    return [[int(e * scale) for e in matrix.row(i)] for i in range(matrix.rows)]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def control_status(inst: ControlInstance) -> StabilityStatus:
     """Stable exactly when (A, B) is controllable.
 
@@ -117,8 +171,13 @@ def control_status(inst: ControlInstance) -> StabilityStatus:
     and B separately (each Krylov block only picks up a scalar), so both
     are integerized first and the rank runs fraction-free.
     """
+    # One scale per matrix, not per row: row scaling of A is not a change
+    # of basis and would change the Krylov rank.
     r = controllability_rank_ints(
-        inst.n, inst.m, _integerized(inst.a), _integerized(inst.b)
+        inst.n,
+        inst.m,
+        integer_rows(inst.a.to_rows(), common_scale=True),
+        integer_rows(inst.b.to_rows(), common_scale=True),
     )
     if r == inst.n:
         return StabilityStatus.stable(rank=r)
@@ -197,7 +256,7 @@ def enumerate_strata(
         orbit = orbit_dim(fam.group(), rep, convention)
         strata.append(
             StratumClass.build(
-                family="control",
+                family=fam.name,
                 descriptor={"invariant_subspace_dim": r},
                 representative=rep,
                 m=m,

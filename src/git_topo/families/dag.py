@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import (
@@ -24,19 +25,36 @@ from git_topo.families.base import (
     WeightDecomposition,
     assemble_decomposition,
     limit_exists_from_weights,
+    matrix_from_json,
+    matrix_to_json,
+    require_int,
 )
 from git_topo.groups import Character, GroupSpec, OnePSClass, OrbitConvention, orbit_dim
-from git_topo.linalg import Matrix, column_pivots, int_rank, nullspace, solve_square
+from git_topo.linalg import (
+    Matrix,
+    column_pivots,
+    int_rank,
+    integer_rows,
+    nullspace,
+    solve_square,
+)
 
 DEFAULT_CONVENTION = OrbitConvention.CENTRALIZER
 
 
 @dataclass(frozen=True)
 class DagFamily:
-    """Shape of the family: n samples, k parent variables."""
+    """Shape of the family: n samples, k parent variables.
+
+    The flat encoding of a point is Y row-major.
+    """
 
     n: int
     k: int
+
+    name = "dag"
+    CLI_ARGS = (("samples", int, "sample count n"), ("parents", int, "parent count k"))
+    DEFAULT_CONVENTION = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
@@ -47,6 +65,53 @@ class DagFamily:
 
     def character(self) -> Character:
         return Character(det_powers=(0,), torus_exponents=(1,))
+
+    @classmethod
+    def from_args(cls, args) -> "DagFamily":
+        return cls(args.samples, args.parents)
+
+    def to_json(self) -> dict:
+        return {"family": self.name, "n": self.n, "k": self.k}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "DagFamily":
+        return cls(
+            require_int(data.get("n"), "n", 1), require_int(data.get("k"), "k", 1)
+        )
+
+    @staticmethod
+    def instance_from_json(data: dict) -> "DagInstance":
+        n = require_int(data.get("n"), "n", 1)
+        k = require_int(data.get("k"), "k", 1)
+        return DagInstance(n, k, matrix_from_json(data.get("Y"), n, k + 1, "Y"))
+
+    def draw_flat(self, rng, bound: int) -> list[int]:
+        return [rng.int_between(-bound, bound) for _ in range(self.n * (self.k + 1))]
+
+    draw_generic = draw_flat
+
+    def instance_from_flat(self, flat: Sequence[int]) -> "DagInstance":
+        return DagInstance(self.n, self.k, Matrix(self.n, self.k + 1, tuple(flat)))
+
+    def is_stable_flat(self, flat: Sequence[int]) -> bool:
+        return parent_rank_ints(self.n, self.k, flat) == self.k
+
+    def strata(
+        self, convention: OrbitConvention = DEFAULT_CONVENTION
+    ) -> list[StratumClass]:
+        return enumerate_strata(self, convention)
+
+    def thresholds(self) -> tuple[tuple[str, int], ...]:
+        """Sample counts where connectivity statements start to hold.
+
+        d_min = 2n - 4k + 4 under the centralizer convention, so the stable
+        locus is path-connected once n >= 2k - 1 and simply connected once
+        n >= 2k.  Keys are kept sorted for canonical serialization.
+        """
+        return (
+            ("path_connected_from_n", 2 * self.k - 1),
+            ("simply_connected_from_n", 2 * self.k),
+        )
 
 
 @dataclass(frozen=True)
@@ -66,6 +131,12 @@ class DagInstance:
     def family(self) -> DagFamily:
         return DagFamily(self.n, self.k)
 
+    def status(self) -> StabilityStatus:
+        return dag_status(self)
+
+    def to_json(self) -> dict:
+        return {**self.family().to_json(), "Y": matrix_to_json(self.y)}
+
     def parent_block(self) -> Matrix:
         return Matrix(
             self.n,
@@ -82,7 +153,7 @@ class DagInstance:
         return self.y.is_zero()
 
 
-def parent_rank_ints(n: int, k: int, y_flat: list[int]) -> int:
+def parent_rank_ints(n: int, k: int, y_flat: Sequence[int]) -> int:
     """Rank of the parent block from flat integer Y entries (fast path)."""
     rows = [[y_flat[i * (k + 1) + j] for j in range(k)] for i in range(n)]
     return int_rank(rows)
@@ -91,7 +162,7 @@ def parent_rank_ints(n: int, k: int, y_flat: list[int]) -> int:
 def dag_status(inst: DagInstance) -> StabilityStatus:
     """Stable exactly when the parent block has full column rank."""
     x = inst.parent_block()
-    r = int_rank(_integer_rows(x))
+    r = int_rank(integer_rows(x.to_rows()))
     if r == inst.k:
         return StabilityStatus.stable(rank=r)
     return StabilityStatus.not_stable(
@@ -101,26 +172,6 @@ def dag_status(inst: DagInstance) -> StabilityStatus:
         ),
         rank=r,
     )
-
-
-def _integer_rows(matrix: Matrix) -> list[list[int]]:
-    out = []
-    for i in range(matrix.rows):
-        row = list(matrix.row(i))
-        scale = 1
-        for e in row:
-            d = e.denominator
-            if d != 1:
-                g = _gcd(scale, d)
-                scale = scale // g * d
-        out.append([int(e * scale) for e in row])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def dag_solve_mle(inst: DagInstance) -> tuple[Fraction, ...]:
@@ -192,7 +243,7 @@ def enumerate_strata(
         orbit = orbit_dim(fam.group(), rep, convention)
         strata.append(
             StratumClass.build(
-                family="dag",
+                family=fam.name,
                 descriptor={"redundant_columns": j},
                 representative=rep,
                 m=j * fam.n,

@@ -15,21 +15,40 @@ stratum enumeration works for arbitrary dimension vectors.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from git_topo.errors import DomainError, ShapeError, SizeLimitError
+from git_topo.errors import (
+    DomainError,
+    GitTopoError,
+    SchemaError,
+    ShapeError,
+    SizeLimitError,
+)
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
     WeightDecomposition,
     assemble_decomposition,
+    complex_from_json,
+    complex_to_json,
+    int_list,
     limit_exists_from_weights,
+    parse_int_list,
+    require_int,
+    require_list,
 )
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import CZERO, ComplexRational
 
 MAX_VERTICES_FOR_SUBSET_SCAN = 20
+# Most candidate subdimension vectors, prod(dim_i + 1), the stratum
+# enumeration accepts.  It holds every kept stratum in memory and its cost
+# doubles per thin vertex: 2^17 candidates took about 10 s and 325 MB on a
+# 2-CPU x86 machine.
+MAX_STRATUM_CANDIDATES = 2**18
 
 DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
@@ -39,13 +58,23 @@ class QuiverSpec:
     """A quiver with dimension vector and admissible stability parameter.
 
     Arrows are stored 0-based as (source, target) pairs; parallel arrows
-    and loops are allowed.
+    and loops are allowed.  The flat encoding of a thin point is one
+    (re, im) integer pair per arrow, pinned at zero on arrows that touch
+    a dimension-0 vertex.
     """
 
     vertex_count: int
     arrows: tuple[tuple[int, int], ...]
     dim_vector: tuple[int, ...]
     theta: tuple[int, ...]
+
+    name = "quiver"
+    CLI_ARGS = (
+        ("arrows", str, 'arrow list "s->t,s->t" (1-indexed)'),
+        ("dim", str, "comma-separated dimension vector"),
+        ("theta", str, "comma-separated stability parameter"),
+    )
+    DEFAULT_CONVENTION = DEFAULT_CONVENTION
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -70,13 +99,6 @@ class QuiverSpec:
                 f"stability parameter is not admissible: theta . dim = {pairing} != 0"
             )
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Arrow-count matrix: entry (i, j) counts arrows from i to j."""
-        counts = [[0] * self.vertex_count for _ in range(self.vertex_count)]
-        for s, t in self.arrows:
-            counts[s][t] += 1
-        return tuple(tuple(row) for row in counts)
-
     def positive_vertices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.dim_vector) if d >= 1)
 
@@ -89,6 +111,130 @@ class QuiverSpec:
 
     def group(self) -> GroupSpec:
         return GroupSpec(tuple(self.dim_vector[i] for i in self.positive_vertices()))
+
+    def live_mask(self) -> tuple[bool, ...]:
+        """Per arrow, whether its Hom space is nonzero (both ends thin)."""
+        dims = self.dim_vector
+        return tuple(dims[s] == 1 and dims[t] == 1 for s, t in self.arrows)
+
+    @classmethod
+    def from_args(cls, args) -> "QuiverSpec":
+        dim = parse_int_list(args.dim, "--dim")
+        theta = parse_int_list(args.theta, "--theta")
+        arrows = _parse_arrows(args.arrows)
+        vertices = len(dim)
+        for s, t in arrows:
+            if s >= vertices or t >= vertices:
+                raise SchemaError(
+                    f"--arrows: vertex {max(s, t) + 1} exceeds the vertex count "
+                    f"{vertices} implied by --dim"
+                )
+        return cls(vertices, arrows, dim, theta)
+
+    def to_json(self) -> dict:
+        return {
+            "family": self.name,
+            "vertices": self.vertex_count,
+            "arrows": [[s + 1, t + 1] for s, t in self.arrows],
+            "dim": list(self.dim_vector),
+            "theta": list(self.theta),
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "QuiverSpec":
+        vertices = require_int(data.get("vertices"), "vertices", 1)
+        arrows = []
+        for i, pair in enumerate(require_list(data.get("arrows"), "arrows")):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SchemaError(f"arrows[{i}]: expected a [source, target] pair")
+            s = require_int(pair[0], f"arrows[{i}][0]", 1)
+            t = require_int(pair[1], f"arrows[{i}][1]", 1)
+            if s > vertices or t > vertices:
+                raise SchemaError(f"arrows[{i}]: vertex out of range 1..{vertices}")
+            arrows.append((s - 1, t - 1))
+        dim = int_list(data.get("dim"), "dim")
+        theta = int_list(data.get("theta"), "theta")
+        if len(dim) != vertices:
+            raise SchemaError("dim: length must equal the vertex count")
+        if len(theta) != vertices:
+            raise SchemaError("theta: length must equal the vertex count")
+        try:
+            return cls(vertices, tuple(arrows), dim, theta)
+        except GitTopoError as exc:
+            raise SchemaError(str(exc)) from None
+
+    @classmethod
+    def instance_from_json(cls, data: dict) -> "ThinQuiverRep":
+        spec = cls.from_json(data)
+        raw = require_list(data.get("values"), "values")
+        if len(raw) != len(spec.arrows):
+            raise SchemaError("values: need exactly one value per arrow")
+        values = tuple(complex_from_json(v, f"values[{i}]") for i, v in enumerate(raw))
+        try:
+            return ThinQuiverRep(spec, values)
+        except GitTopoError as exc:
+            raise SchemaError(str(exc)) from None
+
+    def draw_flat(self, rng, bound: int) -> list[int]:
+        flat: list[int] = []
+        for live in self.live_mask():
+            if live:
+                flat.append(rng.int_between(-bound, bound))
+                flat.append(rng.int_between(-bound, bound))
+            else:
+                flat.extend((0, 0))
+        return flat
+
+    def draw_generic(self, rng, bound: int) -> list[int]:
+        """draw_flat, redrawn while it is the origin.
+
+        The origin is the known non-stable point and would otherwise
+        pollute generic counts.  A quiver with no live arrow only has the
+        origin, so there is nothing to exclude.
+        """
+        has_live = any(self.live_mask())
+        flat = self.draw_flat(rng, bound)
+        while has_live and not any(flat):
+            flat = self.draw_flat(rng, bound)
+        return flat
+
+    def instance_from_flat(self, flat: Sequence[int]) -> "ThinQuiverRep":
+        values = tuple(
+            ComplexRational.of(flat[2 * i], flat[2 * i + 1])
+            for i in range(len(self.arrows))
+        )
+        return ThinQuiverRep(self, values)
+
+    def is_stable_flat(self, flat: Sequence[int]) -> bool:
+        return quiver_thin_status(self.instance_from_flat(flat)).is_stable
+
+    def strata(
+        self, convention: OrbitConvention = DEFAULT_CONVENTION
+    ) -> list[StratumClass]:
+        return enumerate_strata(self, convention)
+
+    def thresholds(self) -> tuple[tuple[str, int], ...]:
+        return ()
+
+
+_ARROW_RE = re.compile(r"^(\d+)->(\d+)$")
+
+
+def _parse_arrows(text: str) -> tuple[tuple[int, int], ...]:
+    """A command-line arrow list "s->t,s->t", 1-indexed, made 0-based."""
+    arrows = []
+    for token in text.split(","):
+        token = token.strip()
+        match = _ARROW_RE.match(token)
+        if not match:
+            raise SchemaError(
+                f"--arrows: {token!r} is not of the form 's->t' (1-indexed)"
+            )
+        s, t = int(match.group(1)), int(match.group(2))
+        if s < 1 or t < 1:
+            raise SchemaError("--arrows: vertices are 1-indexed")
+        arrows.append((s - 1, t - 1))
+    return tuple(arrows)
 
 
 def kronecker_spec(theta: Sequence[int] = (1, -1)) -> QuiverSpec:
@@ -179,6 +325,12 @@ def enumerate_strata(
     """
     if all(d == 0 for d in spec.dim_vector):
         raise DomainError("the zero dimension vector has no strata")
+    candidates = math.prod(d + 1 for d in spec.dim_vector)
+    if candidates > MAX_STRATUM_CANDIDATES:
+        raise SizeLimitError(
+            f"stratum enumeration refused: {candidates} candidate subdimension "
+            f"vectors exceed the limit of {MAX_STRATUM_CANDIDATES}"
+        )
     strata: list[StratumClass] = []
     for sub in sub_dimension_vectors(spec):
         if sum(a * d for a, d in zip(spec.theta, sub)) < 0:
@@ -190,7 +342,7 @@ def enumerate_strata(
         orbit = orbit_dim(spec.group(), rep, convention)
         strata.append(
             StratumClass.build(
-                family="quiver",
+                family=spec.name,
                 descriptor={"sub_dim": tuple(sub)},
                 representative=rep,
                 m=m,
@@ -227,14 +379,21 @@ class ThinQuiverRep:
                     "its value must be zero"
                 )
 
+    def family(self) -> QuiverSpec:
+        return self.spec
+
+    def status(self) -> StabilityStatus:
+        return quiver_thin_status(self)
+
+    def to_json(self) -> dict:
+        return {
+            **self.spec.to_json(),
+            "values": [complex_to_json(v) for v in self.values],
+        }
+
     def effective_arrows(self) -> tuple[int, ...]:
         """Indices of arrows whose Hom space is nonzero."""
-        dims = self.spec.dim_vector
-        return tuple(
-            idx
-            for idx, (s, t) in enumerate(self.spec.arrows)
-            if dims[s] == 1 and dims[t] == 1
-        )
+        return tuple(i for i, live in enumerate(self.spec.live_mask()) if live)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)

@@ -9,37 +9,29 @@ exhaustive grid, and constructed rank-deficient DAG samples must be
 caught and then repaired by stabilization.
 
 Every draw comes from a counter-based stream keyed by (seed, op, trial),
-so a report is a pure function of its TrialConfig.  Trials are
-independent: they could run on a worker pool and merge by summing
-counters (see HarnessReport.merge); the implementation runs them
-sequentially, which is plenty at the configured scales.
+so a report is a pure function of its TrialConfig.  The trial loops are
+family-agnostic: they work on each family's flat integer encoding
+through its spec (`draw_flat`, `draw_generic`, `is_stable_flat`) and
+build an instance only to reproduce a single trial.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from git_topo.errors import DomainError, PreconditionError, SamplingError
 from git_topo.families import (
-    ControlFamily,
-    ControlInstance,
     DagFamily,
     DagInstance,
     FamilySpec,
-    QuiverSpec,
     ThinQuiverRep,
     Verdict,
-    controllability_rank_ints,
     dag_stabilize,
     dag_status,
-    default_convention,
-    enumerate_strata,
-    family_name,
     kronecker_spec,
-    parent_rank_ints,
     quiver_thin_status,
 )
 from git_topo.groups import OrbitConvention
@@ -135,113 +127,21 @@ class HarnessReport:
             and not expect_degenerate
         )
 
-    def merge(self, other: "HarnessReport") -> "HarnessReport":
-        """Sum counters of two shards of the same run (worker-pool join)."""
-        if (self.op, self.config) != (other.op, other.config):
-            raise DomainError("only shards of the same run can merge")
-        return replace(
-            self,
-            trials_run=self.trials_run + other.trials_run,
-            unstable_hits=self.unstable_hits + other.unstable_hits,
-            path_failures=self.path_failures + other.path_failures,
-            oracle_mismatches=self.oracle_mismatches + other.oracle_mismatches,
-            elapsed_ms=self.elapsed_ms + other.elapsed_ms,
-            notes=self.notes + tuple(n for n in other.notes if n not in self.notes),
-            skipped=self.skipped and other.skipped,
-        )
-
 
 def _elapsed_ms(start: float) -> int:
     return int((time.monotonic() - start) * 1000)
 
 
-# Flat integer encodings, one per family.  Quiver values are interleaved
-# (re, im) pairs; dimension-0 arrows stay pinned at zero.
-
-
-def _flat_length(spec: FamilySpec) -> int:
-    if isinstance(spec, ControlFamily):
-        return spec.n * spec.n + spec.n * spec.m
-    if isinstance(spec, DagFamily):
-        return spec.n * (spec.k + 1)
-    if isinstance(spec, QuiverSpec):
-        return 2 * len(spec.arrows)
-    raise DomainError(f"not a family spec: {type(spec).__name__}")
-
-
-def _draw_flat(spec: FamilySpec, rng: CounterRng, bound: int) -> list[int]:
-    if isinstance(spec, QuiverSpec):
-        dims = spec.dim_vector
-        flat: list[int] = []
-        for s, t in spec.arrows:
-            if dims[s] == 1 and dims[t] == 1:
-                flat.append(rng.int_between(-bound, bound))
-                flat.append(rng.int_between(-bound, bound))
-            else:
-                flat.extend((0, 0))
-        return flat
-    return [rng.int_between(-bound, bound) for _ in range(_flat_length(spec))]
-
-
-def _is_stable_flat(spec: FamilySpec, flat: Sequence[int]) -> bool:
-    if isinstance(spec, ControlFamily):
-        n, m = spec.n, spec.m
-        a_rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        b_rows = [
-            list(flat[n * n + i * m : n * n + (i + 1) * m]) for i in range(n)
-        ]
-        return controllability_rank_ints(n, m, a_rows, b_rows) == n
-    if isinstance(spec, DagFamily):
-        return parent_rank_ints(spec.n, spec.k, list(flat)) == spec.k
-    if isinstance(spec, QuiverSpec):
-        return quiver_thin_status(_quiver_from_flat(spec, flat)).is_stable
-    raise DomainError(f"not a family spec: {type(spec).__name__}")
-
-
-def _quiver_from_flat(spec: QuiverSpec, flat: Sequence[int]) -> ThinQuiverRep:
-    values = tuple(
-        ComplexRational.of(flat[2 * i], flat[2 * i + 1])
-        for i in range(len(spec.arrows))
-    )
-    return ThinQuiverRep(spec, values)
-
-
 def instance_from_flat(spec: FamilySpec, flat: Sequence[int]):
     """Rebuild the instance a flat draw encodes (for reproducing a trial)."""
-    if isinstance(spec, ControlFamily):
-        n, m = spec.n, spec.m
-        return ControlInstance(
-            n,
-            m,
-            Matrix(n, n, tuple(flat[: n * n])),
-            Matrix(n, m, tuple(flat[n * n :])),
-        )
-    if isinstance(spec, DagFamily):
-        return DagInstance(spec.n, spec.k, Matrix(spec.n, spec.k + 1, tuple(flat)))
-    if isinstance(spec, QuiverSpec):
-        return _quiver_from_flat(spec, flat)
-    raise DomainError(f"not a family spec: {type(spec).__name__}")
+    return spec.instance_from_flat(flat)
 
 
 def draw_instance(cfg: TrialConfig, index: int):
     """The exact instance generic-point trial `index` examines."""
     rng = CounterRng(cfg.seed, _OP_GENERIC, index)
-    return instance_from_flat(cfg.family_spec, _draw_generic(cfg, rng))
-
-
-def _draw_generic(cfg: TrialConfig, rng: CounterRng) -> list[int]:
     spec = cfg.family_spec
-    flat = _draw_flat(spec, rng, cfg.entry_bound)
-    if isinstance(spec, QuiverSpec):
-        # The origin is excluded by construction for quiver sampling; it
-        # is the known non-stable point and would otherwise pollute the
-        # counts.  A quiver with no live arrow only has the origin, so
-        # there is nothing to exclude.
-        dims = spec.dim_vector
-        has_live = any(dims[s] == 1 and dims[t] == 1 for s, t in spec.arrows)
-        while has_live and all(x == 0 for x in flat):
-            flat = _draw_flat(spec, rng, cfg.entry_bound)
-    return flat
+    return spec.instance_from_flat(spec.draw_generic(rng, cfg.entry_bound))
 
 
 def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
@@ -257,7 +157,7 @@ def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
     unstable = 0
     for i in range(cfg.trials):
         rng = CounterRng(cfg.seed, _OP_GENERIC, i)
-        if not _is_stable_flat(spec, _draw_generic(cfg, rng)):
+        if not spec.is_stable_flat(spec.draw_generic(rng, cfg.entry_bound)):
             unstable += 1
     return HarnessReport(
         op=OP_GENERIC_POINTS,
@@ -270,13 +170,14 @@ def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
 
 
 def _draw_stable(cfg: TrialConfig, rng: CounterRng) -> list[int]:
+    spec = cfg.family_spec
     for _ in range(MAX_ENDPOINT_ATTEMPTS):
-        flat = _draw_flat(cfg.family_spec, rng, cfg.entry_bound)
-        if _is_stable_flat(cfg.family_spec, flat):
+        flat = spec.draw_flat(rng, cfg.entry_bound)
+        if spec.is_stable_flat(flat):
             return flat
     raise SamplingError(
         f"no Stable endpoint found in {MAX_ENDPOINT_ATTEMPTS} attempts for "
-        f"{family_name(cfg.family_spec)}; the family looks degenerate"
+        f"{spec.name}; the family looks degenerate"
     )
 
 
@@ -294,8 +195,8 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     """
     start = time.monotonic()
     spec = cfg.family_spec
-    convention = cfg.convention or default_convention(spec)
-    strata = enumerate_strata(spec, convention)
+    convention = cfg.convention or spec.DEFAULT_CONVENTION
+    strata = spec.strata(convention)
     if strata:
         d_min = min(s.value for s in strata)
         if d_min < 2:
@@ -316,7 +217,7 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
         rng = CounterRng(cfg.seed, _OP_PATHS, p)
         left = _draw_stable(cfg, rng)
         right = _draw_stable(cfg, rng)
-        mid = _draw_flat(spec, rng, cfg.entry_bound)
+        mid = spec.draw_flat(rng, cfg.entry_bound)
         for i in range(n_samples):
             c_left = (n_samples - i) * (n_samples - 2 * i)
             c_mid = 4 * i * (n_samples - i)
@@ -325,7 +226,7 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
                 c_left * a + c_mid * b + c_right * c
                 for a, b, c in zip(left, mid, right)
             ]
-            if not _is_stable_flat(spec, point):
+            if not spec.is_stable_flat(point):
                 failures += 1
     return HarnessReport(
         op=OP_PATH_STABILITY,

@@ -19,6 +19,7 @@ randomized consistency checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -229,23 +230,23 @@ class Matrix:
         return any(isinstance(e, ComplexRational) for e in self.entries)
 
 
-def _integerize_rows(data: list[list[Rational]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
+def integer_rows(
+    data: Sequence[Sequence[Rational]], common_scale: bool = False
+) -> list[list[int]]:
+    """Clear denominators: scale each row by the lcm of its denominators.
+
+    Row scaling preserves the rank.  With common_scale every row gets the
+    one lcm over the whole matrix instead, which also preserves products
+    of the matrix with itself.
+    """
+    if common_scale:
+        scale = math.lcm(*(e.denominator for row in data for e in row))
+        return [[int(e * scale) for e in row] for row in data]
     out: list[list[int]] = []
     for row in data:
-        scale = 1
-        for e in row:
-            d = e.denominator
-            if d != 1:
-                scale = scale * d // _gcd(scale, d)
+        scale = math.lcm(*(e.denominator for e in row))
         out.append([int(e * scale) for e in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def int_rank(data: list[list[int]]) -> int:
@@ -325,7 +326,7 @@ def rank(matrix: Matrix) -> int:
     if matrix.has_complex_entries():
         data = [[ComplexRational.of(e) for e in matrix.row(i)] for i in range(matrix.rows)]
         return _field_rank(data)
-    return int_rank(_integerize_rows(matrix.to_rows()))
+    return int_rank(integer_rows(matrix.to_rows()))
 
 
 def _rref(data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

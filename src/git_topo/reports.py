@@ -14,29 +14,9 @@ from git_topo.connectivity import (
     ConnectivityReport,
     summarize_strata,
 )
-from git_topo.families import (
-    DagFamily,
-    FamilySpec,
-    StabilityStatus,
-    default_convention,
-    enumerate_strata,
-    family_name,
-)
+from git_topo.families import FamilySpec, StabilityStatus
 from git_topo.groups import OrbitConvention
 from git_topo.harness import HarnessReport
-
-
-def dag_thresholds(fam: DagFamily) -> tuple[tuple[str, int], ...]:
-    """Sample counts where connectivity statements start to hold.
-
-    d_min = 2n - 4k + 4 under the centralizer convention, so the stable
-    locus is path-connected once n >= 2k - 1 and simply connected once
-    n >= 2k.  Keys are kept sorted for canonical serialization.
-    """
-    return (
-        ("path_connected_from_n", 2 * fam.k - 1),
-        ("simply_connected_from_n", 2 * fam.k),
-    )
 
 
 def build_connectivity_report(
@@ -46,18 +26,14 @@ def build_connectivity_report(
 ) -> ConnectivityReport:
     """Full analyze pipeline for one family spec."""
     if convention is None:
-        convention = default_convention(spec)
-    strata = enumerate_strata(spec, convention)
-    thresholds: tuple[tuple[str, int], ...] = ()
-    if isinstance(spec, DagFamily):
-        thresholds = dag_thresholds(spec)
+        convention = spec.DEFAULT_CONVENTION
     return summarize_strata(
-        family=family_name(spec),
+        family=spec.name,
         convention=convention,
-        strata=strata,
+        strata=spec.strata(convention),
         group=spec.group(),
         max_q=max_q,
-        thresholds=thresholds,
+        thresholds=spec.thresholds(),
     )
 
 

@@ -10,30 +10,29 @@ reader validates shape and names the offending field in its SchemaError.
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 from typing import Any
 
 from git_topo.connectivity import AbelianGroup, ConnectivityReport
-from git_topo.errors import GitTopoError, SchemaError
+from git_topo.errors import SchemaError
 from git_topo.families import (
-    ControlFamily,
-    ControlInstance,
-    DagFamily,
-    DagInstance,
+    FAMILIES,
     FamilySpec,
     Instance,
-    QuiverSpec,
     StabilityStatus,
     StratumClass,
-    ThinQuiverRep,
     Verdict,
+)
+from git_topo.families.base import (  # the scalar codecs are re-exported here
+    complex_from_json,
+    complex_to_json,
+    int_list,
+    rational_from_json,
+    rational_to_str,
+    require_int,
+    require_list,
 )
 from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.harness import HarnessReport, TrialConfig
-from git_topo.linalg import ComplexRational, Matrix
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 CONVENTION_DEPENDENT_FIELDS = (
     "connectivity",
@@ -48,197 +47,33 @@ def canonical_dumps(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def rational_to_str(value: int | Fraction) -> str:
-    return str(Fraction(value))
+# Family specs (shapes) and instances (points); each family encodes its own.
 
 
-def rational_from_json(value: Any, field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(f"{field}: rationals must be strings or integers")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
-            raise SchemaError(f"{field}: malformed rational string {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise SchemaError(f"{field}: zero denominator in {value!r}") from None
-    raise SchemaError(f"{field}: expected a rational string, got {type(value).__name__}")
-
-
-def complex_to_json(value: ComplexRational) -> str | list[str]:
-    if not value.im:
-        return rational_to_str(value.re)
-    return [rational_to_str(value.re), rational_to_str(value.im)]
-
-
-def complex_from_json(value: Any, field: str) -> ComplexRational:
-    if isinstance(value, list):
-        if len(value) != 2:
-            raise SchemaError(f"{field}: complex values are [re, im] pairs")
-        return ComplexRational(
-            rational_from_json(value[0], f"{field}[0]"),
-            rational_from_json(value[1], f"{field}[1]"),
-        )
-    return ComplexRational(rational_from_json(value, field), Fraction(0))
-
-
-def matrix_to_json(matrix: Matrix) -> list[list[str]]:
-    return [
-        [rational_to_str(matrix.at(i, j)) for j in range(matrix.cols)]
-        for i in range(matrix.rows)
-    ]
-
-
-def matrix_from_json(value: Any, rows: int, cols: int, field: str) -> Matrix:
-    if not isinstance(value, list) or len(value) != rows:
-        raise SchemaError(f"{field}: expected {rows} rows")
-    data = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{field}[{i}]: expected {cols} entries")
-        data.append(
-            [rational_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
-        )
-    return Matrix.from_rows(data)
-
-
-def _require_int(value: Any, field: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{field}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise SchemaError(f"{field}: must be at least {minimum}")
-    return value
-
-
-def _require_list(value: Any, field: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{field}: expected a list")
-    return value
-
-
-def _int_list(value: Any, field: str) -> tuple[int, ...]:
-    return tuple(
-        _require_int(e, f"{field}[{i}]") for i, e in enumerate(_require_list(value, field))
-    )
-
-
-# Family specs (shapes without point data).
+def _family_class(data: Any, what: str) -> type:
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what}: expected an object")
+    family = data.get("family")
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise SchemaError(f"family: unknown family {family!r}")
+    return cls
 
 
 def family_spec_to_json(spec: FamilySpec) -> dict:
-    if isinstance(spec, ControlFamily):
-        return {"family": "control", "n": spec.n, "m": spec.m}
-    if isinstance(spec, DagFamily):
-        return {"family": "dag", "n": spec.n, "k": spec.k}
-    if isinstance(spec, QuiverSpec):
-        return {
-            "family": "quiver",
-            "vertices": spec.vertex_count,
-            "arrows": [[s + 1, t + 1] for s, t in spec.arrows],
-            "dim": list(spec.dim_vector),
-            "theta": list(spec.theta),
-        }
-    raise SchemaError(f"not a family spec: {type(spec).__name__}")
-
-
-def _quiver_shape_from_json(data: dict) -> QuiverSpec:
-    vertices = _require_int(data.get("vertices"), "vertices", 1)
-    arrows = []
-    for i, pair in enumerate(_require_list(data.get("arrows"), "arrows")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"arrows[{i}]: expected a [source, target] pair")
-        s = _require_int(pair[0], f"arrows[{i}][0]", 1)
-        t = _require_int(pair[1], f"arrows[{i}][1]", 1)
-        if s > vertices or t > vertices:
-            raise SchemaError(f"arrows[{i}]: vertex out of range 1..{vertices}")
-        arrows.append((s - 1, t - 1))
-    dim = _int_list(data.get("dim"), "dim")
-    theta = _int_list(data.get("theta"), "theta")
-    if len(dim) != vertices:
-        raise SchemaError("dim: length must equal the vertex count")
-    if len(theta) != vertices:
-        raise SchemaError("theta: length must equal the vertex count")
-    try:
-        return QuiverSpec(vertices, tuple(arrows), dim, theta)
-    except GitTopoError as exc:
-        raise SchemaError(str(exc)) from None
+    return spec.to_json()
 
 
 def family_spec_from_json(data: Any) -> FamilySpec:
-    if not isinstance(data, dict):
-        raise SchemaError("family spec: expected an object")
-    family = data.get("family")
-    if family == "control":
-        return ControlFamily(
-            _require_int(data.get("n"), "n", 1), _require_int(data.get("m"), "m", 1)
-        )
-    if family == "dag":
-        return DagFamily(
-            _require_int(data.get("n"), "n", 1), _require_int(data.get("k"), "k", 1)
-        )
-    if family == "quiver":
-        return _quiver_shape_from_json(data)
-    raise SchemaError(f"family: unknown family {family!r}")
-
-
-# Instances (points).
+    return _family_class(data, "family spec").from_json(data)
 
 
 def instance_to_json(instance: Instance) -> dict:
-    if isinstance(instance, ControlInstance):
-        return {
-            "family": "control",
-            "n": instance.n,
-            "m": instance.m,
-            "A": matrix_to_json(instance.a),
-            "B": matrix_to_json(instance.b),
-        }
-    if isinstance(instance, DagInstance):
-        return {
-            "family": "dag",
-            "n": instance.n,
-            "k": instance.k,
-            "Y": matrix_to_json(instance.y),
-        }
-    if isinstance(instance, ThinQuiverRep):
-        payload = family_spec_to_json(instance.spec)
-        payload["values"] = [complex_to_json(v) for v in instance.values]
-        return payload
-    raise SchemaError(f"not a family instance: {type(instance).__name__}")
+    return instance.to_json()
 
 
 def instance_from_json(data: Any) -> Instance:
-    if not isinstance(data, dict):
-        raise SchemaError("instance: expected an object")
-    family = data.get("family")
-    if family == "control":
-        n = _require_int(data.get("n"), "n", 1)
-        m = _require_int(data.get("m"), "m", 1)
-        return ControlInstance(
-            n,
-            m,
-            matrix_from_json(data.get("A"), n, n, "A"),
-            matrix_from_json(data.get("B"), n, m, "B"),
-        )
-    if family == "dag":
-        n = _require_int(data.get("n"), "n", 1)
-        k = _require_int(data.get("k"), "k", 1)
-        return DagInstance(n, k, matrix_from_json(data.get("Y"), n, k + 1, "Y"))
-    if family == "quiver":
-        spec = _quiver_shape_from_json(data)
-        raw = _require_list(data.get("values"), "values")
-        if len(raw) != len(spec.arrows):
-            raise SchemaError("values: need exactly one value per arrow")
-        values = tuple(
-            complex_from_json(v, f"values[{i}]") for i, v in enumerate(raw)
-        )
-        try:
-            return ThinQuiverRep(spec, values)
-        except GitTopoError as exc:
-            raise SchemaError(str(exc)) from None
-    raise SchemaError(f"family: unknown family {family!r}")
+    return _family_class(data, "instance").instance_from_json(data)
 
 
 # Statuses.
@@ -289,10 +124,10 @@ def one_ps_from_json(data: Any) -> OnePSClass:
     if not isinstance(data, dict):
         raise SchemaError("one_ps: expected an object")
     factors = tuple(
-        _int_list(ws, f"gl_weights[{i}]")
-        for i, ws in enumerate(_require_list(data.get("gl_weights"), "gl_weights"))
+        int_list(ws, f"gl_weights[{i}]")
+        for i, ws in enumerate(require_list(data.get("gl_weights"), "gl_weights"))
     )
-    return OnePSClass(factors, _int_list(data.get("torus_weights"), "torus_weights"))
+    return OnePSClass(factors, int_list(data.get("torus_weights"), "torus_weights"))
 
 
 def _descriptor_to_json(descriptor) -> dict:
@@ -340,9 +175,9 @@ def stratum_from_json(data: Any) -> StratumClass:
         family=family,
         descriptor=_descriptor_from_json(data.get("descriptor")),
         representative=one_ps_from_json(data.get("representative")),
-        m=_require_int(data.get("m"), "m", 0),
-        orbit_dim=_require_int(data.get("orbit_dim"), "orbit_dim", 0),
-        value=_require_int(data.get("value"), "value"),
+        m=require_int(data.get("m"), "m", 0),
+        orbit_dim=require_int(data.get("orbit_dim"), "orbit_dim", 0),
+        value=require_int(data.get("value"), "value"),
         convention=_convention_from_json(data.get("convention")),
     )
 
@@ -376,15 +211,15 @@ def report_from_json(data: Any) -> ConnectivityReport:
         raise SchemaError("report.family: expected a string")
     d_min = data.get("d_min")
     if d_min is not None:
-        d_min = _require_int(d_min, "d_min")
+        d_min = require_int(d_min, "d_min")
     connectivity = data.get("connectivity")
     if not isinstance(connectivity, (int, str)) or isinstance(connectivity, bool):
         raise SchemaError("connectivity: expected an integer or marker string")
     homotopy = []
-    for i, row in enumerate(_require_list(data.get("homotopy", []), "homotopy")):
+    for i, row in enumerate(require_list(data.get("homotopy", []), "homotopy")):
         if not isinstance(row, dict):
             raise SchemaError(f"homotopy[{i}]: expected an object")
-        q = _require_int(row.get("q"), f"homotopy[{i}].q", 0)
+        q = require_int(row.get("q"), f"homotopy[{i}].q", 0)
         group = row.get("group")
         if not isinstance(group, str):
             raise SchemaError(f"homotopy[{i}].group: expected a string")
@@ -400,13 +235,13 @@ def report_from_json(data: Any) -> ConnectivityReport:
         convention=_convention_from_json(data.get("convention")),
         strata=tuple(
             stratum_from_json(s)
-            for s in _require_list(data.get("strata", []), "strata")
+            for s in require_list(data.get("strata", []), "strata")
         ),
         d_min=d_min,
         connectivity=connectivity,
         homotopy=tuple(homotopy),
         thresholds=tuple(
-            (key, _require_int(value, f"thresholds.{key}"))
+            (key, require_int(value, f"thresholds.{key}"))
             for key, value in sorted(thresholds.items())
         ),
         notes=tuple(notes),
@@ -434,11 +269,11 @@ def trial_config_from_json(data: Any) -> TrialConfig:
     convention = data.get("convention")
     return TrialConfig(
         family_spec=family_spec_from_json(data.get("family")),
-        trials=_require_int(data.get("trials"), "trials", 1),
-        seed=_require_int(data.get("seed"), "seed", 0),
-        entry_bound=_require_int(data.get("entry_bound"), "entry_bound", 1),
-        paths=_require_int(data.get("paths"), "paths", 0),
-        path_samples=_require_int(data.get("path_samples"), "path_samples", 1),
+        trials=require_int(data.get("trials"), "trials", 1),
+        seed=require_int(data.get("seed"), "seed", 0),
+        entry_bound=require_int(data.get("entry_bound"), "entry_bound", 1),
+        paths=require_int(data.get("paths"), "paths", 0),
+        path_samples=require_int(data.get("path_samples"), "path_samples", 1),
         convention=None if convention is None else _convention_from_json(convention),
     )
 
@@ -473,13 +308,13 @@ def harness_report_from_json(data: Any) -> HarnessReport:
     return HarnessReport(
         op=op,
         config=None if raw_cfg is None else trial_config_from_json(raw_cfg),
-        trials_run=_require_int(data.get("trials_run"), "trials_run", 0),
-        unstable_hits=_require_int(data.get("unstable_hits"), "unstable_hits", 0),
-        path_failures=_require_int(data.get("path_failures"), "path_failures", 0),
-        oracle_mismatches=_require_int(
+        trials_run=require_int(data.get("trials_run"), "trials_run", 0),
+        unstable_hits=require_int(data.get("unstable_hits"), "unstable_hits", 0),
+        path_failures=require_int(data.get("path_failures"), "path_failures", 0),
+        oracle_mismatches=require_int(
             data.get("oracle_mismatches"), "oracle_mismatches", 0
         ),
-        elapsed_ms=_require_int(data.get("elapsed_ms"), "elapsed_ms", 0),
+        elapsed_ms=require_int(data.get("elapsed_ms"), "elapsed_ms", 0),
         notes=tuple(notes),
         skipped=skipped,
     )

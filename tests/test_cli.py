@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -488,3 +489,51 @@ def test_bad_arrow_syntax(capsys):
     )
     assert code == 2
     assert "1-indexed" in err or "not of the form" in err
+
+
+def test_unwritable_json_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "x.json"
+    code, out, err = run(
+        capsys, "analyze", "control", "--n", "3", "--m", "2", "--json", str(target)
+    )
+    assert code == 2
+    assert "d_min = 4" in out
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_unwritable_json_path_after_an_error_is_not_retried(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "x.json"
+    code, out, err = run(capsys, "analyze", "control", "--n", "3", "--json", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: control needs --m",
+        f"error: cannot write {target}: "
+        f"[Errno 2] No such file or directory: '{target}'",
+    ]
+
+
+def test_stratum_enumeration_refuses_a_24_vertex_chain(capsys, tmp_path):
+    vertices = 24
+    out_file = tmp_path / "err.json"
+    start = time.monotonic()
+    code, out, err = run(
+        capsys,
+        "analyze",
+        "quiver",
+        "--arrows",
+        ",".join(f"{i}->{i + 1}" for i in range(1, vertices)),
+        "--dim",
+        ",".join(["1"] * vertices),
+        "--theta",
+        ",".join(["1"] + ["0"] * (vertices - 2) + ["-1"]),
+        "--json",
+        str(out_file),
+    )
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "stratum enumeration refused" in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"

@@ -118,9 +118,7 @@ def test_path_and_generic_streams_are_independent():
     cfg = TrialConfig(ControlFamily(2, 2), trials=3, seed=21, paths=3)
     flat_generic = draw_instance(cfg, 0).a.to_rows()
     rng = CounterRng(21, 1, 0)
-    from git_topo.harness import _draw_flat  # stream check needs the raw draw
-
-    flat_paths = _draw_flat(cfg.family_spec, rng, cfg.entry_bound)
+    flat_paths = cfg.family_spec.draw_flat(rng, cfg.entry_bound)
     a_block = [flat_paths[i * 2 : (i + 1) * 2] for i in range(2)]
     assert a_block != flat_generic
 
@@ -166,19 +164,6 @@ def test_trial_config_validation():
         TrialConfig(ControlFamily(2, 1), entry_bound=0)
     with pytest.raises(DomainError):
         TrialConfig(ControlFamily(2, 1), paths=-1)
-
-
-def test_report_merge_sums_counters():
-    cfg = TrialConfig(ControlFamily(2, 1), trials=10, seed=1)
-    a = HarnessReport(OP_GENERIC_POINTS, cfg, 10, unstable_hits=1, notes=("x",))
-    b = HarnessReport(OP_GENERIC_POINTS, cfg, 10, unstable_hits=2, notes=("x", "y"))
-    merged = a.merge(b)
-    assert merged.trials_run == 20
-    assert merged.unstable_hits == 3
-    assert merged.notes == ("x", "y")
-    other = HarnessReport(OP_PATH_STABILITY, cfg, 10)
-    with pytest.raises(DomainError):
-        a.merge(other)
 
 
 def test_report_counter_validation():

@@ -6,7 +6,6 @@ from git_topo.groups import OrbitConvention
 from git_topo.harness import TrialConfig, sample_generic_points
 from git_topo.reports import (
     build_connectivity_report,
-    dag_thresholds,
     render_connectivity_text,
     render_harness_text,
     render_status_text,
@@ -16,11 +15,11 @@ from git_topo.harness import draw_instance
 
 
 def test_dag_thresholds_formula():
-    assert dag_thresholds(DagFamily(10, 3)) == (
+    assert DagFamily(10, 3).thresholds() == (
         ("path_connected_from_n", 5),
         ("simply_connected_from_n", 6),
     )
-    assert dag_thresholds(DagFamily(4, 2)) == (
+    assert DagFamily(4, 2).thresholds() == (
         ("path_connected_from_n", 3),
         ("simply_connected_from_n", 4),
     )
