@@ -8,7 +8,6 @@ scratch; nothing is cached or looked up.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -22,7 +22,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from git_topo.families import stability_status
 from git_topo.families.control import ControlFamily
 from git_topo.families.dag import DagFamily
 from git_topo.families.quiver import kronecker_spec
@@ -43,7 +42,7 @@ def generic_hit_indices(config: TrialConfig) -> list[int]:
     return [
         i
         for i in range(config.trials)
-        if not stability_status(draw_instance(config, i)).is_stable
+        if not draw_instance(config, i).status().is_stable
     ]
 
 

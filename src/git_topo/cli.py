@@ -18,13 +18,7 @@ import sys
 from fractions import Fraction
 
 from git_topo.errors import GitTopoError, SchemaError
-from git_topo.families import (
-    FAMILIES,
-    DagFamily,
-    DagInstance,
-    dag_stabilize,
-    stability_status,
-)
+from git_topo.families import FAMILIES, DagFamily, DagInstance, dag_stabilize
 from git_topo.families.base import parse_int_list
 from git_topo.families.dag import dag_solve_mle
 from git_topo.groups import OrbitConvention
@@ -118,7 +112,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         raise SchemaError(f"{args.file} is not valid JSON: {exc}") from None
     instance = instance_from_json(data)
     family = instance.family().name
-    status = stability_status(instance)
+    status = instance.status()
     payload: dict = {"family": family, "status": status_to_json(status)}
     lines = render_status_text(family, status)
     working = instance
@@ -130,7 +124,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         payload["stabilized"] = instance_to_json(working)
         payload["epsilon"] = rational_to_str(eps)
         lines.append(f"stabilized with epsilon = {rational_to_str(eps)}")
-        after = stability_status(working)
+        after = working.status()
         lines.append(f"stabilized verdict: {after.verdict.value}")
         payload["stabilized_status"] = status_to_json(after)
     if args.mle:

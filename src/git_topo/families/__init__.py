@@ -14,10 +14,11 @@ the family and exposes:
   `thresholds()` and `group()`.
 
 Its instance class (`ThinQuiverRep`, `ControlInstance`, `DagInstance`)
-is one point and exposes `family()`, `status()` and `to_json()`.
-`FAMILIES` maps each name to its spec class.  Outside the family
-modules only the DAG-only extras (stabilization, the MLE, constructed
-degenerates) and the Kronecker oracle check a family's type.
+is one point and exposes `family()`, `status()` and `to_json()`;
+callers ask the instance they hold for its verdict.  `FAMILIES` maps
+each name to its spec class.  Outside the family modules only the
+DAG-only extras (stabilization, the MLE, constructed degenerates) and
+the Kronecker oracle check a family's type.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ FAMILIES: dict[str, type] = {
 }
 
 
-def stability_status(instance: Instance) -> StabilityStatus:
-    return instance.status()
-
-
 __all__ = [
     "FAMILIES",
     "ControlFamily",
@@ -63,5 +60,4 @@ __all__ = [
     "dag_status",
     "kronecker_spec",
     "quiver_thin_status",
-    "stability_status",
 ]

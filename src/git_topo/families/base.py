@@ -1,11 +1,11 @@
 """Shared value types and format primitives for the model families.
 
-Each family contributes three things downstream: a stability verdict for a
-point, a table of destabilizing strata (one per 1-PS class that can occur
-as a worst destabilizer), and a weight decomposition of points under a
-given 1-PS.  The types here are family-agnostic; the per-family modules
-fill them in.  The JSON and command-line primitives live here too, so
-each family module can encode and parse its own shapes.
+Each family contributes two things downstream: a stability verdict for a
+point and a table of destabilizing strata (one per 1-PS class that can
+occur as a worst destabilizer).  The types here are family-agnostic; the
+per-family modules fill them in.  The JSON and command-line primitives
+live here too, so each family module can encode and parse its own
+shapes.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping
 
 from git_topo.errors import DomainError, SchemaError
 from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.linalg import ComplexRational, Matrix
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational_to_str(value: int | Fraction) -> str:
@@ -33,7 +33,7 @@ def rational_from_json(value: Any, field: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise SchemaError(f"{field}: malformed rational string {value!r}")
         try:
             return Fraction(value)
@@ -183,68 +183,3 @@ class StratumClass:
             value=2 * m - 2 * orbit_dim,
             convention=convention,
         )
-
-
-@dataclass(frozen=True)
-class WeightDecomposition:
-    """Splitting of a point by 1-PS weight, plus its two derived views.
-
-    components holds (weight, instance) pairs in increasing weight order;
-    the component instances sum coordinatewise to the original point.
-    negative_part collects all strictly negative weights, nonnegative_part
-    the rest.
-    """
-
-    components: tuple[tuple[int, Any], ...]
-    negative_part: Any
-    nonnegative_part: Any
-
-    def weights(self) -> tuple[int, ...]:
-        return tuple(w for w, _ in self.components)
-
-    def component(self, weight: int) -> Any | None:
-        for w, inst in self.components:
-            if w == weight:
-                return inst
-        return None
-
-    def negative_is_zero(self) -> bool:
-        return self.negative_part.is_zero()
-
-
-def assemble_decomposition(
-    coords: Sequence[Any],
-    weights: Sequence[int],
-    rebuild: Callable[[list[Any]], Any],
-    zero: Any,
-) -> WeightDecomposition:
-    """Build a WeightDecomposition from flat coordinates and their weights."""
-    if len(coords) != len(weights):
-        raise DomainError("coordinate and weight lists must have equal length")
-
-    def masked(keep: Callable[[int], bool]) -> Any:
-        return rebuild([c if keep(w) else zero for c, w in zip(coords, weights)])
-
-    parts = []
-    for w in sorted(set(weights)):
-        parts.append((w, masked(lambda x, w=w: x == w)))
-    return WeightDecomposition(
-        components=tuple(parts),
-        negative_part=masked(lambda w: w < 0),
-        nonnegative_part=masked(lambda w: w >= 0),
-    )
-
-
-def limit_exists_from_weights(coords: Sequence[Any], weights: Sequence[int]) -> bool:
-    """True when every strictly negative weight carries a zero coordinate.
-
-    This is the Hilbert-Mumford limit test: lim t->0 exists exactly when
-    the point has no component in the negative weight space.  Scans the
-    raw coordinates directly, independent of assemble_decomposition.
-    """
-    if len(coords) != len(weights):
-        raise DomainError("coordinate and weight lists must have equal length")
-    for c, w in zip(coords, weights):
-        if w < 0 and c:
-            return False
-    return True

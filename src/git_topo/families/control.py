@@ -17,14 +17,11 @@ from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
-    WeightDecomposition,
-    assemble_decomposition,
-    limit_exists_from_weights,
     matrix_from_json,
     matrix_to_json,
     require_int,
 )
-from git_topo.groups import Character, GroupSpec, OnePSClass, OrbitConvention, orbit_dim
+from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import Matrix, int_rank, integer_rows
 
 DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
@@ -50,9 +47,6 @@ class ControlFamily:
 
     def group(self) -> GroupSpec:
         return GroupSpec((self.n,))
-
-    def character(self) -> Character:
-        return Character(det_powers=(1,))
 
     @classmethod
     def from_args(cls, args) -> "ControlFamily":
@@ -134,19 +128,6 @@ class ControlInstance:
             "A": matrix_to_json(self.a),
             "B": matrix_to_json(self.b),
         }
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-
-def controllability_matrix(inst: ControlInstance) -> Matrix:
-    """The n x (n*m) block matrix [B, AB, ..., A^(n-1)B], computed exactly."""
-    out = inst.b
-    block = inst.b
-    for _ in range(inst.n - 1):
-        block = inst.a @ block
-        out = out.hstack(block)
-    return out
 
 
 def controllability_rank_ints(
@@ -284,24 +265,3 @@ def _weights_for_coords(fam: ControlFamily, lam: OnePSClass) -> list[int]:
 
 def negative_weight_dim(fam: ControlFamily, lam: OnePSClass) -> int:
     return sum(1 for w in _weights_for_coords(fam, lam) if w < 0)
-
-
-def weight_decompose(inst: ControlInstance, lam: OnePSClass) -> WeightDecomposition:
-    fam = inst.family()
-    coords = list(inst.a.entries) + list(inst.b.entries)
-    split = inst.n * inst.n
-
-    def rebuild(masked: list) -> ControlInstance:
-        return ControlInstance(
-            inst.n,
-            inst.m,
-            Matrix(inst.n, inst.n, tuple(masked[:split])),
-            Matrix(inst.n, inst.m, tuple(masked[split:])),
-        )
-
-    return assemble_decomposition(coords, _weights_for_coords(fam, lam), rebuild, 0)
-
-
-def limit_exists(inst: ControlInstance, lam: OnePSClass) -> bool:
-    coords = list(inst.a.entries) + list(inst.b.entries)
-    return limit_exists_from_weights(coords, _weights_for_coords(inst.family(), lam))

@@ -22,14 +22,11 @@ from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
-    WeightDecomposition,
-    assemble_decomposition,
-    limit_exists_from_weights,
     matrix_from_json,
     matrix_to_json,
     require_int,
 )
-from git_topo.groups import Character, GroupSpec, OnePSClass, OrbitConvention, orbit_dim
+from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import (
     Matrix,
     column_pivots,
@@ -62,9 +59,6 @@ class DagFamily:
 
     def group(self) -> GroupSpec:
         return GroupSpec((self.k,), torus_rank=1)
-
-    def character(self) -> Character:
-        return Character(det_powers=(0,), torus_exponents=(1,))
 
     @classmethod
     def from_args(cls, args) -> "DagFamily":
@@ -148,9 +142,6 @@ class DagInstance:
 
     def child_column(self) -> tuple:
         return self.y.col(self.k)
-
-    def is_zero(self) -> bool:
-        return self.y.is_zero()
 
 
 def parent_rank_ints(n: int, k: int, y_flat: Sequence[int]) -> int:
@@ -272,20 +263,3 @@ def _weights_for_coords(fam: DagFamily, lam: OnePSClass) -> list[int]:
 
 def negative_weight_dim(fam: DagFamily, lam: OnePSClass) -> int:
     return sum(1 for w in _weights_for_coords(fam, lam) if w < 0)
-
-
-def weight_decompose(inst: DagInstance, lam: OnePSClass) -> WeightDecomposition:
-    coords = list(inst.y.entries)
-
-    def rebuild(masked: list) -> DagInstance:
-        return DagInstance(inst.n, inst.k, Matrix(inst.n, inst.k + 1, tuple(masked)))
-
-    return assemble_decomposition(
-        coords, _weights_for_coords(inst.family(), lam), rebuild, 0
-    )
-
-
-def limit_exists(inst: DagInstance, lam: OnePSClass) -> bool:
-    return limit_exists_from_weights(
-        list(inst.y.entries), _weights_for_coords(inst.family(), lam)
-    )

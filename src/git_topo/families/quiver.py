@@ -30,18 +30,15 @@ from git_topo.errors import (
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
-    WeightDecomposition,
-    assemble_decomposition,
     complex_from_json,
     complex_to_json,
     int_list,
-    limit_exists_from_weights,
     parse_int_list,
     require_int,
     require_list,
 )
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention, orbit_dim
-from git_topo.linalg import CZERO, ComplexRational
+from git_topo.linalg import ComplexRational
 
 MAX_VERTICES_FOR_SUBSET_SCAN = 20
 # Most candidate subdimension vectors, prod(dim_i + 1), the stratum
@@ -390,41 +387,6 @@ class ThinQuiverRep:
             **self.spec.to_json(),
             "values": [complex_to_json(v) for v in self.values],
         }
-
-    def effective_arrows(self) -> tuple[int, ...]:
-        """Indices of arrows whose Hom space is nonzero."""
-        return tuple(i for i, live in enumerate(self.spec.live_mask()) if live)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
-
-def _coordinate_weights(rep: ThinQuiverRep, lam: OnePSClass) -> list[int]:
-    weights = _vertex_weights(rep.spec, lam)
-    out = []
-    for idx in rep.effective_arrows():
-        s, t = rep.spec.arrows[idx]
-        out.append(weights[t][0] - weights[s][0])
-    return out
-
-
-def weight_decompose(rep: ThinQuiverRep, lam: OnePSClass) -> WeightDecomposition:
-    """Split a thin representation by lam-weight, arrow by arrow."""
-    effective = rep.effective_arrows()
-    coords = [rep.values[idx] for idx in effective]
-
-    def rebuild(masked: list[ComplexRational]) -> ThinQuiverRep:
-        values = [CZERO] * len(rep.spec.arrows)
-        for slot, idx in enumerate(effective):
-            values[idx] = masked[slot]
-        return ThinQuiverRep(rep.spec, tuple(values))
-
-    return assemble_decomposition(coords, _coordinate_weights(rep, lam), rebuild, CZERO)
-
-
-def limit_exists(rep: ThinQuiverRep, lam: OnePSClass) -> bool:
-    coords = [rep.values[idx] for idx in rep.effective_arrows()]
-    return limit_exists_from_weights(coords, _coordinate_weights(rep, lam))
 
 
 def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:

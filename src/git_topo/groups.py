@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 
 from git_topo.errors import DomainError, ShapeError
 
@@ -53,8 +52,8 @@ class OnePSClass:
 
     gl_weights[i] lists the diagonal weights on the i-th GL factor in
     construction order; torus_weights has one exponent per torus
-    coordinate.  Classes are not reduced on construction: scaled classes
-    stay scaled (see primitive()).
+    coordinate.  Classes are not reduced on construction: a class and
+    its positive multiples are distinct values.
     """
 
     gl_weights: tuple[tuple[int, ...], ...] = ()
@@ -79,41 +78,6 @@ class OnePSClass:
 
     def __hash__(self) -> int:
         return hash(self._conjugacy_key())
-
-    def normal_form(self) -> "OnePSClass":
-        """Representative with each factor's weights sorted non-increasing."""
-        sorted_gl, torus = self._conjugacy_key()
-        return OnePSClass(sorted_gl, torus)
-
-    def all_weights(self) -> tuple[int, ...]:
-        flat: list[int] = []
-        for ws in self.gl_weights:
-            flat.extend(ws)
-        flat.extend(self.torus_weights)
-        return tuple(flat)
-
-    def is_trivial(self) -> bool:
-        return all(w == 0 for w in self.all_weights())
-
-    def scaled(self, p: int) -> "OnePSClass":
-        if p < 1:
-            raise DomainError("scaling exponent must be a positive integer")
-        return OnePSClass(
-            tuple(tuple(w * p for w in ws) for ws in self.gl_weights),
-            tuple(w * p for w in self.torus_weights),
-        )
-
-    def primitive(self) -> "OnePSClass":
-        """Divide out the gcd of all weights (trivial class unchanged)."""
-        content = 0
-        for w in self.all_weights():
-            content = gcd(content, w)
-        if content in (0, 1):
-            return self
-        return OnePSClass(
-            tuple(tuple(w // content for w in ws) for ws in self.gl_weights),
-            tuple(w // content for w in self.torus_weights),
-        )
 
 
 def _check_match(spec: GroupSpec, lam: OnePSClass) -> None:
@@ -169,38 +133,3 @@ def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> 
     else:
         raise DomainError(f"unknown orbit convention {convention!r}")
     return group_dim(spec) - stab
-
-
-@dataclass(frozen=True)
-class Character:
-    """A character of a GroupSpec group.
-
-    Determinant powers, one per GL factor, plus one exponent per torus
-    coordinate.
-    """
-
-    det_powers: tuple[int, ...] = ()
-    torus_exponents: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "det_powers", tuple(int(p) for p in self.det_powers))
-        object.__setattr__(
-            self, "torus_exponents", tuple(int(p) for p in self.torus_exponents)
-        )
-
-
-def character_pairing(chi: Character, lam: OnePSClass) -> int:
-    """Integer pairing <chi, lam>: det powers hit weight sums, torus dots torus."""
-    if len(chi.det_powers) != len(lam.gl_weights):
-        raise ShapeError(
-            f"character has {len(chi.det_powers)} det powers, 1-PS has "
-            f"{len(lam.gl_weights)} GL factors"
-        )
-    if len(chi.torus_exponents) != len(lam.torus_weights):
-        raise ShapeError("torus exponent count does not match torus weight count")
-    total = 0
-    for p, ws in zip(chi.det_powers, lam.gl_weights):
-        total += p * sum(ws)
-    for p, w in zip(chi.torus_exponents, lam.torus_weights):
-        total += p * w
-    return total

@@ -20,9 +20,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from git_topo.errors import DomainError, PreconditionError, SamplingError
+from git_topo.errors import (
+    DomainError,
+    PreconditionError,
+    SamplingError,
+    SizeLimitError,
+)
 from git_topo.families import (
     DagFamily,
     DagInstance,
@@ -39,6 +43,10 @@ from git_topo.linalg import ComplexRational, Matrix
 from git_topo.rng import CounterRng
 
 MAX_ENDPOINT_ATTEMPTS = 1000
+# Most grid points, (2R + 1)^4, the Kronecker oracle accepts.  Each point
+# costs about 18 us, so radius 15 (923521 points) ran in 16.5 s on a
+# 2-CPU x86 machine, and radius 16 is the first one refused.
+MAX_KRONECKER_GRID_POINTS = 2**20
 
 # Stream tags keep the per-op draws disjoint for a shared seed.
 _OP_GENERIC = 0
@@ -130,11 +138,6 @@ class HarnessReport:
 
 def _elapsed_ms(start: float) -> int:
     return int((time.monotonic() - start) * 1000)
-
-
-def instance_from_flat(spec: FamilySpec, flat: Sequence[int]):
-    """Rebuild the instance a flat draw encodes (for reproducing a trial)."""
-    return spec.instance_from_flat(flat)
 
 
 def draw_instance(cfg: TrialConfig, index: int):
@@ -251,6 +254,12 @@ def kronecker_oracle_check(
     """
     if grid_radius < 0:
         raise DomainError("grid radius must be a natural number")
+    points = (2 * grid_radius + 1) ** 4
+    if points > MAX_KRONECKER_GRID_POINTS:
+        raise SizeLimitError(
+            f"Kronecker grid refused: radius {grid_radius} gives {points} points, "
+            f"over the limit of {MAX_KRONECKER_GRID_POINTS}"
+        )
     start = time.monotonic()
     spec = kronecker_spec(theta)
     axis = range(-grid_radius, grid_radius + 1)

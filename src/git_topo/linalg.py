@@ -1,17 +1,18 @@
-"""Exact linear algebra over the rationals and the Gaussian rationals.
+"""Exact linear algebra over the rationals.
 
-Everything here is exact.  Scalars are Python ints, fractions.Fraction
-values, or ComplexRational pairs of Fractions; no floating point appears
-anywhere in the package.  Ranks of rational matrices are computed by
-fraction-free (Bareiss) elimination after clearing denominators row by
-row; Gaussian-rational matrices fall back to ordinary exact field
-elimination.  The module also carries the handful of solvers the model
+Everything here is exact.  Scalars are Python ints or fractions.Fraction
+values; no floating point appears anywhere in the package.
+ComplexRational is the exact Gaussian-rational value of a thin quiver
+arrow; the package only stores and encodes it and tests it against
+zero, so it carries no arithmetic.  Ranks are computed by fraction-free
+(Bareiss) elimination after clearing denominators (integer_rows, then
+int_rank).  The module also carries the handful of solvers the model
 families need (null spaces, pivot columns, square solves) and a
 deterministic generator of unimodular integer matrix pairs used by the
 randomized consistency checks.
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
->>> rank(m)
+>>> int_rank(m.to_rows())
 1
 >>> nullspace(m)
 [(Fraction(-2, 1), Fraction(1, 1))]
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from git_topo.errors import DomainError, ShapeError
 
@@ -50,75 +51,6 @@ class ComplexRational:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def _coerce(self, other: object) -> "ComplexRational | None":
-        if isinstance(other, ComplexRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(Fraction(other), Fraction(0))
-        return None
-
-    def __add__(self, other: object) -> "ComplexRational":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return ComplexRational(self.re + rhs.re, self.im + rhs.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "ComplexRational":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return ComplexRational(self.re - rhs.re, self.im - rhs.im)
-
-    def __rsub__(self, other: object) -> "ComplexRational":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
-
-    def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
-
-    def __mul__(self, other: object) -> "ComplexRational":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return ComplexRational(
-            self.re * rhs.re - self.im * rhs.im,
-            self.re * rhs.im + self.im * rhs.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "ComplexRational":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        norm = rhs.re * rhs.re + rhs.im * rhs.im
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return ComplexRational(
-            (self.re * rhs.re + self.im * rhs.im) / norm,
-            (self.im * rhs.re - self.re * rhs.im) / norm,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.re == rhs.re and self.im == rhs.im
-
-    def __hash__(self) -> int:
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-
-CZERO = ComplexRational(Fraction(0), Fraction(0))
 
 Scalar = Rational | ComplexRational
 
@@ -151,14 +83,6 @@ class Matrix:
             flat.extend(r)
         return cls(rows, cols, tuple(flat))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
 
@@ -178,36 +102,6 @@ class Matrix:
             tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ShapeError("hstack needs matching row counts")
-        flat: list[Scalar] = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, tuple(flat))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix addition needs equal shapes")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix subtraction needs equal shapes")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scaled(self, factor: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(factor * e for e in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(
@@ -222,9 +116,6 @@ class Matrix:
                     acc = acc + left[k] * other.at(k, j)
                 flat.append(acc)
         return Matrix(self.rows, other.cols, tuple(flat))
-
-    def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
 
     def has_complex_entries(self) -> bool:
         return any(isinstance(e, ComplexRational) for e in self.entries)
@@ -286,47 +177,6 @@ def int_rank(data: list[list[int]]) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def _field_rank(data: list[list[ComplexRational]]) -> int:
-    nrows = len(data)
-    if nrows == 0:
-        return 0
-    ncols = len(data[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if data[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            data[pivot_row], data[rank] = data[rank], data[pivot_row]
-        pivot = data[rank][col]
-        top = data[rank]
-        for r in range(rank + 1, nrows):
-            lead = data[r][col]
-            if lead:
-                factor = lead / pivot
-                cur = data[r]
-                for j in range(col, ncols):
-                    cur[j] = cur[j] - factor * top[j]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def rank(matrix: Matrix) -> int:
-    """Exact rank of a matrix over Q or Q(i)."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    if matrix.has_complex_entries():
-        data = [[ComplexRational.of(e) for e in matrix.row(i)] for i in range(matrix.rows)]
-        return _field_rank(data)
-    return int_rank(integer_rows(matrix.to_rows()))
 
 
 def _rref(data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -457,10 +307,3 @@ def unimodular_pair(rng, n: int, steps: int | None = None) -> tuple[Matrix, Matr
             for row in range(n):
                 ginv[row][i] = -ginv[row][i]
     return Matrix.from_rows(g), Matrix.from_rows(ginv)
-
-
-def dot(u: Iterable[Rational], v: Iterable[Rational]):
-    acc = 0
-    for a, b in zip(u, v):
-        acc += a * b
-    return acc

@@ -60,10 +60,6 @@ def _family_class(data: Any, what: str) -> type:
     return cls
 
 
-def family_spec_to_json(spec: FamilySpec) -> dict:
-    return spec.to_json()
-
-
 def family_spec_from_json(data: Any) -> FamilySpec:
     return _family_class(data, "family spec").from_json(data)
 
@@ -253,7 +249,7 @@ def report_from_json(data: Any) -> ConnectivityReport:
 
 def trial_config_to_json(cfg: TrialConfig) -> dict:
     return {
-        "family": family_spec_to_json(cfg.family_spec),
+        "family": cfg.family_spec.to_json(),
         "trials": cfg.trials,
         "seed": cfg.seed,
         "entry_bound": cfg.entry_bound,

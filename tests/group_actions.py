@@ -10,7 +10,7 @@ exact; for GL_1 factors and the torus that means signs.
 from git_topo.families.control import ControlInstance
 from git_topo.families.dag import DagInstance
 from git_topo.families.quiver import ThinQuiverRep
-from git_topo.linalg import Matrix, unimodular_pair
+from git_topo.linalg import ComplexRational, Matrix, unimodular_pair
 from git_topo.rng import CounterRng
 
 
@@ -30,11 +30,11 @@ def act_dag(inst: DagInstance, h: Matrix, torus_sign: int) -> DagInstance:
 def act_quiver(rep: ThinQuiverRep, vertex_signs) -> ThinQuiverRep:
     # value on s -> t maps to t_target * value * t_source^-1; signs are
     # their own inverses
-    values = tuple(
-        v * (vertex_signs[t] * vertex_signs[s])
-        for (s, t), v in zip(rep.spec.arrows, rep.values)
-    )
-    return ThinQuiverRep(rep.spec, values)
+    values = []
+    for (s, t), v in zip(rep.spec.arrows, rep.values):
+        sign = vertex_signs[t] * vertex_signs[s]
+        values.append(ComplexRational(v.re * sign, v.im * sign))
+    return ThinQuiverRep(rep.spec, tuple(values))
 
 
 def random_signs(rng: CounterRng, count: int) -> tuple[int, ...]:

@@ -1,8 +1,6 @@
 import json
 import time
 
-import pytest
-
 from git_topo.cli import main
 
 
@@ -537,3 +535,17 @@ def test_stratum_enumeration_refuses_a_24_vertex_chain(capsys, tmp_path):
     assert out == ""
     assert "stratum enumeration refused" in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+def test_kronecker_grid_refuses_more_than_2_to_the_20_points(capsys, tmp_path):
+    for radius in ("16", "1000000"):
+        out_file = tmp_path / f"err_{radius}.json"
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "verify", "kronecker", "--grid", radius, "--json", str(out_file)
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "Kronecker grid refused" in err
+        assert read_json(out_file)["error"]["type"] == "SizeLimitError"

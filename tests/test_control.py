@@ -10,14 +10,11 @@ from git_topo.families.control import (
     ControlFamily,
     ControlInstance,
     control_status,
-    controllability_matrix,
     controllability_rank_ints,
     enumerate_strata,
     invariant_subspace_dim,
-    limit_exists,
     negative_weight_dim,
     one_ps_for_subspace,
-    weight_decompose,
 )
 from git_topo.groups import OrbitConvention
 from git_topo.linalg import Matrix
@@ -128,13 +125,6 @@ def test_zero_b_is_maximally_uncontrollable():
     assert control_status(inst).evidence["rank"] == 0
 
 
-def test_controllability_matrix_shape_and_content():
-    inst = make_instance([[0, 1], [0, 0]], [[0], [1]])
-    cm = controllability_matrix(inst)
-    assert (cm.rows, cm.cols) == (2, 2)
-    assert cm.to_rows() == [[0, 1], [1, 0]]
-
-
 def test_rational_entries_match_integerized_rank():
     a = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(2)]]
     b = [[Fraction(1, 5)], [Fraction(0)]]
@@ -194,61 +184,3 @@ def test_verdict_invariant_under_scalar_scaling(pair, scale):
         [[x * scale for x in row] for row in b],
     )
     assert control_status(inst).verdict is control_status(scaled).verdict
-
-
-def test_weight_decompose_splits_lower_blocks():
-    fam = ControlFamily(3, 2)
-    lam = one_ps_for_subspace(fam, 1)
-    inst = make_instance(
-        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-        [[1, 1], [1, 1], [1, 1]],
-    )
-    dec = weight_decompose(inst, lam)
-    negative = dec.negative_part
-    # weights: A entry (i, j) gets w_i - w_j, B entry (i, j) gets w_i;
-    # with w = (0, -1, -1) the negative coordinates are A's lower-left
-    # 2x1 block and B's last two rows.
-    assert negative.a.to_rows() == [[0, 0, 0], [4, 0, 0], [7, 0, 0]]
-    assert negative.b.to_rows() == [[0, 0], [1, 1], [1, 1]]
-    total = sum(
-        1
-        for i in range(3)
-        for j in range(3)
-        if negative.a.at(i, j) != 0
-    ) + sum(1 for i in range(3) for j in range(2) if negative.b.at(i, j) != 0)
-    assert total == 2 + 4
-    assert negative_weight_dim(fam, lam) == 6
-
-
-def test_limit_exists_iff_negative_part_vanishes():
-    fam = ControlFamily(3, 2)
-    lam = one_ps_for_subspace(fam, 2)
-    blocked = make_instance(
-        [[1, 2, 0], [3, 4, 0], [0, 0, 5]],
-        [[1, 2], [3, 4], [0, 0]],
-    )
-    assert limit_exists(blocked, lam) is True
-    leaky = make_instance(
-        [[1, 2, 0], [3, 4, 0], [1, 0, 5]],
-        [[1, 2], [3, 4], [0, 0]],
-    )
-    assert limit_exists(leaky, lam) is False
-    assert weight_decompose(leaky, lam).negative_is_zero() is False
-
-
-@given(control_pairs(), st.integers(1, 3))
-@settings(max_examples=60, deadline=None)
-def test_decomposition_components_sum_back(pair, r):
-    a, b = pair
-    inst = make_instance(a, b)
-    fam = inst.family()
-    if r >= fam.n:
-        return
-    dec = weight_decompose(inst, one_ps_for_subspace(fam, r))
-    rebuilt_a = Matrix.zeros(fam.n, fam.n)
-    rebuilt_b = Matrix.zeros(fam.n, fam.m)
-    for _, part in dec.components:
-        rebuilt_a = rebuilt_a + part.a
-        rebuilt_b = rebuilt_b + part.b
-    assert rebuilt_a.to_rows() == inst.a.to_rows()
-    assert rebuilt_b.to_rows() == inst.b.to_rows()

@@ -13,10 +13,8 @@ from git_topo.families.dag import (
     dag_stabilize,
     dag_status,
     enumerate_strata,
-    limit_exists,
     negative_weight_dim,
     one_ps_redundant,
-    weight_decompose,
 )
 from git_topo.groups import OrbitConvention
 from git_topo.linalg import Matrix
@@ -142,20 +140,6 @@ def test_stabilize_guards():
         dag_stabilize(wide, Fraction(1, 1000))
 
 
-def test_weight_decompose_first_column():
-    fam = DagFamily(2, 3)
-    lam = one_ps_redundant(fam, 1)
-    inst = make_instance([[1, 2, 3, 4], [5, 6, 7, 8]])
-    dec = weight_decompose(inst, lam)
-    assert dec.negative_part.y.to_rows() == [[1, 0, 0, 0], [5, 0, 0, 0]]
-    # child column sits in positive weight: torus acts with weight -(-1) = 1
-    child_weights = {w for w, part in dec.components if any(part.child_column())}
-    assert child_weights == {1}
-    assert limit_exists(inst, lam) is False
-    zeroed = make_instance([[0, 2, 3, 4], [0, 6, 7, 8]])
-    assert limit_exists(zeroed, lam) is True
-
-
 entry = st.integers(min_value=-5, max_value=5)
 
 
@@ -174,18 +158,3 @@ def test_stabilized_output_is_always_stable(rows):
         return
     fixed = dag_stabilize(inst, Fraction(1, 1000))
     assert dag_status(fixed).verdict is Verdict.STABLE
-
-
-@given(dag_rows(), st.integers(1, 3))
-@settings(max_examples=80, deadline=None)
-def test_decomposition_components_sum_back(rows, j):
-    inst = make_instance(rows)
-    fam = inst.family()
-    if j > fam.k:
-        return
-    dec = weight_decompose(inst, one_ps_redundant(fam, j))
-    rebuilt = Matrix.zeros(inst.n, inst.k + 1)
-    for _, part in dec.components:
-        rebuilt = rebuilt + part.y
-    assert rebuilt.to_rows() == inst.y.to_rows()
-    assert limit_exists(inst, one_ps_redundant(fam, j)) == dec.negative_is_zero()

@@ -4,12 +4,10 @@ from hypothesis import strategies as st
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.groups import (
-    Character,
     GroupSpec,
     OnePSClass,
     OrbitConvention,
     centralizer_dim,
-    character_pairing,
     group_dim,
     orbit_dim,
     parabolic_dim,
@@ -54,7 +52,6 @@ def test_conjugacy_equality_ignores_weight_order():
     b = OnePSClass(gl_weights=((0, 0, -1),), torus_weights=(-1,))
     assert a == b
     assert hash(a) == hash(b)
-    assert a.normal_form().gl_weights == ((0, 0, -1),)
     # construction order is preserved on the instance itself
     assert a.gl_weights == ((-1, 0, 0),)
 
@@ -63,16 +60,6 @@ def test_conjugacy_distinguishes_torus_and_factors():
     a = OnePSClass(gl_weights=((0, -1),), torus_weights=())
     b = OnePSClass(gl_weights=((0, -1),), torus_weights=(0,))
     assert a != b
-
-
-def test_scaled_and_primitive():
-    lam = OnePSClass(gl_weights=((2, -4),), torus_weights=(6,))
-    assert lam.primitive() == OnePSClass(gl_weights=((1, -2),), torus_weights=(3,))
-    assert lam.scaled(3).gl_weights == ((6, -12),)
-    with pytest.raises(DomainError):
-        lam.scaled(0)
-    trivial = OnePSClass(gl_weights=((0, 0),), torus_weights=(0,))
-    assert trivial.primitive() == trivial
 
 
 def test_group_spec_validation():
@@ -85,33 +72,7 @@ def test_group_spec_validation():
         orbit_dim(GL3, lam, OrbitConvention.CENTRALIZER)
 
 
-def test_character_pairing_known():
-    chi_det = Character(det_powers=(1,), torus_exponents=())
-    lam = OnePSClass(gl_weights=((0, -1, -1),), torus_weights=())
-    assert character_pairing(chi_det, lam) == -2
-    chi_torus = Character(det_powers=(0,), torus_exponents=(1,))
-    mu = OnePSClass(gl_weights=((-1, 0, 0),), torus_weights=(-1,))
-    assert character_pairing(chi_torus, mu) == -1
-
-
 weight_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
-
-
-@given(
-    weight_lists,
-    st.lists(st.integers(-5, 5), min_size=0, max_size=2),
-    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-    st.lists(st.integers(-3, 3), min_size=0, max_size=2),
-    st.integers(1, 7),
-)
-@settings(max_examples=120, deadline=None)
-def test_pairing_is_linear_in_scaling(gl, torus, det_powers, torus_exps, p):
-    lam = OnePSClass(gl_weights=(tuple(gl),), torus_weights=tuple(torus))
-    chi = Character(
-        det_powers=(det_powers[0],),
-        torus_exponents=tuple(torus_exps[: len(torus)]) + (0,) * max(0, len(torus) - len(torus_exps)),
-    )
-    assert character_pairing(chi, lam.scaled(p)) == p * character_pairing(chi, lam)
 
 
 @given(weight_lists)
@@ -131,5 +92,6 @@ def test_centralizer_plus_parabolic_exceeds_group(gl):
 def test_orbit_dim_invariant_under_scaling(gl, p):
     spec = GroupSpec(gl_ranks=(len(gl),), torus_rank=0)
     lam = OnePSClass(gl_weights=(tuple(gl),), torus_weights=())
+    scaled = OnePSClass(gl_weights=(tuple(w * p for w in gl),), torus_weights=())
     for conv in OrbitConvention:
-        assert orbit_dim(spec, lam.scaled(p), conv) == orbit_dim(spec, lam, conv)
+        assert orbit_dim(spec, scaled, conv) == orbit_dim(spec, lam, conv)

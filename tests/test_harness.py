@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from git_topo.errors import DomainError, PreconditionError
-from git_topo.families import stability_status
 from git_topo.families.control import ControlFamily
 from git_topo.families.dag import DagFamily
 from git_topo.families.quiver import QuiverSpec, kronecker_spec
@@ -17,7 +16,6 @@ from git_topo.harness import (
     TrialConfig,
     detect_constructed_degenerates,
     draw_instance,
-    instance_from_flat,
     kronecker_oracle_check,
     sample_generic_points,
     sample_path_stability,
@@ -44,7 +42,7 @@ def test_generic_trial_reconstruction():
     recomputed = sum(
         1
         for i in range(cfg.trials)
-        if not stability_status(draw_instance(cfg, i)).is_stable
+        if not draw_instance(cfg, i).status().is_stable
     )
     assert recomputed == report.unstable_hits
 
@@ -77,7 +75,7 @@ def test_quiver_draws_exclude_origin_and_pin_dead_arrows():
         assert all(v.is_zero() for v in rep.values)  # both arrows dead
     live = TrialConfig(kronecker_spec(), trials=30, seed=5)
     for i in range(30):
-        assert not draw_instance(live, i).is_zero()
+        assert any(draw_instance(live, i).values)
 
 
 def test_generic_sampling_dag_wide_note():
@@ -202,5 +200,5 @@ def test_instance_from_flat_round_trips_draws(seed):
     inst = draw_instance(cfg, 0)
     flat = [inst.a.at(i, j) for i in range(2) for j in range(2)]
     flat += [inst.b.at(i, j) for i in range(2) for j in range(2)]
-    rebuilt = instance_from_flat(spec, flat)
+    rebuilt = spec.instance_from_flat(flat)
     assert rebuilt == inst

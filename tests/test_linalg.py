@@ -1,8 +1,8 @@
 """Exact linear algebra against independent oracles.
 
-The rank engines (fraction-free Bareiss for integers, field elimination
-for Gaussian rationals) are checked against a Laplace-expansion
-determinant and a plain Fraction RREF, both written here from scratch.
+The fraction-free Bareiss rank is checked against a Laplace-expansion
+minor rank written here from scratch, and the Fraction RREF solvers
+against their defining equations.
 """
 
 from fractions import Fraction
@@ -13,14 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from git_topo.linalg import (
-    CZERO,
-    ComplexRational,
     Matrix,
     column_pivots,
-    dot,
     int_rank,
+    integer_rows,
     nullspace,
-    rank,
     solve_square,
     unimodular_pair,
 )
@@ -74,26 +71,6 @@ def test_int_rank_matches_minor_oracle(rows):
     assert int_rank([list(r) for r in rows]) == minor_rank(rows, len(rows[0]))
 
 
-@given(int_matrix_strategy())
-@settings(max_examples=100, deadline=None)
-def test_matrix_rank_matches_int_rank(rows):
-    m = Matrix.from_rows(rows)
-    assert rank(m) == int_rank([list(r) for r in rows])
-
-
-@given(int_matrix_strategy(max_dim=3))
-@settings(max_examples=80, deadline=None)
-def test_rank_of_gaussian_rational_embedding(rows):
-    # Embedding integers as Gaussian rationals must not change the rank,
-    # and multiplying one row by i is invertible so rank is preserved too.
-    embedded = [[ComplexRational.of(e) for e in r] for r in rows]
-    i_unit = ComplexRational(Fraction(0), Fraction(1))
-    embedded[0] = [e * i_unit for e in embedded[0]]
-    m = Matrix.from_rows(embedded)
-    assert m.has_complex_entries()
-    assert rank(m) == minor_rank(rows, len(rows[0]))
-
-
 def test_int_rank_known_cases():
     assert int_rank([[0, 0], [0, 0]]) == 0
     assert int_rank([[1, 2], [2, 4]]) == 1
@@ -103,12 +80,12 @@ def test_int_rank_known_cases():
 
 
 def test_rank_rational_entries():
-    m = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, 1]])
-    assert rank(m) == 2
-    assert rank(m.scaled(6)) == 2
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [1, 1]]
+    assert int_rank(integer_rows(rows)) == 2
+    assert int_rank(integer_rows([[6 * e for e in row] for row in rows])) == 2
     # proportional rows: (3/2, 1) = 3 * (1/2, 1/3)
-    singular = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
-    assert rank(singular) == 1
+    singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    assert int_rank(integer_rows(singular)) == 1
 
 
 @given(int_matrix_strategy())
@@ -116,9 +93,9 @@ def test_rank_rational_entries():
 def test_nullspace_vectors_annihilate(rows):
     m = Matrix.from_rows(rows)
     basis = nullspace(m)
-    assert len(basis) == m.cols - rank(m)
+    assert len(basis) == m.cols - int_rank([list(r) for r in rows])
     for vec in basis:
-        image = [dot(m.row(i), vec) for i in range(m.rows)]
+        image = [sum(a * b for a, b in zip(m.row(i), vec)) for i in range(m.rows)]
         assert all(x == 0 for x in image)
 
 
@@ -139,8 +116,9 @@ def test_column_pivots_known():
 @settings(max_examples=60, deadline=None)
 def test_unimodular_pair_inverse(n, seed):
     g, g_inv = unimodular_pair(CounterRng(seed, 99), n)
-    assert (g @ g_inv).to_rows() == Matrix.identity(n).to_rows()
-    assert (g_inv @ g).to_rows() == Matrix.identity(n).to_rows()
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert (g @ g_inv).to_rows() == identity
+    assert (g_inv @ g).to_rows() == identity
     assert laplace_det(g.to_rows()) in (1, -1)
 
 
@@ -167,27 +145,4 @@ def test_matrix_shape_errors():
 
 def test_hstack_and_transpose():
     a = Matrix.from_rows([[1, 2], [3, 4]])
-    b = Matrix.from_rows([[5], [6]])
-    assert a.hstack(b).to_rows() == [[1, 2, 5], [3, 4, 6]]
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
-
-
-def test_complex_rational_field_laws():
-    i_unit = ComplexRational(Fraction(0), Fraction(1))
-    assert i_unit * i_unit == ComplexRational.of(-1)
-    x = ComplexRational(Fraction(3, 2), Fraction(-1, 3))
-    assert x + CZERO == x
-    assert x - x == CZERO
-    assert x * x.conjugate() == ComplexRational.of(
-        Fraction(3, 2) ** 2 + Fraction(1, 3) ** 2
-    )
-    assert (x / x) == ComplexRational.of(1)
-    with pytest.raises(ZeroDivisionError):
-        x / CZERO
-
-
-def test_complex_rational_int_coercion_and_hash():
-    x = ComplexRational.of(Fraction(7))
-    assert x == 7 and hash(x) == hash(Fraction(7))
-    assert 2 * ComplexRational.of(3) == 6
-    assert 1 - ComplexRational.of(Fraction(1, 2)) == ComplexRational.of(Fraction(1, 2))

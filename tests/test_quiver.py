@@ -12,12 +12,10 @@ from git_topo.families.quiver import (
     enumerate_strata,
     euler_form,
     kronecker_spec,
-    limit_exists,
     negative_weight_dim,
     one_ps_for_subdim,
     quiver_thin_status,
     sub_dimension_vectors,
-    weight_decompose,
 )
 from git_topo.groups import OrbitConvention, orbit_dim
 
@@ -141,17 +139,6 @@ def test_negative_weight_dim_matches_stratum_m():
     for stratum in enumerate_strata(spec, OrbitConvention.PARABOLIC):
         lam = one_ps_for_subdim(spec, stratum.descriptor["sub_dim"])
         assert negative_weight_dim(spec, lam) == stratum.m
-
-
-def test_weight_decompose_kronecker():
-    spec = kronecker_spec()
-    rep = ThinQuiverRep(spec, (5, 7))
-    lam = one_ps_for_subdim(spec, (1, 0))
-    dec = weight_decompose(rep, lam)
-    assert dec.weights() == (-1,)
-    assert not dec.negative_is_zero()
-    assert limit_exists(rep, lam) is False
-    assert limit_exists(ThinQuiverRep(spec, (0, 0)), lam) is True
 
 
 small_dims = st.lists(st.integers(0, 1), min_size=2, max_size=4).filter(

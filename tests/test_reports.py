@@ -10,7 +10,6 @@ from git_topo.reports import (
     render_harness_text,
     render_status_text,
 )
-from git_topo.families import stability_status
 from git_topo.harness import draw_instance
 
 
@@ -66,7 +65,7 @@ def test_render_dag_threshold_line():
 
 def test_render_status_orders_evidence_keys():
     cfg = TrialConfig(ControlFamily(2, 1), trials=1, seed=0)
-    status = stability_status(draw_instance(cfg, 0))
+    status = draw_instance(cfg, 0).status()
     lines = render_status_text("control", status)
     assert lines[0] == "family: control"
     assert lines[1].startswith("verdict: ")

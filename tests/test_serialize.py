@@ -19,7 +19,6 @@ from git_topo.serialize import (
     complex_from_json,
     complex_to_json,
     family_spec_from_json,
-    family_spec_to_json,
     harness_report_from_json,
     harness_report_to_json,
     instance_from_json,
@@ -37,7 +36,6 @@ from git_topo.serialize import (
     trial_config_from_json,
     trial_config_to_json,
 )
-from git_topo.families import stability_status
 
 
 def roundtrip_stable(payload, from_json, to_json):
@@ -75,6 +73,9 @@ def test_rational_codec_rejections():
         rational_from_json("1/0", "y")
     with pytest.raises(SchemaError):
         rational_from_json(True, "y")
+    for text in ("5\n", "5 ", "\u0663"):  # trailing newline, space, Arabic-Indic 3
+        with pytest.raises(SchemaError, match="malformed rational"):
+            rational_from_json(text, "y")
 
 
 def test_complex_codec():
@@ -124,7 +125,7 @@ def test_family_spec_round_trips():
         DagFamily(10, 3),
         QuiverSpec(3, ((0, 1), (2, 1)), (1, 1, 1), (1, -2, 1)),
     ]:
-        assert family_spec_from_json(family_spec_to_json(spec)) == spec
+        assert family_spec_from_json(spec.to_json()) == spec
 
 
 def test_family_spec_rejections():
@@ -154,7 +155,7 @@ def test_family_spec_rejections():
 
 def test_status_round_trip_preserves_tuple_evidence():
     inst = ThinQuiverRep(kronecker_spec(), (ComplexRational.of(0), ComplexRational.of(0)))
-    status = stability_status(inst)
+    status = inst.status()
     payload = status_to_json(status)
     assert payload["evidence"]["support"] == [1]
     rebuilt = status_from_json(payload)
