@@ -19,11 +19,12 @@ from fractions import Fraction
 
 from git_topo.errors import GitTopoError, SchemaError
 from git_topo.families import FAMILIES, DagFamily, DagInstance, dag_stabilize
-from git_topo.families.base import parse_int_list
+from git_topo.families.base import parse_int_list, rational_to_str
 from git_topo.families.dag import dag_solve_mle
 from git_topo.groups import OrbitConvention
 from git_topo.harness import (
     TrialConfig,
+    check_degenerate_config,
     detect_constructed_degenerates,
     kronecker_oracle_check,
     sample_generic_points,
@@ -41,7 +42,6 @@ from git_topo.serialize import (
     harness_report_to_json,
     instance_from_json,
     instance_to_json,
-    rational_to_str,
     report_to_json,
     status_to_json,
 )
@@ -177,9 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             path_samples=args.path_samples,
             convention=_convention_from_args(args),
         )
-        reports.append(sample_generic_points(cfg))
-        if args.paths > 0:
-            reports.append(sample_path_stability(cfg))
+        degen_cfg = None
         if args.degenerate_trials > 0:
             if not isinstance(spec, DagFamily):
                 raise SchemaError("--degenerate-trials applies to the dag family")
@@ -189,6 +187,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
                 seed=seed,
                 entry_bound=args.bound,
             )
+            check_degenerate_config(degen_cfg)
+        reports.append(sample_generic_points(cfg))
+        if args.paths > 0:
+            reports.append(sample_path_stability(cfg))
+        if degen_cfg is not None:
             reports.append(detect_constructed_degenerates(degen_cfg))
     ok = not any(r.failed(args.expect_degenerate) for r in reports)
     lines: list[str] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from git_topo.errors import DomainError, SchemaError
+from git_topo.errors import DomainError
 from git_topo.families.base import StratumClass
 from git_topo.groups import GroupSpec, OrbitConvention
 
@@ -65,20 +65,6 @@ class AbelianGroup:
         if self.rank == 1:
             return "Z"
         return f"Z^{self.rank}"
-
-    @classmethod
-    def parse(cls, text: str) -> "AbelianGroup":
-        if text == "unknown":
-            return cls.unknown()
-        if text == "0":
-            return cls.zero()
-        if text == "Z":
-            return cls.free(1)
-        if text.startswith("Z^"):
-            tail = text[2:]
-            if tail.isdigit() and int(tail) >= 1:
-                return cls.free(int(tail))
-        raise SchemaError(f"not a group descriptor: {text!r}")
 
 
 def min_stratum_value(strata: list[StratumClass]) -> int:

@@ -5,7 +5,8 @@ spec class (`QuiverSpec`, `ControlFamily`, `DagFamily`) is the shape of
 the family and exposes:
 
 - `name`, `CLI_ARGS` (dest, type, help per flag) and `from_args(args)`;
-- `to_json()`, `from_json(data)` and `instance_from_json(data)`;
+- `to_json()` and `instance_from_json(data)`, the reader of `check`
+  instance files;
 - `draw_flat(rng, bound)`, `draw_generic(rng, bound)` (the same, minus
   points generic sampling excludes), `instance_from_flat(flat)` and
   `is_stable_flat(flat)` on the flat integer encoding the harness

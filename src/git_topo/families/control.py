@@ -55,12 +55,6 @@ class ControlFamily:
     def to_json(self) -> dict:
         return {"family": self.name, "n": self.n, "m": self.m}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ControlFamily":
-        return cls(
-            require_int(data.get("n"), "n", 1), require_int(data.get("m"), "m", 1)
-        )
-
     @staticmethod
     def instance_from_json(data: dict) -> "ControlInstance":
         n = require_int(data.get("n"), "n", 1)

@@ -67,12 +67,6 @@ class DagFamily:
     def to_json(self) -> dict:
         return {"family": self.name, "n": self.n, "k": self.k}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DagFamily":
-        return cls(
-            require_int(data.get("n"), "n", 1), require_int(data.get("k"), "k", 1)
-        )
-
     @staticmethod
     def instance_from_json(data: dict) -> "DagInstance":
         n = require_int(data.get("n"), "n", 1)

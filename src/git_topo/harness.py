@@ -47,6 +47,14 @@ MAX_ENDPOINT_ATTEMPTS = 1000
 # costs about 18 us, so radius 15 (923521 points) ran in 16.5 s on a
 # 2-CPU x86 machine, and radius 16 is the first one refused.
 MAX_KRONECKER_GRID_POINTS = 2**20
+# Most generic-point trials, path points (paths x path_samples) and
+# constructed degenerate trials one run accepts, each about a minute of
+# work on the same machine: a generic trial costs 40-80 us at control
+# (3, 2), DAG (10, 3) and Kronecker sizes, a path point 35-50 us, and a
+# degenerate DAG (10, 3) trial, which stabilizes with fractions, 1 ms.
+MAX_TRIALS = 2**20
+MAX_PATH_POINTS = 2**20
+MAX_DEGENERATE_TRIALS = 2**16
 
 # Stream tags keep the per-op draws disjoint for a shared seed.
 _OP_GENERIC = 0
@@ -85,6 +93,16 @@ class TrialConfig:
             raise DomainError("path count cannot be negative")
         if self.path_samples < 1:
             raise DomainError("path sample count must be positive")
+        if self.trials > MAX_TRIALS:
+            raise SizeLimitError(
+                f"{self.trials} trials refused: the limit is {MAX_TRIALS}"
+            )
+        points = max(self.paths, 1) * self.path_samples
+        if points > MAX_PATH_POINTS:
+            raise SizeLimitError(
+                f"{points} path points (paths x path samples) refused: "
+                f"the limit is {MAX_PATH_POINTS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -293,14 +311,8 @@ def kronecker_oracle_check(
     )
 
 
-def detect_constructed_degenerates(cfg: TrialConfig) -> HarnessReport:
-    """Rank-deficient DAG samples must be flagged, then repaired.
-
-    Builds X = U V with inner dimension k-1 (so rank X < k), checks the
-    status call flags every sample NotStable, stabilizes with eps =
-    1/1000, and checks the outputs are Stable.  Violations of either
-    assertion count as oracle mismatches.
-    """
+def check_degenerate_config(cfg: TrialConfig) -> None:
+    """Raise unless detect_constructed_degenerates can run cfg."""
     spec = cfg.family_spec
     if not isinstance(spec, DagFamily):
         raise PreconditionError("constructed degenerates are a DAG-family check")
@@ -310,6 +322,23 @@ def detect_constructed_degenerates(cfg: TrialConfig) -> HarnessReport:
         )
     if spec.n < spec.k:
         raise PreconditionError("need n >= k so that stabilization can succeed")
+    if cfg.trials > MAX_DEGENERATE_TRIALS:
+        raise SizeLimitError(
+            f"{cfg.trials} degenerate trials refused: "
+            f"the limit is {MAX_DEGENERATE_TRIALS}"
+        )
+
+
+def detect_constructed_degenerates(cfg: TrialConfig) -> HarnessReport:
+    """Rank-deficient DAG samples must be flagged, then repaired.
+
+    Builds X = U V with inner dimension k-1 (so rank X < k), checks the
+    status call flags every sample NotStable, stabilizes with eps =
+    1/1000, and checks the outputs are Stable.  Violations of either
+    assertion count as oracle mismatches.
+    """
+    check_degenerate_config(cfg)
+    spec = cfg.family_spec
     start = time.monotonic()
     n, k = spec.n, spec.k
     eps = Fraction(1, 1000)

@@ -7,9 +7,7 @@ arrow; the package only stores and encodes it and tests it against
 zero, so it carries no arithmetic.  Ranks are computed by fraction-free
 (Bareiss) elimination after clearing denominators (integer_rows, then
 int_rank).  The module also carries the handful of solvers the model
-families need (null spaces, pivot columns, square solves) and a
-deterministic generator of unimodular integer matrix pairs used by the
-randomized consistency checks.
+families need (null spaces, pivot columns, square solves).
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
 >>> int_rank(m.to_rows())
@@ -43,6 +41,8 @@ class ComplexRational:
             if im:
                 raise ValueError("cannot attach an imaginary part to a complex value")
             return value
+        if isinstance(value, (float, bool)) or isinstance(im, (float, bool)):
+            raise DomainError("a float or bool is not an exact rational")
         return ComplexRational(Fraction(value), Fraction(im))
 
     def is_zero(self) -> bool:
@@ -263,47 +263,3 @@ def solve_square(matrix: Matrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...
     if len(pivots) != n or any(c >= n for c in pivots):
         raise DomainError("matrix is singular; no unique solution")
     return tuple(reduced[r][n] for r in range(n))
-
-
-def unimodular_pair(rng, n: int, steps: int | None = None) -> tuple[Matrix, Matrix]:
-    """Draw (g, g_inverse), a random integer matrix with determinant +-1.
-
-    Built from elementary shears, swaps, and sign flips so the inverse can
-    be maintained exactly alongside.  `rng` is any object exposing
-    int_between(lo, hi); entry growth stays small for the default number
-    of steps.
-    """
-    if n <= 0:
-        raise DomainError("unimodular matrices need positive size")
-    if steps is None:
-        steps = 2 * n + 2
-    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    ginv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        kind = rng.int_between(0, 2) if n > 1 else 2
-        if kind == 0:
-            i = rng.int_between(0, n - 1)
-            j = rng.int_between(0, n - 2)
-            if j >= i:
-                j += 1
-            c = rng.nonzero_int_between(-2, 2)
-            # g <- E g with E = I + c e_ij; g^-1 <- g^-1 E^-1.
-            for col in range(n):
-                g[i][col] += c * g[j][col]
-            for row in range(n):
-                ginv[row][j] -= c * ginv[row][i]
-        elif kind == 1:
-            i = rng.int_between(0, n - 1)
-            j = rng.int_between(0, n - 2)
-            if j >= i:
-                j += 1
-            g[i], g[j] = g[j], g[i]
-            for row in range(n):
-                ginv[row][i], ginv[row][j] = ginv[row][j], ginv[row][i]
-        else:
-            i = rng.int_between(0, n - 1)
-            for col in range(n):
-                g[i][col] = -g[i][col]
-            for row in range(n):
-                ginv[row][i] = -ginv[row][i]
-    return Matrix.from_rows(g), Matrix.from_rows(ginv)

@@ -50,12 +50,3 @@ class CounterRng:
             draw = self.next64()
             if draw < limit:
                 return lo + (draw % span)
-
-    def nonzero_int_between(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] excluding 0 (range must contain one)."""
-        if lo == 0 and hi == 0:
-            raise ValueError("range contains only zero")
-        while True:
-            value = self.int_between(lo, hi)
-            if value != 0:
-                return value

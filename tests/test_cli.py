@@ -538,14 +538,25 @@ def test_stratum_enumeration_refuses_a_24_vertex_chain(capsys, tmp_path):
 
 
 def test_kronecker_grid_refuses_more_than_2_to_the_20_points(capsys, tmp_path):
-    for radius in ("16", "1000000"):
-        out_file = tmp_path / f"err_{radius}.json"
+    control = ["control", "--n", "3", "--m", "2"]
+    dag = ["dag", "--samples", "10", "--parents", "3"]
+    cases = [
+        (["kronecker", "--grid", "16"], "Kronecker grid refused"),
+        (["kronecker", "--grid", "1000000"], "Kronecker grid refused"),
+        ([*control, "--trials", "1048577"], "trials refused"),
+        ([*control, "--trials", "1000000000"], "trials refused"),
+        ([*control, "--paths", "4097", "--path-samples", "256"], "path points"),
+        ([*control, "--paths", "1000000000"], "path points"),
+        ([*control, "--paths", "1", "--path-samples", "1000000000"], "path points"),
+        ([*dag, "--degenerate-trials", "65537"], "degenerate trials refused"),
+        ([*dag, "--degenerate-trials", "1000000000"], "trials refused"),
+    ]
+    for i, (argv, message) in enumerate(cases):
+        out_file = tmp_path / f"err_{i}.json"
         start = time.monotonic()
-        code, out, err = run(
-            capsys, "verify", "kronecker", "--grid", radius, "--json", str(out_file)
-        )
-        assert time.monotonic() - start < 1.0
-        assert code == 2
+        code, out, err = run(capsys, "verify", *argv, "--json", str(out_file))
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 2, argv
         assert out == ""
-        assert "Kronecker grid refused" in err
+        assert message in err, argv
         assert read_json(out_file)["error"]["type"] == "SizeLimitError"

@@ -19,10 +19,11 @@ from git_topo.linalg import (
     integer_rows,
     nullspace,
     solve_square,
-    unimodular_pair,
 )
 from git_topo.rng import CounterRng
 from git_topo.errors import ShapeError, DomainError
+
+from group_actions import unimodular_from_stream
 
 
 def laplace_det(rows):
@@ -115,7 +116,7 @@ def test_column_pivots_known():
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_unimodular_pair_inverse(n, seed):
-    g, g_inv = unimodular_pair(CounterRng(seed, 99), n)
+    g, g_inv = unimodular_from_stream(CounterRng(seed, 99), n)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert (g @ g_inv).to_rows() == identity
     assert (g_inv @ g).to_rows() == identity

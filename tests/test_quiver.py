@@ -18,6 +18,7 @@ from git_topo.families.quiver import (
     sub_dimension_vectors,
 )
 from git_topo.groups import OrbitConvention, orbit_dim
+from git_topo.linalg import ComplexRational
 
 status = quiver_thin_status
 
@@ -125,6 +126,11 @@ def test_rep_validation_on_dead_arrows():
     ThinQuiverRep(spec, (0,))  # fine: dead arrow pinned at zero
     with pytest.raises(DomainError):
         ThinQuiverRep(spec, (1,))
+    for values in [(0.1, 0), (True, 0)]:  # no floats or bools in exact values
+        with pytest.raises(DomainError):
+            ThinQuiverRep(kronecker_spec(), values)
+    with pytest.raises(DomainError):
+        ComplexRational.of(1, 0.5)
 
 
 def test_one_ps_skips_dimension_zero_vertices():

@@ -1,10 +1,22 @@
+"""The canonical JSON writers and the one reader, the instance file's.
+
+The CLI payloads as a whole are pinned by tests/test_golden.py; the tests
+here pin the codecs and the writer behaviour those payloads do not reach.
+"""
+
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from git_topo.connectivity import AbelianGroup
 from git_topo.errors import DomainError, SchemaError
+from git_topo.families.base import (
+    complex_from_json,
+    complex_to_json,
+    rational_from_json,
+    rational_to_str,
+)
 from git_topo.families.control import ControlFamily, ControlInstance
 from git_topo.families.control import enumerate_strata as control_strata
 from git_topo.families.dag import DagFamily, DagInstance
@@ -13,27 +25,16 @@ from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.harness import TrialConfig, kronecker_oracle_check, sample_generic_points
 from git_topo.linalg import ComplexRational, Matrix
 from git_topo.reports import build_connectivity_report
+from git_topo.rng import CounterRng
 from git_topo.serialize import (
     CONVENTION_DEPENDENT_FIELDS,
     canonical_dumps,
-    complex_from_json,
-    complex_to_json,
-    family_spec_from_json,
-    harness_report_from_json,
     harness_report_to_json,
     instance_from_json,
     instance_to_json,
-    one_ps_from_json,
     one_ps_to_json,
-    rational_from_json,
-    rational_to_str,
-    report_from_json,
     report_to_json,
-    status_from_json,
     status_to_json,
-    stratum_from_json,
-    stratum_to_json,
-    trial_config_from_json,
     trial_config_to_json,
 )
 
@@ -43,6 +44,14 @@ def roundtrip_stable(payload, from_json, to_json):
     text = canonical_dumps(payload)
     rebuilt = to_json(from_json(json.loads(text)))
     assert canonical_dumps(rebuilt) == text
+
+
+def survives_canonical_text(payload):
+    """A payload is plain JSON: reading its canonical text gives it back.
+
+    A tuple left in a payload would come back as a list and fail this.
+    """
+    assert json.loads(canonical_dumps(payload)) == payload
 
 
 def test_canonical_dumps_is_sorted_and_compact():
@@ -120,35 +129,39 @@ def test_quiver_instance_round_trip_uses_one_based_arrows():
 
 
 def test_family_spec_round_trips():
+    """A spec travels inside its instance file and comes back equal."""
     for spec in [
         ControlFamily(3, 2),
         DagFamily(10, 3),
         QuiverSpec(3, ((0, 1), (2, 1)), (1, 1, 1), (1, -2, 1)),
     ]:
-        assert family_spec_from_json(spec.to_json()) == spec
+        inst = spec.instance_from_flat(spec.draw_flat(CounterRng(0), 3))
+        assert instance_from_json(instance_to_json(inst)).family() == spec
 
 
 def test_family_spec_rejections():
     with pytest.raises(SchemaError, match="unknown family"):
-        family_spec_from_json({"family": "elliptic"})
+        instance_from_json({"family": "elliptic"})
     with pytest.raises(SchemaError, match="vertex out of range"):
-        family_spec_from_json(
+        instance_from_json(
             {
                 "family": "quiver",
                 "vertices": 2,
                 "arrows": [[1, 3]],
                 "dim": [1, 1],
                 "theta": [0, 0],
+                "values": ["1"],
             }
         )
     with pytest.raises(SchemaError, match="not admissible"):
-        family_spec_from_json(
+        instance_from_json(
             {
                 "family": "quiver",
                 "vertices": 2,
                 "arrows": [[1, 2]],
                 "dim": [1, 1],
                 "theta": [1, 1],
+                "values": ["1"],
             }
         )
 
@@ -156,38 +169,27 @@ def test_family_spec_rejections():
 def test_status_round_trip_preserves_tuple_evidence():
     inst = ThinQuiverRep(kronecker_spec(), (ComplexRational.of(0), ComplexRational.of(0)))
     status = inst.status()
+    assert status.evidence["support"] == (1,)
     payload = status_to_json(status)
-    assert payload["evidence"]["support"] == [1]
-    rebuilt = status_from_json(payload)
-    assert rebuilt == status
-    roundtrip_stable(payload, status_from_json, status_to_json)
-
-
-def test_status_rejects_unknown_verdict():
-    with pytest.raises(SchemaError, match="unknown verdict"):
-        status_from_json({"verdict": "hesitant"})
+    assert payload == {
+        "verdict": "unstable",
+        "reason": "a destabilizing subrepresentation has positive weight",
+        "evidence": {"support": [1], "theta_sum": 1},
+    }
+    survives_canonical_text(payload)
 
 
 def test_one_ps_round_trip():
     lam = OnePSClass(((0, -1, -1), (2,)), (-3,))
-    assert one_ps_from_json(one_ps_to_json(lam)) == lam
-
-
-def test_stratum_round_trip():
-    strata = control_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)
-    for s in strata:
-        payload = stratum_to_json(s)
-        assert stratum_from_json(payload) == s
-        roundtrip_stable(payload, stratum_from_json, stratum_to_json)
+    payload = one_ps_to_json(lam)
+    assert payload == {"gl_weights": [[0, -1, -1], [2]], "torus_weights": [-3]}
+    survives_canonical_text(payload)
 
 
 def test_stratum_rejects_inconsistent_value():
-    payload = stratum_to_json(
-        control_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)[0]
-    )
-    payload["value"] = payload["value"] + 2
+    stratum = control_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)[0]
     with pytest.raises(DomainError):
-        stratum_from_json(payload)
+        dataclasses.replace(stratum, value=stratum.value + 2)
 
 
 def test_connectivity_report_round_trip_with_thresholds():
@@ -198,9 +200,7 @@ def test_connectivity_report_round_trip_with_thresholds():
         "path_connected_from_n": 5,
         "simply_connected_from_n": 6,
     }
-    rebuilt = report_from_json(json.loads(canonical_dumps(payload)))
-    assert rebuilt == report
-    roundtrip_stable(payload, report_from_json, report_to_json)
+    survives_canonical_text(payload)
 
 
 def test_connectivity_report_round_trip_no_information():
@@ -210,17 +210,17 @@ def test_connectivity_report_round_trip_no_information():
     payload = report_to_json(report)
     assert payload["connectivity"] == "no_information"
     assert payload["d_min"] == 0
-    assert report_from_json(payload) == report
+    survives_canonical_text(payload)
 
 
 def test_homotopy_rows_parse_back():
     report = build_connectivity_report(DagFamily(10, 3), max_q=5)
     payload = report_to_json(report)
-    groups = [row["group"] for row in payload["homotopy"]]
-    assert groups == ["0", "0", "Z^2", "0", "Z", "0"]
-    assert all(
-        isinstance(AbelianGroup.parse(g), AbelianGroup) for g in groups
-    )
+    rows = json.loads(canonical_dumps(payload))["homotopy"]
+    assert rows == [
+        {"q": q, "group": group}
+        for q, group in enumerate(["0", "0", "Z^2", "0", "Z", "0"])
+    ]
 
 
 def test_trial_config_round_trip():
@@ -233,23 +233,24 @@ def test_trial_config_round_trip():
         path_samples=16,
         convention=OrbitConvention.PARABOLIC,
     )
-    assert trial_config_from_json(trial_config_to_json(cfg)) == cfg
-    roundtrip_stable(trial_config_to_json(cfg), trial_config_from_json, trial_config_to_json)
-
-
-def test_harness_report_round_trip():
-    cfg = TrialConfig(ControlFamily(2, 1), trials=20, seed=4)
-    report = sample_generic_points(cfg)
-    payload = harness_report_to_json(report)
-    assert harness_report_from_json(payload) == report
-    roundtrip_stable(payload, harness_report_from_json, harness_report_to_json)
+    payload = trial_config_to_json(cfg)
+    assert payload == {
+        "family": {"family": "control", "n": 3, "m": 2},
+        "trials": 50,
+        "seed": 42,
+        "entry_bound": 9,
+        "paths": 2,
+        "path_samples": 16,
+        "convention": "parabolic",
+    }
+    survives_canonical_text(payload)
 
 
 def test_harness_report_round_trip_null_config():
     report = kronecker_oracle_check(1)
     payload = harness_report_to_json(report)
     assert payload["config"] is None
-    assert harness_report_from_json(payload) == report
+    survives_canonical_text(payload)
 
 
 def test_no_floats_anywhere_in_payloads():
