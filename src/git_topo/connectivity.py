@@ -48,10 +48,6 @@ class AbelianGroup:
     def is_unknown(self) -> bool:
         return self.rank is None
 
-    @property
-    def is_zero(self) -> bool:
-        return self.rank == 0
-
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
         if self.is_unknown or other.is_unknown:
             return AbelianGroup.unknown()
@@ -159,10 +155,9 @@ def summarize_strata(
     group: GroupSpec | None = None,
     max_q: int | None = None,
     thresholds: tuple[tuple[str, int], ...] = (),
-    notes: tuple[str, ...] = (),
 ) -> ConnectivityReport:
     """Assemble a ConnectivityReport from an enumerated stratum table."""
-    extra_notes = list(notes)
+    notes: tuple[str, ...] = ()
     if strata:
         d: int | None = min_stratum_value(strata)
         bound = connectivity_bound(d)
@@ -170,7 +165,7 @@ def summarize_strata(
     else:
         d = None
         connectivity = CONTRACTIBLE
-        extra_notes.append("no destabilizing classes: V^st = V")
+        notes = ("no destabilizing classes: V^st = V",)
     homotopy: tuple[tuple[int, AbelianGroup], ...] = ()
     if max_q is not None:
         if max_q < 0:
@@ -188,5 +183,5 @@ def summarize_strata(
         connectivity=connectivity,
         homotopy=homotopy,
         thresholds=thresholds,
-        notes=tuple(extra_notes),
+        notes=notes,
     )

@@ -11,8 +11,9 @@ the family and exposes:
   points generic sampling excludes), `instance_from_flat(flat)` and
   `is_stable_flat(flat)` on the flat integer encoding the harness
   samples in;
-- `DEFAULT_CONVENTION`, `strata(convention=DEFAULT_CONVENTION)`,
-  `thresholds()` and `group()`.
+- `DEFAULT_CONVENTION`, `strata(convention)`, `thresholds()`, `group()`
+  and `weights(lam)`, the (weight, multiplicity) pairs of a 1-PS on V,
+  from which `base.strata_from_classes` counts each stratum's m.
 
 Its instance class (`ThinQuiverRep`, `ControlInstance`, `DagInstance`)
 is one point and exposes `family()`, `status()` and `to_json()`;

@@ -3,7 +3,9 @@
 Each family contributes two things downstream: a stability verdict for a
 point and a table of destabilizing strata (one per 1-PS class that can
 occur as a worst destabilizer).  The types here are family-agnostic; the
-per-family modules fill them in.  The JSON and command-line primitives
+per-family modules fill them in.  `strata_from_classes` builds every
+family's stratum table from its 1-PS classes, counting each class's m
+from the family's weights.  The JSON and command-line primitives
 live here too, so each family module can encode and parse its own
 shapes.
 """
@@ -14,10 +16,10 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
-from git_topo.errors import DomainError, SchemaError
-from git_topo.groups import OnePSClass, OrbitConvention
+from git_topo.errors import SchemaError
+from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import ComplexRational, Matrix
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -157,29 +159,31 @@ class StratumClass:
     representative: OnePSClass
     m: int
     orbit_dim: int
-    value: int
     convention: OrbitConvention
 
-    def __post_init__(self) -> None:
-        if self.value != 2 * self.m - 2 * self.orbit_dim:
-            raise DomainError("stratum value must equal 2*m - 2*orbit_dim")
+    @property
+    def value(self) -> int:
+        return 2 * self.m - 2 * self.orbit_dim
 
-    @classmethod
-    def build(
-        cls,
-        family: str,
-        descriptor: Mapping[str, Any],
-        representative: OnePSClass,
-        m: int,
-        orbit_dim: int,
-        convention: OrbitConvention,
-    ) -> "StratumClass":
-        return cls(
-            family=family,
-            descriptor=dict(descriptor),
-            representative=representative,
-            m=m,
-            orbit_dim=orbit_dim,
-            value=2 * m - 2 * orbit_dim,
+
+def negative_weight_dim(spec, lam: OnePSClass) -> int:
+    """m: the dimension of the strictly negative weight space of lam on V."""
+    return sum(mult for weight, mult in spec.weights(lam) if weight < 0)
+
+
+def strata_from_classes(
+    spec, convention: OrbitConvention, classes: Iterable[tuple[dict, OnePSClass]]
+) -> list[StratumClass]:
+    """One stratum per (descriptor, representative) pair of the family spec."""
+    group = spec.group()
+    return [
+        StratumClass(
+            family=spec.name,
+            descriptor=descriptor,
+            representative=rep,
+            m=negative_weight_dim(spec, rep),
+            orbit_dim=orbit_dim(group, rep, convention),
             convention=convention,
         )
+        for descriptor, rep in classes
+    ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
@@ -20,11 +20,10 @@ from git_topo.families.base import (
     matrix_from_json,
     matrix_to_json,
     require_int,
+    strata_from_classes,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention, orbit_dim
+from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import Matrix, int_rank, integer_rows
-
-DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class ControlFamily:
 
     name = "control"
     CLI_ARGS = (("n", int, "state dimension"), ("m", int, "input dimension"))
-    DEFAULT_CONVENTION = DEFAULT_CONVENTION
+    DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
@@ -47,6 +46,22 @@ class ControlFamily:
 
     def group(self) -> GroupSpec:
         return GroupSpec((self.n,))
+
+    def weights(self, lam: OnePSClass) -> Iterator[tuple[int, int]]:
+        """(weight, multiplicity) pairs of lam on V, equal weights grouped.
+
+        A entry (i, j) carries w_i - w_j and B entry (i, j) carries w_i.
+        """
+        if len(lam.gl_weights) != 1 or lam.torus_weights:
+            raise ShapeError("control systems carry a single GL factor and no torus")
+        (w,) = lam.gl_weights
+        if len(w) != self.n:
+            raise ShapeError(f"1-PS needs {self.n} weights, got {len(w)}")
+        counts = [(wi, w.count(wi)) for wi in set(w)]
+        for wi, ci in counts:
+            for wj, cj in counts:
+                yield wi - wj, ci * cj
+            yield wi, ci * self.m
 
     @classmethod
     def from_args(cls, args) -> "ControlFamily":
@@ -84,9 +99,7 @@ class ControlFamily:
         b_rows = [list(flat[n * n + i * m : n * n + (i + 1) * m]) for i in range(n)]
         return controllability_rank_ints(n, m, a_rows, b_rows) == n
 
-    def strata(
-        self, convention: OrbitConvention = DEFAULT_CONVENTION
-    ) -> list[StratumClass]:
+    def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
 
     def thresholds(self) -> tuple[tuple[str, int], ...]:
@@ -217,45 +230,14 @@ def one_ps_for_subspace(fam: ControlFamily, r: int) -> OnePSClass:
 
 
 def enumerate_strata(
-    fam: ControlFamily, convention: OrbitConvention = DEFAULT_CONVENTION
+    fam: ControlFamily, convention: OrbitConvention
 ) -> list[StratumClass]:
-    """One destabilizing class per invariant-subspace dimension r.
-
-    m counts the coordinates mapping the subspace out of itself plus the
-    B entries landing in the quotient: r*(n-r) + (n-r)*m_in.
-    """
-    strata: list[StratumClass] = []
-    for r in range(1, fam.n):
-        rep = one_ps_for_subspace(fam, r)
-        m = r * (fam.n - r) + (fam.n - r) * fam.m
-        orbit = orbit_dim(fam.group(), rep, convention)
-        strata.append(
-            StratumClass.build(
-                family=fam.name,
-                descriptor={"invariant_subspace_dim": r},
-                representative=rep,
-                m=m,
-                orbit_dim=orbit,
-                convention=convention,
-            )
-        )
-    return strata
-
-
-def _weights_for_coords(fam: ControlFamily, lam: OnePSClass) -> list[int]:
-    """Weights for the flattened (A, B) coordinates, A row-major first.
-
-    A entry (i, j) carries w_i - w_j, B entry (i, j) carries w_i.
-    """
-    if len(lam.gl_weights) != 1 or lam.torus_weights:
-        raise ShapeError("control systems carry a single GL factor and no torus")
-    w = lam.gl_weights[0]
-    if len(w) != fam.n:
-        raise ShapeError(f"1-PS needs {fam.n} weights, got {len(w)}")
-    weights = [w[i] - w[j] for i in range(fam.n) for j in range(fam.n)]
-    weights.extend(w[i] for i in range(fam.n) for _ in range(fam.m))
-    return weights
-
-
-def negative_weight_dim(fam: ControlFamily, lam: OnePSClass) -> int:
-    return sum(1 for w in _weights_for_coords(fam, lam) if w < 0)
+    """One destabilizing class per invariant-subspace dimension r in 1..n-1."""
+    return strata_from_classes(
+        fam,
+        convention,
+        (
+            ({"invariant_subspace_dim": r}, one_ps_for_subspace(fam, r))
+            for r in range(1, fam.n)
+        ),
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import (
@@ -25,8 +25,9 @@ from git_topo.families.base import (
     matrix_from_json,
     matrix_to_json,
     require_int,
+    strata_from_classes,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention, orbit_dim
+from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
     Matrix,
     column_pivots,
@@ -35,8 +36,6 @@ from git_topo.linalg import (
     nullspace,
     solve_square,
 )
-
-DEFAULT_CONVENTION = OrbitConvention.CENTRALIZER
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class DagFamily:
 
     name = "dag"
     CLI_ARGS = (("samples", int, "sample count n"), ("parents", int, "parent count k"))
-    DEFAULT_CONVENTION = DEFAULT_CONVENTION
+    DEFAULT_CONVENTION = OrbitConvention.CENTRALIZER
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
@@ -59,6 +58,20 @@ class DagFamily:
 
     def group(self) -> GroupSpec:
         return GroupSpec((self.k,), torus_rank=1)
+
+    def weights(self, lam: OnePSClass) -> Iterator[tuple[int, int]]:
+        """(weight, multiplicity) pairs of lam on the n rows of Y.
+
+        A parent column carries its GL weight, the child minus the torus weight.
+        """
+        if len(lam.gl_weights) != 1 or len(lam.torus_weights) != 1:
+            raise ShapeError("DAG groups have one GL factor and a rank-1 torus")
+        (w,) = lam.gl_weights
+        if len(w) != self.k:
+            raise ShapeError(f"1-PS needs {self.k} parent weights, got {len(w)}")
+        for wc in w:
+            yield wc, self.n
+        yield -lam.torus_weights[0], self.n
 
     @classmethod
     def from_args(cls, args) -> "DagFamily":
@@ -84,9 +97,7 @@ class DagFamily:
     def is_stable_flat(self, flat: Sequence[int]) -> bool:
         return parent_rank_ints(self.n, self.k, flat) == self.k
 
-    def strata(
-        self, convention: OrbitConvention = DEFAULT_CONVENTION
-    ) -> list[StratumClass]:
+    def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
 
     def thresholds(self) -> tuple[tuple[str, int], ...]:
@@ -218,42 +229,13 @@ def one_ps_redundant(fam: DagFamily, j: int) -> OnePSClass:
     return OnePSClass(((-1,) * j + (0,) * (fam.k - j),), (-j,))
 
 
-def enumerate_strata(
-    fam: DagFamily, convention: OrbitConvention = DEFAULT_CONVENTION
-) -> list[StratumClass]:
-    """One destabilizing class per redundant-column count j, m = j*n."""
-    strata: list[StratumClass] = []
-    for j in range(1, fam.k + 1):
-        rep = one_ps_redundant(fam, j)
-        orbit = orbit_dim(fam.group(), rep, convention)
-        strata.append(
-            StratumClass.build(
-                family=fam.name,
-                descriptor={"redundant_columns": j},
-                representative=rep,
-                m=j * fam.n,
-                orbit_dim=orbit,
-                convention=convention,
-            )
-        )
-    return strata
-
-
-def _weights_for_coords(fam: DagFamily, lam: OnePSClass) -> list[int]:
-    """Weights for row-major Y coordinates.
-
-    Parent column c carries its GL weight, the child column carries minus
-    the torus weight.
-    """
-    if len(lam.gl_weights) != 1 or len(lam.torus_weights) != 1:
-        raise ShapeError("DAG groups have one GL factor and a rank-1 torus")
-    w = lam.gl_weights[0]
-    if len(w) != fam.k:
-        raise ShapeError(f"1-PS needs {fam.k} parent weights, got {len(w)}")
-    child_weight = -lam.torus_weights[0]
-    per_row = list(w) + [child_weight]
-    return per_row * fam.n
-
-
-def negative_weight_dim(fam: DagFamily, lam: OnePSClass) -> int:
-    return sum(1 for w in _weights_for_coords(fam, lam) if w < 0)
+def enumerate_strata(fam: DagFamily, convention: OrbitConvention) -> list[StratumClass]:
+    """One destabilizing class per redundant-column count j in 1..k."""
+    return strata_from_classes(
+        fam,
+        convention,
+        (
+            ({"redundant_columns": j}, one_ps_redundant(fam, j))
+            for j in range(1, fam.k + 1)
+        ),
+    )

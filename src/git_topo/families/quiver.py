@@ -33,11 +33,13 @@ from git_topo.families.base import (
     complex_from_json,
     complex_to_json,
     int_list,
+    negative_weight_dim,  # re-exported: criterion 9 checks m against the weights
     parse_int_list,
     require_int,
     require_list,
+    strata_from_classes,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention, orbit_dim
+from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import ComplexRational
 
 MAX_VERTICES_FOR_SUBSET_SCAN = 20
@@ -46,8 +48,6 @@ MAX_VERTICES_FOR_SUBSET_SCAN = 20
 # doubles per thin vertex: 2^17 candidates took about 10 s and 325 MB on a
 # 2-CPU x86 machine.
 MAX_STRATUM_CANDIDATES = 2**18
-
-DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class QuiverSpec:
         ("dim", str, "comma-separated dimension vector"),
         ("theta", str, "comma-separated stability parameter"),
     )
-    DEFAULT_CONVENTION = DEFAULT_CONVENTION
+    DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -108,6 +108,33 @@ class QuiverSpec:
 
     def group(self) -> GroupSpec:
         return GroupSpec(tuple(self.dim_vector[i] for i in self.positive_vertices()))
+
+    def weights(self, lam: OnePSClass) -> Iterator[tuple[int, int]]:
+        """(weight, multiplicity) pairs of lam on the arrow Hom spaces.
+
+        An arrow coordinate from basis slot q at the source to slot p at
+        the target carries weight w_target[p] - w_source[q].
+        """
+        positive = self.positive_vertices()
+        if len(lam.gl_weights) != len(positive):
+            raise ShapeError(
+                f"1-PS has {len(lam.gl_weights)} factors, "
+                f"quiver group has {len(positive)}"
+            )
+        if lam.torus_weights:
+            raise ShapeError("quiver groups carry no torus factor")
+        per_vertex: list[tuple[int, ...]] = [()] * self.vertex_count
+        for vertex, ws in zip(positive, lam.gl_weights):
+            if len(ws) != self.dim_vector[vertex]:
+                raise ShapeError(
+                    f"factor at vertex {vertex + 1} needs {self.dim_vector[vertex]} "
+                    f"weights, got {len(ws)}"
+                )
+            per_vertex[vertex] = ws
+        for s, t in self.arrows:
+            for wp in per_vertex[t]:
+                for wq in per_vertex[s]:
+                    yield wp - wq, 1
 
     def live_mask(self) -> tuple[bool, ...]:
         """Per arrow, whether its Hom space is nonzero (both ends thin)."""
@@ -205,9 +232,7 @@ class QuiverSpec:
     def is_stable_flat(self, flat: Sequence[int]) -> bool:
         return quiver_thin_status(self.instance_from_flat(flat)).is_stable
 
-    def strata(
-        self, convention: OrbitConvention = DEFAULT_CONVENTION
-    ) -> list[StratumClass]:
+    def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
 
     def thresholds(self) -> tuple[tuple[str, int], ...]:
@@ -249,43 +274,6 @@ def euler_form(spec: QuiverSpec, d: Sequence[int], e: Sequence[int]) -> int:
     return total
 
 
-def _vertex_weights(spec: QuiverSpec, lam: OnePSClass) -> list[tuple[int, ...]]:
-    """Per-vertex weight tuples for lam, empty at dimension-0 vertices."""
-    positive = spec.positive_vertices()
-    if len(lam.gl_weights) != len(positive):
-        raise ShapeError(
-            f"1-PS has {len(lam.gl_weights)} factors, quiver group has {len(positive)}"
-        )
-    if lam.torus_weights:
-        raise ShapeError("quiver groups carry no torus factor")
-    out: list[tuple[int, ...]] = [() for _ in range(spec.vertex_count)]
-    for factor, vertex in enumerate(positive):
-        ws = lam.gl_weights[factor]
-        if len(ws) != spec.dim_vector[vertex]:
-            raise ShapeError(
-                f"factor at vertex {vertex + 1} needs {spec.dim_vector[vertex]} "
-                f"weights, got {len(ws)}"
-            )
-        out[vertex] = ws
-    return out
-
-
-def negative_weight_dim(spec: QuiverSpec, lam: OnePSClass) -> int:
-    """Dimension of the strictly negative weight space of lam on V.
-
-    An arrow coordinate from basis slot q at the source to slot p at the
-    target carries weight w_target[p] - w_source[q].
-    """
-    weights = _vertex_weights(spec, lam)
-    total = 0
-    for s, t in spec.arrows:
-        for wp in weights[t]:
-            for wq in weights[s]:
-                if wp - wq < 0:
-                    total += 1
-    return total
-
-
 def sub_dimension_vectors(spec: QuiverSpec) -> Iterator[tuple[int, ...]]:
     """All d' with 0 <= d'_i <= dim_i, excluding 0 and dim, in lex order."""
     full = spec.dim_vector
@@ -312,13 +300,11 @@ def one_ps_for_subdim(spec: QuiverSpec, sub: Sequence[int]) -> OnePSClass:
 
 
 def enumerate_strata(
-    spec: QuiverSpec, convention: OrbitConvention = DEFAULT_CONVENTION
+    spec: QuiverSpec, convention: OrbitConvention
 ) -> list[StratumClass]:
     """Destabilizing classes, one per admissible subdimension vector.
 
-    A subdimension d' destabilizes when theta . d' >= 0.  m is the count
-    of Hom coordinates from the subspace into the quotient complement,
-    sum over arrows of d'_source * (dim - d')_target.
+    A subdimension d' destabilizes when theta . d' >= 0.
     """
     if all(d == 0 for d in spec.dim_vector):
         raise DomainError("the zero dimension vector has no strata")
@@ -328,26 +314,15 @@ def enumerate_strata(
             f"stratum enumeration refused: {candidates} candidate subdimension "
             f"vectors exceed the limit of {MAX_STRATUM_CANDIDATES}"
         )
-    strata: list[StratumClass] = []
-    for sub in sub_dimension_vectors(spec):
-        if sum(a * d for a, d in zip(spec.theta, sub)) < 0:
-            continue
-        rep = one_ps_for_subdim(spec, sub)
-        m = sum(
-            sub[s] * (spec.dim_vector[t] - sub[t]) for s, t in spec.arrows
-        )
-        orbit = orbit_dim(spec.group(), rep, convention)
-        strata.append(
-            StratumClass.build(
-                family=spec.name,
-                descriptor={"sub_dim": tuple(sub)},
-                representative=rep,
-                m=m,
-                orbit_dim=orbit,
-                convention=convention,
-            )
-        )
-    return strata
+    return strata_from_classes(
+        spec,
+        convention,
+        (
+            ({"sub_dim": sub}, one_ps_for_subdim(spec, sub))
+            for sub in sub_dimension_vectors(spec)
+            if sum(a * d for a, d in zip(spec.theta, sub)) >= 0
+        ),
+    )
 
 
 @dataclass(frozen=True)

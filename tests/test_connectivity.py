@@ -45,13 +45,13 @@ def test_direct_sum_rules():
 
 
 def test_unitary_pi_stable_range():
-    assert unitary_group_pi(0, 1).is_zero
+    assert unitary_group_pi(0, 1) == AbelianGroup.zero()
     assert unitary_group_pi(1, 1) == AbelianGroup.free(1)
     assert unitary_group_pi(2, 1).is_unknown  # beyond 2k-1 = 1
     assert unitary_group_pi(3, 2) == AbelianGroup.free(1)
     assert unitary_group_pi(4, 2).is_unknown
     assert unitary_group_pi(5, 3) == AbelianGroup.free(1)
-    assert unitary_group_pi(4, 3).is_zero
+    assert unitary_group_pi(4, 3) == AbelianGroup.zero()
     with pytest.raises(DomainError):
         unitary_group_pi(-1, 2)
     with pytest.raises(DomainError):
@@ -98,7 +98,7 @@ def test_quotient_homotopy_window():
     group = GroupSpec((3,), torus_rank=1)
     assert quotient_homotopy_group(group, 12, 11).is_unknown
     assert quotient_homotopy_group(group, 12, 10).is_unknown  # pi_9(U(3)) unknown
-    assert quotient_homotopy_group(group, 2, 0).is_zero
+    assert quotient_homotopy_group(group, 2, 0) == AbelianGroup.zero()
     assert quotient_homotopy_group(group, 2, 1).is_unknown
     # no destabilizing classes: no window bound at all
     assert quotient_homotopy_group(group, None, 2) == AbelianGroup.free(2)
@@ -108,12 +108,12 @@ def test_quotient_homotopy_window():
 def test_quotient_homotopy_of_torus_only_group():
     torus = GroupSpec((), torus_rank=2)
     assert quotient_homotopy_group(torus, None, 2) == AbelianGroup.free(2)
-    assert quotient_homotopy_group(torus, None, 3).is_zero
+    assert quotient_homotopy_group(torus, None, 3) == AbelianGroup.zero()
 
 
 def test_quotient_pi1_of_connected_group_vanishes():
     group = GroupSpec((2, 1), torus_rank=1)
-    assert quotient_homotopy_group(group, None, 1).is_zero
+    assert quotient_homotopy_group(group, None, 1) == AbelianGroup.zero()
 
 
 def test_summarize_control_parabolic():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from git_topo.errors import DomainError, ShapeError
-from git_topo.families.base import Verdict
+from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.control import (
     ControlFamily,
     ControlInstance,
@@ -13,10 +13,9 @@ from git_topo.families.control import (
     controllability_rank_ints,
     enumerate_strata,
     invariant_subspace_dim,
-    negative_weight_dim,
     one_ps_for_subspace,
 )
-from git_topo.groups import OrbitConvention
+from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.linalg import Matrix
 
 
@@ -90,6 +89,14 @@ def test_stratum_m_closed_form():
                 assert stratum.m == r * (n - r) + (n - r) * m_in
                 lam = one_ps_for_subspace(fam, r)
                 assert negative_weight_dim(fam, lam) == stratum.m
+    # a 1-PS that does not fit GL(2): two factors, three weights, a torus weight
+    for lam in [
+        OnePSClass(((0, -1), (0,)), ()),
+        OnePSClass(((0, -1, -1),), ()),
+        OnePSClass(((0, -1),), (1,)),
+    ]:
+        with pytest.raises(ShapeError):
+            negative_weight_dim(ControlFamily(2, 1), lam)
 
 
 def test_controllable_single_input_chain():

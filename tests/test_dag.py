@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from git_topo.errors import DomainError, PreconditionError
-from git_topo.families.base import Verdict
+from git_topo.errors import DomainError, PreconditionError, ShapeError
+from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.dag import (
     DagFamily,
     DagInstance,
@@ -13,10 +13,9 @@ from git_topo.families.dag import (
     dag_stabilize,
     dag_status,
     enumerate_strata,
-    negative_weight_dim,
     one_ps_redundant,
 )
-from git_topo.groups import OrbitConvention
+from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.linalg import Matrix
 
 
@@ -52,6 +51,14 @@ def test_stratum_m_is_jn():
                 j = stratum.descriptor["redundant_columns"]
                 assert stratum.m == j * n
                 assert negative_weight_dim(fam, stratum.representative) == j * n
+    # a 1-PS that does not fit GL(2) x C*: two factors, one weight, no torus weight
+    for lam in [
+        OnePSClass(((-1, 0), (0,)), (-1,)),
+        OnePSClass(((-1,),), (-1,)),
+        OnePSClass(((-1, 0),), ()),
+    ]:
+        with pytest.raises(ShapeError):
+            negative_weight_dim(DagFamily(3, 2), lam)
 
 
 def test_one_ps_redundant_shape():

@@ -17,7 +17,7 @@ from git_topo.families.quiver import (
     quiver_thin_status,
     sub_dimension_vectors,
 )
-from git_topo.groups import OrbitConvention, orbit_dim
+from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import ComplexRational
 
 status = quiver_thin_status
@@ -140,11 +140,25 @@ def test_one_ps_skips_dimension_zero_vertices():
     assert lam.torus_weights == ()
 
 
+def closed_form_m(spec: QuiverSpec, sub) -> int:
+    """Hom coordinates from the subspace into the quotient, over all arrows."""
+    return sum(sub[s] * (spec.dim_vector[t] - sub[t]) for s, t in spec.arrows)
+
+
 def test_negative_weight_dim_matches_stratum_m():
     spec = kronecker_spec()
     for stratum in enumerate_strata(spec, OrbitConvention.PARABOLIC):
-        lam = one_ps_for_subdim(spec, stratum.descriptor["sub_dim"])
-        assert negative_weight_dim(spec, lam) == stratum.m
+        sub = stratum.descriptor["sub_dim"]
+        assert stratum.m == closed_form_m(spec, sub)
+        assert negative_weight_dim(spec, one_ps_for_subdim(spec, sub)) == stratum.m
+    # a 1-PS that does not fit GL(1) x GL(1): one factor, two weights, a torus weight
+    for lam in [
+        OnePSClass(((0,),), ()),
+        OnePSClass(((0, -1), (0,)), ()),
+        OnePSClass(((0,), (-1,)), (1,)),
+    ]:
+        with pytest.raises(ShapeError):
+            negative_weight_dim(spec, lam)
 
 
 small_dims = st.lists(st.integers(0, 1), min_size=2, max_size=4).filter(
@@ -245,6 +259,5 @@ def test_strata_m_closed_form_vs_weights(spec):
     if sum(spec.dim_vector) == 0:
         return
     for stratum in enumerate_strata(spec, OrbitConvention.PARABOLIC):
-        lam = one_ps_for_subdim(spec, stratum.descriptor["sub_dim"])
-        assert negative_weight_dim(spec, lam) == stratum.m
+        assert stratum.m == closed_form_m(spec, stratum.descriptor["sub_dim"])
         assert stratum.value == 2 * stratum.m - 2 * stratum.orbit_dim

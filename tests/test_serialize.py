@@ -4,13 +4,12 @@ The CLI payloads as a whole are pinned by tests/test_golden.py; the tests
 here pin the codecs and the writer behaviour those payloads do not reach.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from git_topo.errors import DomainError, SchemaError
+from git_topo.errors import SchemaError
 from git_topo.families.base import (
     complex_from_json,
     complex_to_json,
@@ -18,7 +17,6 @@ from git_topo.families.base import (
     rational_to_str,
 )
 from git_topo.families.control import ControlFamily, ControlInstance
-from git_topo.families.control import enumerate_strata as control_strata
 from git_topo.families.dag import DagFamily, DagInstance
 from git_topo.families.quiver import QuiverSpec, ThinQuiverRep, kronecker_spec
 from git_topo.groups import OnePSClass, OrbitConvention
@@ -184,12 +182,6 @@ def test_one_ps_round_trip():
     payload = one_ps_to_json(lam)
     assert payload == {"gl_weights": [[0, -1, -1], [2]], "torus_weights": [-3]}
     survives_canonical_text(payload)
-
-
-def test_stratum_rejects_inconsistent_value():
-    stratum = control_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)[0]
-    with pytest.raises(DomainError):
-        dataclasses.replace(stratum, value=stratum.value + 2)
 
 
 def test_connectivity_report_round_trip_with_thresholds():
