@@ -10,7 +10,8 @@ the family and exposes:
 - `draw_flat(rng, bound)`, `draw_generic(rng, bound)` (the same, minus
   points generic sampling excludes), `instance_from_flat(flat)` and
   `is_stable_flat(flat)` on the flat integer encoding the harness
-  samples in;
+  samples in, and `path_suspects(entry_polys, n_samples)`, the samples
+  of a quadratic path its certificate mod 2^61 - 1 cannot clear;
 - `DEFAULT_CONVENTION`, `strata(convention)`, `thresholds()`, `group()`
   and `weights(lam)`, the (weight, multiplicity) pairs of a 1-PS on V,
   from which `base.strata_from_classes` counts each stratum's m.

@@ -23,7 +23,23 @@ from git_topo.families.base import (
     strata_from_classes,
 )
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
-from git_topo.linalg import Matrix, int_rank, integer_rows
+from git_topo.linalg import (
+    Matrix,
+    int_rank,
+    integer_rows,
+    minor_gcd,
+    poly_dot,
+    poly_mod,
+    poly_roots_below,
+)
+
+# Largest state dimension n whose quadratic paths get a minor-gcd
+# certificate; past it every sample is checked pointwise.  A full Krylov
+# minor has degree D = n(n + 1), so the certificate grows as n^3 D^2 and
+# overtakes 256 pointwise checks: on a 2-CPU x86 machine at m = 1 it took
+# 45 ms against 67 ms at n = 8, 87 against 95 ms at n = 9 and 157 against
+# 130 ms at n = 10 (m = 2 only widens the certificate's lead).
+MAX_CERTIFIED_N = 8
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,28 @@ class ControlFamily:
         a_rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         b_rows = [list(flat[n * n + i * m : n * n + (i + 1) * m]) for i in range(n)]
         return controllability_rank_ints(n, m, a_rows, b_rows) == n
+
+    def path_suspects(
+        self, entry_polys: Sequence[Sequence[int]], n_samples: int
+    ) -> Sequence[int]:
+        """Samples of a quadratic path the Krylov minor gcd cannot clear.
+
+        entry_polys holds one integer polynomial in the sample index per
+        flat entry.  The Krylov matrix is built once over F_p[i]; where the
+        gcd of its first maximal minors is nonzero mod p, some minor is
+        nonzero over Z, so the point is controllable.
+        """
+        n, m = self.n, self.m
+        if n > MAX_CERTIFIED_N:
+            return range(n_samples)
+        polys = [poly_mod(e) for e in entry_polys]
+        a_rows = [polys[i * n : (i + 1) * n] for i in range(n)]
+        current = [[polys[n * n + i * m + j] for i in range(n)] for j in range(m)]
+        krylov = list(current)
+        for _ in range(n - 1):
+            current = [[poly_dot(row, col) for row in a_rows] for col in current]
+            krylov.extend(current)
+        return poly_roots_below(minor_gcd(krylov), n_samples)
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)

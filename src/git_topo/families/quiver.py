@@ -40,7 +40,7 @@ from git_topo.families.base import (
     strata_from_classes,
 )
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
-from git_topo.linalg import ComplexRational
+from git_topo.linalg import ComplexRational, poly_gcd, poly_mod, poly_roots_below
 
 MAX_VERTICES_FOR_SUBSET_SCAN = 20
 # Most candidate subdimension vectors, prod(dim_i + 1), the stratum
@@ -230,7 +230,35 @@ class QuiverSpec:
         return ThinQuiverRep(self, values)
 
     def is_stable_flat(self, flat: Sequence[int]) -> bool:
-        return quiver_thin_status(self.instance_from_flat(flat)).is_stable
+        live = [bool(flat[2 * a] or flat[2 * a + 1]) for a in range(len(self.arrows))]
+        best_sum, _ = _best_closed_subset(self, live)
+        return best_sum is None or best_sum < 0
+
+    def path_suspects(
+        self, entry_polys: Sequence[Sequence[int]], n_samples: int
+    ) -> Sequence[int]:
+        """Samples of a quadratic path whose support may differ from S*.
+
+        S* is the set of arrows whose polynomials are not identically
+        zero.  At a sample where gcd(re, im) of every arrow in S* is
+        nonzero mod p each of those arrows is nonzero, so the support is
+        exactly S* and one subset scan settles every such sample.  When
+        S* is not stable, every sample is a suspect.
+        """
+        live = [
+            any(entry_polys[2 * a]) or any(entry_polys[2 * a + 1])
+            for a in range(len(self.arrows))
+        ]
+        best_sum, _ = _best_closed_subset(self, live)
+        if best_sum is not None and best_sum >= 0:
+            return range(n_samples)
+        suspects: set[int] = set()
+        for a, on in enumerate(live):
+            if on:
+                real, imag = entry_polys[2 * a], entry_polys[2 * a + 1]
+                g = poly_gcd(poly_mod(real), poly_mod(imag))
+                suspects.update(poly_roots_below(g, n_samples))
+        return sorted(suspects)
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
@@ -364,16 +392,16 @@ class ThinQuiverRep:
         }
 
 
-def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:
-    """King stability for a thin representation by scanning vertex subsets.
+def _best_closed_subset(
+    spec: QuiverSpec, live: Sequence[bool]
+) -> tuple[int | None, int]:
+    """The arrow-closed support subset of greatest theta weight.
 
-    A proper nonempty subset S of the support spans a subrepresentation
-    exactly when no nonzero arrow leaves S.  The point is unstable when
-    some such S has theta(S) > 0, strictly semistable when the best S
-    has theta(S) = 0, and stable otherwise.  Evidence reports the first
-    witness subset in mask order, 1-based.
+    live[a] says whether arrow a is nonzero.  A proper nonempty subset S
+    of the support spans a subrepresentation exactly when no live arrow
+    leaves S.  Returns (theta(S), mask of S) for the first best S in mask
+    order, or (None, 0) when no such S exists.
     """
-    spec = rep.spec
     if spec.vertex_count > MAX_VERTICES_FOR_SUBSET_SCAN:
         raise SizeLimitError(
             f"subset scan refused beyond {MAX_VERTICES_FOR_SUBSET_SCAN} vertices"
@@ -383,16 +411,16 @@ def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:
         raise DomainError("representation has empty support")
     slot = {v: i for i, v in enumerate(support)}
     live_arrows = [
-        (s, t)
-        for (s, t), v in zip(spec.arrows, rep.values)
-        if v and spec.dim_vector[s] == 1 and spec.dim_vector[t] == 1
+        (slot[s], slot[t])
+        for (s, t), on in zip(spec.arrows, live)
+        if on and s in slot and t in slot
     ]
-    best_mask = None
+    best_mask = 0
     best_sum = None
     for mask in range(1, (1 << len(support)) - 1):
         closed = True
         for s, t in live_arrows:
-            if (mask >> slot[s]) & 1 and not (mask >> slot[t]) & 1:
+            if (mask >> s) & 1 and not (mask >> t) & 1:
                 closed = False
                 break
         if not closed:
@@ -403,8 +431,22 @@ def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:
         if best_sum is None or theta_sum > best_sum:
             best_sum = theta_sum
             best_mask = mask
+    return best_sum, best_mask
+
+
+def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:
+    """King stability for a thin representation by scanning vertex subsets.
+
+    The point is unstable when some subrepresentation S has theta(S) > 0,
+    strictly semistable when the best S has theta(S) = 0, and stable
+    otherwise.  Evidence reports the first witness subset in mask order,
+    1-based.
+    """
+    spec = rep.spec
+    best_sum, best_mask = _best_closed_subset(spec, [bool(v) for v in rep.values])
     if best_sum is None or best_sum < 0:
         return StabilityStatus.stable()
+    support = spec.support()
     witness = tuple(v + 1 for i, v in enumerate(support) if (best_mask >> i) & 1)
     if best_sum > 0:
         return StabilityStatus.unstable(

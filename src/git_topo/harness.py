@@ -11,8 +11,15 @@ caught and then repaired by stabilization.
 Every draw comes from a counter-based stream keyed by (seed, op, trial),
 so a report is a pure function of its TrialConfig.  The trial loops are
 family-agnostic: they work on each family's flat integer encoding
-through its spec (`draw_flat`, `draw_generic`, `is_stable_flat`) and
-build an instance only to reproduce a single trial.
+through its spec (`draw_flat`, `draw_generic`, `is_stable_flat`,
+`path_suspects`) and build an instance only to reproduce a single trial.
+
+A path is certified once rather than checked at every sample: each
+entry of a path point is an integer quadratic in the sample index, so
+the family's `path_suspects` builds its stability polynomials once
+modulo p = 2^61 - 1 and returns the samples where they vanish mod p.
+Only those samples get the exact pointwise check, so `path_failures`
+is exactly what checking every sample would give.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from git_topo.errors import (
     DomainError,
@@ -50,8 +58,10 @@ MAX_KRONECKER_GRID_POINTS = 2**20
 # Most generic-point trials, path points (paths x path_samples) and
 # constructed degenerate trials one run accepts, each about a minute of
 # work on the same machine: a generic trial costs 40-80 us at control
-# (3, 2), DAG (10, 3) and Kronecker sizes, a path point 35-50 us, and a
-# degenerate DAG (10, 3) trial, which stabilizes with fractions, 1 ms.
+# (3, 2), DAG (10, 3) and Kronecker sizes, and a degenerate DAG (10, 3)
+# trial, which stabilizes with fractions, 1 ms.  A path point at those
+# sizes costs 0.4-2.4 us on a certified path of 256 samples, and 35-50 us
+# when every sample of its path is a suspect and is checked pointwise.
 MAX_TRIALS = 2**20
 MAX_PATH_POINTS = 2**20
 MAX_DEGENERATE_TRIALS = 2**16
@@ -202,8 +212,32 @@ def _draw_stable(cfg: TrialConfig, rng: CounterRng) -> list[int]:
     )
 
 
+def count_path_failures(
+    spec: FamilySpec,
+    left: Sequence[int],
+    mid: Sequence[int],
+    right: Sequence[int],
+    n_samples: int,
+) -> int:
+    """Non-Stable samples N^2 q(i/N), i < N, of the quadratic path q.
+
+    q runs from left (t = 0) through mid (t = 1/2) to right (t = 1).
+    Only the samples the family's certificate cannot clear are checked.
+    """
+    polys = [
+        (n_samples**2 * a, n_samples * (4 * b - 3 * a - c), 2 * (a - 2 * b + c))
+        for a, b, c in zip(left, mid, right)
+    ]
+    failures = 0
+    for i in spec.path_suspects(polys, n_samples):
+        point = [c0 + (c1 + c2 * i) * i for c0, c1, c2 in polys]
+        if not spec.is_stable_flat(point):
+            failures += 1
+    return failures
+
+
 def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
-    """Quadratic paths between stable endpoints, checked pointwise.
+    """Quadratic paths between stable endpoints, checked at every sample.
 
     Each path interpolates two rejection-sampled Stable endpoints through
     one unconditioned random midpoint and is evaluated at the rational
@@ -213,6 +247,19 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     check stays in integer arithmetic.  Skipped (not failed) when the
     family's d_min under the active convention is below 2, since the
     claim being tested needs that bound.
+
+    With left, mid and right entries a, b, c, each entry of sample i is
+    e(i) = N^2 a + N(4b - 3a - c) i + 2(a - 2b + c) i^2.  The family's
+    `path_suspects` turns these polynomials into a certificate modulo
+    p = 2^61 - 1 (a gcd of maximal minors, or per quiver arrow the gcd
+    of its real and imaginary parts) and returns the samples where it
+    vanishes mod p.  It is sound: reducing mod p commutes with
+    evaluating at i, and an integer that is nonzero mod p is nonzero.  So
+    where a minor gcd is nonzero some minor is nonzero over Z and the
+    matrix has full rank, and where every arrow gcd is nonzero the
+    support is the one the family checked once.  Only the suspects get
+    the exact `is_stable_flat` check, so path_failures counts exactly
+    the samples a pointwise check of all of them would.
     """
     start = time.monotonic()
     spec = cfg.family_spec
@@ -239,16 +286,7 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
         left = _draw_stable(cfg, rng)
         right = _draw_stable(cfg, rng)
         mid = spec.draw_flat(rng, cfg.entry_bound)
-        for i in range(n_samples):
-            c_left = (n_samples - i) * (n_samples - 2 * i)
-            c_mid = 4 * i * (n_samples - i)
-            c_right = i * (2 * i - n_samples)
-            point = [
-                c_left * a + c_mid * b + c_right * c
-                for a, b, c in zip(left, mid, right)
-            ]
-            if not spec.is_stable_flat(point):
-                failures += 1
+        failures += count_path_failures(spec, left, mid, right, n_samples)
     return HarnessReport(
         op=OP_PATH_STABILITY,
         config=cfg,

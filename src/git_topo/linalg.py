@@ -7,7 +7,9 @@ arrow; the package only stores and encodes it and tests it against
 zero, so it carries no arithmetic.  Ranks are computed by fraction-free
 (Bareiss) elimination after clearing denominators (integer_rows, then
 int_rank).  The module also carries the handful of solvers the model
-families need (null spaces, pivot columns, square solves).
+families need (null spaces, pivot columns, square solves), and the
+polynomial arithmetic over F_p, p = 2^61 - 1, behind the path
+certificates (products, determinants, gcds and a root scan).
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
 >>> int_rank(m.to_rows())
@@ -18,6 +20,7 @@ families need (null spaces, pivot columns, square solves).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,3 +266,122 @@ def solve_square(matrix: Matrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...
     if len(pivots) != n or any(c >= n for c in pivots):
         raise DomainError("matrix is singular; no unique solution")
     return tuple(reduced[r][n] for r in range(n))
+
+
+# Polynomials over F_p, p = 2^61 - 1, for the path certificates: a list of
+# coefficients in [0, p), lowest degree first, with no trailing zero, so
+# that [] is the zero polynomial and a truth test asks "is it nonzero?".
+PRIME = 2**61 - 1
+# Most maximal minors minor_gcd takes.  On random paths the gcd of the
+# first two is almost always a nonzero constant; more only pay off on
+# paths whose leading minors vanish identically.
+MAX_MINORS = 4
+
+
+def poly_mod(coeffs: Sequence[int]) -> list[int]:
+    """The polynomial with these integer coefficients, reduced mod p."""
+    out = [c % PRIME for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_dot(fs: Sequence[list[int]], gs: Sequence[list[int]]) -> list[int]:
+    """sum(f * g for f, g in zip(fs, gs)) over F_p, reduced once at the end."""
+    size = max((len(f) + len(g) - 1 for f, g in zip(fs, gs) if f and g), default=0)
+    acc = [0] * size
+    for f, g in zip(fs, gs):
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                acc[i + j] += a * b
+    return poly_mod(acc)
+
+
+def _poly_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a nonzero g over F_p."""
+    inv = pow(g[-1], -1, PRIME)
+    shift = len(g) - 1
+    rem = list(f)
+    quot = [0] * max(len(f) - shift, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + shift] * inv % PRIME
+        quot[k] = c
+        if c:
+            for j, b in enumerate(g):
+                rem[k + j] = (rem[k + j] - c * b) % PRIME
+    return poly_mod(quot), poly_mod(rem[:shift])
+
+
+def poly_det(rows: Sequence[Sequence[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over F_p[x] by Bareiss elimination.
+
+    The same fraction-free scheme as int_rank: after k steps every
+    remaining entry is a (k+1)-minor, so the division by the previous
+    pivot is exact in F_p[x] as it is in Z.
+    """
+    data = [list(r) for r in rows]
+    n = len(data)
+    negate = False
+    prev = [1]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if data[r][col]), None)
+        if pivot_row is None:
+            return []
+        if pivot_row != col:
+            data[pivot_row], data[col] = data[col], data[pivot_row]
+            negate = not negate
+        pivot = data[col][col]
+        top = data[col]
+        for r in range(col + 1, n):
+            cur = data[r]
+            minus_lead = [-c % PRIME for c in cur[col]]
+            for j in range(col + 1, n):
+                cross = poly_dot((pivot, minus_lead), (cur[j], top[j]))
+                cur[j] = _poly_divmod(cross, prev)[0] if col else cross
+        prev = pivot
+    det = data[-1][-1]
+    return [-c % PRIME for c in det] if negate else det
+
+
+def poly_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Monic gcd over F_p; the gcd of two zero polynomials is zero."""
+    while g:
+        f, g = g, _poly_divmod(f, g)[1]
+    if not f:
+        return []
+    inv = pow(f[-1], -1, PRIME)
+    return [c * inv % PRIME for c in f]
+
+
+def poly_roots_below(f: list[int], count: int) -> list[int]:
+    """The i in range(count) with f(i) = 0 mod p; every i when f is zero."""
+    if len(f) == 1:
+        return []
+    roots = []
+    for i in range(count):
+        acc = 0
+        for c in reversed(f):
+            acc = acc * i + c
+        if not acc % PRIME:
+            roots.append(i)
+    return roots
+
+
+def minor_gcd(rows: Sequence[Sequence[list[int]]]) -> list[int]:
+    """gcd over F_p[x] of the first MAX_MINORS maximal minors of a matrix.
+
+    rows has s columns; the minors are its s x s row selections in
+    lexicographic order.  The scan stops early once the gcd is a nonzero
+    constant.  The gcd is an F_p[x]-combination of those minors, so
+    wherever it is nonzero mod p one of them is too, and the matrix has
+    full column rank there.  Zero when every minor taken is zero,
+    including when there are fewer than s rows.
+    """
+    g: list[int] = []
+    for chosen in itertools.islice(
+        itertools.combinations(rows, len(rows[0])), MAX_MINORS
+    ):
+        g = poly_gcd(g, poly_det(chosen))
+        if len(g) == 1:
+            break
+    return g

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from git_topo.errors import DomainError, PreconditionError
-from git_topo.families.control import ControlFamily
-from git_topo.families.dag import DagFamily
+from git_topo.families.control import MAX_CERTIFIED_N, ControlFamily
+from git_topo.families.dag import MAX_CERTIFIED_K, DagFamily
 from git_topo.families.quiver import QuiverSpec, kronecker_spec
 from git_topo.groups import OrbitConvention
 from git_topo.harness import (
@@ -14,6 +14,7 @@ from git_topo.harness import (
     OP_PATH_STABILITY,
     HarnessReport,
     TrialConfig,
+    count_path_failures,
     detect_constructed_degenerates,
     draw_instance,
     kronecker_oracle_check,
@@ -202,3 +203,115 @@ def test_instance_from_flat_round_trips_draws(seed):
     flat += [inst.b.at(i, j) for i in range(2) for j in range(2)]
     rebuilt = spec.instance_from_flat(flat)
     assert rebuilt == inst
+
+
+THIN_3_CYCLE = QuiverSpec(3, ((0, 1), (1, 2), (2, 0)), (1, 1, 1), (1, 1, -2))
+PATH_SPECS = (
+    ControlFamily(2, 1),
+    ControlFamily(3, 2),
+    DagFamily(4, 2),
+    DagFamily(10, 3),
+    kronecker_spec(),
+    THIN_3_CYCLE,
+)
+
+
+def pointwise_path_failures(cfg: TrialConfig) -> int:
+    """Replays the path stream and checks every sample through its instance."""
+    spec = cfg.family_spec
+    big_n = cfg.path_samples
+
+    def stable_endpoint(rng):
+        while True:
+            flat = spec.draw_flat(rng, cfg.entry_bound)
+            if spec.instance_from_flat(flat).status().is_stable:
+                return flat
+
+    failures = 0
+    for p in range(cfg.paths):
+        rng = CounterRng(cfg.seed, 1, p)
+        left = stable_endpoint(rng)
+        right = stable_endpoint(rng)
+        mid = spec.draw_flat(rng, cfg.entry_bound)
+        for i in range(big_n):
+            weights = (
+                (big_n - i) * (big_n - 2 * i),
+                4 * i * (big_n - i),
+                i * (2 * i - big_n),
+            )
+            point = [
+                sum(w * x for w, x in zip(weights, entry))
+                for entry in zip(left, mid, right)
+            ]
+            failures += not spec.instance_from_flat(point).status().is_stable
+    return failures
+
+
+@given(
+    st.sampled_from(PATH_SPECS),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 1, 2, 9]),
+    st.integers(1, 24),
+)
+@settings(max_examples=100, deadline=None)
+def test_certified_paths_match_a_pointwise_replay(spec, seed, bound, samples):
+    """Odd and even sample counts; bound 1 makes unstable midpoints common."""
+    cfg = TrialConfig(
+        spec, trials=1, seed=seed, entry_bound=bound, paths=3, path_samples=samples
+    )
+    report = sample_path_stability(cfg)
+    assert not report.skipped
+    assert report.path_failures == pointwise_path_failures(cfg)
+
+
+@pytest.mark.parametrize("samples", [16, 17])
+def test_rank_deficient_midpoint_is_the_one_suspect_counted(samples):
+    # q(i/N) N^2 = (N - 2i)^2 L + 4i(N - i) M with L = I and M = diag(1, 0)
+    # is diag(N^2, (N - 2i)^2): singular exactly at i = N/2 = N^2 M.
+    spec = DagFamily(2, 2)
+    ends, mid = [1, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0]
+    expected = 1 if samples % 2 == 0 else 0
+    assert count_path_failures(spec, ends, mid, ends, samples) == expected
+    polys = [(samples**2 * a, 4 * samples * (b - a), 4 * (a - b))
+             for a, b in zip(ends, mid)]
+    if expected:
+        assert samples // 2 in spec.path_suspects(polys, samples)
+    kron = kronecker_spec()
+    ends, mid = [1, 0, 0, 0], [0, 0, 0, 0]
+    assert count_path_failures(kron, ends, mid, ends, samples) == expected
+
+
+def test_vanishing_minor_gcd_falls_back_to_every_sample():
+    samples = 12
+    # B = 0 along the whole path: every Krylov minor is zero.
+    control = ControlFamily(2, 1)
+    a_block = [[1, 2, 3, 4], [0, 1, 1, 0], [5, 0, 2, 1]]
+    left, mid, right = (a + [0, 0] for a in a_block)
+    polys = [(1, 0, 0)] * 4 + [(0, 0, 0)] * 2
+    assert list(control.path_suspects(polys, samples)) == list(range(samples))
+    assert count_path_failures(control, left, mid, right, samples) == samples
+    # Two zero rows kill the first four row minors of a DAG (10, 3) path,
+    # yet every point has full rank: all samples are checked, none fail.
+    dag = DagFamily(10, 3)
+    unit_rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    rows = [[0, 0, 0, 0]] * 2 + unit_rows * 2 + [[2, 3, 5, 7]] * 2
+    flat = [x for row in rows for x in row]
+    polys = [(samples**2 * x, 0, 0) for x in flat]
+    assert list(dag.path_suspects(polys, samples)) == list(range(samples))
+    assert count_path_failures(dag, flat, flat, flat, samples) == 0
+    # A quiver support S* that is not stable makes every sample a suspect.
+    kron = kronecker_spec()
+    assert list(kron.path_suspects([(0, 0, 0)] * 4, samples)) == list(range(samples))
+
+
+def test_large_shapes_skip_the_certificate():
+    """Past the crossover every sample goes to the pointwise check."""
+    samples = 8
+    control = ControlFamily(MAX_CERTIFIED_N + 1, 1)
+    entries = control.n * (control.n + 1)
+    assert control.path_suspects([(1, 2, 3)] * entries, samples) == range(samples)
+    dag = DagFamily(MAX_CERTIFIED_K + 1, MAX_CERTIFIED_K + 1)
+    entries = dag.n * (dag.k + 1)
+    assert dag.path_suspects([(1, 2, 3)] * entries, samples) == range(samples)
+    cfg = TrialConfig(control, trials=1, seed=4, paths=1, path_samples=samples)
+    assert sample_path_stability(cfg).path_failures == pointwise_path_failures(cfg)

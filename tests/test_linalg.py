@@ -2,22 +2,30 @@
 
 The fraction-free Bareiss rank is checked against a Laplace-expansion
 minor rank written here from scratch, and the Fraction RREF solvers
-against their defining equations.
+against their defining equations.  The F_p[x] determinant behind the
+path certificates is checked against a Leibniz expansion over Z[x], and
+its gcd and root scan against products of known linear factors.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from git_topo.linalg import (
+    PRIME,
     Matrix,
     column_pivots,
     int_rank,
     integer_rows,
+    minor_gcd,
     nullspace,
+    poly_det,
+    poly_gcd,
+    poly_mod,
+    poly_roots_below,
     solve_square,
 )
 from git_topo.rng import CounterRng
@@ -147,3 +155,97 @@ def test_matrix_shape_errors():
 def test_hstack_and_transpose():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
+
+
+# Polynomials over F_p: integer coefficient lists, lowest degree first.
+
+
+def int_poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def int_poly_add(f, g):
+    long, short = (f, g) if len(f) >= len(g) else (g, f)
+    return [a + (short[i] if i < len(short) else 0) for i, a in enumerate(long)]
+
+
+def leibniz_det(rows):
+    """Determinant over Z[x] as the signed sum over permutations."""
+    n = len(rows)
+    total = []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [-1 if inversions % 2 else 1]
+        for r, c in enumerate(perm):
+            term = int_poly_mul(term, rows[r][c])
+        total = int_poly_add(total, term)
+    return total
+
+
+def linear_product(roots, lead=1):
+    out = [lead]
+    for r in roots:
+        out = int_poly_mul(out, [-r, 1])
+    return out
+
+
+int_polys = st.lists(st.integers(-4, 4), min_size=0, max_size=3)
+
+
+def square(entries):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+@given(square(int_polys))
+@settings(max_examples=50, deadline=None)
+def test_poly_det_matches_leibniz(rows):
+    reduced = [[poly_mod(e) for e in row] for row in rows]
+    assert poly_det(reduced) == poly_mod(leibniz_det(rows))
+
+
+@given(square(int_entries))
+@settings(max_examples=60, deadline=None)
+def test_poly_det_of_integer_matrices_is_the_determinant_mod_p(rows):
+    reduced = [[poly_mod([e]) for e in row] for row in rows]
+    assert poly_det(reduced) == poly_mod([laplace_det(rows)])
+
+
+@given(
+    st.sets(st.integers(0, 40), max_size=4),
+    st.sets(st.integers(0, 40), max_size=4),
+    st.sets(st.integers(0, 40), max_size=4),
+    st.integers(1, PRIME - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_gcd_and_root_scan_on_linear_factors(common, only_f, only_g, lead):
+    only_f -= common
+    only_g -= common | only_f
+    f = poly_mod(linear_product(sorted(common | only_f), lead))
+    g = poly_mod(linear_product(sorted(common | only_g)))
+    assert poly_gcd(f, g) == poly_mod(linear_product(sorted(common)))
+    assert poly_roots_below(f, 30) == sorted(r for r in common | only_f if r < 30)
+
+
+def test_poly_edge_cases():
+    assert poly_mod([PRIME, 2 * PRIME, 0]) == []
+    assert poly_mod([-1]) == [PRIME - 1]
+    assert poly_gcd([], []) == []
+    assert poly_gcd([], [3, 6]) == poly_mod([(3 * pow(6, -1, PRIME)) % PRIME, 1])
+    assert poly_roots_below([], 4) == [0, 1, 2, 3]
+    assert poly_roots_below([5], 4) == []
+    # x^2 - p has no integer root but vanishes mod p at 0 like x^2 does.
+    assert poly_roots_below(poly_mod([-PRIME, 0, 1]), 3) == [0]
+    # The 2 x 2 minors of [[x, 0], [0, 1], [1, x]] are x, x^2 and -1.
+    rows = [[[0, 1], []], [[], [1]], [[1], [0, 1]]]
+    assert minor_gcd(rows) == [1]
+    assert minor_gcd(rows[:2]) == [0, 1]
+    # A matrix with fewer rows than columns has no maximal minor.
+    assert minor_gcd([[[1], [2]]]) == []

@@ -189,17 +189,23 @@ def thin_quivers(draw):
 @given(thin_quivers(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_status_matches_brute_force(spec, data):
+    """quiver_thin_status and the flat-integer is_stable_flat both agree."""
     live = [i for i, (s, t) in enumerate(spec.arrows)
             if spec.dim_vector[s] == 1 and spec.dim_vector[t] == 1]
-    values = [0] * len(spec.arrows)
+    flat = [0] * (2 * len(spec.arrows))
     for idx in live:
-        values[idx] = data.draw(st.integers(-2, 2))
-    rep = ThinQuiverRep(spec, tuple(values))
+        flat[2 * idx] = data.draw(st.integers(-2, 2))
+        flat[2 * idx + 1] = data.draw(st.sampled_from([0, 0, 1, -3]))
+    rep = spec.instance_from_flat(flat)
     if not spec.support():
         with pytest.raises(DomainError):
             quiver_thin_status(rep)
+        with pytest.raises(DomainError):
+            spec.is_stable_flat(flat)
         return
-    assert quiver_thin_status(rep).verdict is brute_force_thin_verdict(rep)
+    expected = brute_force_thin_verdict(rep)
+    assert quiver_thin_status(rep).verdict is expected
+    assert spec.is_stable_flat(flat) is (expected is Verdict.STABLE)
 
 
 @given(thin_quivers(), st.data())
