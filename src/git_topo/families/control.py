@@ -37,9 +37,10 @@ from git_topo.linalg import (
 # certificate; past it every sample is checked pointwise.  A full Krylov
 # minor has degree D = n(n + 1), so the certificate grows as n^3 D^2 and
 # overtakes 256 pointwise checks: on a 2-CPU x86 machine at m = 1 it took
-# 45 ms against 67 ms at n = 8, 87 against 95 ms at n = 9 and 157 against
-# 130 ms at n = 10 (m = 2 only widens the certificate's lead).
-MAX_CERTIFIED_N = 8
+# 43 ms against 87 ms at n = 8, 82 against 94 ms at n = 9 and 155 against
+# 144 ms at n = 10.  m = 2 widens the certificate's lead (137 against
+# 276 ms at n = 10), but the cut is set where m = 1 crosses over.
+MAX_CERTIFIED_N = 9
 
 
 @dataclass(frozen=True)

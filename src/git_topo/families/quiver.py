@@ -40,7 +40,7 @@ from git_topo.families.base import (
     strata_from_classes,
 )
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
-from git_topo.linalg import ComplexRational, poly_gcd, poly_mod, poly_roots_below
+from git_topo.linalg import ComplexRational
 
 MAX_VERTICES_FOR_SUBSET_SCAN = 20
 # Most candidate subdimension vectors, prod(dim_i + 1), the stratum
@@ -237,28 +237,12 @@ class QuiverSpec:
     def path_suspects(
         self, entry_polys: Sequence[Sequence[int]], n_samples: int
     ) -> Sequence[int]:
-        """Samples of a quadratic path whose support may differ from S*.
+        """Every sample: thin-quiver paths are checked pointwise.
 
-        S* is the set of arrows whose polynomials are not identically
-        zero.  At a sample where gcd(re, im) of every arrow in S* is
-        nonzero mod p each of those arrows is nonzero, so the support is
-        exactly S* and one subset scan settles every such sample.  When
-        S* is not stable, every sample is a suspect.
+        A subset scan of a few vertices costs about 4 us, so a path of
+        N samples is cheap without a certificate.
         """
-        live = [
-            any(entry_polys[2 * a]) or any(entry_polys[2 * a + 1])
-            for a in range(len(self.arrows))
-        ]
-        best_sum, _ = _best_closed_subset(self, live)
-        if best_sum is not None and best_sum >= 0:
-            return range(n_samples)
-        suspects: set[int] = set()
-        for a, on in enumerate(live):
-            if on:
-                real, imag = entry_polys[2 * a], entry_polys[2 * a + 1]
-                g = poly_gcd(poly_mod(real), poly_mod(imag))
-                suspects.update(poly_roots_below(g, n_samples))
-        return sorted(suspects)
+        return range(n_samples)
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
@@ -402,6 +386,8 @@ def _best_closed_subset(
     leaves S.  Returns (theta(S), mask of S) for the first best S in mask
     order, or (None, 0) when no such S exists.
     """
+    if not spec.is_thin():
+        raise DomainError("point-level checks require a thin dimension vector")
     if spec.vertex_count > MAX_VERTICES_FOR_SUBSET_SCAN:
         raise SizeLimitError(
             f"subset scan refused beyond {MAX_VERTICES_FOR_SUBSET_SCAN} vertices"

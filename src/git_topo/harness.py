@@ -17,9 +17,10 @@ through its spec (`draw_flat`, `draw_generic`, `is_stable_flat`,
 A path is certified once rather than checked at every sample: each
 entry of a path point is an integer quadratic in the sample index, so
 the family's `path_suspects` builds its stability polynomials once
-modulo p = 2^61 - 1 and returns the samples where they vanish mod p.
-Only those samples get the exact pointwise check, so `path_failures`
-is exactly what checking every sample would give.
+modulo p = 2^61 - 1 and returns the samples where they vanish mod p
+(thin quivers, whose point check is a small subset scan, return every
+sample).  Only those samples get the exact pointwise check, so
+`path_failures` is exactly what checking every sample would give.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ MAX_KRONECKER_GRID_POINTS = 2**20
 # work on the same machine: a generic trial costs 40-80 us at control
 # (3, 2), DAG (10, 3) and Kronecker sizes, and a degenerate DAG (10, 3)
 # trial, which stabilizes with fractions, 1 ms.  A path point at those
-# sizes costs 0.4-2.4 us on a certified path of 256 samples, and 35-50 us
-# when every sample of its path is a suspect and is checked pointwise.
+# sizes costs 0.4-2.4 us on a certified control or DAG path of 256
+# samples, 35-50 us when every sample of such a path is a suspect, and
+# about 8.5 us on a Kronecker path, which is always checked pointwise.
 MAX_TRIALS = 2**20
 MAX_PATH_POINTS = 2**20
 MAX_DEGENERATE_TRIALS = 2**16
@@ -251,15 +253,14 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     With left, mid and right entries a, b, c, each entry of sample i is
     e(i) = N^2 a + N(4b - 3a - c) i + 2(a - 2b + c) i^2.  The family's
     `path_suspects` turns these polynomials into a certificate modulo
-    p = 2^61 - 1 (a gcd of maximal minors, or per quiver arrow the gcd
-    of its real and imaginary parts) and returns the samples where it
-    vanishes mod p.  It is sound: reducing mod p commutes with
-    evaluating at i, and an integer that is nonzero mod p is nonzero.  So
-    where a minor gcd is nonzero some minor is nonzero over Z and the
-    matrix has full rank, and where every arrow gcd is nonzero the
-    support is the one the family checked once.  Only the suspects get
-    the exact `is_stable_flat` check, so path_failures counts exactly
-    the samples a pointwise check of all of them would.
+    p = 2^61 - 1 (control and DAG: a gcd of maximal minors) and returns
+    the samples where it vanishes mod p; thin quivers and shapes past a
+    family's crossover return every sample.  It is sound: reducing mod p
+    commutes with evaluating at i, and an integer that is nonzero mod p
+    is nonzero.  So where the minor gcd is nonzero some minor is nonzero
+    over Z and the matrix has full rank.  Only the suspects get the exact
+    `is_stable_flat` check, so path_failures counts exactly the samples
+    a pointwise check of all of them would.
     """
     start = time.monotonic()
     spec = cfg.family_spec

@@ -473,6 +473,29 @@ def test_verify_quiver_family(capsys):
     assert "unstable_hits = 0" in out
 
 
+def test_verify_quiver_refuses_non_thin_dimensions(capsys):
+    # Point checks need a thin dimension vector; a dimension-2 vertex
+    # must not be read as a zero (or ignored) arrow.
+    for dim, theta in (("2,1", "1,-2"), ("1,2,1", "1,-1,1")):
+        for extra in ((), ("--paths", "2", "--path-samples", "4")):
+            code, out, err = run(
+                capsys,
+                "verify",
+                "quiver",
+                "--arrows",
+                "1->2",
+                "--dim",
+                dim,
+                "--theta",
+                theta,
+                "--trials",
+                "5",
+                *extra,
+            )
+            assert code == 2 and out == ""
+            assert "point-level checks require a thin dimension vector" in err
+
+
 def test_bad_arrow_syntax(capsys):
     code, _, err = run(
         capsys,

@@ -299,9 +299,10 @@ def test_vanishing_minor_gcd_falls_back_to_every_sample():
     polys = [(samples**2 * x, 0, 0) for x in flat]
     assert list(dag.path_suspects(polys, samples)) == list(range(samples))
     assert count_path_failures(dag, flat, flat, flat, samples) == 0
-    # A quiver support S* that is not stable makes every sample a suspect.
+    # Thin-quiver paths are checked at every sample.
     kron = kronecker_spec()
-    assert list(kron.path_suspects([(0, 0, 0)] * 4, samples)) == list(range(samples))
+    polys = [(1, 2, 3), (0, 0, 0)] * 2
+    assert list(kron.path_suspects(polys, samples)) == list(range(samples))
 
 
 def test_large_shapes_skip_the_certificate():
