@@ -42,6 +42,7 @@ from git_topo.serialize import (
     harness_report_to_json,
     instance_from_json,
     instance_to_json,
+    report_head_to_json,
     report_to_json,
     status_to_json,
 )
@@ -89,6 +90,12 @@ def _add_family_args(
     for cls in FAMILIES.values():
         for dest, kind, text in cls.CLI_ARGS:
             parser.add_argument(f"--{dest}", type=kind, help=text)
+    parser.add_argument(
+        "--orbit-convention",
+        choices=["parabolic", "centralizer"],
+        help="override the family's default orbit convention "
+        "(verify: the one the path test's d_min gate uses)",
+    )
 
 
 # Each handler returns (JSON payload, text lines, exit status); main
@@ -108,7 +115,9 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             data = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {args.file}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, non-UTF-8 bytes, an integer literal past
+        # Python's digit limit, or nesting past the recursion limit.
         raise SchemaError(f"{args.file} is not valid JSON: {exc}") from None
     instance = instance_from_json(data)
     family = instance.family().name
@@ -146,16 +155,7 @@ def cmd_homotopy(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     report = build_connectivity_report(
         _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
-    payload = {
-        "family": report.family,
-        "convention": report.convention.value,
-        "d_min": report.d_min,
-        "homotopy": [
-            {"q": q, "group": group.descriptor()} for q, group in report.homotopy
-        ],
-        "notes": list(report.notes),
-    }
-    return payload, render_homotopy_text(report), 0
+    return report_head_to_json(report), render_homotopy_text(report), 0
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
@@ -219,14 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="strata, d_min, connectivity")
     _add_family_args(analyze)
     analyze.add_argument(
-        "--orbit-convention",
-        choices=["parabolic", "centralizer"],
-        help="override the family's default orbit convention",
-    )
-    analyze.add_argument(
         "--max-q", type=int, default=None, help="include a homotopy table up to q"
     )
-    analyze.add_argument("--json", metavar="PATH", help="write canonical JSON here")
     analyze.set_defaults(handler=cmd_analyze)
 
     check = sub.add_parser("check", help="stability status of an instance file")
@@ -238,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--epsilon", default="1/1000", help="perturbation size p/q for --stabilize"
     )
-    check.add_argument("--json", metavar="PATH", help="write canonical JSON here")
     check.set_defaults(handler=cmd_check)
 
     homotopy = sub.add_parser("homotopy", help="homotopy-group table")
@@ -249,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attest the free-action hypothesis (required)",
     )
-    homotopy.add_argument(
-        "--orbit-convention",
-        choices=["parabolic", "centralizer"],
-        help="override the family's default orbit convention",
-    )
-    homotopy.add_argument("--json", metavar="PATH", help="write canonical JSON here")
     homotopy.set_defaults(handler=cmd_homotopy)
 
     verify = sub.add_parser("verify", help="seeded verification harness")
@@ -282,13 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="unstable generic hits are expected (e.g. DAG with n < k)",
     )
-    verify.add_argument(
-        "--orbit-convention",
-        choices=["parabolic", "centralizer"],
-        help="convention for the path test's d_min gate",
-    )
-    verify.add_argument("--json", metavar="PATH", help="write canonical JSON here")
     verify.set_defaults(handler=cmd_verify)
+
+    for subparser in sub.choices.values():
+        subparser.add_argument(
+            "--json", metavar="PATH", help="write canonical JSON here"
+        )
 
     return parser
 

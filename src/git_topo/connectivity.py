@@ -12,12 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from git_topo.errors import DomainError
+from git_topo.errors import DomainError, SizeLimitError
 from git_topo.families.base import StratumClass
 from git_topo.groups import GroupSpec, OrbitConvention
 
 NO_INFORMATION = "no_information"
 CONTRACTIBLE = "contractible"
+# Largest max_q a homotopy table accepts.  Every row past 2 * (largest GL
+# rank) or past the window q < d - 1 is Unknown, so a longer table says
+# nothing new; at the limit the table of a 20-factor group took 0.16 s
+# and wrote 118 kB of JSON on a 2-CPU x86 machine.
+MAX_HOMOTOPY_DEGREE = 4096
 
 
 @dataclass(frozen=True)
@@ -75,13 +80,6 @@ def connectivity_bound(d: int) -> int | None:
     if d >= 2:
         return d - 2
     return None
-
-
-def dimension_inequality(sphere_dim: int, stratum: StratumClass) -> bool:
-    """Strict codimension test: sphere_dim + 1 + 2*orbit_dim < 2*m."""
-    if sphere_dim < 0:
-        raise DomainError("sphere dimension must be a natural number")
-    return sphere_dim + 1 + 2 * stratum.orbit_dim < 2 * stratum.m
 
 
 def unitary_group_pi(i: int, k: int) -> AbelianGroup:
@@ -170,6 +168,11 @@ def summarize_strata(
     if max_q is not None:
         if max_q < 0:
             raise DomainError("max_q must be a natural number")
+        if max_q > MAX_HOMOTOPY_DEGREE:
+            raise SizeLimitError(
+                f"homotopy table up to q = {max_q} refused: "
+                f"the limit is {MAX_HOMOTOPY_DEGREE}"
+            )
         if group is None:
             raise DomainError("homotopy table needs the acting group")
         homotopy = tuple(

@@ -30,13 +30,8 @@ from typing import Union
 
 from git_topo.families.base import StabilityStatus, StratumClass, Verdict
 from git_topo.families.control import ControlFamily, ControlInstance
-from git_topo.families.dag import DagFamily, DagInstance, dag_stabilize, dag_status
-from git_topo.families.quiver import (
-    QuiverSpec,
-    ThinQuiverRep,
-    kronecker_spec,
-    quiver_thin_status,
-)
+from git_topo.families.dag import DagFamily, DagInstance, dag_stabilize
+from git_topo.families.quiver import QuiverSpec, ThinQuiverRep, kronecker_spec
 
 FamilySpec = Union[QuiverSpec, ControlFamily, DagFamily]
 Instance = Union[ThinQuiverRep, ControlInstance, DagInstance]
@@ -60,7 +55,5 @@ __all__ = [
     "ThinQuiverRep",
     "Verdict",
     "dag_stabilize",
-    "dag_status",
     "kronecker_spec",
-    "quiver_thin_status",
 ]

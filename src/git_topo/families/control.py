@@ -17,6 +17,7 @@ from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
+    check_stratum_work,
     matrix_from_json,
     matrix_to_json,
     require_int,
@@ -271,7 +272,12 @@ def one_ps_for_subspace(fam: ControlFamily, r: int) -> OnePSClass:
 def enumerate_strata(
     fam: ControlFamily, convention: OrbitConvention
 ) -> list[StratumClass]:
-    """One destabilizing class per invariant-subspace dimension r in 1..n-1."""
+    """One destabilizing class per invariant-subspace dimension r in 1..n-1.
+
+    Each class has n weights on G, two of them distinct, so six weight
+    pairs on V.
+    """
+    check_stratum_work(fam.n - 1, fam.n + 6)
     return strata_from_classes(
         fam,
         convention,

@@ -22,6 +22,7 @@ from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
+    check_stratum_work,
     matrix_from_json,
     matrix_to_json,
     require_int,
@@ -258,7 +259,11 @@ def one_ps_redundant(fam: DagFamily, j: int) -> OnePSClass:
 
 
 def enumerate_strata(fam: DagFamily, convention: OrbitConvention) -> list[StratumClass]:
-    """One destabilizing class per redundant-column count j in 1..k."""
+    """One destabilizing class per redundant-column count j in 1..k.
+
+    Each class has k + 1 weights on G and k + 1 weight pairs on V.
+    """
+    check_stratum_work(fam.k, 2 * (fam.k + 1))
     return strata_from_classes(
         fam,
         convention,

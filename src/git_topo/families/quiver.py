@@ -30,6 +30,7 @@ from git_topo.errors import (
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
+    check_stratum_work,
     complex_from_json,
     complex_to_json,
     int_list,
@@ -43,11 +44,6 @@ from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import ComplexRational
 
 MAX_VERTICES_FOR_SUBSET_SCAN = 20
-# Most candidate subdimension vectors, prod(dim_i + 1), the stratum
-# enumeration accepts.  It holds every kept stratum in memory and its cost
-# doubles per thin vertex: 2^17 candidates took about 10 s and 325 MB on a
-# 2-CPU x86 machine.
-MAX_STRATUM_CANDIDATES = 2**18
 
 
 @dataclass(frozen=True)
@@ -316,16 +312,17 @@ def enumerate_strata(
 ) -> list[StratumClass]:
     """Destabilizing classes, one per admissible subdimension vector.
 
-    A subdimension d' destabilizes when theta . d' >= 0.
+    A subdimension d' destabilizes when theta . d' >= 0.  Every candidate
+    d' is scanned, and each carries sum dim_i weights on G and one weight
+    per arrow coordinate on V.
     """
-    if all(d == 0 for d in spec.dim_vector):
+    dims = spec.dim_vector
+    if all(d == 0 for d in dims):
         raise DomainError("the zero dimension vector has no strata")
-    candidates = math.prod(d + 1 for d in spec.dim_vector)
-    if candidates > MAX_STRATUM_CANDIDATES:
-        raise SizeLimitError(
-            f"stratum enumeration refused: {candidates} candidate subdimension "
-            f"vectors exceed the limit of {MAX_STRATUM_CANDIDATES}"
-        )
+    check_stratum_work(
+        math.prod(d + 1 for d in dims),
+        sum(dims) + sum(dims[s] * dims[t] for s, t in spec.arrows),
+    )
     return strata_from_classes(
         spec,
         convention,

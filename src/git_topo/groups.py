@@ -1,15 +1,14 @@
 """Reductive group bookkeeping: products of GL factors and a torus.
 
 The groups acted with here are G = GL(n_1) x ... x GL(n_s) x (C*)^t.  A
-one-parameter subgroup is recorded, up to conjugacy, by its integer weight
-multiset per GL factor plus one integer per torus coordinate.  Weights are
-kept in construction order (so a chosen representative keeps its stated
-coordinate alignment); equality and hashing sort each GL factor's weights
-internally, which is exactly conjugacy-invariance.
+one-parameter subgroup is recorded by a chosen representative of its
+conjugacy class: its integer weights per GL factor, in construction order
+(so the representative keeps its stated coordinate alignment), plus one
+integer per torus coordinate.
 
 Two orbit-dimension conventions coexist downstream, differing in which
 subgroup is taken as the stabilizer of the 1-PS class: its centralizer, or
-the parabolic it defines.  Both are computed here from weight
+the parabolic it defines.  Both are counted here from weight
 multiplicities alone.
 """
 
@@ -46,9 +45,9 @@ def group_dim(spec: GroupSpec) -> int:
     return sum(n * n for n in spec.gl_ranks) + spec.torus_rank
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OnePSClass:
-    """Conjugacy class of a one-parameter subgroup of a GroupSpec group.
+    """Representative of a conjugacy class of one-parameter subgroups.
 
     gl_weights[i] lists the diagonal weights on the i-th GL factor in
     construction order; torus_weights has one exponent per torus
@@ -65,71 +64,36 @@ class OnePSClass:
         )
         object.__setattr__(self, "torus_weights", tuple(int(w) for w in self.torus_weights))
 
-    def _conjugacy_key(self) -> tuple:
-        return (
-            tuple(tuple(sorted(ws, reverse=True)) for ws in self.gl_weights),
-            self.torus_weights,
-        )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OnePSClass):
-            return NotImplemented
-        return self._conjugacy_key() == other._conjugacy_key()
+def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> int:
+    """dim G minus the dim of lam's stabilizer under the chosen convention.
 
-    def __hash__(self) -> int:
-        return hash(self._conjugacy_key())
-
-
-def _check_match(spec: GroupSpec, lam: OnePSClass) -> None:
+    Per GL factor of rank n whose weights have multiplicities m_1..m_r,
+    the centralizer has dimension S = sum m_i^2 and the parabolic (the
+    non-negative weight pairs) S + sum_{i<j} m_i m_j = (n^2 + S) / 2.
+    The torus lies in both.
+    """
+    if not isinstance(convention, OrbitConvention):
+        raise DomainError(f"unknown orbit convention {convention!r}")
     if len(lam.gl_weights) != len(spec.gl_ranks):
         raise ShapeError(
             f"1-PS has {len(lam.gl_weights)} GL factors, group has {len(spec.gl_ranks)}"
         )
-    for idx, (ws, n) in enumerate(zip(lam.gl_weights, spec.gl_ranks)):
-        if len(ws) != n:
-            raise ShapeError(f"GL factor {idx} has rank {n} but {len(ws)} weights given")
     if len(lam.torus_weights) != spec.torus_rank:
         raise ShapeError(
             f"1-PS has {len(lam.torus_weights)} torus weights, group has rank "
             f"{spec.torus_rank} torus"
         )
-
-
-def centralizer_dim(spec: GroupSpec, lam: OnePSClass) -> int:
-    """dim of the centralizer of lam: sum of squared weight multiplicities."""
-    _check_match(spec, lam)
-    total = spec.torus_rank
-    for ws in lam.gl_weights:
-        counts: dict[int, int] = {}
-        for w in ws:
-            counts[w] = counts.get(w, 0) + 1
-        total += sum(m * m for m in counts.values())
-    return total
-
-
-def parabolic_dim(spec: GroupSpec, lam: OnePSClass) -> int:
-    """dim of the parabolic defined by lam's non-negative weight pairs.
-
-    Per GL factor with multiplicities m_1..m_r this is sum m_i^2 plus
-    sum_{i<j} m_i m_j, which equals (n^2 + sum m_i^2) / 2.
-    """
-    _check_match(spec, lam)
-    total = spec.torus_rank
-    for ws, n in zip(lam.gl_weights, spec.gl_ranks):
-        counts: dict[int, int] = {}
-        for w in ws:
-            counts[w] = counts.get(w, 0) + 1
-        sq = sum(m * m for m in counts.values())
-        total += (n * n + sq) // 2
-    return total
-
-
-def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> int:
-    """dim of the G-orbit of lam under the chosen stabilizer convention."""
-    if convention is OrbitConvention.CENTRALIZER:
-        stab = centralizer_dim(spec, lam)
-    elif convention is OrbitConvention.PARABOLIC:
-        stab = parabolic_dim(spec, lam)
-    else:
-        raise DomainError(f"unknown orbit convention {convention!r}")
+    stab = spec.torus_rank
+    for idx, (ws, n) in enumerate(zip(lam.gl_weights, spec.gl_ranks)):
+        if len(ws) != n:
+            raise ShapeError(f"GL factor {idx} has rank {n} but {len(ws)} weights given")
+        square = 0
+        for w in set(ws):
+            mult = ws.count(w)
+            square += mult * mult
+        if convention is OrbitConvention.CENTRALIZER:
+            stab += square
+        else:
+            stab += (n * n + square) // 2
     return group_dim(spec) - stab

