@@ -7,8 +7,10 @@ the family and exposes:
 - `name`, `CLI_ARGS` (dest, type, help per flag) and `from_args(args)`;
 - `to_json()` and `instance_from_json(data)`, the reader of `check`
   instance files;
+- `has_stable_points()`, whether V^st is non-empty;
 - `draw_flat(rng, bound)`, `draw_generic(rng, bound)` (the same, minus
-  points generic sampling excludes), `instance_from_flat(flat)` and
+  points generic sampling excludes; both refuse a point of more than
+  `base.MAX_POINT_ENTRIES` integers), `instance_from_flat(flat)` and
   `is_stable_flat(flat)` on the flat integer encoding the harness
   samples in, and `path_suspects(entry_polys, n_samples)`, the samples
   of a quadratic path its certificate mod 2^61 - 1 cannot clear;

@@ -32,6 +32,15 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # weights) took 4.9 s and 117 MB on a 2-CPU x86 machine.
 MAX_STRATUM_WORK = 2**22
 
+# Most integers one drawn point may have: n(n + m) for control, n(k + 1)
+# for DAG, two per arrow for a quiver.  On a 2-CPU x86 machine a trial at
+# the limit drew its point in 35-50 ms and checked it in 10-180 ms:
+# 130-180 ms at control (3, 21842), 15-21 ms at DAG (16384, 3), 10-11 ms
+# on a 32768-arrow Kronecker quiver.  Square control shapes stay far below
+# the limit yet cost more, since the Krylov rank grows steeply in n
+# (57 ms at n = 40, 0.7 s at n = 60, 21 s at n = 100, with m = 1).
+MAX_POINT_ENTRIES = 2**16
+
 
 def rational_to_str(value: int | Fraction) -> str:
     return str(Fraction(value))
@@ -183,6 +192,15 @@ def check_stratum_work(classes: int, weights_per_class: int) -> None:
             f"stratum enumeration refused: {classes} classes x "
             f"{weights_per_class} weights per class exceed the limit of "
             f"{MAX_STRATUM_WORK}"
+        )
+
+
+def check_point_size(entries: int) -> None:
+    """Refuse, before anything is drawn, a point past MAX_POINT_ENTRIES."""
+    if entries > MAX_POINT_ENTRIES:
+        raise SizeLimitError(
+            f"a point of {entries} integers refused: the limit is "
+            f"{MAX_POINT_ENTRIES}"
         )
 
 

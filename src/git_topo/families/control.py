@@ -17,6 +17,7 @@ from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
+    check_point_size,
     check_stratum_work,
     matrix_from_json,
     matrix_to_json,
@@ -99,8 +100,13 @@ class ControlFamily:
             matrix_from_json(data.get("B"), n, m, "B"),
         )
 
+    def has_stable_points(self) -> bool:
+        """Always: A shifting e_j to e_(j+1) with B = e_1 is controllable."""
+        return True
+
     def draw_flat(self, rng, bound: int) -> list[int]:
         count = self.n * (self.n + self.m)
+        check_point_size(count)
         return [rng.int_between(-bound, bound) for _ in range(count)]
 
     draw_generic = draw_flat

@@ -22,6 +22,7 @@ from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
+    check_point_size,
     check_stratum_work,
     matrix_from_json,
     matrix_to_json,
@@ -97,8 +98,14 @@ class DagFamily:
         k = require_int(data.get("k"), "k", 1)
         return DagInstance(n, k, matrix_from_json(data.get("Y"), n, k + 1, "Y"))
 
+    def has_stable_points(self) -> bool:
+        """Whether an n x k parent block can have full column rank k."""
+        return self.n >= self.k
+
     def draw_flat(self, rng, bound: int) -> list[int]:
-        return [rng.int_between(-bound, bound) for _ in range(self.n * (self.k + 1))]
+        count = self.n * (self.k + 1)
+        check_point_size(count)
+        return [rng.int_between(-bound, bound) for _ in range(count)]
 
     draw_generic = draw_flat
 

@@ -30,6 +30,7 @@ from git_topo.errors import (
 from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
+    check_point_size,
     check_stratum_work,
     complex_from_json,
     complex_to_json,
@@ -195,7 +196,15 @@ class QuiverSpec:
         except GitTopoError as exc:
             raise SchemaError(str(exc)) from None
 
+    def has_stable_points(self) -> bool:
+        """Whether the point with every live arrow nonzero is stable.
+
+        No point has fewer closed subsets, so if it is not stable, none is.
+        """
+        return self.is_stable_flat([v for live in self.live_mask() for v in (live, 0)])
+
     def draw_flat(self, rng, bound: int) -> list[int]:
+        check_point_size(2 * len(self.arrows))
         flat: list[int] = []
         for live in self.live_mask():
             if live:

@@ -47,11 +47,17 @@ def _descriptor_line(descriptor) -> str:
     return ", ".join(f"{k}={_format_value(v)}" for k, v in descriptor.items())
 
 
+def _head_lines(report: ConnectivityReport) -> list[str]:
+    return [f"family: {report.family}", f"convention: {report.convention.value}"]
+
+
+def _homotopy_and_note_lines(report: ConnectivityReport) -> list[str]:
+    lines = [f"  q={q}: {group.descriptor()}" for q, group in report.homotopy]
+    return lines + [f"note: {note}" for note in report.notes]
+
+
 def render_connectivity_text(report: ConnectivityReport) -> list[str]:
-    lines = [
-        f"family: {report.family}",
-        f"convention: {report.convention.value}",
-    ]
+    lines = _head_lines(report)
     if report.strata:
         lines.append("strata:")
         for s in report.strata:
@@ -83,25 +89,16 @@ def render_connectivity_text(report: ConnectivityReport) -> list[str]:
             )
     if report.homotopy:
         lines.append("homotopy:")
-        for q, group in report.homotopy:
-            lines.append(f"  q={q}: {group.descriptor()}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return lines
+    return lines + _homotopy_and_note_lines(report)
 
 
 def render_homotopy_text(report: ConnectivityReport) -> list[str]:
-    lines = [
-        f"family: {report.family}",
-        f"convention: {report.convention.value}",
+    return [
+        *_head_lines(report),
         "d_min: none" if report.d_min is None else f"d_min = {report.d_min}",
         "homotopy:",
+        *_homotopy_and_note_lines(report),
     ]
-    for q, group in report.homotopy:
-        lines.append(f"  q={q}: {group.descriptor()}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return lines
 
 
 def render_status_text(family: str, status: StabilityStatus) -> list[str]:

@@ -338,60 +338,30 @@ def test_verify_control_clean_seed(capsys, tmp_path):
     assert payload["reports"][0]["config"]["seed"] == 2
 
 
-def test_verify_env_seed_and_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("GIT_TOPO_SEED", "777")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dag", "--samples", "1", "--parents", "2"],
+        ["quiver", "--arrows", "1->2,1->2", "--dim", "1,1", "--theta=-1,1"],
+    ],
+    ids=["dag-n-below-k", "kronecker-flipped-theta"],
+)
+def test_verify_skips_generic_sampling_without_stable_points(argv, capsys, tmp_path):
     out_file = tmp_path / "v.json"
-    code, _, _ = run(
-        capsys,
-        "verify",
-        "dag",
-        "--samples",
-        "4",
-        "--parents",
-        "2",
-        "--trials",
-        "5",
-        "--json",
-        str(out_file),
+    code, out, _ = run(
+        capsys, "verify", *argv, "--trials", "5", "--json", str(out_file)
     )
-    assert code == 0
-    assert read_json(out_file)["reports"][0]["config"]["seed"] == 777
-    code, _, _ = run(
-        capsys,
-        "verify",
-        "dag",
-        "--samples",
-        "4",
-        "--parents",
-        "2",
-        "--trials",
-        "5",
-        "--seed",
-        "3",
-        "--json",
-        str(out_file),
-    )
-    assert code == 0
-    assert read_json(out_file)["reports"][0]["config"]["seed"] == 3
-
-
-def test_verify_env_seed_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("GIT_TOPO_SEED", "not-a-number")
-    code, _, err = run(
-        capsys, "verify", "dag", "--samples", "4", "--parents", "2", "--trials", "5"
-    )
-    assert code == 2
-    assert "GIT_TOPO_SEED" in err
-
-
-def test_verify_expect_degenerate_excuses_wide_dag(capsys):
-    args = ["verify", "dag", "--samples", "1", "--parents", "2", "--trials", "5"]
-    code, out, _ = run(capsys, *args)
-    assert code == 1
-    assert "FAILED" in out
-    code, out, _ = run(capsys, *args, "--expect-degenerate")
     assert code == 0
     assert out.strip().endswith("ok")
+    generic = read_json(out_file)["reports"][0]
+    assert generic["op"] == "generic_points"
+    assert generic["skipped"] is True
+    assert generic["trials_run"] == 0
+    assert generic["notes"] == [f"skipped: no {argv[0]} point is stable"]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--trials", "5", "--expect-degenerate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --expect-degenerate" in capsys.readouterr().err
 
 
 def test_verify_paths_skip_under_centralizer(capsys, tmp_path):
@@ -643,4 +613,28 @@ def test_oversized_tables_are_refused_before_any_work(argv, message, capsys, tmp
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == ""
     assert message in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+# One entry past MAX_POINT_ENTRIES = 2^16 integers per point: n(n + m) for
+# control, n(k + 1) for DAG, two per arrow for a quiver.
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (["control", "--n", "3", "--m", "21843"], 65538),
+        (["dag", "--samples", "16385", "--parents", "3"], 65540),
+        (["quiver", "--arrows", ",".join(["1->2"] * 32769), "--dim", "1,1",
+          "--theta=1,-1"], 65538),
+    ],
+    ids=["control", "dag", "quiver"],
+)
+def test_verify_refuses_a_point_past_the_entry_limit(argv, entries, capsys, tmp_path):
+    out_file = tmp_path / "err.json"
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "verify", *argv, "--trials", "1", "--json", str(out_file)
+    )
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"a point of {entries} integers refused" in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"

@@ -99,6 +99,16 @@ def test_stratum_m_closed_form():
             negative_weight_dim(ControlFamily(2, 1), lam)
 
 
+def test_has_stable_points_at_every_shape():
+    # the witness: A shifts e_j to e_(j+1) and B's first column is e_1
+    for n, m in ((1, 1), (1, 3), (3, 2), (5, 1)):
+        shift = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+        b = [[int(i == j == 0) for j in range(m)] for i in range(n)]
+        inst = ControlInstance(n, m, Matrix.from_rows(shift), Matrix.from_rows(b))
+        assert ControlFamily(n, m).has_stable_points()
+        assert control_status(inst).is_stable
+
+
 def test_controllable_single_input_chain():
     # companion-style pair: fully controllable
     inst = make_instance(

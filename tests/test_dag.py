@@ -72,6 +72,16 @@ def test_one_ps_redundant_shape():
         one_ps_redundant(fam, 4)
 
 
+def test_has_stable_points_exactly_when_n_at_least_k():
+    for n in range(1, 5):
+        for k in range(1, 5):
+            fam = DagFamily(n, k)
+            # the witness for n >= k: identity rows on top of the parent block
+            flat = [int(i == j) for i in range(n) for j in range(k + 1)]
+            assert fam.has_stable_points() is (n >= k)
+            assert fam.is_stable_flat(flat) is (n >= k)
+
+
 def test_status_full_rank():
     inst = make_instance([[1, 0, 5], [0, 1, 7], [1, 1, 0]])
     result = dag_status(inst)

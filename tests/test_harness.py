@@ -79,13 +79,13 @@ def test_quiver_draws_exclude_origin_and_pin_dead_arrows():
         assert any(draw_instance(live, i).values)
 
 
-def test_generic_sampling_dag_wide_note():
+def test_generic_sampling_skips_dag_without_stable_points():
     cfg = TrialConfig(DagFamily(1, 2), trials=10, seed=0)
     report = sample_generic_points(cfg)
-    assert report.unstable_hits == 10
-    assert any("can never reach" in note for note in report.notes)
-    assert report.failed(expect_degenerate=False)
-    assert not report.failed(expect_degenerate=True)
+    assert report.skipped
+    assert report.trials_run == 0
+    assert report.notes == ("skipped: no dag point is stable",)
+    assert not report.failed()
 
 
 def test_path_sampling_deterministic_and_noted():

@@ -1,12 +1,15 @@
-"""The benchmark's tracer hooks still name real functions.
+"""The benchmark's hooks into the package still name real code.
 
 `perfbench/tracer.py` wraps the package functions listed in `TRACED` by
 their module globals and reports each missing one instead of failing, so
-a rename would silently empty a per-layer metric.  This reads `TRACED`
-from the tracer's source without importing or editing it.
+a rename would silently empty a per-layer metric.  `perfbench/reference.py`
+imports package names inside its functions, so a rename would only
+surface midway through a benchmark run.  Both are read from the
+benchmark's source without importing or editing it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +42,34 @@ def test_every_traced_name_is_a_function_its_module_defines():
     ]
     assert missing == [], "traced but not defined: " + ", ".join(missing)
     assert "CounterRng" in _top_level("git_topo.rng", ast.ClassDef)
+
+
+def test_every_package_name_the_benchmark_imports_resolves():
+    imported = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "git_topo"
+            ):
+                imported += [(path.name, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [
+                    (path.name, a.name, None)
+                    for a in node.names
+                    if a.name.startswith("git_topo")
+                ]
+    assert imported
+    missing = [
+        f"{source}: {module}" + (f".{name}" if name else "")
+        for source, module, name in imported
+        if not _resolves(module, name)
+    ]
+    assert missing == [], "imported but not defined: " + ", ".join(missing)
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    return name is None or hasattr(mod, name)

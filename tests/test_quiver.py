@@ -208,6 +208,32 @@ def test_status_matches_brute_force(spec, data):
     assert spec.is_stable_flat(flat) is (expected is Verdict.STABLE)
 
 
+@given(thin_quivers())
+@settings(max_examples=120, deadline=None)
+def test_has_stable_points_matches_brute_force(spec):
+    """A thin verdict depends only on which arrows are nonzero, so V^st is
+    non-empty exactly when some 0/1 point is stable."""
+    live = [i for i, on in enumerate(spec.live_mask()) if on]
+    any_stable = any(
+        brute_force_thin_verdict(
+            ThinQuiverRep(spec, tuple(int(i in chosen) for i in range(len(spec.arrows))))
+        )
+        is Verdict.STABLE
+        for r in range(len(live) + 1)
+        for chosen in combinations(live, r)
+    )
+    assert spec.has_stable_points() is any_stable
+
+
+def test_has_stable_points_kronecker_and_refusals():
+    assert kronecker_spec((1, -1)).has_stable_points()
+    assert not kronecker_spec((-1, 1)).has_stable_points()
+    with pytest.raises(DomainError, match="thin dimension vector"):
+        QuiverSpec(2, ((0, 1),), (2, 1), (1, -2)).has_stable_points()
+    with pytest.raises(DomainError, match="empty support"):
+        QuiverSpec(2, ((0, 1),), (0, 0), (1, -1)).has_stable_points()
+
+
 @given(thin_quivers(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_verdict_invariant_under_scaling(spec, data):
