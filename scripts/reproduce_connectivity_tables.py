@@ -3,7 +3,9 @@
 
 Covers the 2-Kronecker quiver, the controllable-pair family at (n, m) =
 (3, 2) under both orbit conventions, and the star DAG at (n, k) = (10, 3)
-with its low-degree homotopy table.  Everything is recomputed from
+with its low-degree homotopy table.  Each table is one `git-topo
+analyze` command, run through git_topo.cli.main, so the text and the
+--json files are exactly the command's.  Everything is recomputed from
 scratch; nothing is cached or looked up.
 """
 
@@ -13,12 +15,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from git_topo.families.control import ControlFamily
-from git_topo.families.dag import DagFamily
-from git_topo.families.quiver import kronecker_spec
-from git_topo.groups import OrbitConvention
-from git_topo.reports import build_connectivity_report, render_connectivity_text
-from git_topo.serialize import canonical_dumps, report_to_json
+from git_topo.cli import main as git_topo
+
+KRONECKER = ["--arrows", "1->2,1->2", "--dim", "1,1", "--theta", "1,-1"]
 
 
 def main(argv=None) -> int:
@@ -29,31 +28,32 @@ def main(argv=None) -> int:
                         help="also write one canonical JSON report per table into DIR")
     args = parser.parse_args(argv)
 
+    # (title, JSON file name, `git-topo analyze` arguments) per table.
     tables = [
-        ("kronecker quiver, theta = (1, -1)",
-         build_connectivity_report(kronecker_spec())),
-        ("control (n=3, m=2), parabolic",
-         build_connectivity_report(ControlFamily(3, 2), OrbitConvention.PARABOLIC)),
-        ("control (n=3, m=2), centralizer",
-         build_connectivity_report(ControlFamily(3, 2), OrbitConvention.CENTRALIZER)),
-        ("star DAG (n=10, k=3)",
-         build_connectivity_report(DagFamily(10, 3), max_q=args.max_q)),
+        ("kronecker quiver, theta = (1, -1)", "kronecker", ["quiver", *KRONECKER]),
+        ("control (n=3, m=2), parabolic", "control_parabolic",
+         ["control", "--n", "3", "--m", "2", "--orbit-convention", "parabolic"]),
+        ("control (n=3, m=2), centralizer", "control_centralizer",
+         ["control", "--n", "3", "--m", "2", "--orbit-convention", "centralizer"]),
+        ("star DAG (n=10, k=3)", "dag",
+         ["dag", "--samples", "10", "--parents", "3", "--max-q", str(args.max_q)]),
     ]
 
-    for title, report in tables:
+    if args.json:
+        Path(args.json).mkdir(parents=True, exist_ok=True)
+    written = []
+    for title, name, analyze_args in tables:
         print(f"== {title} ==")
-        for line in render_connectivity_text(report):
-            print(line)
+        if args.json:
+            written.append(Path(args.json) / f"{name}.json")
+            analyze_args = [*analyze_args, "--json", str(written[-1])]
+        code = git_topo(["analyze", *analyze_args])
+        if code:
+            return code
         print()
 
-    if args.json:
-        out_dir = Path(args.json)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        names = ["kronecker", "control_parabolic", "control_centralizer", "dag"]
-        for name, (_, report) in zip(names, tables):
-            path = out_dir / f"{name}.json"
-            path.write_text(canonical_dumps(report_to_json(report)) + "\n")
-            print(f"wrote {path}")
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

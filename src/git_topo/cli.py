@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from git_topo.errors import GitTopoError, SchemaError
-from git_topo.families import FAMILIES, DagFamily, DagInstance, dag_stabilize
-from git_topo.families.base import parse_int_list, rational_to_str
+from git_topo.families import FAMILIES, DagInstance, dag_stabilize
+from git_topo.families.base import parse_int_list, rational_from_json, rational_to_str
 from git_topo.families.dag import dag_solve_mle
 from git_topo.groups import OrbitConvention
 from git_topo.harness import (
@@ -45,13 +44,6 @@ from git_topo.serialize import (
     report_to_json,
     status_to_json,
 )
-
-
-def _parse_rational(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{flag}: {text!r} is not a rational p/q") from None
 
 
 def _family_from_args(args: argparse.Namespace):
@@ -115,7 +107,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.stabilize:
         if not isinstance(instance, DagInstance):
             raise SchemaError("--stabilize applies to DAG instance files")
-        eps = _parse_rational(args.epsilon, "--epsilon")
+        eps = rational_from_json(args.epsilon, "--epsilon")
         working = dag_stabilize(instance, eps)
         payload["stabilized"] = instance_to_json(working)
         payload["epsilon"] = rational_to_str(eps)
@@ -165,8 +157,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         )
         degen_cfg = None
         if args.degenerate_trials > 0:
-            if not isinstance(spec, DagFamily):
-                raise SchemaError("--degenerate-trials applies to the dag family")
             degen_cfg = TrialConfig(
                 family_spec=spec,
                 trials=args.degenerate_trials,

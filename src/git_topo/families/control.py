@@ -166,8 +166,6 @@ class ControlInstance:
             raise ShapeError(f"A must be {self.n}x{self.n}")
         if (self.b.rows, self.b.cols) != (self.n, self.m):
             raise ShapeError(f"B must be {self.n}x{self.m}")
-        if self.a.has_complex_entries() or self.b.has_complex_entries():
-            raise DomainError("control instances are rational, not complex")
 
     def family(self) -> ControlFamily:
         return ControlFamily(self.n, self.m)
@@ -203,15 +201,11 @@ def control_status(inst: ControlInstance) -> StabilityStatus:
 
     The rank of the controllability matrix is invariant under scaling A
     and B separately (each Krylov block only picks up a scalar), so both
-    are integerized first and the rank runs fraction-free.
+    are integerized first, each by one scale, and the rank runs
+    fraction-free.
     """
-    # One scale per matrix, not per row: row scaling of A is not a change
-    # of basis and would change the Krylov rank.
     r = controllability_rank_ints(
-        inst.n,
-        inst.m,
-        integer_rows(inst.a.to_rows(), common_scale=True),
-        integer_rows(inst.b.to_rows(), common_scale=True),
+        inst.n, inst.m, integer_rows(inst.a.to_rows()), integer_rows(inst.b.to_rows())
     )
     if r == inst.n:
         return StabilityStatus.stable(rank=r)

@@ -160,8 +160,6 @@ class DagInstance:
     def __post_init__(self) -> None:
         if (self.y.rows, self.y.cols) != (self.n, self.k + 1):
             raise ShapeError(f"Y must be {self.n}x{self.k + 1}")
-        if self.y.has_complex_entries():
-            raise DomainError("DAG instances are rational, not complex")
 
     def family(self) -> DagFamily:
         return DagFamily(self.n, self.k)
@@ -209,13 +207,10 @@ def dag_status(inst: DagInstance) -> StabilityStatus:
 def dag_solve_mle(inst: DagInstance) -> tuple[Fraction, ...]:
     """Solve the normal equations X^T X beta = X^T y exactly.
 
-    Requires a Stable instance; the Gram matrix is then nonsingular and
-    the regression coefficients are unique.
+    Requires a Stable instance.  Over Q the Gram matrix is singular
+    exactly when the parent block has rank below k, so the solve itself
+    decides stability, and the regression coefficients are then unique.
     """
-    if not dag_status(inst).is_stable:
-        raise PreconditionError(
-            "MLE solve requires a full-rank parent block; stabilize first"
-        )
     x = inst.parent_block()
     gram = x.transpose() @ x
     child = inst.child_column()
@@ -224,7 +219,12 @@ def dag_solve_mle(inst: DagInstance) -> tuple[Fraction, ...]:
             Fraction(0))
         for j in range(inst.k)
     ]
-    return solve_square(gram, rhs)
+    try:
+        return solve_square(gram, rhs)
+    except DomainError:
+        raise PreconditionError(
+            "MLE solve requires a full-rank parent block; stabilize first"
+        ) from None
 
 
 def dag_stabilize(inst: DagInstance, eps: Fraction | int) -> DagInstance:

@@ -80,7 +80,10 @@ class QuiverSpec:
             raise DomainError("quiver needs at least one vertex")
         for s, t in self.arrows:
             if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
-                raise DomainError(f"arrow ({s}, {t}) leaves the vertex range")
+                raise DomainError(
+                    f"arrow {s + 1}->{t + 1}: vertex out of range "
+                    f"1..{self.vertex_count}"
+                )
         if len(self.dim_vector) != self.vertex_count:
             raise ShapeError("dimension vector length must equal vertex count")
         if len(self.theta) != self.vertex_count:
@@ -142,15 +145,7 @@ class QuiverSpec:
     def from_args(cls, args) -> "QuiverSpec":
         dim = parse_int_list(args.dim, "--dim")
         theta = parse_int_list(args.theta, "--theta")
-        arrows = _parse_arrows(args.arrows)
-        vertices = len(dim)
-        for s, t in arrows:
-            if s >= vertices or t >= vertices:
-                raise SchemaError(
-                    f"--arrows: vertex {max(s, t) + 1} exceeds the vertex count "
-                    f"{vertices} implied by --dim"
-                )
-        return cls(vertices, arrows, dim, theta)
+        return cls(len(dim), _parse_arrows(args.arrows), dim, theta)
 
     def to_json(self) -> dict:
         return {
@@ -163,22 +158,16 @@ class QuiverSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuiverSpec":
-        vertices = require_int(data.get("vertices"), "vertices", 1)
+        vertices = require_int(data.get("vertices"), "vertices")
         arrows = []
         for i, pair in enumerate(require_list(data.get("arrows"), "arrows")):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"arrows[{i}]: expected a [source, target] pair")
-            s = require_int(pair[0], f"arrows[{i}][0]", 1)
-            t = require_int(pair[1], f"arrows[{i}][1]", 1)
-            if s > vertices or t > vertices:
-                raise SchemaError(f"arrows[{i}]: vertex out of range 1..{vertices}")
+            s = require_int(pair[0], f"arrows[{i}][0]")
+            t = require_int(pair[1], f"arrows[{i}][1]")
             arrows.append((s - 1, t - 1))
         dim = int_list(data.get("dim"), "dim")
         theta = int_list(data.get("theta"), "theta")
-        if len(dim) != vertices:
-            raise SchemaError("dim: length must equal the vertex count")
-        if len(theta) != vertices:
-            raise SchemaError("theta: length must equal the vertex count")
         try:
             return cls(vertices, tuple(arrows), dim, theta)
         except GitTopoError as exc:
@@ -188,8 +177,6 @@ class QuiverSpec:
     def instance_from_json(cls, data: dict) -> "ThinQuiverRep":
         spec = cls.from_json(data)
         raw = require_list(data.get("values"), "values")
-        if len(raw) != len(spec.arrows):
-            raise SchemaError("values: need exactly one value per arrow")
         values = tuple(complex_from_json(v, f"values[{i}]") for i, v in enumerate(raw))
         try:
             return ThinQuiverRep(spec, values)
@@ -269,10 +256,7 @@ def _parse_arrows(text: str) -> tuple[tuple[int, int], ...]:
             raise SchemaError(
                 f"--arrows: {token!r} is not of the form 's->t' (1-indexed)"
             )
-        s, t = int(match.group(1)), int(match.group(2))
-        if s < 1 or t < 1:
-            raise SchemaError("--arrows: vertices are 1-indexed")
-        arrows.append((s - 1, t - 1))
+        arrows.append((int(match.group(1)) - 1, int(match.group(2)) - 1))
     return tuple(arrows)
 
 

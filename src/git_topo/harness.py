@@ -327,7 +327,7 @@ def check_degenerate_config(cfg: TrialConfig) -> None:
     """Raise unless detect_constructed_degenerates can run cfg."""
     spec = cfg.family_spec
     if not isinstance(spec, DagFamily):
-        raise PreconditionError("constructed degenerates are a DAG-family check")
+        raise PreconditionError("constructed degenerates apply to the dag family only")
     if spec.k < 2:
         raise PreconditionError(
             "rank-(k-1) construction needs k >= 2 parent columns"

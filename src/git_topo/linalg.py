@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Everything here is exact.  Scalars are Python ints or fractions.Fraction
-values; no floating point appears anywhere in the package.
-ComplexRational is the exact Gaussian-rational value of a thin quiver
-arrow; the package only stores and encodes it and tests it against
-zero, so it carries no arithmetic.  Ranks are computed by fraction-free
-(Bareiss) elimination after clearing denominators (integer_rows, then
-int_rank).  The module also carries the handful of solvers the model
-families need (null spaces, pivot columns, square solves), and the
-polynomial arithmetic over F_p, p = 2^61 - 1, behind the path
-certificates (products, determinants, gcds and a root scan).
+Everything here is exact, under one rule for what a scalar is: an int
+that is not a bool, or a fractions.Fraction (is_rational).  Matrix
+entries and both parts given to ComplexRational.of must obey it; a
+float, a bool or a string raises DomainError, so no floating point
+enters the package.  A Matrix carries no complex entries: it refuses a
+ComplexRational too.  ComplexRational is the exact Gaussian-rational
+value of a thin quiver arrow; the package only stores and encodes it
+and tests it against zero, so it carries no arithmetic.  Ranks are
+computed by fraction-free (Bareiss) elimination after clearing
+denominators (integer_rows, then int_rank).  The module also carries
+the handful of solvers the model families need (null spaces, pivot
+columns, square solves), and the polynomial arithmetic over F_p,
+p = 2^61 - 1, behind the path certificates (products, determinants,
+gcds and a root scan).
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
 >>> int_rank(m.to_rows())
@@ -31,6 +35,11 @@ from git_topo.errors import DomainError, ShapeError
 Rational = int | Fraction
 
 
+def is_rational(value: object) -> bool:
+    """The one rule for an exact scalar: an int that is not a bool, or a Fraction."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ComplexRational:
     """An exact Gaussian rational a + b*i with a, b in Q."""
@@ -44,8 +53,9 @@ class ComplexRational:
             if im:
                 raise ValueError("cannot attach an imaginary part to a complex value")
             return value
-        if isinstance(value, (float, bool)) or isinstance(im, (float, bool)):
-            raise DomainError("a float or bool is not an exact rational")
+        for part in (value, im):
+            if not is_rational(part):
+                raise DomainError(f"{part!r} is not an exact rational")
         return ComplexRational(Fraction(value), Fraction(im))
 
     def is_zero(self) -> bool:
@@ -55,12 +65,9 @@ class ComplexRational:
         return not self.is_zero()
 
 
-Scalar = Rational | ComplexRational
-
-
 @dataclass(frozen=True)
 class Matrix:
-    """Dense immutable matrix with exact entries, stored row-major."""
+    """Dense immutable matrix with exact rational entries, stored row-major."""
 
     rows: int
     cols: int
@@ -74,19 +81,22 @@ class Matrix:
                 f"expected {self.rows * self.cols} entries for a "
                 f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
             )
+        for e in self.entries:
+            if not is_rational(e):
+                raise DomainError(f"matrix entry {e!r} is not an exact rational")
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence[Scalar]]) -> "Matrix":
+    def from_rows(cls, data: Sequence[Sequence[Rational]]) -> "Matrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        flat: list[Scalar] = []
+        flat: list[Rational] = []
         for r in data:
             if len(r) != cols:
                 raise ShapeError("ragged rows")
             flat.extend(r)
         return cls(rows, cols, tuple(flat))
 
-    def at(self, i: int, j: int) -> Scalar:
+    def at(self, i: int, j: int) -> Rational:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
@@ -95,7 +105,7 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Scalar]]:
+    def to_rows(self) -> list[list[Rational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
@@ -110,37 +120,25 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        flat: list[Scalar] = []
+        flat: list[Rational] = []
         for i in range(self.rows):
             left = self.row(i)
             for j in range(other.cols):
-                acc: Scalar = 0
+                acc: Rational = 0
                 for k in range(self.cols):
                     acc = acc + left[k] * other.at(k, j)
                 flat.append(acc)
         return Matrix(self.rows, other.cols, tuple(flat))
 
-    def has_complex_entries(self) -> bool:
-        return any(isinstance(e, ComplexRational) for e in self.entries)
 
+def integer_rows(data: Sequence[Sequence[Rational]]) -> list[list[int]]:
+    """Clear denominators: scale the matrix by the lcm of all its denominators.
 
-def integer_rows(
-    data: Sequence[Sequence[Rational]], common_scale: bool = False
-) -> list[list[int]]:
-    """Clear denominators: scale each row by the lcm of its denominators.
-
-    Row scaling preserves the rank.  With common_scale every row gets the
-    one lcm over the whole matrix instead, which also preserves products
-    of the matrix with itself.
+    One scale for the whole matrix preserves its rank and also the
+    products of the matrix with itself, such as Krylov blocks.
     """
-    if common_scale:
-        scale = math.lcm(*(e.denominator for row in data for e in row))
-        return [[int(e * scale) for e in row] for row in data]
-    out: list[list[int]] = []
-    for row in data:
-        scale = math.lcm(*(e.denominator for e in row))
-        out.append([int(e * scale) for e in row])
-    return out
+    scale = math.lcm(*(e.denominator for row in data for e in row))
+    return [[int(e * scale) for e in row] for row in data]
 
 
 def int_rank(data: list[list[int]]) -> int:
@@ -213,8 +211,6 @@ def _rref(data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def _to_fraction_rows(matrix: Matrix) -> list[list[Fraction]]:
-    if matrix.has_complex_entries():
-        raise DomainError("rational-only routine applied to a complex matrix")
     return [[Fraction(e) for e in matrix.row(i)] for i in range(matrix.rows)]
 
 

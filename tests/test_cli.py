@@ -237,6 +237,22 @@ def test_check_mle_exact_values(capsys, tmp_path):
     assert read_json(out_file)["mle"] == ["0", "1"]
 
 
+@pytest.mark.parametrize("eps", ["0.001", "1e-3", " 1/1000 "])
+def test_check_epsilon_is_p_over_q_only(capsys, tmp_path, eps):
+    inst_file = tmp_path / "dag.json"
+    inst_file.write_text(
+        json.dumps({"family": "dag", "n": 2, "k": 1, "Y": [["1", "0"], ["1", "0"]]})
+    )
+    out_file = tmp_path / "out.json"
+    code, _, err = run(
+        capsys, "check", str(inst_file), "--stabilize", f"--epsilon={eps}",
+        "--json", str(out_file),
+    )
+    assert code == 2
+    assert "--epsilon: malformed rational string" in err
+    assert read_json(out_file)["error"]["type"] == "SchemaError"
+
+
 def test_check_stabilize_rejects_non_dag(capsys, tmp_path):
     inst_file = tmp_path / "ctrl.json"
     inst_file.write_text(
@@ -482,6 +498,15 @@ def test_bad_arrow_syntax(capsys):
     )
     assert code == 2
     assert "1-indexed" in err or "not of the form" in err
+
+
+@pytest.mark.parametrize("arrow", ["1->3", "0->1"])
+def test_quiver_arrow_out_of_range(capsys, arrow):
+    code, _, err = run(
+        capsys, "analyze", "quiver", "--arrows", arrow, "--dim", "1,1", "--theta", "1,-1"
+    )
+    assert code == 2
+    assert f"arrow {arrow}: vertex out of range 1..2" in err
 
 
 def test_unwritable_json_path_exits_2(capsys, tmp_path):

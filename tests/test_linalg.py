@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from git_topo.linalg import (
     PRIME,
+    ComplexRational,
     Matrix,
     column_pivots,
     int_rank,
@@ -150,6 +151,25 @@ def test_matrix_shape_errors():
     b = Matrix.from_rows([[1], [2], [3]])
     with pytest.raises(ShapeError):
         a @ b
+
+
+@pytest.mark.parametrize(
+    "entry", [0.5, True, "1", ComplexRational.of(1, 1)],
+    ids=["float", "bool", "str", "complex"],
+)
+def test_matrix_refuses_inexact_entries(entry):
+    with pytest.raises(DomainError, match="not an exact rational"):
+        Matrix(1, 2, (1, entry))
+
+
+def test_complex_rational_refuses_a_string():
+    with pytest.raises(DomainError, match="not an exact rational"):
+        ComplexRational.of("1/2")
+
+
+def test_integer_rows_scales_the_whole_matrix_once():
+    # One lcm, 6, for every row: row 0 alone would need only 2.
+    assert integer_rows([[Fraction(1, 2), 1], [Fraction(1, 3), 0]]) == [[3, 6], [2, 0]]
 
 
 def test_hstack_and_transpose():
