@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping
 
 from git_topo.errors import SchemaError, SizeLimitError
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
-from git_topo.linalg import ComplexRational, Matrix
+from git_topo.linalg import ComplexRational, Matrix, is_integer
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -36,10 +36,20 @@ MAX_STRATUM_WORK = 2**22
 # for DAG, two per arrow for a quiver.  On a 2-CPU x86 machine a trial at
 # the limit drew its point in 35-50 ms and checked it in 10-180 ms:
 # 130-180 ms at control (3, 21842), 15-21 ms at DAG (16384, 3), 10-11 ms
-# on a 32768-arrow Kronecker quiver.  Square control shapes stay far below
-# the limit yet cost more, since the Krylov rank grows steeply in n
-# (57 ms at n = 40, 0.7 s at n = 60, 21 s at n = 100, with m = 1).
+# on a 32768-arrow Kronecker quiver.  Square control shapes stay below
+# the limit, and with the Krylov certificate mod p a trial there cost
+# 7 ms at n = 40, 18 ms at n = 60, 54 ms at n = 100 and 0.63 s at
+# n = 250, with m = 1 (exact Bareiss alone took 21 s at n = 100).
 MAX_POINT_ENTRIES = 2**16
+
+# Most work, point checks x integers per point, one control verify run
+# accepts (generic trials plus path points).  On a 2-CPU x86 machine a
+# control trial cost 4-23 us per integer of its point: 61 us at (3, 2),
+# 7.5 ms at (40, 2), 54 ms at (100, 1), 0.63 s at (250, 1), and the most,
+# 44 ms, at (9, 200), below the Krylov certificate's crossover.  So a run
+# at the limit takes one to six minutes; it accepts 2^20 trials at (3, 2)
+# and about 1700 at (100, 1).
+MAX_TRIAL_WORK = 2**24
 
 
 def rational_to_str(value: int | Fraction) -> str:
@@ -101,7 +111,7 @@ def matrix_from_json(value: Any, rows: int, cols: int, field: str) -> Matrix:
 
 
 def require_int(value: Any, field: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise SchemaError(f"{field}: expected an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{field}: must be at least {minimum}")
@@ -201,6 +211,15 @@ def check_point_size(entries: int) -> None:
         raise SizeLimitError(
             f"a point of {entries} integers refused: the limit is "
             f"{MAX_POINT_ENTRIES}"
+        )
+
+
+def check_trial_work(checks: int, entries: int) -> None:
+    """Refuse, before anything is drawn, a run past MAX_TRIAL_WORK."""
+    if checks * entries > MAX_TRIAL_WORK:
+        raise SizeLimitError(
+            f"{checks} point checks x {entries} integers per point refused: "
+            f"the limit is {MAX_TRIAL_WORK}"
         )
 
 

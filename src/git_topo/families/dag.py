@@ -14,6 +14,7 @@ torus, leaving the child in non-negative weight.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -34,7 +35,7 @@ from git_topo.linalg import (
     Matrix,
     column_pivots,
     int_rank,
-    integer_rows,
+    integer_columns,
     minor_gcd,
     nullspace,
     poly_mod,
@@ -109,6 +110,9 @@ class DagFamily:
 
     draw_generic = draw_flat
 
+    def check_trial_work(self, checks: int) -> None:
+        """No work limit: the trial and point limits alone bound a DAG run."""
+
     def instance_from_flat(self, flat: Sequence[int]) -> "DagInstance":
         return DagInstance(self.n, self.k, Matrix(self.n, self.k + 1, tuple(flat)))
 
@@ -179,9 +183,6 @@ class DagInstance:
             ),
         )
 
-    def child_column(self) -> tuple:
-        return self.y.col(self.k)
-
 
 def parent_rank_ints(n: int, k: int, y_flat: Sequence[int]) -> int:
     """Rank of the parent block from flat integer Y entries (fast path)."""
@@ -190,9 +191,14 @@ def parent_rank_ints(n: int, k: int, y_flat: Sequence[int]) -> int:
 
 
 def dag_status(inst: DagInstance) -> StabilityStatus:
-    """Stable exactly when the parent block has full column rank."""
-    x = inst.parent_block()
-    r = int_rank(integer_rows(x.to_rows()))
+    """Stable exactly when the parent block has full column rank.
+
+    Each column is cleared of denominators on its own, which keeps the
+    rank and keeps the entries of a stabilized sample small outside its
+    repaired columns.
+    """
+    rows, _ = integer_columns(inst.y)
+    r = int_rank([row[: inst.k] for row in rows])
     if r == inst.k:
         return StabilityStatus.stable(rank=r)
     return StabilityStatus.not_stable(
@@ -210,21 +216,24 @@ def dag_solve_mle(inst: DagInstance) -> tuple[Fraction, ...]:
     Requires a Stable instance.  Over Q the Gram matrix is singular
     exactly when the parent block has rank below k, so the solve itself
     decides stability, and the regression coefficients are then unique.
+    With Y cleared column by column into Z = [Z_X | z], X = Z_X D^-1 and
+    y = z / s for the column scales D = diag(s_j) and s, so the integer
+    system Z_X^T Z_X gamma = Z_X^T z gives beta_j = s_j gamma_j / s.
     """
-    x = inst.parent_block()
-    gram = x.transpose() @ x
-    child = inst.child_column()
-    rhs = [
-        sum((Fraction(x.at(i, j)) * Fraction(child[i]) for i in range(inst.n)),
-            Fraction(0))
-        for j in range(inst.k)
+    k = inst.k
+    rows, scales = integer_columns(inst.y)
+    cols = list(zip(*rows))
+    gram = [
+        [sum(map(operator.mul, cols[i], cols[j])) for j in range(k)] for i in range(k)
     ]
+    rhs = [sum(map(operator.mul, cols[i], cols[k])) for i in range(k)]
     try:
-        return solve_square(gram, rhs)
+        gamma = solve_square(Matrix.from_rows(gram), rhs)
     except DomainError:
         raise PreconditionError(
             "MLE solve requires a full-rank parent block; stabilize first"
         ) from None
+    return tuple(g * s / scales[k] for g, s in zip(gamma, scales))
 
 
 def dag_stabilize(inst: DagInstance, eps: Fraction | int) -> DagInstance:

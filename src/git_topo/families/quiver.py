@@ -42,7 +42,7 @@ from git_topo.families.base import (
     strata_from_classes,
 )
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
-from git_topo.linalg import ComplexRational
+from git_topo.linalg import ComplexRational, is_integer
 
 MAX_VERTICES_FOR_SUBSET_SCAN = 20
 
@@ -71,11 +71,18 @@ class QuiverSpec:
     DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows)
-        )
-        object.__setattr__(self, "dim_vector", tuple(int(d) for d in self.dim_vector))
-        object.__setattr__(self, "theta", tuple(int(a) for a in self.theta))
+        object.__setattr__(self, "arrows", tuple((s, t) for s, t in self.arrows))
+        object.__setattr__(self, "dim_vector", tuple(self.dim_vector))
+        object.__setattr__(self, "theta", tuple(self.theta))
+        for what, values in (
+            ("vertex count", (self.vertex_count,)),
+            ("arrow endpoint", [v for arrow in self.arrows for v in arrow]),
+            ("dimension", self.dim_vector),
+            ("stability parameter", self.theta),
+        ):
+            for value in values:
+                if not is_integer(value):
+                    raise DomainError(f"{what} {value!r} is not an integer")
         if self.vertex_count < 1:
             raise DomainError("quiver needs at least one vertex")
         for s, t in self.arrows:
@@ -213,6 +220,9 @@ class QuiverSpec:
         while has_live and not any(flat):
             flat = self.draw_flat(rng, bound)
         return flat
+
+    def check_trial_work(self, checks: int) -> None:
+        """No work limit: the trial and point limits alone bound a quiver run."""
 
     def instance_from_flat(self, flat: Sequence[int]) -> "ThinQuiverRep":
         values = tuple(

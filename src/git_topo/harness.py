@@ -56,13 +56,15 @@ MAX_ENDPOINT_ATTEMPTS = 1000
 # 2-CPU x86 machine, and radius 16 is the first one refused.
 MAX_KRONECKER_GRID_POINTS = 2**20
 # Most generic-point trials, path points (paths x path_samples) and
-# constructed degenerate trials one run accepts, each about a minute of
-# work on the same machine: a generic trial costs 40-80 us at control
-# (3, 2), DAG (10, 3) and Kronecker sizes, and a degenerate DAG (10, 3)
-# trial, which stabilizes with fractions, 1 ms.  A path point at those
-# sizes costs 0.4-2.4 us on a certified control or DAG path of 256
-# samples, 35-50 us when every sample of such a path is a suspect, and
-# about 8.5 us on a Kronecker path, which is always checked pointwise.
+# constructed degenerate trials one run accepts, each at most about a
+# minute of work on the same machine: a generic trial costs 40-80 us at
+# control (3, 2), DAG (10, 3) and Kronecker sizes, and a degenerate DAG
+# (10, 3) trial, which stabilizes by fraction-free elimination,
+# 0.3-0.5 ms.  A path point at those sizes costs 0.4-2.4 us on a
+# certified control or DAG path of 256 samples, 35-50 us when every
+# sample of such a path is a suspect, and about 8.5 us on a Kronecker
+# path, which is always checked pointwise.  Control runs at larger n
+# also meet base.MAX_TRIAL_WORK.
 MAX_TRIALS = 2**20
 MAX_PATH_POINTS = 2**20
 MAX_DEGENERATE_TRIALS = 2**16
@@ -114,6 +116,8 @@ class TrialConfig:
                 f"{points} path points (paths x path samples) refused: "
                 f"the limit is {MAX_PATH_POINTS}"
             )
+        # Generic trials plus path points, each one point check.
+        self.family_spec.check_trial_work(self.trials + self.paths * self.path_samples)
 
 
 @dataclass(frozen=True)

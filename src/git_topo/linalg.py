@@ -9,11 +9,13 @@ ComplexRational too.  ComplexRational is the exact Gaussian-rational
 value of a thin quiver arrow; the package only stores and encodes it
 and tests it against zero, so it carries no arithmetic.  Ranks are
 computed by fraction-free (Bareiss) elimination after clearing
-denominators (integer_rows, then int_rank).  The module also carries
-the handful of solvers the model families need (null spaces, pivot
-columns, square solves), and the polynomial arithmetic over F_p,
-p = 2^61 - 1, behind the path certificates (products, determinants,
-gcds and a root scan).
+denominators (integer_rows or integer_columns, then int_rank).  The
+solvers the model families need (pivot columns, null spaces, square
+solves) share one fraction-free Gauss-Jordan elimination on integer
+rows, each row cleared of denominators on its own; a Fraction is built
+only for each entry of the answer.  The module also carries the
+polynomial arithmetic over F_p, p = 2^61 - 1, behind the path
+certificates (products, determinants, gcds and a root scan).
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
 >>> int_rank(m.to_rows())
@@ -28,16 +30,21 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from git_topo.errors import DomainError, ShapeError
 
 Rational = int | Fraction
 
 
+def is_integer(value: object) -> bool:
+    """The one rule for an exact integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_rational(value: object) -> bool:
-    """The one rule for an exact scalar: an int that is not a bool, or a Fraction."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    """The one rule for an exact scalar: an exact integer or a Fraction."""
+    return is_integer(value) or isinstance(value, Fraction)
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class ComplexRational:
     def of(value: "ComplexRational | Rational", im: Rational = 0) -> "ComplexRational":
         if isinstance(value, ComplexRational):
             if im:
-                raise ValueError("cannot attach an imaginary part to a complex value")
+                raise DomainError("cannot attach an imaginary part to a complex value")
             return value
         for part in (value, im):
             if not is_rational(part):
@@ -135,10 +142,28 @@ def integer_rows(data: Sequence[Sequence[Rational]]) -> list[list[int]]:
     """Clear denominators: scale the matrix by the lcm of all its denominators.
 
     One scale for the whole matrix preserves its rank and also the
-    products of the matrix with itself, such as Krylov blocks.
+    products of the matrix with itself, such as Krylov blocks.  Where
+    only the rank of some columns matters, integer_columns keeps the
+    entries smaller.
     """
     scale = math.lcm(*(e.denominator for row in data for e in row))
     return [[int(e * scale) for e in row] for row in data]
+
+
+def integer_columns(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators column by column: (integer rows, column scales).
+
+    Column j is scaled by the lcm of its own denominators.  Scaling
+    columns preserves the rank of every block of columns, and a column
+    with small denominators stays small when another one has big ones.
+    """
+    scales = [
+        math.lcm(*(e.denominator for e in matrix.col(j))) for j in range(matrix.cols)
+    ]
+    return [
+        [e.numerator * (s // e.denominator) for e, s in zip(matrix.row(i), scales)]
+        for i in range(matrix.rows)
+    ], scales
 
 
 def int_rank(data: list[list[int]]) -> int:
@@ -147,7 +172,9 @@ def int_rank(data: list[list[int]]) -> int:
     Mutates its argument.  Division by the previous pivot is exact: after
     k elimination steps every remaining entry is a (k+1)-minor of the
     original matrix (Sylvester's identity), and skipping pivotless columns
-    does not disturb that invariant.
+    does not disturb that invariant.  This is the forward half of
+    _gauss_jordan, which also clears above each pivot; a rank needs only
+    the forward half.
     """
     nrows = len(data)
     if nrows == 0:
@@ -180,45 +207,56 @@ def int_rank(data: list[list[int]]) -> int:
     return rank
 
 
-def _rref(data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form over Q; returns (rows, pivot columns)."""
+def _integer_row(row: Sequence[Rational]) -> list[int]:
+    """The row scaled by the lcm of its own denominators."""
+    scale = math.lcm(*(e.denominator for e in row))
+    return [e.numerator * (scale // e.denominator) for e in row]
+
+
+def _gauss_jordan(
+    rows: Iterable[Sequence[Rational]],
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+
+    Each row is first cleared of denominators on its own, which keeps
+    the reduced row echelon form.  Returns (integer rows, pivot columns,
+    d) with that form equal to rows / d.  Each step turns every other
+    row r into (pivot * r - r[col] * top) / prev, above the pivot row as
+    well as below, and that division is exact as it is in int_rank:
+    every entry stays a minor of the cleared matrix (Bareiss 1968).  A
+    pivot row keeps the current pivot in its pivot column, so at the end
+    every pivot entry is the last pivot d and the rows past the rank are
+    zero.
+    """
+    data = [_integer_row(row) for row in rows]
     nrows = len(data)
     ncols = len(data[0]) if nrows else 0
     pivots: list[int] = []
-    rank_so_far = 0
+    prev = 1
     for col in range(ncols):
-        pivot_row = None
-        for r in range(rank_so_far, nrows):
-            if data[r][col]:
-                pivot_row = r
-                break
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, nrows) if data[r][col]), None)
         if pivot_row is None:
             continue
-        if pivot_row != rank_so_far:
-            data[pivot_row], data[rank_so_far] = data[rank_so_far], data[pivot_row]
-        inv = data[rank_so_far][col]
-        data[rank_so_far] = [e / inv for e in data[rank_so_far]]
-        top = data[rank_so_far]
+        if pivot_row != rank:
+            data[pivot_row], data[rank] = data[rank], data[pivot_row]
+        top = data[rank]
+        pivot = top[col]
         for r in range(nrows):
-            if r != rank_so_far and data[r][col]:
-                factor = data[r][col]
-                data[r] = [e - factor * t for e, t in zip(data[r], top)]
+            lead = data[r][col]
+            if r == rank or not lead and pivot == prev:
+                continue
+            data[r] = [(pivot * e - lead * t) // prev for e, t in zip(data[r], top)]
+        prev = pivot
         pivots.append(col)
-        rank_so_far += 1
-        if rank_so_far == nrows:
+        if len(pivots) == nrows:
             break
-    return data, pivots
-
-
-def _to_fraction_rows(matrix: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(e) for e in matrix.row(i)] for i in range(matrix.rows)]
+    return data, pivots, prev
 
 
 def column_pivots(matrix: Matrix) -> tuple[int, ...]:
     """Pivot column indices of the reduced row echelon form."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return ()
-    _, pivots = _rref(_to_fraction_rows(matrix))
+    _, pivots, _ = _gauss_jordan(matrix.row(i) for i in range(matrix.rows))
     return tuple(pivots)
 
 
@@ -228,13 +266,7 @@ def nullspace(matrix: Matrix) -> list[tuple[Fraction, ...]]:
     Deterministic: vectors are returned in increasing free-column order,
     each with a 1 in its free coordinate.
     """
-    if matrix.cols == 0:
-        return []
-    if matrix.rows == 0:
-        rows: list[list[Fraction]] = [[Fraction(0)] * matrix.cols]
-    else:
-        rows = _to_fraction_rows(matrix)
-    rref, pivots = _rref(rows)
+    rows, pivots, d = _gauss_jordan(matrix.row(i) for i in range(matrix.rows))
     pivot_set = set(pivots)
     basis: list[tuple[Fraction, ...]] = []
     for free in range(matrix.cols):
@@ -243,25 +275,29 @@ def nullspace(matrix: Matrix) -> list[tuple[Fraction, ...]]:
         vec = [Fraction(0)] * matrix.cols
         vec[free] = Fraction(1)
         for r, c in enumerate(pivots):
-            vec[c] = -rref[r][free]
+            vec[c] = Fraction(-rows[r][free], d)
         basis.append(tuple(vec))
     return basis
 
 
 def solve_square(matrix: Matrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...]:
-    """Solve M x = rhs for square nonsingular M over Q."""
+    """Solve M x = rhs for square nonsingular M over Q.
+
+    Scaling a row of the augmented system [M | rhs] keeps its solution,
+    so _gauss_jordan may clear each row of denominators on its own.
+    """
     n = matrix.rows
     if matrix.cols != n:
         raise ShapeError("solve_square needs a square matrix")
     if len(rhs) != n:
         raise ShapeError("right-hand side length must match the matrix size")
-    aug = _to_fraction_rows(matrix)
-    for i, value in enumerate(rhs):
-        aug[i].append(Fraction(value))
-    reduced, pivots = _rref(aug)
+    for value in rhs:
+        if not is_rational(value):
+            raise DomainError(f"right-hand side {value!r} is not an exact rational")
+    rows, pivots, d = _gauss_jordan((*matrix.row(i), rhs[i]) for i in range(n))
     if len(pivots) != n or any(c >= n for c in pivots):
         raise DomainError("matrix is singular; no unique solution")
-    return tuple(reduced[r][n] for r in range(n))
+    return tuple(Fraction(rows[r][n], d) for r in range(n))
 
 
 # Polynomials over F_p, p = 2^61 - 1, for the path certificates: a list of

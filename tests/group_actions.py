@@ -20,7 +20,7 @@ def act_control(inst: ControlInstance, g: Matrix, g_inv: Matrix) -> ControlInsta
 
 def act_dag(inst: DagInstance, h: Matrix, torus_sign: int) -> DagInstance:
     mixed = inst.parent_block() @ h
-    child = inst.child_column()
+    child = inst.y.col(inst.k)
     rows = [
         list(mixed.row(i)) + [torus_sign * child[i]] for i in range(inst.n)
     ]

@@ -663,3 +663,17 @@ def test_verify_refuses_a_point_past_the_entry_limit(argv, entries, capsys, tmp_
     assert code == 2 and out == ""
     assert f"a point of {entries} integers refused" in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+def test_verify_control_refuses_a_run_past_the_work_limit(capsys, tmp_path):
+    # 2000 trials of 10100 integers each: about two minutes at n = 100.
+    out_file = tmp_path / "err.json"
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "verify", "control", "--n", "100", "--m", "1", "--trials", "2000",
+        "--json", str(out_file),
+    )
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert "2000 point checks x 10100 integers per point refused" in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.control import (
+    MIN_KRYLOV_CERTIFIED_N,
     ControlFamily,
     ControlInstance,
     control_status,
@@ -16,7 +17,10 @@ from git_topo.families.control import (
     one_ps_for_subspace,
 )
 from git_topo.groups import OnePSClass, OrbitConvention
-from git_topo.linalg import Matrix
+from git_topo.linalg import PRIME, Matrix
+from git_topo.rng import CounterRng
+
+from group_actions import unimodular_from_stream
 
 
 def fraction_rank(rows):
@@ -201,3 +205,69 @@ def test_verdict_invariant_under_scalar_scaling(pair, scale):
         [[x * scale for x in row] for row in b],
     )
     assert control_status(inst).verdict is control_status(scaled).verdict
+
+
+# Pairs at the size where the rank check first tries its certificate mod p.
+
+
+@pytest.mark.parametrize(
+    "reach", [MIN_KRYLOV_CERTIFIED_N, MIN_KRYLOV_CERTIFIED_N - 3]
+)
+def test_pairs_deficient_mod_p_reach_the_exact_rank(reach):
+    # A shifts e_j to e_(j+1) for j < reach and B = e_1, every entry scaled
+    # by p: the Krylov columns vanish mod p, so only exact Bareiss can
+    # decide.  At reach = n the pair is controllable.
+    n = MIN_KRYLOV_CERTIFIED_N
+    a = [[PRIME * int(i == j + 1 < reach) for j in range(n)] for i in range(n)]
+    b = [[PRIME * int(i == 0)] for i in range(n)]
+    result = control_status(make_instance(a, b))
+    assert result.is_stable is (reach == n)
+    assert result.evidence["rank"] == reach
+
+
+@pytest.mark.parametrize("reach", [0, 1, 7, 11])
+def test_uncontrollable_pair_at_certified_size_reports_exact_rank(reach):
+    # Block upper-triangular A with B inside the first `reach` coordinates,
+    # where A acts as a shift: the reachable subspace is exactly those
+    # coordinates.  A unimodular change of basis hides the block shape.
+    n, m = MIN_KRYLOV_CERTIFIED_N + 2, 2
+    rng = CounterRng(reach, 7)
+    a = [
+        [int(i == j + 1) if i < reach else rng.int_between(-4, 4) * (j >= reach)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    b = [[int(i == 0 and j == 0) for j in range(m)] for i in range(n)]
+    g, g_inv = unimodular_from_stream(CounterRng(reach, 8), n)
+    inst = ControlInstance(
+        n, m, g @ Matrix.from_rows(a) @ g_inv, g @ Matrix.from_rows(b)
+    )
+    if reach == 0:
+        inst = ControlInstance(n, m, inst.a, Matrix(n, m, (0,) * (n * m)))
+    result = control_status(inst)
+    assert result.verdict is Verdict.UNSTABLE
+    assert result.evidence["rank"] == reach == invariant_subspace_dim(inst)
+
+
+@st.composite
+def certified_pairs(draw):
+    # Products through an inner dimension below n make deficient pairs common.
+    n = draw(st.integers(MIN_KRYLOV_CERTIFIED_N, MIN_KRYLOV_CERTIFIED_N + 2))
+    m = draw(st.integers(1, 2))
+    inner = draw(st.integers(0, n))
+    u = [[draw(entry) for _ in range(inner)] for _ in range(n)]
+    v = [[draw(entry) for _ in range(n)] for _ in range(inner)]
+    a = [[sum(u[i][t] * v[t][j] for t in range(inner)) for j in range(n)]
+         for i in range(n)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    return a, b
+
+
+@given(certified_pairs())
+@settings(max_examples=25, deadline=None)
+def test_certified_rank_matches_invariant_subspace_dim(pair):
+    a, b = pair
+    inst = make_instance(a, b)
+    assert controllability_rank_ints(len(a), len(b[0]), a, b) == (
+        invariant_subspace_dim(inst)
+    )

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from git_topo.errors import DomainError, PreconditionError
+from git_topo.errors import DomainError, PreconditionError, SizeLimitError
 from git_topo.families.control import MAX_CERTIFIED_N, ControlFamily
 from git_topo.families.dag import MAX_CERTIFIED_K, DagFamily
 from git_topo.families.quiver import QuiverSpec, kronecker_spec
 from git_topo.groups import OrbitConvention
 from git_topo.harness import (
+    MAX_TRIALS,
     OP_GENERIC_POINTS,
     OP_PATH_STABILITY,
     HarnessReport,
@@ -163,6 +164,20 @@ def test_trial_config_validation():
         TrialConfig(ControlFamily(2, 1), entry_bound=0)
     with pytest.raises(DomainError):
         TrialConfig(ControlFamily(2, 1), paths=-1)
+
+
+def test_control_runs_are_refused_past_the_work_limit():
+    # Work is point checks x n(n + m) integers per point, at most 2^24.
+    TrialConfig(ControlFamily(3, 2), trials=MAX_TRIALS)
+    TrialConfig(ControlFamily(3, 2), trials=10_000, paths=100, path_samples=256)
+    TrialConfig(ControlFamily(100, 1), trials=1661)
+    with pytest.raises(SizeLimitError, match="1662 point checks x 10100 integers"):
+        TrialConfig(ControlFamily(100, 1), trials=1662)
+    with pytest.raises(SizeLimitError, match="10241 point checks x 1680 integers"):
+        TrialConfig(ControlFamily(40, 2), trials=1, paths=40, path_samples=256)
+    # The other families are bounded by the trial and point limits alone.
+    TrialConfig(DagFamily(10, 3), trials=MAX_TRIALS)
+    TrialConfig(kronecker_spec(), trials=MAX_TRIALS)
 
 
 def test_report_counter_validation():

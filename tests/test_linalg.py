@@ -1,8 +1,9 @@
 """Exact linear algebra against independent oracles.
 
 The fraction-free Bareiss rank is checked against a Laplace-expansion
-minor rank written here from scratch, and the Fraction RREF solvers
-against their defining equations.  The F_p[x] determinant behind the
+minor rank written here from scratch, and the fraction-free Gauss-Jordan
+solvers against their defining equations and against the Fraction RREF
+in `rref_oracle`.  The F_p[x] determinant behind the
 path certificates is checked against a Leibniz expansion over Z[x], and
 its gcd and root scan against products of known linear factors.
 """
@@ -33,6 +34,7 @@ from git_topo.rng import CounterRng
 from git_topo.errors import ShapeError, DomainError
 
 from group_actions import unimodular_from_stream
+from rref_oracle import oracle_column_pivots, oracle_nullspace, oracle_solve_square
 
 
 def laplace_det(rows):
@@ -132,6 +134,61 @@ def test_unimodular_pair_inverse(n, seed):
     assert laplace_det(g.to_rows()) in (1, -1)
 
 
+rational_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows of rationals, 0-6 by 0-6, often of low rank or with zero rows."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    inner = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        u = [[draw(rational_entries) for _ in range(inner)] for _ in range(rows)]
+        v = [[draw(rational_entries) for _ in range(cols)] for _ in range(inner)]
+        data = [[sum((u[i][t] * v[t][j] for t in range(inner)), 0) for j in range(cols)]
+                for i in range(rows)]
+    else:
+        data = [[draw(rational_entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
+        if i < rows:
+            data[i] = [0] * cols
+    return rows, cols, data
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_column_pivots_and_nullspace_equal_the_fraction_rref(shape):
+    rows, cols, data = shape
+    m = Matrix(rows, cols, tuple(e for row in data for e in row))
+    assert column_pivots(m) == oracle_column_pivots(data, cols)
+    assert nullspace(m) == oracle_nullspace(data, cols)
+
+
+@given(rational_matrices(), st.lists(rational_entries, min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_solve_square_equals_the_fraction_rref(shape, rhs):
+    rows, cols, data = shape
+    n = min(rows, cols)
+    square = [row[:n] for row in data[:n]]
+    m = Matrix(n, n, tuple(e for row in square for e in row))
+    try:
+        expected = oracle_solve_square(square, rhs[:n])
+    except DomainError:
+        with pytest.raises(DomainError, match="singular"):
+            solve_square(m, rhs[:n])
+    else:
+        assert solve_square(m, rhs[:n]) == expected
+
+
+def test_solve_square_refuses_an_inexact_right_hand_side():
+    with pytest.raises(DomainError, match="not an exact rational"):
+        solve_square(Matrix.from_rows([[1]]), [0.5])
+
+
 def test_solve_square_exact():
     m = Matrix.from_rows([[2, 1], [1, 3]])
     x = solve_square(m, [5, 10])
@@ -165,6 +222,11 @@ def test_matrix_refuses_inexact_entries(entry):
 def test_complex_rational_refuses_a_string():
     with pytest.raises(DomainError, match="not an exact rational"):
         ComplexRational.of("1/2")
+
+
+def test_complex_rational_refuses_a_second_imaginary_part():
+    with pytest.raises(DomainError, match="imaginary part"):
+        ComplexRational.of(ComplexRational.of(1), 1)
 
 
 def test_integer_rows_scales_the_whole_matrix_once():

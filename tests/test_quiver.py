@@ -87,6 +87,22 @@ def test_admissibility_check():
         QuiverSpec(2, ((0, 1),), (1, 1, 1), (1, -1))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, ((0, 1.7),), (1, 1), (1, -1)), "arrow endpoint 1.7"),
+        ((2, ((0, True),), (1, 1), (1, -1)), "arrow endpoint True"),
+        ((2, ((0, 1),), (1.9, 1), (1, -1)), "dimension 1.9"),
+        ((2, ((0, 1),), (1, 1), (1, -1.5)), "stability parameter -1.5"),
+        ((2.0, ((0, 1),), (1, 1), (1, -1)), "vertex count 2.0"),
+    ],
+    ids=["float-arrow", "bool-arrow", "float-dim", "float-theta", "float-vertices"],
+)
+def test_spec_refuses_non_integers(args, message):
+    with pytest.raises(DomainError, match=f"{message} is not an integer"):
+        QuiverSpec(*args)
+
+
 def test_kronecker_status_origin_and_axes():
     spec = kronecker_spec()
     assert status(ThinQuiverRep(spec, (0, 0))).verdict is Verdict.UNSTABLE
