@@ -15,7 +15,7 @@ the family and exposes:
   samples in, `path_suspects(entry_polys, n_samples)`, the samples
   of a quadratic path its certificate mod 2^61 - 1 cannot clear, and
   `check_trial_work(checks)`, which refuses a sampling run too costly
-  to start (control only: `base.MAX_TRIAL_WORK`);
+  to start (`base.MAX_TRIAL_WORK`);
 - `DEFAULT_CONVENTION`, `strata(convention)`, `thresholds()`, `group()`
   and `weights(lam)`, the (weight, multiplicity) pairs of a 1-PS on V,
   from which `base.strata_from_classes` counts each stratum's m.

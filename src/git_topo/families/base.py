@@ -42,13 +42,17 @@ MAX_STRATUM_WORK = 2**22
 # n = 250, with m = 1 (exact Bareiss alone took 21 s at n = 100).
 MAX_POINT_ENTRIES = 2**16
 
-# Most work, point checks x integers per point, one control verify run
-# accepts (generic trials plus path points).  On a 2-CPU x86 machine a
-# control trial cost 4-23 us per integer of its point: 61 us at (3, 2),
-# 7.5 ms at (40, 2), 54 ms at (100, 1), 0.63 s at (250, 1), and the most,
-# 44 ms, at (9, 200), below the Krylov certificate's crossover.  So a run
+# Most work, point checks x integers per point, one verify run accepts
+# (generic trials plus path points).  On a 2-CPU x86 machine a control
+# trial cost 4-23 us per integer of its point: 61 us at (3, 2), 7.5 ms at
+# (40, 2), 54 ms at (100, 1), 0.63 s at (250, 1), and the most, 44 ms, at
+# (9, 200), below the Krylov certificate's crossover.  So a control run
 # at the limit takes one to six minutes; it accepts 2^20 trials at (3, 2)
-# and about 1700 at (100, 1).
+# and about 1700 at (100, 1).  DAG and thin-quiver trials cost about
+# 2 us per integer (82 us at DAG (10, 3), 130 ms at (16384, 3), 82 us on
+# a 20-vertex thin cycle), so their runs stop near 35 s: 419430 trials at
+# DAG (10, 3) or on that cycle, 256 at (16384, 3), and every Kronecker
+# run under MAX_TRIALS.
 MAX_TRIAL_WORK = 2**24
 
 

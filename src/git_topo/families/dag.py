@@ -25,6 +25,7 @@ from git_topo.families.base import (
     StratumClass,
     check_point_size,
     check_stratum_work,
+    check_trial_work,
     matrix_from_json,
     matrix_to_json,
     require_int,
@@ -111,7 +112,8 @@ class DagFamily:
     draw_generic = draw_flat
 
     def check_trial_work(self, checks: int) -> None:
-        """No work limit: the trial and point limits alone bound a DAG run."""
+        """Refuse a run of this many point checks past MAX_TRIAL_WORK."""
+        check_trial_work(checks, self.n * (self.k + 1))
 
     def instance_from_flat(self, flat: Sequence[int]) -> "DagInstance":
         return DagInstance(self.n, self.k, Matrix(self.n, self.k + 1, tuple(flat)))

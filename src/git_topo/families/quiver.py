@@ -8,8 +8,11 @@ Hom(C^dim_source, C^dim_target) over arrows.
 
 Point-level checks are implemented for thin representations (all
 dimensions 0 or 1), where subrepresentations correspond to arrow-closed
-vertex subsets and the stability test is a finite subset scan.  The
-stratum enumeration works for arbitrary dimension vectors.
+vertex subsets.  The best such subset is a maximum-weight closure, found
+by one s-t minimum cut in polynomial time (`_max_closure`); each spec
+builds its closure graph once and caches the verdict of points with no
+vanishing arrow.  The stratum enumeration works for arbitrary dimension
+vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from git_topo.errors import (
     DomainError,
@@ -32,6 +36,7 @@ from git_topo.families.base import (
     StratumClass,
     check_point_size,
     check_stratum_work,
+    check_trial_work,
     complex_from_json,
     complex_to_json,
     int_list,
@@ -44,7 +49,12 @@ from git_topo.families.base import (
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import ComplexRational, is_integer
 
-MAX_VERTICES_FOR_SUBSET_SCAN = 20
+# Most support vertices plus distinct arcs one thin point check accepts.
+# The minimum cut is quadratic on a long path fed from one end: on a
+# 2-CPU x86 machine `check` took about 1 s on a 1250-vertex path or cycle
+# with theta = (1249, -1, ..., -1), size 2499-2500, against 5-30 ms on
+# random graphs of that size.
+MAX_CLOSURE_GRAPH_SIZE = 2500
 
 
 @dataclass(frozen=True)
@@ -195,7 +205,59 @@ class QuiverSpec:
 
         No point has fewer closed subsets, so if it is not stable, none is.
         """
-        return self.is_stable_flat([v for live in self.live_mask() for v in (live, 0)])
+        return self._generic_best[0] is None
+
+    @cached_property
+    def _closure(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...], int]:
+        """The thin support, theta by support slot, the arrows that join two
+        distinct support vertices as (arrow, source slot, target slot), and
+        the number of distinct (source slot, target slot) arcs among them.
+
+        Loops and arrows touching a dimension-0 vertex never constrain a
+        closed subset.  Refuses a non-thin quiver, an empty support, and a
+        closure graph of more than MAX_CLOSURE_GRAPH_SIZE support vertices
+        and distinct arcs.
+        """
+        if not self.is_thin():
+            raise DomainError("point-level checks require a thin dimension vector")
+        support = self.support()
+        if not support:
+            raise DomainError("representation has empty support")
+        slot = {v: i for i, v in enumerate(support)}
+        arcs = tuple(
+            (a, slot[s], slot[t])
+            for a, (s, t) in enumerate(self.arrows)
+            if s != t and s in slot and t in slot
+        )
+        arc_count = len({(s, t) for _, s, t in arcs})
+        size = len(support) + arc_count
+        if size > MAX_CLOSURE_GRAPH_SIZE:
+            raise SizeLimitError(
+                f"thin point check refused: {len(support)} support vertices plus "
+                f"distinct arcs make {size}, over the limit of "
+                f"{MAX_CLOSURE_GRAPH_SIZE}"
+            )
+        return support, tuple(self.theta[v] for v in support), arcs, arc_count
+
+    @cached_property
+    def _generic_best(self) -> tuple[int | None, int]:
+        """_max_closure with every arc live, the verdict of almost every point."""
+        _, theta, arcs, _ = self._closure
+        return _max_closure(theta, dict.fromkeys((s, t) for _, s, t in arcs))
+
+    def _best_closed_subset(self, nonzero: Sequence) -> tuple[int | None, int]:
+        """_max_closure for a point whose arrow a is nonzero when nonzero[a] is.
+
+        A thin verdict depends only on which arcs carry a nonzero arrow, so
+        a point where every arc does gets the cached generic answer.
+        """
+        _, theta, arcs, arc_count = self._closure
+        live = dict.fromkeys((s, t) for a, s, t in arcs if nonzero[a])
+        if len(live) == arc_count:
+            return self._generic_best
+        return _max_closure(theta, live)
 
     def draw_flat(self, rng, bound: int) -> list[int]:
         check_point_size(2 * len(self.arrows))
@@ -222,7 +284,8 @@ class QuiverSpec:
         return flat
 
     def check_trial_work(self, checks: int) -> None:
-        """No work limit: the trial and point limits alone bound a quiver run."""
+        """Refuse a run of this many point checks past MAX_TRIAL_WORK."""
+        check_trial_work(checks, 2 * len(self.arrows))
 
     def instance_from_flat(self, flat: Sequence[int]) -> "ThinQuiverRep":
         values = tuple(
@@ -232,17 +295,17 @@ class QuiverSpec:
         return ThinQuiverRep(self, values)
 
     def is_stable_flat(self, flat: Sequence[int]) -> bool:
-        live = [bool(flat[2 * a] or flat[2 * a + 1]) for a in range(len(self.arrows))]
-        best_sum, _ = _best_closed_subset(self, live)
-        return best_sum is None or best_sum < 0
+        nonzero = [flat[2 * a] or flat[2 * a + 1] for a in range(len(self.arrows))]
+        return self._best_closed_subset(nonzero)[0] is None
 
     def path_suspects(
         self, entry_polys: Sequence[Sequence[int]], n_samples: int
     ) -> Sequence[int]:
         """Every sample: thin-quiver paths are checked pointwise.
 
-        A subset scan of a few vertices costs about 4 us, so a path of
-        N samples is cheap without a certificate.
+        A sample with no vanishing arc gets the spec's cached verdict and
+        any other costs one minimum cut (about 10 us at two vertices), so a
+        path of N samples is cheap without a certificate.
         """
         return range(n_samples)
 
@@ -376,52 +439,174 @@ class ThinQuiverRep:
         }
 
 
-def _best_closed_subset(
-    spec: QuiverSpec, live: Sequence[bool]
+def _max_closure(
+    theta: Sequence[int], arcs: Iterable[tuple[int, int]]
 ) -> tuple[int | None, int]:
-    """The arrow-closed support subset of greatest theta weight.
+    """The best proper nonempty closed subset of a closure graph, by one min cut.
 
-    live[a] says whether arrow a is nonzero.  A proper nonempty subset S
-    of the support spans a subrepresentation exactly when no live arrow
-    leaves S.  Returns (theta(S), mask of S) for the first best S in mask
-    order, or (None, 0) when no such S exists.
+    Slots 0..n-1 carry weights theta summing to zero; the arcs (s, t) are
+    distinct, with s != t.  A subset S is closed when no arc has s in S
+    and t outside.  The source feeds each slot of positive weight, each
+    slot of negative weight drains to the sink, and each arc is
+    uncapacitated, so a maximum flow leaves M = sum(theta+) - flow as the
+    best weight of any closed subset (Picard 1976).  The empty and the
+    full subset both weigh 0.
+
+    - M > 0: the slots the source reaches in the residual graph form the
+      inclusion-minimal maximum closure, which is also the first one in
+      mask order.
+    - M = 0: the flow saturates every source and sink arc, so every
+      subset closed in the residual graph is a maximum closure.  A
+      proper nonempty one exists exactly when some terminal strongly
+      connected component of the residual graph is proper.  Every such
+      subset contains one, so the smallest component mask is the first
+      witness.
+
+    Returns (M, mask) when some proper nonempty closed subset weighs
+    M >= 0, else (None, 0).
     """
-    if not spec.is_thin():
-        raise DomainError("point-level checks require a thin dimension vector")
-    if spec.vertex_count > MAX_VERTICES_FOR_SUBSET_SCAN:
-        raise SizeLimitError(
-            f"subset scan refused beyond {MAX_VERTICES_FOR_SUBSET_SCAN} vertices"
-        )
-    support = spec.support()
-    if not support:
-        raise DomainError("representation has empty support")
-    slot = {v: i for i, v in enumerate(support)}
-    live_arrows = [
-        (slot[s], slot[t])
-        for (s, t), on in zip(spec.arrows, live)
-        if on and s in slot and t in slot
-    ]
-    best_mask = 0
-    best_sum = None
-    for mask in range(1, (1 << len(support)) - 1):
-        closed = True
-        for s, t in live_arrows:
-            if (mask >> s) & 1 and not (mask >> t) & 1:
-                closed = False
+    n = len(theta)
+    source, sink = n, n + 1
+    positive = sum(w for w in theta if w > 0)
+    # An arc of capacity past every cut is never cut and never saturated.
+    uncut = positive + 1
+    # Arc e runs to head[e] with residual capacity cap[e]; e ^ 1 is its reverse.
+    out: list[list[int]] = [[] for _ in range(n + 2)]
+    head: list[int] = []
+    cap: list[int] = []
+
+    def add(u: int, v: int, c: int) -> None:
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    for v, w in enumerate(theta):
+        if w > 0:
+            add(source, v, w)
+        elif w < 0:
+            add(v, sink, -w)
+    for s, t in arcs:
+        add(s, t, uncut)
+
+    flow = 0
+    while True:  # Dinic: one level graph per phase, then a blocking flow
+        level = [-1] * (n + 2)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            if level[sink] >= 0 and level[u] + 1 >= level[sink]:
+                break  # the rest lie at or past the sink's level
+            for e in out[u]:
+                v = head[e]
+                if cap[e] and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[sink] < 0:
+            break
+        pointer = [0] * (n + 2)
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                flow += push
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                # Resume at the tail of the first saturated arc.
+                cut = next(i for i, e in enumerate(path) if not cap[e])
+                u = head[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs_out, i, next_level = out[u], pointer[u], level[u] + 1
+            while i < len(arcs_out):
+                e = arcs_out[i]
+                if cap[e] and level[head[e]] == next_level:
+                    break
+                i += 1
+            pointer[u] = i
+            if i < len(arcs_out):
+                path.append(arcs_out[i])
+                u = head[arcs_out[i]]
+            elif u == source:
                 break
-        if not closed:
+            else:  # dead end: drop the arc into u
+                level[u] = -1
+                u = head[path.pop() ^ 1]
+                pointer[u] += 1
+
+    best = positive - flow
+    if best > 0:
+        reached = [False] * (n + 2)
+        reached[source] = True
+        queue = [source]
+        for u in queue:
+            for e in out[u]:
+                v = head[e]
+                if cap[e] and not reached[v]:
+                    reached[v] = True
+                    queue.append(v)
+        return best, sum(1 << v for v in range(n) if reached[v])
+    succ = [[head[e] for e in out[u] if cap[e] and head[e] < n] for u in range(n)]
+    witness = None
+    for component in _components(succ):
+        members = set(component)
+        if len(component) < n and all(v in members for u in component for v in succ[u]):
+            mask = sum(1 << u for u in component)
+            if witness is None or mask < witness:
+                witness = mask
+    return (None, 0) if witness is None else (0, witness)
+
+
+def _components(succ: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Strongly connected components of a digraph on 0..n-1 (Tarjan, iterative)."""
+    n = len(succ)
+    index = [0] * n  # visit order from 1; 0 is unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    order = 0
+    for root in range(n):
+        if index[root]:
             continue
-        theta_sum = sum(
-            spec.theta[v] for i, v in enumerate(support) if (mask >> i) & 1
-        )
-        if best_sum is None or theta_sum > best_sum:
-            best_sum = theta_sum
-            best_mask = mask
-    return best_sum, best_mask
+        order += 1
+        index[root] = low[root] = order
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if not index[w]:
+                    order += 1
+                    index[w] = low[w] = order
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                yield component
 
 
 def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:
-    """King stability for a thin representation by scanning vertex subsets.
+    """King stability for a thin representation by one minimum cut.
 
     The point is unstable when some subrepresentation S has theta(S) > 0,
     strictly semistable when the best S has theta(S) = 0, and stable
@@ -429,10 +614,10 @@ def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:
     1-based.
     """
     spec = rep.spec
-    best_sum, best_mask = _best_closed_subset(spec, [bool(v) for v in rep.values])
-    if best_sum is None or best_sum < 0:
+    best_sum, best_mask = spec._best_closed_subset(rep.values)
+    if best_sum is None:
         return StabilityStatus.stable()
-    support = spec.support()
+    support = spec._closure[0]
     witness = tuple(v + 1 for i, v in enumerate(support) if (best_mask >> i) & 1)
     if best_sum > 0:
         return StabilityStatus.unstable(

@@ -20,8 +20,8 @@ A path is certified once rather than checked at every sample: each
 entry of a path point is an integer quadratic in the sample index, so
 the family's `path_suspects` builds its stability polynomials once
 modulo p = 2^61 - 1 and returns the samples where they vanish mod p
-(thin quivers, whose point check is a small subset scan, return every
-sample).  Only those samples get the exact pointwise check, so
+(thin quivers, whose point check is one small minimum cut or a cached
+verdict, return every sample).  Only those samples get the exact pointwise check, so
 `path_failures` is exactly what checking every sample would give.
 """
 
@@ -62,7 +62,7 @@ MAX_KRONECKER_GRID_POINTS = 2**20
 # (10, 3) trial, which stabilizes by fraction-free elimination,
 # 0.3-0.5 ms.  A path point at those sizes costs 0.4-2.4 us on a
 # certified control or DAG path of 256 samples, 35-50 us when every
-# sample of such a path is a suspect, and about 8.5 us on a Kronecker
+# sample of such a path is a suspect, and about 3.5 us on a Kronecker
 # path, which is always checked pointwise.  Control runs at larger n
 # also meet base.MAX_TRIAL_WORK.
 MAX_TRIALS = 2**20

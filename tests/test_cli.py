@@ -185,6 +185,39 @@ def test_check_uncontrollable_known_pair(capsys, tmp_path):
     assert "rank = 2" in out
 
 
+@pytest.mark.parametrize(
+    "values, verdict, evidence",
+    [
+        (["1"] * 40, "stable", {}),
+        (["0"] + ["1"] * 39, "unstable", {"support": [1], "theta_sum": 39}),
+    ],
+    ids=["all-live", "first-arrow-zero"],
+)
+def test_check_a_40_vertex_thin_cycle(verdict, values, evidence, capsys, tmp_path):
+    # 1 -> 2 -> ... -> 40 -> 1, theta = (39, -1, ..., -1): a size the old
+    # subset scan refused past 20 vertices.
+    inst_file = tmp_path / "cycle.json"
+    out_file = tmp_path / "status.json"
+    inst_file.write_text(
+        json.dumps(
+            {
+                "family": "quiver",
+                "vertices": 40,
+                "arrows": [[i, i % 40 + 1] for i in range(1, 41)],
+                "dim": [1] * 40,
+                "theta": [39] + [-1] * 39,
+                "values": values,
+            }
+        )
+    )
+    code, out, _ = run(capsys, "check", str(inst_file), "--json", str(out_file))
+    assert code == 0
+    assert f"verdict: {verdict}" in out
+    status = read_json(out_file)["status"]
+    assert status["verdict"] == verdict
+    assert status["evidence"] == evidence
+
+
 def test_check_dag_stabilize_and_mle(capsys, tmp_path):
     inst_file = tmp_path / "dag.json"
     inst_file.write_text(
@@ -676,4 +709,28 @@ def test_verify_control_refuses_a_run_past_the_work_limit(capsys, tmp_path):
     assert time.monotonic() - start < 1.0
     assert code == 2 and out == ""
     assert "2000 point checks x 10100 integers per point refused" in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+# Past MAX_TRIAL_WORK = 2^24 point checks x integers per point, at about
+# 2 us per integer: n(k + 1) for DAG, two per arrow for a quiver.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dag", "--samples", "16384", "--parents", "3", "--trials", "257"],
+         "257 point checks x 65536 integers per point refused"),
+        (["quiver", "--arrows", ",".join(f"{i}->{i % 20 + 1}" for i in range(1, 21)),
+          "--dim", ",".join(["1"] * 20), "--theta=" + ",".join(["19"] + ["-1"] * 19),
+          "--trials", "419431"],
+         "419431 point checks x 40 integers per point refused"),
+    ],
+    ids=["dag", "quiver"],
+)
+def test_verify_refuses_a_run_past_the_work_limit(argv, message, capsys, tmp_path):
+    out_file = tmp_path / "err.json"
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", *argv, "--json", str(out_file))
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert message in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"

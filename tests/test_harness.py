@@ -175,9 +175,22 @@ def test_control_runs_are_refused_past_the_work_limit():
         TrialConfig(ControlFamily(100, 1), trials=1662)
     with pytest.raises(SizeLimitError, match="10241 point checks x 1680 integers"):
         TrialConfig(ControlFamily(40, 2), trials=1, paths=40, path_samples=256)
-    # The other families are bounded by the trial and point limits alone.
-    TrialConfig(DagFamily(10, 3), trials=MAX_TRIALS)
-    TrialConfig(kronecker_spec(), trials=MAX_TRIALS)
+
+
+def test_dag_and_quiver_runs_are_refused_past_the_work_limit():
+    # n(k + 1) integers per DAG point, two per arrow for a quiver.
+    TrialConfig(DagFamily(10, 3), trials=419_430)
+    with pytest.raises(SizeLimitError, match="419431 point checks x 40 integers"):
+        TrialConfig(DagFamily(10, 3), trials=419_431)
+    TrialConfig(DagFamily(16384, 3), trials=256)
+    with pytest.raises(SizeLimitError, match="257 point checks x 65536 integers"):
+        TrialConfig(DagFamily(16384, 3), trials=1, paths=1, path_samples=256)
+    TrialConfig(kronecker_spec(), trials=MAX_TRIALS, paths=4, path_samples=256)
+    cycle = QuiverSpec(20, tuple((i, (i + 1) % 20) for i in range(20)), (1,) * 20,
+                       (19,) + (-1,) * 19)
+    TrialConfig(cycle, trials=419_430)
+    with pytest.raises(SizeLimitError, match="419431 point checks x 40 integers"):
+        TrialConfig(cycle, trials=419_431)
 
 
 def test_report_counter_validation():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from git_topo.errors import DomainError, ShapeError, SizeLimitError
 from git_topo.families.base import Verdict
 from git_topo.families.quiver import (
+    MAX_CLOSURE_GRAPH_SIZE,
     QuiverSpec,
     ThinQuiverRep,
     enumerate_strata,
@@ -19,6 +21,8 @@ from git_topo.families.quiver import (
 )
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import ComplexRational
+
+from closure_oracle import oracle_status
 
 status = quiver_thin_status
 
@@ -128,10 +132,18 @@ def test_not_stable_boundary_case():
 
 
 def test_status_size_and_domain_guards():
-    n = 21
+    # 21 vertices, past the old 2^v scan's limit: every vertex is closed
+    # with weight zero, and vertex 1 is the first witness in mask order.
+    spec = QuiverSpec(21, (), (1,) * 21, (0,) * 21)
+    result = status(ThinQuiverRep(spec, ()))
+    assert result.verdict is Verdict.NOT_STABLE
+    assert result.evidence == {"support": (1,), "theta_sum": 0}
+    n = MAX_CLOSURE_GRAPH_SIZE + 1
     spec = QuiverSpec(n, (), (1,) * n, (0,) * n)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=f"make {n}, over the limit"):
         status(ThinQuiverRep(spec, ()))
+    with pytest.raises(SizeLimitError):
+        spec.is_stable_flat([])
     empty = QuiverSpec(2, (), (0, 0), (1, -1))
     with pytest.raises(DomainError):
         status(ThinQuiverRep(empty, ()))
@@ -222,6 +234,60 @@ def test_status_matches_brute_force(spec, data):
     expected = brute_force_thin_verdict(rep)
     assert quiver_thin_status(rep).verdict is expected
     assert spec.is_stable_flat(flat) is (expected is Verdict.STABLE)
+
+
+def random_thin_quiver(rng: random.Random) -> QuiverSpec:
+    """1-9 vertices, some of dimension 0, with loops and parallel arrows."""
+    v = rng.randint(1, 9)
+    dims = [int(rng.random() < 0.85) for _ in range(v)]
+    if not any(dims):
+        dims[rng.randrange(v)] = 1
+    arrows = tuple(
+        (rng.randrange(v), rng.randrange(v)) for _ in range(rng.randint(0, 2 * v + 2))
+    )
+    support = [i for i in range(v) if dims[i]]
+    spread = rng.choice([0, 1, 3, 40])  # 0 gives theta = 0 on the support
+    theta = [rng.randint(-3, 3) if not dims[i] else 0 for i in range(v)]
+    for i in support[:-1]:
+        theta[i] = rng.randint(-spread, spread)
+    theta[support[-1]] -= sum(theta[i] for i in support)
+    return QuiverSpec(v, arrows, tuple(dims), tuple(theta))
+
+
+def test_min_cut_matches_the_subset_scan_oracle():
+    """Verdict, witness and theta sum equal the 2^v scan's on random points.
+
+    Each quiver is checked at points with a vanishing live arrow (one
+    minimum cut) and at points with none (the spec's cached verdict), in
+    both orders, and its has_stable_points against the scan.
+    """
+    rng = random.Random(20250)
+    generic = vanishing = 0
+    for _ in range(1500):
+        spec = random_thin_quiver(rng)
+        live_mask = spec.live_mask()
+        for keep in rng.sample([1.0, 0.9, 0.6, 0.3], 3):
+            nonzero = [on and rng.random() < keep for on in live_mask]
+            flat = []
+            for on in nonzero:
+                flat += [rng.choice([1, -2, 0]), 0] if on else [0, 0]
+                if on and not flat[-2]:
+                    flat[-1] = rng.choice([3, -1])
+            expected = oracle_status(spec.dim_vector, spec.theta, spec.arrows, nonzero)
+            result = quiver_thin_status(spec.instance_from_flat(flat))
+            assert (
+                result.verdict.value,
+                result.evidence.get("support", ()),
+                result.evidence.get("theta_sum"),
+            ) == expected, (spec, nonzero)
+            assert spec.is_stable_flat(flat) is (expected[0] == "stable")
+            if nonzero == list(live_mask):
+                generic += 1
+            else:
+                vanishing += 1
+        all_live = oracle_status(spec.dim_vector, spec.theta, spec.arrows, live_mask)
+        assert spec.has_stable_points() is (all_live[0] == "stable")
+    assert generic > 1000 and vanishing > 1000
 
 
 @given(thin_quivers())
