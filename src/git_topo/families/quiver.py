@@ -9,8 +9,9 @@ Hom(C^dim_source, C^dim_target) over arrows.
 Point-level checks are implemented for thin representations (all
 dimensions 0 or 1), where subrepresentations correspond to arrow-closed
 vertex subsets.  The best such subset is a maximum-weight closure, found
-by one s-t minimum cut in polynomial time (`_max_closure`); each spec
-builds its closure graph once and caches the verdict of points with no
+by one s-t minimum cut in polynomial time (`_max_closure`), and the
+witness subset comes from that flow's residual graph; each spec builds
+its closure graph once and caches the verdict of points with no
 vanishing arrow.  The stratum enumeration works for arbitrary dimension
 vectors.
 """
@@ -50,10 +51,11 @@ from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import ComplexRational, is_integer
 
 # Most support vertices plus distinct arcs one thin point check accepts.
-# The minimum cut is quadratic on a long path fed from one end: on a
-# 2-CPU x86 machine `check` took about 1 s on a 1250-vertex path or cycle
-# with theta = (1249, -1, ..., -1), size 2499-2500, against 5-30 ms on
-# random graphs of that size.
+# The minimum cut is quadratic on a long path: on a 2-CPU x86 machine
+# `check` took 1.8-2.1 s on its worst shape, a 1250-vertex path or cycle
+# with every arrow toward vertex 1 and theta = (-1249, 1, ..., 1), size
+# 2499-2500; 1.0-1.2 s with the arrows and theta reversed; and 30-40 ms
+# on random graphs of that size.
 MAX_CLOSURE_GRAPH_SIZE = 2500
 
 
@@ -454,13 +456,16 @@ def _max_closure(
 
     - M > 0: the slots the source reaches in the residual graph form the
       inclusion-minimal maximum closure, which is also the first one in
-      mask order.
-    - M = 0: the flow saturates every source and sink arc, so every
-      subset closed in the residual graph is a maximum closure.  A
-      proper nonempty one exists exactly when some terminal strongly
-      connected component of the residual graph is proper.  Every such
-      subset contains one, so the smallest component mask is the first
-      witness.
+      mask order.  Dinic's last search found exactly them.
+    - M = 0: the flow saturates every source and sink arc, so the
+      maximum closures are the subsets closed in the residual graph on
+      the slots.  Let u* be the smallest slot that reaches no larger
+      slot.  Every nonempty closed subset C contains a terminal strongly
+      connected component, whose largest slot reaches no larger one, so
+      max C >= u*; if max C > u*, the mask of C exceeds every mask
+      within [0, u*], and if max C = u*, C contains all u* reaches.  So
+      reach(u*), a subset of [0, u*], is the first witness, unless it is
+      every slot.
 
     Returns (M, mask) when some proper nonempty closed subset weighs
     M >= 0, else (None, 0).
@@ -540,69 +545,31 @@ def _max_closure(
 
     best = positive - flow
     if best > 0:
-        reached = [False] * (n + 2)
-        reached[source] = True
-        queue = [source]
-        for u in queue:
-            for e in out[u]:
-                v = head[e]
-                if cap[e] and not reached[v]:
-                    reached[v] = True
-                    queue.append(v)
-        return best, sum(1 << v for v in range(n) if reached[v])
-    succ = [[head[e] for e in out[u] if cap[e] and head[e] < n] for u in range(n)]
-    witness = None
-    for component in _components(succ):
-        members = set(component)
-        if len(component) < n and all(v in members for u in component for v in succ[u]):
-            mask = sum(1 << u for u in component)
-            if witness is None or mask < witness:
-                witness = mask
-    return (None, 0) if witness is None else (0, witness)
-
-
-def _components(succ: Sequence[Sequence[int]]) -> Iterator[list[int]]:
-    """Strongly connected components of a digraph on 0..n-1 (Tarjan, iterative)."""
-    n = len(succ)
-    index = [0] * n  # visit order from 1; 0 is unvisited
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    order = 0
-    for root in range(n):
-        if index[root]:
-            continue
-        order += 1
-        index[root] = low[root] = order
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if not index[w]:
-                    order += 1
-                    index[w] = low[w] = order
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                yield component
+        # The last level graph never stopped early, as the sink was out of
+        # reach, so it is every slot the source still reaches.
+        return best, sum(1 << v for v in range(n) if level[v] >= 0)
+    # Top down over reversed residual arcs, label each slot with the
+    # largest slot it reaches; the smallest self-labelled slot is first.
+    label = [-1] * n
+    for top in reversed(range(n)):
+        if label[top] < 0:
+            first = label[top] = top
+            stack = [top]
+            while stack:
+                for e in out[stack.pop()]:
+                    u = head[e]
+                    if u < n and cap[e ^ 1] and label[u] < 0:
+                        label[u] = top
+                        stack.append(u)
+    reached = {first}
+    stack = [first]
+    while stack:
+        for e in out[stack.pop()]:
+            v = head[e]
+            if v < n and cap[e] and v not in reached:
+                reached.add(v)
+                stack.append(v)
+    return (None, 0) if len(reached) == n else (0, sum(1 << v for v in reached))
 
 
 def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:

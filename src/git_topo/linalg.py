@@ -122,21 +122,6 @@ class Matrix:
             tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        flat: list[Rational] = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                acc: Rational = 0
-                for k in range(self.cols):
-                    acc = acc + left[k] * other.at(k, j)
-                flat.append(acc)
-        return Matrix(self.rows, other.cols, tuple(flat))
-
 
 def integer_rows(data: Sequence[Sequence[Rational]]) -> list[list[int]]:
     """Clear denominators: scale the matrix by the lcm of all its denominators.

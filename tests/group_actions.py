@@ -14,12 +14,28 @@ from git_topo.linalg import ComplexRational, Matrix
 from git_topo.rng import CounterRng
 
 
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The exact product a b."""
+    assert a.cols == b.rows, "inner dimensions differ"
+    return Matrix(
+        a.rows,
+        b.cols,
+        tuple(
+            sum(x * y for x, y in zip(a.row(i), b.col(j)))
+            for i in range(a.rows)
+            for j in range(b.cols)
+        ),
+    )
+
+
 def act_control(inst: ControlInstance, g: Matrix, g_inv: Matrix) -> ControlInstance:
-    return ControlInstance(inst.n, inst.m, g @ inst.a @ g_inv, g @ inst.b)
+    return ControlInstance(
+        inst.n, inst.m, matmul(matmul(g, inst.a), g_inv), matmul(g, inst.b)
+    )
 
 
 def act_dag(inst: DagInstance, h: Matrix, torus_sign: int) -> DagInstance:
-    mixed = inst.parent_block() @ h
+    mixed = matmul(inst.parent_block(), h)
     child = inst.y.col(inst.k)
     rows = [
         list(mixed.row(i)) + [torus_sign * child[i]] for i in range(inst.n)

@@ -194,8 +194,7 @@ def test_check_uncontrollable_known_pair(capsys, tmp_path):
     ids=["all-live", "first-arrow-zero"],
 )
 def test_check_a_40_vertex_thin_cycle(verdict, values, evidence, capsys, tmp_path):
-    # 1 -> 2 -> ... -> 40 -> 1, theta = (39, -1, ..., -1): a size the old
-    # subset scan refused past 20 vertices.
+    # 1 -> 2 -> ... -> 40 -> 1, theta = (39, -1, ..., -1).
     inst_file = tmp_path / "cycle.json"
     out_file = tmp_path / "status.json"
     inst_file.write_text(

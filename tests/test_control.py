@@ -20,7 +20,7 @@ from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.linalg import PRIME, Matrix
 from git_topo.rng import CounterRng
 
-from group_actions import unimodular_from_stream
+from group_actions import matmul, unimodular_from_stream
 
 
 def fraction_rank(rows):
@@ -240,7 +240,10 @@ def test_uncontrollable_pair_at_certified_size_reports_exact_rank(reach):
     b = [[int(i == 0 and j == 0) for j in range(m)] for i in range(n)]
     g, g_inv = unimodular_from_stream(CounterRng(reach, 8), n)
     inst = ControlInstance(
-        n, m, g @ Matrix.from_rows(a) @ g_inv, g @ Matrix.from_rows(b)
+        n,
+        m,
+        matmul(matmul(g, Matrix.from_rows(a)), g_inv),
+        matmul(g, Matrix.from_rows(b)),
     )
     if reach == 0:
         inst = ControlInstance(n, m, inst.a, Matrix(n, m, (0,) * (n * m)))

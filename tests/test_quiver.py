@@ -126,14 +126,17 @@ def test_flipped_theta_everything_unstable():
 
 
 def test_not_stable_boundary_case():
-    # theta = 0 everywhere: every closed subset sums to zero
+    # theta = 0 everywhere: every closed subset sums to zero.  Vertex 1
+    # reaches the witness {2} but is not in it.
     spec = QuiverSpec(2, ((0, 1),), (1, 1), (0, 0))
-    assert status(ThinQuiverRep(spec, (1,))).verdict is Verdict.NOT_STABLE
+    result = status(ThinQuiverRep(spec, (1,)))
+    assert result.verdict is Verdict.NOT_STABLE
+    assert result.evidence == {"support": (2,), "theta_sum": 0}
 
 
 def test_status_size_and_domain_guards():
-    # 21 vertices, past the old 2^v scan's limit: every vertex is closed
-    # with weight zero, and vertex 1 is the first witness in mask order.
+    # Every vertex is closed with weight zero, and vertex 1 is the first
+    # witness in mask order.
     spec = QuiverSpec(21, (), (1,) * 21, (0,) * 21)
     result = status(ThinQuiverRep(spec, ()))
     assert result.verdict is Verdict.NOT_STABLE
@@ -263,6 +266,7 @@ def test_min_cut_matches_the_subset_scan_oracle():
     """
     rng = random.Random(20250)
     generic = vanishing = 0
+    verdicts = set()
     for _ in range(1500):
         spec = random_thin_quiver(rng)
         live_mask = spec.live_mask()
@@ -281,6 +285,7 @@ def test_min_cut_matches_the_subset_scan_oracle():
                 result.evidence.get("theta_sum"),
             ) == expected, (spec, nonzero)
             assert spec.is_stable_flat(flat) is (expected[0] == "stable")
+            verdicts.add(expected[0])
             if nonzero == list(live_mask):
                 generic += 1
             else:
@@ -288,6 +293,7 @@ def test_min_cut_matches_the_subset_scan_oracle():
         all_live = oracle_status(spec.dim_vector, spec.theta, spec.arrows, live_mask)
         assert spec.has_stable_points() is (all_live[0] == "stable")
     assert generic > 1000 and vanishing > 1000
+    assert verdicts == {"stable", "unstable", "not_stable"}
 
 
 @given(thin_quivers())
