@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 
+from git_topo.connectivity import summarize_strata
 from git_topo.errors import GitTopoError, SchemaError
 from git_topo.families import FAMILIES, DagInstance, dag_stabilize
 from git_topo.families.base import parse_int_list, rational_from_json, rational_to_str
@@ -29,7 +30,6 @@ from git_topo.harness import (
     sample_path_stability,
 )
 from git_topo.reports import (
-    build_connectivity_report,
     render_connectivity_text,
     render_harness_text,
     render_homotopy_text,
@@ -46,13 +46,25 @@ from git_topo.serialize import (
 )
 
 
+def _refuse_foreign_flags(args: argparse.Namespace, own: list[str]) -> None:
+    """Refuse a family flag given to a family that does not take it."""
+    foreign = [
+        f"--{dest}"
+        for cls in FAMILIES.values()
+        for dest, _, _ in cls.CLI_ARGS
+        if dest not in own and getattr(args, dest) is not None
+    ]
+    if foreign:
+        raise SchemaError(f"{args.family} does not take {', '.join(foreign)}")
+
+
 def _family_from_args(args: argparse.Namespace):
     cls = FAMILIES[args.family]
-    missing = [
-        f"--{dest}" for dest, _, _ in cls.CLI_ARGS if getattr(args, dest) is None
-    ]
+    own = [dest for dest, _, _ in cls.CLI_ARGS]
+    missing = [f"--{dest}" for dest in own if getattr(args, dest) is None]
     if missing:
         raise SchemaError(f"{args.family} needs {', '.join(missing)}")
+    _refuse_foreign_flags(args, own)
     return cls.from_args(args)
 
 
@@ -82,7 +94,7 @@ def _add_family_args(
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    report = build_connectivity_report(
+    report = summarize_strata(
         _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
     return report_to_json(report), render_connectivity_text(report), 0
@@ -131,7 +143,7 @@ def cmd_homotopy(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             "locus, which this tool cannot verify; pass --assume-free-action "
             "to attest it"
         )
-    report = build_connectivity_report(
+    report = summarize_strata(
         _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
     return report_head_to_json(report), render_homotopy_text(report), 0
@@ -140,6 +152,7 @@ def cmd_homotopy(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     reports = []
     if args.family == "kronecker":
+        _refuse_foreign_flags(args, ["theta"])
         theta = parse_int_list(args.theta, "--theta") if args.theta else (1, -1)
         if len(theta) != 2:
             raise SchemaError("--theta: the Kronecker quiver has two vertices")

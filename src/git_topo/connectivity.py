@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from git_topo.errors import DomainError, SizeLimitError
+from git_topo.families import FamilySpec
 from git_topo.families.base import StratumClass
 from git_topo.groups import GroupSpec, OrbitConvention
 
@@ -66,20 +67,6 @@ class AbelianGroup:
         if self.rank == 1:
             return "Z"
         return f"Z^{self.rank}"
-
-
-def min_stratum_value(strata: list[StratumClass]) -> int:
-    """d_min: the minimum stratum value 2m - 2*orbit_dim."""
-    if not strata:
-        raise DomainError("no destabilizing classes: V^st = V")
-    return min(s.value for s in strata)
-
-
-def connectivity_bound(d: int) -> int | None:
-    """d - 2 when d >= 2 (pi_q vanishes for q <= d-2); None below that."""
-    if d >= 2:
-        return d - 2
-    return None
 
 
 def unitary_group_pi(i: int, k: int) -> AbelianGroup:
@@ -147,19 +134,22 @@ class ConnectivityReport:
 
 
 def summarize_strata(
-    family: str,
-    convention: OrbitConvention,
-    strata: list[StratumClass],
-    group: GroupSpec | None = None,
+    spec: FamilySpec,
+    convention: OrbitConvention | None = None,
     max_q: int | None = None,
-    thresholds: tuple[tuple[str, int], ...] = (),
 ) -> ConnectivityReport:
-    """Assemble a ConnectivityReport from an enumerated stratum table."""
+    """The analyze pipeline for one family spec, under its default
+    convention unless one is given: strata, d_min, the connectivity
+    bound d_min - 2 (none below d_min = 2), the family's thresholds and,
+    when max_q is given, the homotopy table up to q = max_q.
+    """
+    if convention is None:
+        convention = spec.DEFAULT_CONVENTION
+    strata = spec.strata(convention)
     notes: tuple[str, ...] = ()
     if strata:
-        d: int | None = min_stratum_value(strata)
-        bound = connectivity_bound(d)
-        connectivity: int | str = NO_INFORMATION if bound is None else bound
+        d: int | None = min(s.value for s in strata)
+        connectivity: int | str = d - 2 if d >= 2 else NO_INFORMATION
     else:
         d = None
         connectivity = CONTRACTIBLE
@@ -173,18 +163,17 @@ def summarize_strata(
                 f"homotopy table up to q = {max_q} refused: "
                 f"the limit is {MAX_HOMOTOPY_DEGREE}"
             )
-        if group is None:
-            raise DomainError("homotopy table needs the acting group")
+        group = spec.group()
         homotopy = tuple(
             (q, quotient_homotopy_group(group, d, q)) for q in range(max_q + 1)
         )
     return ConnectivityReport(
-        family=family,
+        family=spec.name,
         convention=convention,
         strata=tuple(strata),
         d_min=d,
         connectivity=connectivity,
         homotopy=homotopy,
-        thresholds=thresholds,
+        thresholds=spec.thresholds(),
         notes=notes,
     )

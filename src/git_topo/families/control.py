@@ -30,6 +30,7 @@ from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
     PRIME,
     Matrix,
+    check_integers,
     int_rank,
     integer_rows,
     minor_gcd,
@@ -72,6 +73,8 @@ class ControlFamily:
     DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
     def __post_init__(self) -> None:
+        check_integers("state dimension", (self.n,))
+        check_integers("input dimension", (self.m,))
         if self.n < 1 or self.m < 1:
             raise DomainError("state and input dimensions must be positive")
 

@@ -34,6 +34,7 @@ from git_topo.families.base import (
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
     Matrix,
+    check_integers,
     column_pivots,
     int_rank,
     integer_columns,
@@ -67,6 +68,8 @@ class DagFamily:
     DEFAULT_CONVENTION = OrbitConvention.CENTRALIZER
 
     def __post_init__(self) -> None:
+        check_integers("sample count", (self.n,))
+        check_integers("parent count", (self.k,))
         if self.n < 1 or self.k < 1:
             raise DomainError("sample count and parent count must be positive")
 

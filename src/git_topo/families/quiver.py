@@ -48,7 +48,7 @@ from git_topo.families.base import (
     strata_from_classes,
 )
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
-from git_topo.linalg import ComplexRational, is_integer
+from git_topo.linalg import ComplexRational, check_integers
 
 # Most support vertices plus distinct arcs one thin point check accepts.
 # The minimum cut is quadratic on a long path: on a 2-CPU x86 machine
@@ -92,9 +92,7 @@ class QuiverSpec:
             ("dimension", self.dim_vector),
             ("stability parameter", self.theta),
         ):
-            for value in values:
-                if not is_integer(value):
-                    raise DomainError(f"{what} {value!r} is not an integer")
+            check_integers(what, values)
         if self.vertex_count < 1:
             raise DomainError("quiver needs at least one vertex")
         for s, t in self.arrows:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from git_topo.errors import DomainError, ShapeError
+from git_topo.linalg import check_integers
 
 
 class OrbitConvention(Enum):
@@ -33,7 +34,9 @@ class GroupSpec:
     torus_rank: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gl_ranks", tuple(int(n) for n in self.gl_ranks))
+        object.__setattr__(self, "gl_ranks", tuple(self.gl_ranks))
+        check_integers("GL factor rank", self.gl_ranks)
+        check_integers("torus rank", (self.torus_rank,))
         if any(n <= 0 for n in self.gl_ranks):
             raise DomainError("GL factor ranks must be positive")
         if self.torus_rank < 0:
@@ -59,10 +62,10 @@ class OnePSClass:
     torus_weights: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "gl_weights", tuple(tuple(int(w) for w in ws) for ws in self.gl_weights)
-        )
-        object.__setattr__(self, "torus_weights", tuple(int(w) for w in self.torus_weights))
+        object.__setattr__(self, "gl_weights", tuple(tuple(ws) for ws in self.gl_weights))
+        object.__setattr__(self, "torus_weights", tuple(self.torus_weights))
+        check_integers("1-PS weight", [w for ws in self.gl_weights for w in ws])
+        check_integers("1-PS weight", self.torus_weights)
 
 
 def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from git_topo.connectivity import connectivity_bound, min_stratum_value
+from git_topo.connectivity import NO_INFORMATION, summarize_strata
 from git_topo.errors import (
     DomainError,
     PreconditionError,
@@ -242,8 +242,9 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     uses the integer rescaling N^2 q(i/N) (N = path_samples); all three
     families' verdicts are invariant under nonzero scaling, so every
     check stays in integer arithmetic.  Skipped (not failed) when
-    `connectivity` gives no bound for the family's d_min under the
-    active convention (d_min < 2), since the claim being tested needs it.
+    `summarize_strata` gives no connectivity bound for the family under
+    the active convention (d_min < 2), since the claim being tested
+    needs it.
 
     With left, mid and right entries a, b, c, each entry of sample i is
     e(i) = N^2 a + N(4b - 3a - c) i + 2(a - 2b + c) i^2.  The family's
@@ -259,17 +260,11 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     """
     start = time.monotonic()
     spec = cfg.family_spec
-    convention = cfg.convention or spec.DEFAULT_CONVENTION
-    strata = spec.strata(convention)
-    if strata:
-        d_min = min_stratum_value(strata)
-        if connectivity_bound(d_min) is None:
-            return _skipped(
-                OP_PATH_STABILITY,
-                cfg,
-                start,
-                f"d_min = {d_min} < 2 under the {convention.value} convention",
-            )
+    report = summarize_strata(spec, cfg.convention)
+    if report.connectivity == NO_INFORMATION:
+        convention = report.convention.value
+        note = f"d_min = {report.d_min} < 2 under the {convention} convention"
+        return _skipped(OP_PATH_STABILITY, cfg, start, note)
     n_samples = cfg.path_samples
     failures = 0
     for p in range(cfg.paths):

@@ -42,6 +42,13 @@ def is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_integers(what: str, values: Iterable[object]) -> None:
+    """Raise DomainError unless every value follows `is_integer`."""
+    for value in values:
+        if not is_integer(value):
+            raise DomainError(f"{what} {value!r} is not an integer")
+
+
 def is_rational(value: object) -> bool:
     """The one rule for an exact scalar: an exact integer or a Fraction."""
     return is_integer(value) or isinstance(value, Fraction)

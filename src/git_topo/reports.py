@@ -1,40 +1,14 @@
-"""Report assembly and human-readable rendering.
+"""Human-readable rendering of reports for the terminal.
 
-Bridges the family layer and the connectivity engine: builds a
-ConnectivityReport for a family spec (strata, d_min, bound, optional
-homotopy table, family-specific thresholds) and renders reports as plain
-text for the terminal.  JSON shapes live in serialize.
+`connectivity.summarize_strata` builds a family's ConnectivityReport;
+JSON shapes live in serialize.
 """
 
 from __future__ import annotations
 
-from git_topo.connectivity import (
-    CONTRACTIBLE,
-    NO_INFORMATION,
-    ConnectivityReport,
-    summarize_strata,
-)
-from git_topo.families import FamilySpec, StabilityStatus
-from git_topo.groups import OrbitConvention
+from git_topo.connectivity import CONTRACTIBLE, NO_INFORMATION, ConnectivityReport
+from git_topo.families import StabilityStatus
 from git_topo.harness import HarnessReport
-
-
-def build_connectivity_report(
-    spec: FamilySpec,
-    convention: OrbitConvention | None = None,
-    max_q: int | None = None,
-) -> ConnectivityReport:
-    """Full analyze pipeline for one family spec."""
-    if convention is None:
-        convention = spec.DEFAULT_CONVENTION
-    return summarize_strata(
-        family=spec.name,
-        convention=convention,
-        strata=spec.strata(convention),
-        group=spec.group(),
-        max_q=max_q,
-        thresholds=spec.thresholds(),
-    )
 
 
 def _format_value(value) -> str:

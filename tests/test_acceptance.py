@@ -23,7 +23,7 @@ import math
 import time
 
 from git_topo.cli import main as cli_main
-from git_topo.connectivity import NO_INFORMATION
+from git_topo.connectivity import NO_INFORMATION, summarize_strata
 from git_topo.families.control import (
     ControlFamily,
     ControlInstance,
@@ -52,7 +52,6 @@ from git_topo.harness import (
     sample_path_stability,
 )
 from git_topo.linalg import ComplexRational, Matrix
-from git_topo.reports import build_connectivity_report
 from git_topo.rng import CounterRng
 
 from group_actions import (
@@ -154,7 +153,7 @@ def test_criterion_03_control_strata_parabolic():
         s.descriptor["invariant_subspace_dim"]: (s.m, s.orbit_dim, s.value)
         for s in strata
     }
-    report = build_connectivity_report(ControlFamily(3, 2), OrbitConvention.PARABOLIC)
+    report = summarize_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)
     ok = (
         table == {1: (6, 2, 8), 2: (4, 2, 4)}
         and report.d_min == 4
@@ -164,7 +163,7 @@ def test_criterion_03_control_strata_parabolic():
 
 
 def test_criterion_04_control_centralizer_gap():
-    report = build_connectivity_report(
+    report = summarize_strata(
         ControlFamily(3, 2), OrbitConvention.CENTRALIZER
     )
     ok = report.d_min == 0 and report.connectivity == NO_INFORMATION
@@ -174,7 +173,7 @@ def test_criterion_04_control_centralizer_gap():
 
 
 def test_criterion_05_dag_reproduction():
-    report = build_connectivity_report(DagFamily(10, 3), max_q=5)
+    report = summarize_strata(DagFamily(10, 3), max_q=5)
     homotopy = [group.descriptor() for _, group in report.homotopy]
     thresholds = dict(report.thresholds)
     ok = (

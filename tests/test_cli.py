@@ -130,6 +130,29 @@ def test_analyze_missing_flags_is_a_schema_error(capsys, tmp_path):
     assert payload["error"]["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["analyze", "dag", "--samples", "10", "--parents", "3", "--n", "5"], "--n"),
+        (["homotopy", "control", "--n", "3", "--m", "2", "--max-q", "2",
+          "--assume-free-action", "--theta", "1,-1"], "--theta"),
+        (["verify", "quiver", "--arrows", "1->2", "--dim", "1,1", "--theta", "1,-1",
+          "--samples", "4", "--trials", "1"], "--samples"),
+        (["verify", "kronecker", "--grid", "1", "--n", "3"], "--n"),
+        (["verify", "kronecker", "--arrows", "1->2", "--dim", "1,1", "--theta", "1,-1"],
+         "--arrows, --dim"),
+    ],
+    ids=["analyze-dag", "homotopy-control", "verify-quiver", "kronecker", "kronecker-shape"],
+)
+def test_flags_of_another_family_are_refused(argv, flags, capsys, tmp_path):
+    err_file = tmp_path / "err.json"
+    code, out, err = run(capsys, *argv, "--json", str(err_file))
+    assert code == 2 and out == ""
+    message = f"{argv[1]} does not take {flags}"
+    assert err == f"error: {message}\n"
+    assert read_json(err_file) == {"error": {"type": "SchemaError", "message": message}}
+
+
 def test_analyze_rejects_inadmissible_theta(capsys):
     code, _, err = run(
         capsys,
@@ -438,6 +461,38 @@ def test_verify_paths_skip_under_centralizer(capsys, tmp_path):
     payload = read_json(out_file)
     assert payload["reports"][1]["skipped"] is True
     assert payload["reports"][1]["trials_run"] == 0
+
+
+def test_verify_paths_run_on_a_family_without_strata(capsys, tmp_path):
+    # A one-vertex loop has no destabilizing class, so V^st = V is
+    # contractible and the path gate lets the paths run.
+    out_file = tmp_path / "v.json"
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "quiver",
+        "--arrows",
+        "1->1",
+        "--dim",
+        "1",
+        "--theta",
+        "0",
+        "--trials",
+        "5",
+        "--paths",
+        "2",
+        "--path-samples",
+        "4",
+        "--json",
+        str(out_file),
+    )
+    assert code == 0
+    assert "skipped: true" not in out
+    paths = read_json(out_file)["reports"][1]
+    assert paths["op"] == "path_stability"
+    assert paths["skipped"] is False
+    assert paths["trials_run"] == 2
+    assert paths["path_failures"] == 0
 
 
 def test_verify_degenerate_trials_dag_only(capsys):

@@ -6,8 +6,6 @@ from git_topo.connectivity import (
     CONTRACTIBLE,
     NO_INFORMATION,
     AbelianGroup,
-    connectivity_bound,
-    min_stratum_value,
     quotient_homotopy_group,
     summarize_strata,
     unitary_group_pi,
@@ -16,7 +14,7 @@ from git_topo.errors import DomainError
 from git_topo.families.control import ControlFamily
 from git_topo.families.control import enumerate_strata as control_strata
 from git_topo.families.dag import DagFamily
-from git_topo.families.dag import enumerate_strata as dag_strata
+from git_topo.families.quiver import QuiverSpec
 from git_topo.groups import GroupSpec, OrbitConvention
 
 
@@ -73,21 +71,6 @@ def test_unitary_pi_top_of_stable_range_is_z(k):
     assert unitary_group_pi(2 * k, k).is_unknown
 
 
-def test_connectivity_bound():
-    assert connectivity_bound(4) == 2
-    assert connectivity_bound(2) == 0
-    assert connectivity_bound(12) == 10
-    assert connectivity_bound(1) is None
-    assert connectivity_bound(0) is None
-
-
-def test_min_stratum_value_requires_strata():
-    with pytest.raises(DomainError, match="no destabilizing classes"):
-        min_stratum_value([])
-    strata = control_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)
-    assert min_stratum_value(strata) == 4
-
-
 def test_dimension_inequality_matches_connectivity():
     strata = control_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)
     tight = min(strata, key=lambda s: s.value)
@@ -126,27 +109,22 @@ def test_quotient_pi1_of_connected_group_vanishes():
 
 
 def test_summarize_control_parabolic():
-    strata = control_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)
-    report = summarize_strata("control", OrbitConvention.PARABOLIC, strata)
+    report = summarize_strata(ControlFamily(3, 2), OrbitConvention.PARABOLIC)
     assert report.d_min == 4
     assert report.connectivity == 2
 
 
 def test_summarize_control_centralizer_no_information():
-    strata = control_strata(ControlFamily(3, 2), OrbitConvention.CENTRALIZER)
-    report = summarize_strata("control", OrbitConvention.CENTRALIZER, strata)
+    report = summarize_strata(ControlFamily(3, 2), OrbitConvention.CENTRALIZER)
     assert report.d_min == 0
     assert report.connectivity == NO_INFORMATION
 
 
 def test_summarize_empty_strata_is_contractible():
-    report = summarize_strata(
-        "control",
-        OrbitConvention.PARABOLIC,
-        [],
-        group=GroupSpec((1,)),
-        max_q=2,
-    )
+    # One vertex of dimension 1 has no proper nonzero subrepresentation.
+    loop = QuiverSpec(1, ((0, 0),), (1,), (0,))
+    report = summarize_strata(loop, max_q=2)
+    assert report.strata == ()
     assert report.d_min is None
     assert report.connectivity == CONTRACTIBLE
     assert "no destabilizing classes: V^st = V" in report.notes
@@ -154,28 +132,13 @@ def test_summarize_empty_strata_is_contractible():
 
 
 def test_summarize_dag_headline():
-    strata = dag_strata(DagFamily(10, 3), OrbitConvention.CENTRALIZER)
-    report = summarize_strata(
-        "dag",
-        OrbitConvention.CENTRALIZER,
-        strata,
-        group=DagFamily(10, 3).group(),
-        max_q=5,
-    )
+    report = summarize_strata(DagFamily(10, 3), max_q=5)
+    assert report.family == "dag"
+    assert report.convention is OrbitConvention.CENTRALIZER
     assert report.d_min == 12
     assert report.connectivity == 10
     assert [g.descriptor() for _, g in report.homotopy] == ["0", "0", "Z^2", "0", "Z", "0"]
-
-
-def test_summarize_homotopy_needs_group():
-    with pytest.raises(DomainError):
-        summarize_strata("control", OrbitConvention.PARABOLIC, [], max_q=3)
-
-
-@given(st.integers(2, 40))
-@settings(max_examples=60)
-def test_connectivity_bound_inverts(d):
-    assert connectivity_bound(d) + 2 == d
+    assert report.thresholds == DagFamily(10, 3).thresholds()
 
 
 @given(st.integers(0, 8), st.integers(1, 5), st.integers(0, 3))

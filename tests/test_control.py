@@ -113,6 +113,16 @@ def test_has_stable_points_at_every_shape():
         assert control_status(inst).is_stable
 
 
+@pytest.mark.parametrize(
+    "n, m, message",
+    [(3.0, True, "state dimension 3.0"), (3, True, "input dimension True"),
+     (3, 2.5, "input dimension 2.5")],
+)
+def test_family_refuses_non_integers(n, m, message):
+    with pytest.raises(DomainError, match=f"{message} is not an integer"):
+        ControlFamily(n, m)
+
+
 def test_controllable_single_input_chain():
     # companion-style pair: fully controllable
     inst = make_instance(

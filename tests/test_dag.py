@@ -82,6 +82,16 @@ def test_has_stable_points_exactly_when_n_at_least_k():
             assert fam.is_stable_flat(flat) is (n >= k)
 
 
+@pytest.mark.parametrize(
+    "n, k, message",
+    [(10.0, 3, "sample count 10.0"), (10, True, "parent count True"),
+     (10, "3", "parent count '3'")],
+)
+def test_family_refuses_non_integers(n, k, message):
+    with pytest.raises(DomainError, match=f"{message} is not an integer"):
+        DagFamily(n, k)
+
+
 def test_status_full_rank():
     inst = make_instance([[1, 0, 5], [0, 1, 7], [1, 1, 0]])
     result = dag_status(inst)

@@ -67,6 +67,23 @@ def test_group_spec_validation():
         orbit_dim(GL3, lam, OrbitConvention.CENTRALIZER)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GroupSpec(("3",)), "GL factor rank '3'"),
+        (lambda: GroupSpec((2.0,)), "GL factor rank 2.0"),
+        (lambda: GroupSpec((2,), torus_rank=True), "torus rank True"),
+        (lambda: OnePSClass(((0.7, -1.9),), (0,)), "1-PS weight 0.7"),
+        (lambda: OnePSClass(((0, -1),), (True,)), "1-PS weight True"),
+    ],
+    ids=["str-rank", "float-rank", "bool-torus", "float-weight", "bool-torus-weight"],
+)
+def test_group_and_one_ps_refuse_non_integers(build, message):
+    # Refused, not truncated: (0.7, -1.9) used to become (0, -1).
+    with pytest.raises(DomainError, match=f"{message} is not an integer"):
+        build()
+
+
 weight_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
 
 

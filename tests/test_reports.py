@@ -1,11 +1,10 @@
-from git_topo.connectivity import CONTRACTIBLE
+from git_topo.connectivity import CONTRACTIBLE, summarize_strata
 from git_topo.families.control import ControlFamily
 from git_topo.families.dag import DagFamily
 from git_topo.families.quiver import kronecker_spec
 from git_topo.groups import OrbitConvention
 from git_topo.harness import TrialConfig, sample_generic_points
 from git_topo.reports import (
-    build_connectivity_report,
     render_connectivity_text,
     render_harness_text,
     render_status_text,
@@ -25,13 +24,13 @@ def test_dag_thresholds_formula():
 
 
 def test_build_report_defaults_per_family():
-    assert build_connectivity_report(kronecker_spec()).convention is OrbitConvention.PARABOLIC
-    assert build_connectivity_report(ControlFamily(3, 2)).convention is OrbitConvention.PARABOLIC
-    assert build_connectivity_report(DagFamily(10, 3)).convention is OrbitConvention.CENTRALIZER
+    assert summarize_strata(kronecker_spec()).convention is OrbitConvention.PARABOLIC
+    assert summarize_strata(ControlFamily(3, 2)).convention is OrbitConvention.PARABOLIC
+    assert summarize_strata(DagFamily(10, 3)).convention is OrbitConvention.CENTRALIZER
 
 
 def test_build_report_single_state_control_is_contractible():
-    report = build_connectivity_report(ControlFamily(1, 2))
+    report = summarize_strata(ControlFamily(1, 2))
     assert report.strata == ()
     assert report.d_min is None
     assert report.connectivity == CONTRACTIBLE
@@ -39,7 +38,7 @@ def test_build_report_single_state_control_is_contractible():
 
 
 def test_render_kronecker_lines():
-    lines = render_connectivity_text(build_connectivity_report(kronecker_spec()))
+    lines = render_connectivity_text(summarize_strata(kronecker_spec()))
     assert lines[0] == "family: quiver"
     assert lines[1] == "convention: parabolic"
     assert "  sub_dim=(1, 0): m=2, orbit_dim=0, value=4" in lines
@@ -48,7 +47,7 @@ def test_render_kronecker_lines():
 
 
 def test_render_contractible_lines():
-    lines = render_connectivity_text(build_connectivity_report(ControlFamily(1, 2)))
+    lines = render_connectivity_text(summarize_strata(ControlFamily(1, 2)))
     assert "strata: none" in lines
     assert "d_min: none (no destabilizing classes: V^st = V)" in lines
     assert "connectivity: contractible (V^st is all of V)" in lines
@@ -56,7 +55,7 @@ def test_render_contractible_lines():
 
 def test_render_dag_threshold_line():
     lines = render_connectivity_text(
-        build_connectivity_report(DagFamily(10, 3), max_q=5)
+        summarize_strata(DagFamily(10, 3), max_q=5)
     )
     assert "thresholds: path-connected for n ≥ 5, simply connected for n ≥ 6" in lines
     assert "homotopy:" in lines

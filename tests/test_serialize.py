@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from git_topo.connectivity import summarize_strata
 from git_topo.errors import SchemaError
 from git_topo.families.base import (
     complex_from_json,
@@ -22,7 +23,6 @@ from git_topo.families.quiver import QuiverSpec, ThinQuiverRep, kronecker_spec
 from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.harness import TrialConfig, kronecker_oracle_check, sample_generic_points
 from git_topo.linalg import ComplexRational, Matrix
-from git_topo.reports import build_connectivity_report
 from git_topo.rng import CounterRng
 from git_topo.serialize import (
     CONVENTION_DEPENDENT_FIELDS,
@@ -185,7 +185,7 @@ def test_one_ps_round_trip():
 
 
 def test_connectivity_report_round_trip_with_thresholds():
-    report = build_connectivity_report(DagFamily(10, 3), max_q=5)
+    report = summarize_strata(DagFamily(10, 3), max_q=5)
     payload = report_to_json(report)
     assert payload["convention_dependent_fields"] == list(CONVENTION_DEPENDENT_FIELDS)
     assert payload["thresholds"] == {
@@ -196,7 +196,7 @@ def test_connectivity_report_round_trip_with_thresholds():
 
 
 def test_connectivity_report_round_trip_no_information():
-    report = build_connectivity_report(
+    report = summarize_strata(
         ControlFamily(3, 2), convention=OrbitConvention.CENTRALIZER
     )
     payload = report_to_json(report)
@@ -206,7 +206,7 @@ def test_connectivity_report_round_trip_no_information():
 
 
 def test_homotopy_rows_parse_back():
-    report = build_connectivity_report(DagFamily(10, 3), max_q=5)
+    report = summarize_strata(DagFamily(10, 3), max_q=5)
     payload = report_to_json(report)
     rows = json.loads(canonical_dumps(payload))["homotopy"]
     assert rows == [
@@ -256,7 +256,7 @@ def test_no_floats_anywhere_in_payloads():
             for v in node:
                 walk(v)
 
-    walk(report_to_json(build_connectivity_report(DagFamily(10, 3), max_q=5)))
+    walk(report_to_json(summarize_strata(DagFamily(10, 3), max_q=5)))
     walk(
         instance_to_json(
             ControlInstance(
