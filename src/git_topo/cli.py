@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import GitTopoError, SchemaError
@@ -46,25 +47,34 @@ from git_topo.serialize import (
 )
 
 
-def _refuse_foreign_flags(args: argparse.Namespace, own: list[str]) -> None:
-    """Refuse a family flag given to a family that does not take it."""
-    foreign = [
-        f"--{dest}"
-        for cls in FAMILIES.values()
-        for dest, _, _ in cls.CLI_ARGS
-        if dest not in own and getattr(args, dest) is not None
-    ]
-    if foreign:
-        raise SchemaError(f"{args.family} does not take {', '.join(foreign)}")
+# verify's sampling options: dest, the TrialConfig field it sets, help.
+# The fields' defaults are the only defaults.
+_TRIAL_OPTIONS = (
+    ("trials", "trials", "generic-point trials"),
+    ("seed", "seed", "64-bit seed"),
+    ("bound", "entry_bound", "entries drawn from [-bound, bound]"),
+    ("paths", "paths", "quadratic path trials"),
+    ("path_samples", "path_samples", "evaluations per path"),
+)
+_FAMILY_FLAGS = [dest for cls in FAMILIES.values() for dest, _, _ in cls.CLI_ARGS]
+DEFAULT_GRID = 2
+DEFAULT_EPSILON = "1/1000"
 
 
-def _family_from_args(args: argparse.Namespace):
+def _refuse_options(args: argparse.Namespace, dests: list[str]) -> None:
+    """Refuse any of these options the command line gave."""
+    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+    if given:
+        raise SchemaError(f"{args.family} does not take {', '.join(given)}")
+
+
+def _family_from_args(args: argparse.Namespace, refused: tuple[str, ...] = ()):
     cls = FAMILIES[args.family]
     own = [dest for dest, _, _ in cls.CLI_ARGS]
     missing = [f"--{dest}" for dest in own if getattr(args, dest) is None]
     if missing:
         raise SchemaError(f"{args.family} needs {', '.join(missing)}")
-    _refuse_foreign_flags(args, own)
+    _refuse_options(args, [*(d for d in _FAMILY_FLAGS if d not in own), *refused])
     return cls.from_args(args)
 
 
@@ -101,6 +111,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    if args.epsilon is not None and not args.stabilize:
+        raise SchemaError("--epsilon applies only with --stabilize")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -119,7 +131,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.stabilize:
         if not isinstance(instance, DagInstance):
             raise SchemaError("--stabilize applies to DAG instance files")
-        eps = rational_from_json(args.epsilon, "--epsilon")
+        eps = rational_from_json(args.epsilon or DEFAULT_EPSILON, "--epsilon")
         working = dag_stabilize(instance, eps)
         payload["stabilized"] = instance_to_json(working)
         payload["epsilon"] = rational_to_str(eps)
@@ -152,33 +164,33 @@ def cmd_homotopy(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     reports = []
     if args.family == "kronecker":
-        _refuse_foreign_flags(args, ["theta"])
+        refused = [d for d in _FAMILY_FLAGS if d != "theta"] + ["orbit_convention"]
+        refused += [dest for dest, _, _ in _TRIAL_OPTIONS] + ["degenerate_trials"]
+        _refuse_options(args, refused)
         theta = parse_int_list(args.theta, "--theta") if args.theta else (1, -1)
         if len(theta) != 2:
             raise SchemaError("--theta: the Kronecker quiver has two vertices")
-        reports.append(kronecker_oracle_check(args.grid, theta))
+        grid = DEFAULT_GRID if args.grid is None else args.grid
+        reports.append(kronecker_oracle_check(grid, theta))
     else:
-        spec = _family_from_args(args)
-        cfg = TrialConfig(
-            family_spec=spec,
-            trials=args.trials,
-            seed=args.seed,
-            entry_bound=args.bound,
-            paths=args.paths,
-            path_samples=args.path_samples,
-            convention=_convention_from_args(args),
-        )
+        spec = _family_from_args(args, refused=("grid",))
+        given = {
+            field: getattr(args, dest)
+            for dest, field, _ in _TRIAL_OPTIONS
+            if getattr(args, dest) is not None
+        }
+        cfg = TrialConfig(spec, convention=_convention_from_args(args), **given)
         degen_cfg = None
-        if args.degenerate_trials > 0:
+        if (args.degenerate_trials or 0) > 0:
             degen_cfg = TrialConfig(
-                family_spec=spec,
+                spec,
                 trials=args.degenerate_trials,
-                seed=args.seed,
-                entry_bound=args.bound,
+                seed=cfg.seed,
+                entry_bound=cfg.entry_bound,
             )
             check_degenerate_config(degen_cfg)
         reports.append(sample_generic_points(cfg))
-        if args.paths > 0:
+        if cfg.paths > 0:
             reports.append(sample_path_stability(cfg))
         if degen_cfg is not None:
             reports.append(detect_constructed_degenerates(degen_cfg))
@@ -219,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stabilize", action="store_true", help="emit an eps-stabilized DAG sample"
     )
     check.add_argument(
-        "--epsilon", default="1/1000", help="perturbation size p/q for --stabilize"
+        "--epsilon",
+        help=f"perturbation size p/q for --stabilize (default {DEFAULT_EPSILON})",
     )
     check.set_defaults(handler=cmd_check)
 
@@ -235,23 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="seeded verification harness")
     _add_family_args(verify, extra=("kronecker",))
-    verify.add_argument("--trials", type=int, default=1000, help="generic-point trials")
-    verify.add_argument("--seed", type=int, default=0, help="64-bit seed")
+    defaults = {f.name: f.default for f in fields(TrialConfig)}
+    for dest, field, text in _TRIAL_OPTIONS:
+        flag = "--" + dest.replace("_", "-")
+        verify.add_argument(flag, type=int, help=f"{text} (default {defaults[field]})")
     verify.add_argument(
-        "--bound", type=int, default=9, help="entries drawn from [-bound, bound]"
-    )
-    verify.add_argument("--paths", type=int, default=0, help="quadratic path trials")
-    verify.add_argument(
-        "--path-samples", type=int, default=256, help="evaluations per path"
+        "--grid", type=int, help=f"Kronecker grid radius (default {DEFAULT_GRID})"
     )
     verify.add_argument(
-        "--grid", type=int, default=2, help="Kronecker oracle grid radius"
-    )
-    verify.add_argument(
-        "--degenerate-trials",
-        type=int,
-        default=0,
-        help="constructed rank-deficient DAG trials",
+        "--degenerate-trials", type=int, help="constructed rank-deficient DAG trials"
     )
     verify.set_defaults(handler=cmd_verify)
 

@@ -174,6 +174,6 @@ def summarize_strata(
         d_min=d,
         connectivity=connectivity,
         homotopy=homotopy,
-        thresholds=spec.thresholds(),
+        thresholds=spec.thresholds(convention),
         notes=notes,
     )

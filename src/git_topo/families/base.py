@@ -13,7 +13,7 @@ shapes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
@@ -209,17 +209,14 @@ def check_stratum_work(classes: int, weights_per_class: int) -> None:
         )
 
 
-def check_point_size(entries: int) -> None:
-    """Refuse, before anything is drawn, a point past MAX_POINT_ENTRIES."""
+def check_sampling_work(entries: int, checks: int) -> None:
+    """Refuse, before anything is drawn, a point past MAX_POINT_ENTRIES or a
+    run of point checks past MAX_TRIAL_WORK."""
     if entries > MAX_POINT_ENTRIES:
         raise SizeLimitError(
             f"a point of {entries} integers refused: the limit is "
             f"{MAX_POINT_ENTRIES}"
         )
-
-
-def check_trial_work(checks: int, entries: int) -> None:
-    """Refuse, before anything is drawn, a run past MAX_TRIAL_WORK."""
     if checks * entries > MAX_TRIAL_WORK:
         raise SizeLimitError(
             f"{checks} point checks x {entries} integers per point refused: "
@@ -248,3 +245,51 @@ def strata_from_classes(
         )
         for descriptor, rep in classes
     ]
+
+
+class FamilySpec:
+    """The shape of one model family, and the interface every family implements.
+
+    A family is a frozen dataclass subclass whose fields are its shape, in
+    the order of its command-line flags.  It supplies 12 members:
+
+    - `name`, its registry key, and `CLI_ARGS`, a (dest, type, help)
+      triple per command-line flag;
+    - `DEFAULT_CONVENTION`, `group()`, `weights(lam)`, the (weight,
+      multiplicity) pairs of a 1-PS on V, and `strata(convention)`;
+    - `has_stable_points()`, whether V^st is non-empty;
+    - `flat_size`, the integers in the flat encoding of a point that the
+      harness samples in, `instance_from_flat(flat)`, `is_stable_flat(flat)`
+      and `path_suspects(entry_polys, n_samples)`, the samples of a
+      quadratic path its certificate mod 2^61 - 1 cannot clear;
+    - `instance_from_json(data)`, the reader of `check` instance files,
+      whose instance exposes `family()`, `status()` and `to_json()`.
+
+    The base class gives the rest, which a family overrides where it
+    differs: `draw_flat(rng, bound)` draws `flat_size` integers in
+    [-bound, bound], `draw_generic` (the same, minus points generic
+    sampling excludes) calls `draw_flat`, `from_args(args)` passes the
+    flags to the constructor in order, `to_json()` writes the name and the
+    fields, and `thresholds(convention)` has no sample-size cutoffs.
+    """
+
+    name: str
+    CLI_ARGS: tuple[tuple[str, type, str], ...]
+    DEFAULT_CONVENTION: OrbitConvention
+
+    @classmethod
+    def from_args(cls, args):
+        return cls(*(getattr(args, dest) for dest, _, _ in cls.CLI_ARGS))
+
+    def to_json(self) -> dict:
+        shape = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"family": self.name, **shape}
+
+    def draw_flat(self, rng, bound: int) -> list[int]:
+        return [rng.int_between(-bound, bound) for _ in range(self.flat_size)]
+
+    def draw_generic(self, rng, bound: int) -> list[int]:
+        return self.draw_flat(rng, bound)
+
+    def thresholds(self, convention: OrbitConvention) -> tuple[tuple[str, int], ...]:
+        return ()

@@ -16,11 +16,10 @@ from typing import Iterator, Sequence
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
+    FamilySpec,
     StabilityStatus,
     StratumClass,
-    check_point_size,
     check_stratum_work,
-    check_trial_work,
     matrix_from_json,
     matrix_to_json,
     require_int,
@@ -59,7 +58,7 @@ MIN_KRYLOV_CERTIFIED_N = 10
 
 
 @dataclass(frozen=True)
-class ControlFamily:
+class ControlFamily(FamilySpec):
     """Shape of the family: state dimension n, input dimension m.
 
     The flat encoding of a point is A row-major, then B row-major.
@@ -97,13 +96,6 @@ class ControlFamily:
                 yield wi - wj, ci * cj
             yield wi, ci * self.m
 
-    @classmethod
-    def from_args(cls, args) -> "ControlFamily":
-        return cls(args.n, args.m)
-
-    def to_json(self) -> dict:
-        return {"family": self.name, "n": self.n, "m": self.m}
-
     @staticmethod
     def instance_from_json(data: dict) -> "ControlInstance":
         n = require_int(data.get("n"), "n", 1)
@@ -119,16 +111,9 @@ class ControlFamily:
         """Always: A shifting e_j to e_(j+1) with B = e_1 is controllable."""
         return True
 
-    def draw_flat(self, rng, bound: int) -> list[int]:
-        count = self.n * (self.n + self.m)
-        check_point_size(count)
-        return [rng.int_between(-bound, bound) for _ in range(count)]
-
-    draw_generic = draw_flat
-
-    def check_trial_work(self, checks: int) -> None:
-        """Refuse a run of this many point checks past MAX_TRIAL_WORK."""
-        check_trial_work(checks, self.n * (self.n + self.m))
+    @property
+    def flat_size(self) -> int:
+        return self.n * (self.n + self.m)
 
     def instance_from_flat(self, flat: Sequence[int]) -> "ControlInstance":
         n, m = self.n, self.m
@@ -166,9 +151,6 @@ class ControlFamily:
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
-
-    def thresholds(self) -> tuple[tuple[str, int], ...]:
-        return ()
 
 
 @dataclass(frozen=True)

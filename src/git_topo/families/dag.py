@@ -21,11 +21,10 @@ from typing import Iterator, Sequence
 
 from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import (
+    FamilySpec,
     StabilityStatus,
     StratumClass,
-    check_point_size,
     check_stratum_work,
-    check_trial_work,
     matrix_from_json,
     matrix_to_json,
     require_int,
@@ -54,7 +53,7 @@ MAX_CERTIFIED_K = 16
 
 
 @dataclass(frozen=True)
-class DagFamily:
+class DagFamily(FamilySpec):
     """Shape of the family: n samples, k parent variables.
 
     The flat encoding of a point is Y row-major.
@@ -90,13 +89,6 @@ class DagFamily:
             yield wc, self.n
         yield -lam.torus_weights[0], self.n
 
-    @classmethod
-    def from_args(cls, args) -> "DagFamily":
-        return cls(args.samples, args.parents)
-
-    def to_json(self) -> dict:
-        return {"family": self.name, "n": self.n, "k": self.k}
-
     @staticmethod
     def instance_from_json(data: dict) -> "DagInstance":
         n = require_int(data.get("n"), "n", 1)
@@ -107,16 +99,9 @@ class DagFamily:
         """Whether an n x k parent block can have full column rank k."""
         return self.n >= self.k
 
-    def draw_flat(self, rng, bound: int) -> list[int]:
-        count = self.n * (self.k + 1)
-        check_point_size(count)
-        return [rng.int_between(-bound, bound) for _ in range(count)]
-
-    draw_generic = draw_flat
-
-    def check_trial_work(self, checks: int) -> None:
-        """Refuse a run of this many point checks past MAX_TRIAL_WORK."""
-        check_trial_work(checks, self.n * (self.k + 1))
+    @property
+    def flat_size(self) -> int:
+        return self.n * (self.k + 1)
 
     def instance_from_flat(self, flat: Sequence[int]) -> "DagInstance":
         return DagInstance(self.n, self.k, Matrix(self.n, self.k + 1, tuple(flat)))
@@ -145,16 +130,24 @@ class DagFamily:
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
 
-    def thresholds(self) -> tuple[tuple[str, int], ...]:
-        """Sample counts where connectivity statements start to hold.
+    def thresholds(self, convention: OrbitConvention) -> tuple[tuple[str, int], ...]:
+        """Sample counts from which the stable locus is path-connected
+        (d_min >= 2) and simply connected (d_min >= 3, so d_min >= 4).
 
-        d_min = 2n - 4k + 4 under the centralizer convention, so the stable
-        locus is path-connected once n >= 2k - 1 and simply connected once
-        n >= 2k.  Keys are kept sorted for canonical serialization.
+        The class with j redundant columns has m = jn and orbit dimension
+        2j(k - j) under the centralizer convention, j(k - j) under the
+        parabolic one, so its value is 2j(n - 2k + 2j), resp.
+        2j(n - k + j), which grows with n.  At n = 2k - 1, resp. k, class
+        j has value 2j(2j - 1), resp. 2j^2, so d_min = 2, and one sample
+        fewer gives class 1 the value 0; at n = 2k, resp. k + 1, class j
+        has 4j^2, resp. 2j(j + 1), so d_min = 4.  So the cutoffs are 2k - 1
+        and 2k under the centralizer convention and k and k + 1 under the
+        parabolic one.  Keys are kept sorted for canonical serialization.
         """
+        first = 2 * self.k - 1 if convention is OrbitConvention.CENTRALIZER else self.k
         return (
-            ("path_connected_from_n", 2 * self.k - 1),
-            ("simply_connected_from_n", 2 * self.k),
+            ("path_connected_from_n", first),
+            ("simply_connected_from_n", first + 1),
         )
 
 

@@ -33,15 +33,13 @@ from git_topo.errors import (
     SizeLimitError,
 )
 from git_topo.families.base import (
+    FamilySpec,
     StabilityStatus,
     StratumClass,
-    check_point_size,
     check_stratum_work,
-    check_trial_work,
     complex_from_json,
     complex_to_json,
     int_list,
-    negative_weight_dim,  # re-exported: criterion 9 checks m against the weights
     parse_int_list,
     require_int,
     require_list,
@@ -60,7 +58,7 @@ MAX_CLOSURE_GRAPH_SIZE = 2500
 
 
 @dataclass(frozen=True)
-class QuiverSpec:
+class QuiverSpec(FamilySpec):
     """A quiver with dimension vector and admissible stability parameter.
 
     Arrows are stored 0-based as (source, target) pairs; parallel arrows
@@ -174,7 +172,7 @@ class QuiverSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "QuiverSpec":
+    def instance_from_json(cls, data: dict) -> "ThinQuiverRep":
         vertices = require_int(data.get("vertices"), "vertices")
         arrows = []
         for i, pair in enumerate(require_list(data.get("arrows"), "arrows")):
@@ -186,16 +184,11 @@ class QuiverSpec:
         dim = int_list(data.get("dim"), "dim")
         theta = int_list(data.get("theta"), "theta")
         try:
-            return cls(vertices, tuple(arrows), dim, theta)
-        except GitTopoError as exc:
-            raise SchemaError(str(exc)) from None
-
-    @classmethod
-    def instance_from_json(cls, data: dict) -> "ThinQuiverRep":
-        spec = cls.from_json(data)
-        raw = require_list(data.get("values"), "values")
-        values = tuple(complex_from_json(v, f"values[{i}]") for i, v in enumerate(raw))
-        try:
+            spec = cls(vertices, tuple(arrows), dim, theta)
+            raw = require_list(data.get("values"), "values")
+            values = tuple(
+                complex_from_json(v, f"values[{i}]") for i, v in enumerate(raw)
+            )
             return ThinQuiverRep(spec, values)
         except GitTopoError as exc:
             raise SchemaError(str(exc)) from None
@@ -259,8 +252,11 @@ class QuiverSpec:
             return self._generic_best
         return _max_closure(theta, live)
 
+    @property
+    def flat_size(self) -> int:
+        return 2 * len(self.arrows)
+
     def draw_flat(self, rng, bound: int) -> list[int]:
-        check_point_size(2 * len(self.arrows))
         flat: list[int] = []
         for live in self.live_mask():
             if live:
@@ -282,10 +278,6 @@ class QuiverSpec:
         while has_live and not any(flat):
             flat = self.draw_flat(rng, bound)
         return flat
-
-    def check_trial_work(self, checks: int) -> None:
-        """Refuse a run of this many point checks past MAX_TRIAL_WORK."""
-        check_trial_work(checks, 2 * len(self.arrows))
 
     def instance_from_flat(self, flat: Sequence[int]) -> "ThinQuiverRep":
         values = tuple(
@@ -312,9 +304,6 @@ class QuiverSpec:
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
 
-    def thresholds(self) -> tuple[tuple[str, int], ...]:
-        return ()
-
 
 _ARROW_RE = re.compile(r"^(\d+)->(\d+)$")
 
@@ -336,16 +325,6 @@ def _parse_arrows(text: str) -> tuple[tuple[int, int], ...]:
 def kronecker_spec(theta: Sequence[int] = (1, -1)) -> QuiverSpec:
     """Two vertices, two parallel arrows 1->2, thin dimensions."""
     return QuiverSpec(2, ((0, 1), (0, 1)), (1, 1), tuple(theta))
-
-
-def euler_form(spec: QuiverSpec, d: Sequence[int], e: Sequence[int]) -> int:
-    """Euler form <d, e> = sum_i d_i e_i - sum_arrows d_source e_target."""
-    if len(d) != spec.vertex_count or len(e) != spec.vertex_count:
-        raise ShapeError("dimension vectors must match the vertex count")
-    total = sum(di * ei for di, ei in zip(d, e))
-    for s, t in spec.arrows:
-        total -= d[s] * e[t]
-    return total
 
 
 def sub_dimension_vectors(spec: QuiverSpec) -> Iterator[tuple[int, ...]]:

@@ -47,6 +47,7 @@ from git_topo.families import (
     dag_stabilize,
     kronecker_spec,
 )
+from git_topo.families.base import check_sampling_work
 from git_topo.groups import OrbitConvention
 from git_topo.rng import CounterRng
 
@@ -117,7 +118,9 @@ class TrialConfig:
                 f"the limit is {MAX_PATH_POINTS}"
             )
         # Generic trials plus path points, each one point check.
-        self.family_spec.check_trial_work(self.trials + self.paths * self.path_samples)
+        check_sampling_work(
+            self.family_spec.flat_size, self.trials + self.paths * self.path_samples
+        )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ Not cryptographic.  Do not use for anything security-sensitive.
 
 from __future__ import annotations
 
+from git_topo.errors import DomainError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -43,7 +45,7 @@ class CounterRng:
         since the acceptance region covers almost all of 2**64.
         """
         if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+            raise DomainError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         limit = (1 << 64) - ((1 << 64) % span)
         while True:

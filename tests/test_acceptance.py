@@ -31,14 +31,12 @@ from git_topo.families.control import (
     invariant_subspace_dim,
 )
 from git_topo.families.control import enumerate_strata as control_strata
-from git_topo.families.base import Verdict
+from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.dag import DagFamily, dag_status
 from git_topo.families.quiver import (
     QuiverSpec,
     ThinQuiverRep,
-    euler_form,
     kronecker_spec,
-    negative_weight_dim,
     one_ps_for_subdim,
     quiver_thin_status,
     sub_dimension_vectors,
@@ -61,6 +59,7 @@ from group_actions import (
     random_signs,
     unimodular_from_stream,
 )
+from euler_oracle import euler_form
 from krylov_oracle import KERNEL, certificate_holds, certify, krylov_matrix
 
 SEEDS_TEN = tuple(range(10))

@@ -153,6 +153,63 @@ def test_flags_of_another_family_are_refused(argv, flags, capsys, tmp_path):
     assert read_json(err_file) == {"error": {"type": "SchemaError", "message": message}}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "kronecker", "--grid", "1", "--paths", "5", "--trials", "7",
+          "--degenerate-trials", "3", "--orbit-convention", "centralizer"],
+         "kronecker does not take --orbit-convention, --trials, --paths, "
+         "--degenerate-trials"),
+        (["verify", "kronecker", "--seed", "1", "--bound", "2", "--path-samples", "8"],
+         "kronecker does not take --seed, --bound, --path-samples"),
+        (["verify", "control", "--n", "2", "--m", "1", "--trials", "3", "--grid", "9"],
+         "control does not take --grid"),
+        (["verify", "quiver", "--arrows", "1->2", "--dim", "1,1", "--theta", "1,-1",
+          "--n", "2", "--grid", "1"], "quiver does not take --n, --grid"),
+        (["check", "missing.json", "--epsilon", "1/2"],
+         "--epsilon applies only with --stabilize"),
+    ],
+    ids=["kronecker-run", "kronecker-draws", "control-grid", "quiver-grid", "epsilon"],
+)
+def test_options_the_run_does_not_read_are_refused(argv, message, capsys, tmp_path):
+    err_file = tmp_path / "err.json"
+    code, out, err = run(capsys, *argv, "--json", str(err_file))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert read_json(err_file) == {"error": {"type": "SchemaError", "message": message}}
+
+
+def test_a_missing_family_flag_is_named_before_an_unread_option(capsys):
+    code, _, err = run(capsys, "verify", "dag", "--samples", "4", "--grid", "3")
+    assert code == 2
+    assert err == "error: dag needs --parents\n"
+
+
+def test_verify_help_states_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for text in ["generic-point trials (default 1000)", "64-bit seed (default 0)",
+                 "(default 9)", "quadratic path trials (default 0)",
+                 "evaluations per path (default 256)", "grid radius (default 2)"]:
+        assert text in out
+
+
+def test_analyze_dag_thresholds_follow_the_convention(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, "analyze", "dag", "--samples", "10", "--parents", "3",
+        "--orbit-convention", "parabolic", "--json", str(out_file),
+    )
+    assert code == 0
+    assert "d_min = 16" in out
+    assert "thresholds: path-connected for n ≥ 3, simply connected for n ≥ 4" in out
+    assert read_json(out_file)["thresholds"] == {
+        "path_connected_from_n": 3,
+        "simply_connected_from_n": 4,
+    }
+
+
 def test_analyze_rejects_inadmissible_theta(capsys):
     code, _, err = run(
         capsys,
@@ -750,6 +807,15 @@ def test_verify_refuses_a_point_past_the_entry_limit(argv, entries, capsys, tmp_
     assert code == 2 and out == ""
     assert f"a point of {entries} integers refused" in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+def test_verify_refuses_an_oversized_point_even_when_it_draws_none(capsys):
+    # n < k, so generic sampling would be skipped; the run is refused anyway.
+    code, out, err = run(
+        capsys, "verify", "dag", "--samples", "1", "--parents", "70000", "--trials", "1"
+    )
+    assert code == 2 and out == ""
+    assert "a point of 70001 integers refused" in err
 
 
 def test_verify_control_refuses_a_run_past_the_work_limit(capsys, tmp_path):

@@ -138,7 +138,7 @@ def test_summarize_dag_headline():
     assert report.d_min == 12
     assert report.connectivity == 10
     assert [g.descriptor() for _, g in report.homotopy] == ["0", "0", "Z^2", "0", "Z", "0"]
-    assert report.thresholds == DagFamily(10, 3).thresholds()
+    assert report.thresholds == DagFamily(10, 3).thresholds(report.convention)
 
 
 @given(st.integers(0, 8), st.integers(1, 5), st.integers(0, 3))

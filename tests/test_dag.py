@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from git_topo.connectivity import summarize_strata
 from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.dag import (
@@ -70,6 +71,22 @@ def test_one_ps_redundant_shape():
         one_ps_redundant(fam, 0)
     with pytest.raises(DomainError):
         one_ps_redundant(fam, 4)
+
+
+@pytest.mark.parametrize("convention", list(OrbitConvention))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_thresholds_are_the_least_n_reaching_each_d_min(k, convention):
+    def least_n(d: int) -> int:
+        return next(
+            n
+            for n in range(1, 4 * k + 4)
+            if summarize_strata(DagFamily(n, k), convention).d_min >= d
+        )
+
+    assert DagFamily(k, k).thresholds(convention) == (
+        ("path_connected_from_n", least_n(2)),
+        ("simply_connected_from_n", least_n(3)),
+    )
 
 
 def test_has_stable_points_exactly_when_n_at_least_k():

@@ -27,7 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "git_topo"
 
 TEST_ORACLES = {
-    "families.quiver.euler_form": "criterion 9 checks quiver stratum values against the Euler form",
     "families.control.invariant_subspace_dim": "control checks and perfbench/reference.py",
 }
 

@@ -221,6 +221,11 @@ def test_counter_rng_bounds_and_determinism(seed, index):
     assert [again.int_between(-9, 9) for _ in range(20)] == values
 
 
+def test_counter_rng_refuses_an_empty_range_with_a_package_error():
+    with pytest.raises(DomainError, match=r"empty range \[1, 0\]"):
+        CounterRng(0).int_between(1, 0)
+
+
 @given(st.integers(0, 2**20))
 @settings(max_examples=40, deadline=None)
 def test_instance_from_flat_round_trips_draws(seed):

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from git_topo.errors import DomainError, ShapeError, SizeLimitError
-from git_topo.families.base import Verdict
+from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.quiver import (
     MAX_CLOSURE_GRAPH_SIZE,
     QuiverSpec,
     ThinQuiverRep,
     enumerate_strata,
-    euler_form,
     kronecker_spec,
-    negative_weight_dim,
     one_ps_for_subdim,
     quiver_thin_status,
     sub_dimension_vectors,
@@ -23,6 +21,7 @@ from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import ComplexRational
 
 from closure_oracle import oracle_status
+from euler_oracle import euler_form
 
 status = quiver_thin_status
 

@@ -13,11 +13,12 @@ from git_topo.harness import draw_instance
 
 
 def test_dag_thresholds_formula():
-    assert DagFamily(10, 3).thresholds() == (
+    centralizer = OrbitConvention.CENTRALIZER
+    assert DagFamily(10, 3).thresholds(centralizer) == (
         ("path_connected_from_n", 5),
         ("simply_connected_from_n", 6),
     )
-    assert DagFamily(4, 2).thresholds() == (
+    assert DagFamily(4, 2).thresholds(centralizer) == (
         ("path_connected_from_n", 3),
         ("simply_connected_from_n", 4),
     )
