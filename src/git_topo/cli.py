@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 
 from git_topo.connectivity import summarize_strata
-from git_topo.errors import GitTopoError, SchemaError
+from git_topo.errors import DomainError, GitTopoError, SchemaError
 from git_topo.families import FAMILIES, DagInstance, dag_stabilize
 from git_topo.families.base import parse_int_list, rational_from_json, rational_to_str
 from git_topo.families.dag import dag_solve_mle
@@ -181,7 +181,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         }
         cfg = TrialConfig(spec, convention=_convention_from_args(args), **given)
         degen_cfg = None
-        if (args.degenerate_trials or 0) > 0:
+        if args.degenerate_trials is not None:
+            if args.degenerate_trials < 1:
+                raise DomainError("degenerate trials must be positive")
             degen_cfg = TrialConfig(
                 spec,
                 trials=args.degenerate_trials,

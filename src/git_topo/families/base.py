@@ -34,25 +34,25 @@ MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
 # for DAG, two per arrow for a quiver.  On a 2-CPU x86 machine a trial at
-# the limit drew its point in 35-50 ms and checked it in 10-180 ms:
+# the limit drew its point in 20-25 ms and checked it in 10-180 ms:
 # 130-180 ms at control (3, 21842), 15-21 ms at DAG (16384, 3), 10-11 ms
 # on a 32768-arrow Kronecker quiver.  Square control shapes stay below
 # the limit, and with the Krylov certificate mod p a trial there cost
-# 7 ms at n = 40, 18 ms at n = 60, 54 ms at n = 100 and 0.63 s at
+# 7 ms at n = 40, 18 ms at n = 60, 54 ms at n = 100 and 0.42 s at
 # n = 250, with m = 1 (exact Bareiss alone took 21 s at n = 100).
 MAX_POINT_ENTRIES = 2**16
 
 # Most work, point checks x integers per point, one verify run accepts
 # (generic trials plus path points).  On a 2-CPU x86 machine a control
-# trial cost 4-23 us per integer of its point: 61 us at (3, 2), 7.5 ms at
-# (40, 2), 54 ms at (100, 1), 0.63 s at (250, 1), and the most, 44 ms, at
+# trial cost 2-21 us per integer of its point: 31 us at (3, 2), 4.7 ms at
+# (40, 2), 48 ms at (100, 1), 0.42 s at (250, 1), and the most, 39 ms, at
 # (9, 200), below the Krylov certificate's crossover.  So a control run
-# at the limit takes one to six minutes; it accepts 2^20 trials at (3, 2)
-# and about 1700 at (100, 1).  DAG and thin-quiver trials cost about
-# 2 us per integer (82 us at DAG (10, 3), 130 ms at (16384, 3), 82 us on
-# a 20-vertex thin cycle), so their runs stop near 35 s: 419430 trials at
-# DAG (10, 3) or on that cycle, 256 at (16384, 3), and every Kronecker
-# run under MAX_TRIALS.
+# at the limit takes half a minute to six minutes; it accepts 2^20 trials
+# at (3, 2) and about 1700 at (100, 1).  DAG and thin-quiver trials cost
+# about 1 us per integer (38 us at DAG (10, 3), 50 ms at (16384, 3), 26 us
+# on a 20-vertex thin cycle), so their runs stop near 11-16 s: 419430
+# trials at DAG (10, 3) or on that cycle, 256 at (16384, 3), and every
+# Kronecker run under MAX_TRIALS.
 MAX_TRIAL_WORK = 2**24
 
 
@@ -286,7 +286,7 @@ class FamilySpec:
         return {"family": self.name, **shape}
 
     def draw_flat(self, rng, bound: int) -> list[int]:
-        return [rng.int_between(-bound, bound) for _ in range(self.flat_size)]
+        return rng.ints(-bound, bound, self.flat_size)
 
     def draw_generic(self, rng, bound: int) -> list[int]:
         return self.draw_flat(rng, bound)

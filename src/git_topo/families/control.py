@@ -194,13 +194,10 @@ def controllability_rank_ints(
     if n >= MIN_KRYLOV_CERTIFIED_N and _krylov_full_rank_mod_p(n, m, a_rows, b_rows):
         return n
     current = [[b_rows[i][j] for i in range(n)] for j in range(m)]
-    krylov = [list(c) for c in current]
+    krylov = list(current)
     for _ in range(n - 1):
-        nxt = []
-        for col in current:
-            nxt.append([sum(a_rows[i][k] * col[k] for k in range(n)) for i in range(n)])
-        krylov.extend(nxt)
-        current = nxt
+        current = [[sum(map(operator.mul, row, col)) for row in a_rows] for col in current]
+        krylov.extend(current)
     return int_rank(krylov)
 
 

@@ -256,14 +256,19 @@ class QuiverSpec(FamilySpec):
     def flat_size(self) -> int:
         return 2 * len(self.arrows)
 
+    @cached_property
+    def _live_arrows(self) -> tuple[int, ...]:
+        return tuple(a for a, live in enumerate(self.live_mask()) if live)
+
     def draw_flat(self, rng, bound: int) -> list[int]:
-        flat: list[int] = []
-        for live in self.live_mask():
-            if live:
-                flat.append(rng.int_between(-bound, bound))
-                flat.append(rng.int_between(-bound, bound))
-            else:
-                flat.extend((0, 0))
+        """Two entries per live arrow, drawn in arrow order; zeros elsewhere."""
+        live = self._live_arrows
+        values = rng.ints(-bound, bound, 2 * len(live))
+        if len(live) == len(self.arrows):
+            return values
+        flat = [0] * self.flat_size
+        for j, a in enumerate(live):
+            flat[2 * a : 2 * a + 2] = values[2 * j : 2 * j + 2]
         return flat
 
     def draw_generic(self, rng, bound: int) -> list[int]:
@@ -273,7 +278,7 @@ class QuiverSpec(FamilySpec):
         pollute generic counts.  A quiver with no live arrow only has the
         origin, so there is nothing to exclude.
         """
-        has_live = any(self.live_mask())
+        has_live = bool(self._live_arrows)
         flat = self.draw_flat(rng, bound)
         while has_live and not any(flat):
             flat = self.draw_flat(rng, bound)

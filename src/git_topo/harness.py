@@ -58,12 +58,12 @@ MAX_ENDPOINT_ATTEMPTS = 1000
 MAX_KRONECKER_GRID_POINTS = 2**20
 # Most generic-point trials, path points (paths x path_samples) and
 # constructed degenerate trials one run accepts, each at most about a
-# minute of work on the same machine: a generic trial costs 40-80 us at
+# minute of work on the same machine: a generic trial costs 8-40 us at
 # control (3, 2), DAG (10, 3) and Kronecker sizes, and a degenerate DAG
 # (10, 3) trial, which stabilizes by fraction-free elimination,
-# 0.3-0.5 ms.  A path point at those sizes costs 0.4-2.4 us on a
-# certified control or DAG path of 256 samples, 35-50 us when every
-# sample of such a path is a suspect, and about 3.5 us on a Kronecker
+# 0.4-0.5 ms.  A path point at those sizes costs 1.3-2.1 us on a
+# certified control or DAG path of 256 samples, 13-15 us when every
+# sample of such a path is a suspect, and about 2.3 us on a Kronecker
 # path, which is always checked pointwise.  Control runs at larger n
 # also meet base.MAX_TRIAL_WORK.
 MAX_TRIALS = 2**20
@@ -187,9 +187,10 @@ def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
         note = f"no {spec.name} point is stable"
         return _skipped(OP_GENERIC_POINTS, cfg, start, note)
     unstable = 0
+    stream = CounterRng(cfg.seed, _OP_GENERIC)
     for i in range(cfg.trials):
-        rng = CounterRng(cfg.seed, _OP_GENERIC, i)
-        if not spec.is_stable_flat(spec.draw_generic(rng, cfg.entry_bound)):
+        flat = spec.draw_generic(stream.split(i), cfg.entry_bound)
+        if not spec.is_stable_flat(flat):
             unstable += 1
     return HarnessReport(
         op=OP_GENERIC_POINTS,
@@ -360,16 +361,14 @@ def detect_constructed_degenerates(cfg: TrialConfig) -> HarnessReport:
     eps = Fraction(1, 1000)
     mismatches = 0
     for i in range(cfg.trials):
-        rng = CounterRng(cfg.seed, _OP_DEGENERATE, i)
-        u = [
-            [rng.int_between(-cfg.entry_bound, cfg.entry_bound) for _ in range(k - 1)]
-            for _ in range(n)
-        ]
-        v = [
-            [rng.int_between(-cfg.entry_bound, cfg.entry_bound) for _ in range(k)]
-            for _ in range(k - 1)
-        ]
-        child = [rng.int_between(-cfg.entry_bound, cfg.entry_bound) for _ in range(n)]
+        # U (n x (k-1)), V ((k-1) x k) and the child column, row by row.
+        v_start = n * (k - 1)
+        draws = CounterRng(cfg.seed, _OP_DEGENERATE, i).ints(
+            -cfg.entry_bound, cfg.entry_bound, v_start + (k - 1) * k + n
+        )
+        u = [draws[r * (k - 1) : (r + 1) * (k - 1)] for r in range(n)]
+        v = [draws[v_start + s * k : v_start + (s + 1) * k] for s in range(k - 1)]
+        child = draws[v_start + (k - 1) * k :]
         flat: list[int] = []
         for r in range(n):
             flat += [sum(u[r][s] * v[s][c] for s in range(k - 1)) for c in range(k)]

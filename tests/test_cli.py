@@ -854,3 +854,24 @@ def test_verify_refuses_a_run_past_the_work_limit(argv, message, capsys, tmp_pat
     assert code == 2 and out == ""
     assert message in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dag", "--samples", "10", "--parents", "3", "--degenerate-trials", "-5"],
+         "degenerate trials must be positive"),
+        (["dag", "--samples", "10", "--parents", "3", "--degenerate-trials", "0"],
+         "degenerate trials must be positive"),
+        (["control", "--n", "3", "--m", "2", "--degenerate-trials", "0"],
+         "degenerate trials must be positive"),
+    ],
+)
+def test_verify_refuses_bad_degenerate_trials(capsys, tmp_path, argv, message):
+    out_file = tmp_path / "err.json"
+    code, out, err = run(
+        capsys, "verify", *argv, "--trials", "3", "--json", str(out_file)
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert read_json(out_file)["error"]["message"] == message
