@@ -26,10 +26,10 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # Most work, class count x weights per class, one stratum enumeration
 # accepts.  A class's weights are its 1-PS weights on G plus the
-# (weight, multiplicity) pairs it has on V.  A unit costs about 1.2 us on
-# a thin quiver and 0.15-0.25 us on control and DAG tables, so at the
+# (weight, multiplicity) pairs it has on V.  A unit costs about 0.9-1.0 us
+# on a thin quiver and 0.13-0.3 us on control and DAG tables, so at the
 # limit a 17-vertex thin quiver with 15 arrows (2^17 candidates x 32
-# weights) took 4.9 s and 117 MB on a 2-CPU x86 machine.
+# weights) took 3.7-4.2 s and 230 MB on a 2-CPU x86 machine.
 MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
@@ -178,7 +178,7 @@ class StabilityStatus:
         return self.verdict is Verdict.STABLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumClass:
     """One destabilizing 1-PS class with its numerical data.
 

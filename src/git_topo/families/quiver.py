@@ -112,7 +112,21 @@ class QuiverSpec(FamilySpec):
             )
 
     def positive_vertices(self) -> tuple[int, ...]:
+        return self._positive_vertices
+
+    @cached_property
+    def _positive_vertices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.dim_vector) if d >= 1)
+
+    @cached_property
+    def _subdim_factors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per positive vertex of dimension d, the GL factor of
+        `one_ps_for_subdim` for each subdimension k = 0..d, built once so
+        that every stratum shares these tuples."""
+        return tuple(
+            tuple((0,) * k + (-1,) * (d - k) for k in range(d + 1))
+            for d in (self.dim_vector[v] for v in self._positive_vertices)
+        )
 
     def support(self) -> tuple[int, ...]:
         """Vertices of dimension exactly 1 (the thin support)."""
@@ -348,12 +362,11 @@ def one_ps_for_subdim(spec: QuiverSpec, sub: Sequence[int]) -> OnePSClass:
     subrepresentation into the quotient are exactly the negative weights.
     """
     factors = []
-    for vertex in spec.positive_vertices():
+    for vertex, table in zip(spec.positive_vertices(), spec._subdim_factors):
         keep = sub[vertex]
-        total = spec.dim_vector[vertex]
-        if not (0 <= keep <= total):
+        if not (0 <= keep < len(table)):
             raise DomainError(f"subdimension at vertex {vertex + 1} out of range")
-        factors.append((0,) * keep + (-1,) * (total - keep))
+        factors.append(table[keep])
     return OnePSClass(tuple(factors), ())
 
 

@@ -48,7 +48,7 @@ def group_dim(spec: GroupSpec) -> int:
     return sum(n * n for n in spec.gl_ranks) + spec.torus_rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OnePSClass:
     """Representative of a conjugacy class of one-parameter subgroups.
 
@@ -74,7 +74,8 @@ def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> 
     Per GL factor of rank n whose weights have multiplicities m_1..m_r,
     the centralizer has dimension S = sum m_i^2 and the parabolic (the
     non-negative weight pairs) S + sum_{i<j} m_i m_j = (n^2 + S) / 2.
-    The torus lies in both.
+    A rank-1 factor has S = 1 and so adds exactly 1 under both
+    conventions, without counting its weights.  The torus lies in both.
     """
     if not isinstance(convention, OrbitConvention):
         raise DomainError(f"unknown orbit convention {convention!r}")
@@ -87,16 +88,17 @@ def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> 
             f"1-PS has {len(lam.torus_weights)} torus weights, group has rank "
             f"{spec.torus_rank} torus"
         )
+    centralizer = convention is OrbitConvention.CENTRALIZER
     stab = spec.torus_rank
     for idx, (ws, n) in enumerate(zip(lam.gl_weights, spec.gl_ranks)):
         if len(ws) != n:
             raise ShapeError(f"GL factor {idx} has rank {n} but {len(ws)} weights given")
+        if n == 1:
+            stab += 1
+            continue
         square = 0
         for w in set(ws):
             mult = ws.count(w)
             square += mult * mult
-        if convention is OrbitConvention.CENTRALIZER:
-            stab += square
-        else:
-            stab += (n * n + square) // 2
+        stab += square if centralizer else (n * n + square) // 2
     return group_dim(spec) - stab

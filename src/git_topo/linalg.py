@@ -45,7 +45,7 @@ def is_integer(value: object) -> bool:
 def check_integers(what: str, values: Iterable[object]) -> None:
     """Raise DomainError unless every value follows `is_integer`."""
     for value in values:
-        if not is_integer(value):
+        if type(value) is not int and not is_integer(value):
             raise DomainError(f"{what} {value!r} is not an integer")
 
 

@@ -10,6 +10,7 @@ validates shape and names the offending field in its SchemaError.
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Any
 
@@ -105,10 +106,21 @@ def report_head_to_json(report: ConnectivityReport) -> dict:
 
 
 def report_to_json(report: ConnectivityReport) -> dict:
+    # The strata of a 16-vertex thin quiver, 2^15 of them, grow a tree of 22
+    # lists and dicts each, and every full collection on the way re-scans
+    # all of it.  The tree holds no cycles, so the cyclic collector pauses
+    # while it grows; reference counting still frees it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        strata = [stratum_to_json(s) for s in report.strata]
+    finally:
+        if enabled:
+            gc.enable()
     payload: dict[str, Any] = {
         **report_head_to_json(report),
         "connectivity": report.connectivity,
-        "strata": [stratum_to_json(s) for s in report.strata],
+        "strata": strata,
         "convention_dependent_fields": list(CONVENTION_DEPENDENT_FIELDS),
     }
     if report.thresholds:

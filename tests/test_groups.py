@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from git_topo.errors import DomainError, ShapeError
@@ -107,3 +107,22 @@ def test_orbit_dim_invariant_under_scaling(gl, p):
     scaled = OnePSClass(gl_weights=(tuple(w * p for w in gl),), torus_weights=())
     for conv in OrbitConvention:
         assert orbit_dim(spec, scaled, conv) == orbit_dim(spec, lam, conv)
+
+
+@given(
+    st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=4), min_size=1, max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+@example(gl=[[0]], torus=[])
+@example(gl=[[-1], [0, -1]], torus=[1])
+@settings(max_examples=120, deadline=None)
+def test_orbit_dim_counts_stabilizer_pairs(gl, torus):
+    """Per factor, the centralizer is #{(i, j): w_i = w_j} and the parabolic
+    #{(i, j): w_i >= w_j}; the torus lies in both."""
+    spec = GroupSpec(gl_ranks=tuple(len(ws) for ws in gl), torus_rank=len(torus))
+    lam = OnePSClass(gl_weights=tuple(tuple(ws) for ws in gl), torus_weights=tuple(torus))
+    dim_g = sum(len(ws) ** 2 for ws in gl) + len(torus)
+    equal = sum(wi == wj for ws in gl for wi in ws for wj in ws)
+    at_least = sum(wi >= wj for ws in gl for wi in ws for wj in ws)
+    assert orbit_dim(spec, lam, OrbitConvention.CENTRALIZER) == dim_g - equal - len(torus)
+    assert orbit_dim(spec, lam, OrbitConvention.PARABOLIC) == dim_g - at_least - len(torus)

@@ -146,6 +146,36 @@ def test_degenerate_detection_clean():
     assert report.oracle_mismatches == 0
 
 
+def test_degenerate_draw_stream_is_pinned(monkeypatch):
+    """Each degenerate trial draws U, V and the child column, row by row,
+    from CounterRng(seed, 2, i); the verdicts alone cannot tell the order."""
+    n, k, seed = 10, 3, 21
+    cfg = TrialConfig(DagFamily(n, k), trials=5, seed=seed)
+    flats = []
+    original = DagFamily.instance_from_flat
+
+    def capture(self, flat):
+        flats.append(list(flat))
+        return original(self, flat)
+
+    monkeypatch.setattr(DagFamily, "instance_from_flat", capture)
+    detect_constructed_degenerates(cfg)
+
+    bound = cfg.entry_bound
+    expected = []
+    for i in range(cfg.trials):
+        rng = CounterRng(seed, 2, i)
+        u = [[rng.int_between(-bound, bound) for _ in range(k - 1)] for _ in range(n)]
+        v = [[rng.int_between(-bound, bound) for _ in range(k)] for _ in range(k - 1)]
+        child = [rng.int_between(-bound, bound) for _ in range(n)]
+        flat = []
+        for r in range(n):
+            flat += [sum(u[r][s] * v[s][c] for s in range(k - 1)) for c in range(k)]
+            flat.append(child[r])
+        expected.append(flat)
+    assert flats == expected
+
+
 def test_degenerate_detection_preconditions():
     with pytest.raises(PreconditionError):
         detect_constructed_degenerates(TrialConfig(ControlFamily(2, 1), trials=1))

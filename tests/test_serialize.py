@@ -4,11 +4,13 @@ The CLI payloads as a whole are pinned by tests/test_golden.py; the tests
 here pin the codecs and the writer behaviour those payloads do not reach.
 """
 
+import gc
 import json
 from fractions import Fraction
 
 import pytest
 
+from git_topo import serialize
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import SchemaError
 from git_topo.families.base import (
@@ -213,6 +215,36 @@ def test_homotopy_rows_parse_back():
         {"q": q, "group": group}
         for q, group in enumerate(["0", "0", "Z^2", "0", "Z", "0"])
     ]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_report_to_json_restores_the_collector(monkeypatch, enabled):
+    """The collector pauses while the strata list grows and is left as it
+    was found, also when a stratum fails to encode."""
+    report = summarize_strata(DagFamily(10, 3), max_q=5)
+    encode = serialize.stratum_to_json
+    seen = []
+
+    def watched(stratum):
+        seen.append(gc.isenabled())
+        return encode(stratum)
+
+    def planted(stratum):
+        raise RuntimeError("planted encode failure")
+
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(serialize, "stratum_to_json", watched)
+        assert report_to_json(report)["strata"]
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(serialize, "stratum_to_json", planted)
+        with pytest.raises(RuntimeError, match="planted"):
+            report_to_json(report)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_trial_config_round_trip():
