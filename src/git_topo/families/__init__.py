@@ -3,9 +3,10 @@
 Each family module owns everything that is particular to its family.  Its
 spec class (`QuiverSpec`, `ControlFamily`, `DagFamily`) subclasses
 `base.FamilySpec`, whose docstring lists the members a family supplies
-and the defaults it inherits.  Its instance class (`ThinQuiverRep`,
-`ControlInstance`, `DagInstance`) is one point; callers ask the instance
-they hold for its verdict.  `FAMILIES` maps each name to its spec class.
+and the defaults it inherits; its `status_flat` is the one place the
+family decides a verdict.  Its instance class (`ThinQuiverRep`,
+`ControlInstance`, `DagInstance`) is one point, whose `status()` asks
+the spec.  `FAMILIES` maps each name to its spec class.
 Outside the family modules only the DAG-only extras (stabilization, the
 MLE, constructed degenerates) and the Kronecker oracle check a family's
 type.

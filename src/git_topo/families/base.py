@@ -12,11 +12,12 @@ shapes.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from git_topo.errors import SchemaError, SizeLimitError
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
@@ -26,10 +27,11 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # Most work, class count x weights per class, one stratum enumeration
 # accepts.  A class's weights are its 1-PS weights on G plus the
-# (weight, multiplicity) pairs it has on V.  A unit costs about 0.9-1.0 us
-# on a thin quiver and 0.13-0.3 us on control and DAG tables, so at the
-# limit a 17-vertex thin quiver with 15 arrows (2^17 candidates x 32
-# weights) took 3.7-4.2 s and 230 MB on a 2-CPU x86 machine.
+# (weight, multiplicity) pairs it has on V.  Control and DAG tables cost
+# 0.13-0.3 us a unit.  A thin quiver lists only the candidates theta
+# destabilizes, so on a 2-CPU x86 machine a 17-vertex thin path with 15
+# arrows (2^17 candidates x 32 weights) took 3.5-4.4 s and 230 MB with
+# theta = (16, -1, ..., -1), and 7.3-8.4 s and 444 MB with theta = 0.
 MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
@@ -153,8 +155,9 @@ class Verdict(Enum):
 class StabilityStatus:
     """Outcome of a stability check, with machine-checkable evidence.
 
-    evidence is a small dict of ints and tuples; keys are family-specific
-    (rank for control and DAG, support and theta_sum for quiver).
+    evidence is a small dict of ints and tuples, read-only as stable
+    statuses are shared; keys are family-specific (rank for control and
+    DAG, support and theta_sum for quiver).
     """
 
     verdict: Verdict
@@ -162,7 +165,9 @@ class StabilityStatus:
     evidence: Mapping[str, Any] = field(default_factory=dict)
 
     @classmethod
+    @functools.cache
     def stable(cls, **evidence: Any) -> "StabilityStatus":
+        # Memoized: generic sampling asks for one per trial.
         return cls(Verdict.STABLE, None, dict(evidence))
 
     @classmethod
@@ -251,7 +256,7 @@ class FamilySpec:
     """The shape of one model family, and the interface every family implements.
 
     A family is a frozen dataclass subclass whose fields are its shape, in
-    the order of its command-line flags.  It supplies 12 members:
+    the order of its command-line flags.  It supplies 11 members:
 
     - `name`, its registry key, and `CLI_ARGS`, a (dest, type, help)
       triple per command-line flag;
@@ -259,18 +264,20 @@ class FamilySpec:
       multiplicity) pairs of a 1-PS on V, and `strata(convention)`;
     - `has_stable_points()`, whether V^st is non-empty;
     - `flat_size`, the integers in the flat encoding of a point that the
-      harness samples in, `instance_from_flat(flat)`, `is_stable_flat(flat)`
-      and `path_suspects(entry_polys, n_samples)`, the samples of a
-      quadratic path its certificate mod 2^61 - 1 cannot clear;
+      harness samples in, `instance_from_flat(flat)` and
+      `status_flat(flat)`, the family's one verdict on such a point;
     - `instance_from_json(data)`, the reader of `check` instance files,
-      whose instance exposes `family()`, `status()` and `to_json()`.
+      whose instance exposes `family()`, `to_json()` and `status()`, the
+      `status_flat` of the instance cleared to integers.
 
     The base class gives the rest, which a family overrides where it
     differs: `draw_flat(rng, bound)` draws `flat_size` integers in
     [-bound, bound], `draw_generic` (the same, minus points generic
-    sampling excludes) calls `draw_flat`, `from_args(args)` passes the
-    flags to the constructor in order, `to_json()` writes the name and the
-    fields, and `thresholds(convention)` has no sample-size cutoffs.
+    sampling excludes) calls `draw_flat`, `path_suspects(entry_polys,
+    n_samples)`, the samples of a quadratic path a certificate mod
+    2^61 - 1 cannot clear, is every sample, `from_args(args)` passes the
+    flags to the constructor in order, `to_json()` writes the name and
+    the fields, and `thresholds(convention)` is empty.
     """
 
     name: str
@@ -290,6 +297,11 @@ class FamilySpec:
 
     def draw_generic(self, rng, bound: int) -> list[int]:
         return self.draw_flat(rng, bound)
+
+    def path_suspects(self, entry_polys, n_samples: int) -> Sequence[int]:
+        # Every sample, checked pointwise: cheap where a point check is, as
+        # for a thin quiver (a cached verdict, or one small minimum cut).
+        return range(n_samples)
 
     def thresholds(self, convention: OrbitConvention) -> tuple[tuple[str, int], ...]:
         return ()

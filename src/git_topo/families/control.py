@@ -121,11 +121,18 @@ class ControlFamily(FamilySpec):
             n, m, Matrix(n, n, tuple(flat[: n * n])), Matrix(n, m, tuple(flat[n * n :]))
         )
 
-    def is_stable_flat(self, flat: Sequence[int]) -> bool:
+    def status_flat(self, flat: Sequence[int]) -> StabilityStatus:
+        """Stable exactly when (A, B) is controllable: Krylov rank n."""
         n, m = self.n, self.m
         a_rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         b_rows = [list(flat[n * n + i * m : n * n + (i + 1) * m]) for i in range(n)]
-        return controllability_rank_ints(n, m, a_rows, b_rows) == n
+        r = controllability_rank_ints(n, m, a_rows, b_rows)
+        if r == n:
+            return StabilityStatus.stable(rank=r)
+        return StabilityStatus.unstable(
+            reason=f"reachable subspace has dimension {r} < {n}",
+            rank=r,
+        )
 
     def path_suspects(
         self, entry_polys: Sequence[Sequence[int]], n_samples: int
@@ -260,22 +267,14 @@ def _krylov_full_rank_mod_p(
 
 
 def control_status(inst: ControlInstance) -> StabilityStatus:
-    """Stable exactly when (A, B) is controllable.
+    """`ControlFamily.status_flat` of the instance cleared to integers.
 
     The rank of the controllability matrix is invariant under scaling A
-    and B separately (each Krylov block only picks up a scalar), so both
-    are integerized first, each by one scale, and the rank runs
-    fraction-free.
+    and B separately (each Krylov block only picks up a scalar), so each
+    is cleared of denominators by one scale.
     """
-    r = controllability_rank_ints(
-        inst.n, inst.m, integer_rows(inst.a.to_rows()), integer_rows(inst.b.to_rows())
-    )
-    if r == inst.n:
-        return StabilityStatus.stable(rank=r)
-    return StabilityStatus.unstable(
-        reason=f"reachable subspace has dimension {r} < {inst.n}",
-        rank=r,
-    )
+    rows = integer_rows(inst.a.to_rows()) + integer_rows(inst.b.to_rows())
+    return inst.family().status_flat([x for row in rows for x in row])
 
 
 def invariant_subspace_dim(inst: ControlInstance) -> int:

@@ -106,8 +106,18 @@ class DagFamily(FamilySpec):
     def instance_from_flat(self, flat: Sequence[int]) -> "DagInstance":
         return DagInstance(self.n, self.k, Matrix(self.n, self.k + 1, tuple(flat)))
 
-    def is_stable_flat(self, flat: Sequence[int]) -> bool:
-        return parent_rank_ints(self.n, self.k, flat) == self.k
+    def status_flat(self, flat: Sequence[int]) -> StabilityStatus:
+        """Stable exactly when the parent block has full column rank k."""
+        r = parent_rank_ints(self.n, self.k, flat)
+        if r == self.k:
+            return StabilityStatus.stable(rank=r)
+        return StabilityStatus.not_stable(
+            reason=(
+                f"parent block has rank {r} < {self.k}; the normal equations "
+                "admit infinitely many solutions"
+            ),
+            rank=r,
+        )
 
     def path_suspects(
         self, entry_polys: Sequence[Sequence[int]], n_samples: int
@@ -189,23 +199,14 @@ def parent_rank_ints(n: int, k: int, y_flat: Sequence[int]) -> int:
 
 
 def dag_status(inst: DagInstance) -> StabilityStatus:
-    """Stable exactly when the parent block has full column rank.
+    """`DagFamily.status_flat` of the instance cleared to integers.
 
     Each column is cleared of denominators on its own, which keeps the
     rank and keeps the entries of a stabilized sample small outside its
     repaired columns.
     """
     rows, _ = integer_columns(inst.y)
-    r = int_rank([row[: inst.k] for row in rows])
-    if r == inst.k:
-        return StabilityStatus.stable(rank=r)
-    return StabilityStatus.not_stable(
-        reason=(
-            f"parent block has rank {r} < {inst.k}; the normal equations "
-            "admit infinitely many solutions"
-        ),
-        rank=r,
-    )
+    return inst.family().status_flat([x for row in rows for x in row])
 
 
 def dag_solve_mle(inst: DagInstance) -> tuple[Fraction, ...]:

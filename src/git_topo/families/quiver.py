@@ -254,18 +254,6 @@ class QuiverSpec(FamilySpec):
         _, theta, arcs, _ = self._closure
         return _max_closure(theta, dict.fromkeys((s, t) for _, s, t in arcs))
 
-    def _best_closed_subset(self, nonzero: Sequence) -> tuple[int | None, int]:
-        """_max_closure for a point whose arrow a is nonzero when nonzero[a] is.
-
-        A thin verdict depends only on which arcs carry a nonzero arrow, so
-        a point where every arc does gets the cached generic answer.
-        """
-        _, theta, arcs, arc_count = self._closure
-        live = dict.fromkeys((s, t) for a, s, t in arcs if nonzero[a])
-        if len(live) == arc_count:
-            return self._generic_best
-        return _max_closure(theta, live)
-
     @property
     def flat_size(self) -> int:
         return 2 * len(self.arrows)
@@ -305,20 +293,38 @@ class QuiverSpec(FamilySpec):
         )
         return ThinQuiverRep(self, values)
 
-    def is_stable_flat(self, flat: Sequence[int]) -> bool:
-        nonzero = [flat[2 * a] or flat[2 * a + 1] for a in range(len(self.arrows))]
-        return self._best_closed_subset(nonzero)[0] is None
+    def status_flat(self, flat: Sequence[int]) -> StabilityStatus:
+        """King stability for a thin point by one minimum cut.
 
-    def path_suspects(
-        self, entry_polys: Sequence[Sequence[int]], n_samples: int
-    ) -> Sequence[int]:
-        """Every sample: thin-quiver paths are checked pointwise.
-
-        A sample with no vanishing arc gets the spec's cached verdict and
-        any other costs one minimum cut (about 10 us at two vertices), so a
-        path of N samples is cheap without a certificate.
+        The point is unstable when some subrepresentation S has
+        theta(S) > 0, strictly semistable when the best S has
+        theta(S) = 0, and stable otherwise.  Evidence reports the first
+        witness subset in mask order, 1-based.  The verdict depends only
+        on which arcs carry a nonzero arrow, so a point where every arc
+        does gets the spec's cached generic answer.
         """
-        return range(n_samples)
+        support, theta, arcs, arc_count = self._closure
+        live = dict.fromkeys(
+            (s, t) for a, s, t in arcs if flat[2 * a] or flat[2 * a + 1]
+        )
+        if len(live) == arc_count:
+            best_sum, best_mask = self._generic_best
+        else:
+            best_sum, best_mask = _max_closure(theta, live)
+        if best_sum is None:
+            return StabilityStatus.stable()
+        witness = tuple(v + 1 for i, v in enumerate(support) if (best_mask >> i) & 1)
+        if best_sum > 0:
+            return StabilityStatus.unstable(
+                reason="a destabilizing subrepresentation has positive weight",
+                support=witness,
+                theta_sum=best_sum,
+            )
+        return StabilityStatus.not_stable(
+            reason="strictly semistable: a proper subrepresentation has weight zero",
+            support=witness,
+            theta_sum=0,
+        )
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
@@ -568,27 +574,7 @@ def _max_closure(
 
 
 def quiver_thin_status(rep: ThinQuiverRep) -> StabilityStatus:
-    """King stability for a thin representation by one minimum cut.
-
-    The point is unstable when some subrepresentation S has theta(S) > 0,
-    strictly semistable when the best S has theta(S) = 0, and stable
-    otherwise.  Evidence reports the first witness subset in mask order,
-    1-based.
-    """
-    spec = rep.spec
-    best_sum, best_mask = spec._best_closed_subset(rep.values)
-    if best_sum is None:
-        return StabilityStatus.stable()
-    support = spec._closure[0]
-    witness = tuple(v + 1 for i, v in enumerate(support) if (best_mask >> i) & 1)
-    if best_sum > 0:
-        return StabilityStatus.unstable(
-            reason="a destabilizing subrepresentation has positive weight",
-            support=witness,
-            theta_sum=best_sum,
-        )
-    return StabilityStatus.not_stable(
-        reason="strictly semistable: a proper subrepresentation has weight zero",
-        support=witness,
-        theta_sum=0,
-    )
+    """`QuiverSpec.status_flat` of the numerators of each value's (re, im),
+    which are nonzero exactly where the value is."""
+    flat = [x.numerator for v in rep.values for x in (v.re, v.im)]
+    return rep.spec.status_flat(flat)

@@ -13,15 +13,17 @@ premise does not hold.
 Every draw comes from a counter-based stream keyed by (seed, op, trial),
 so a report is a pure function of its TrialConfig.  The trial loops are
 family-agnostic: they work on each family's flat integer encoding
-through its spec (`draw_flat`, `draw_generic`, `is_stable_flat`,
-`path_suspects`) and build an instance only to reproduce a single trial.
+through its spec (`draw_flat`, `draw_generic`, `status_flat`,
+`path_suspects`).  `status_flat` is the verdict `check` prints for the
+same point; an instance is built only to reproduce a single trial or to
+stabilize a constructed DAG sample.
 
 A path is certified once rather than checked at every sample: each
 entry of a path point is an integer quadratic in the sample index, so
 the family's `path_suspects` builds its stability polynomials once
 modulo p = 2^61 - 1 and returns the samples where they vanish mod p
-(thin quivers, whose point check is one small minimum cut or a cached
-verdict, return every sample).  Only those samples get the exact pointwise check, so
+(a family with no certificate, such as thin quivers, returns every
+sample).  Only those samples get the exact pointwise check, so
 `path_failures` is exactly what checking every sample would give.
 """
 
@@ -190,7 +192,7 @@ def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
     stream = CounterRng(cfg.seed, _OP_GENERIC)
     for i in range(cfg.trials):
         flat = spec.draw_generic(stream.split(i), cfg.entry_bound)
-        if not spec.is_stable_flat(flat):
+        if not spec.status_flat(flat).is_stable:
             unstable += 1
     return HarnessReport(
         op=OP_GENERIC_POINTS,
@@ -205,7 +207,7 @@ def _draw_stable(cfg: TrialConfig, rng: CounterRng) -> list[int]:
     spec = cfg.family_spec
     for _ in range(MAX_ENDPOINT_ATTEMPTS):
         flat = spec.draw_flat(rng, cfg.entry_bound)
-        if spec.is_stable_flat(flat):
+        if spec.status_flat(flat).is_stable:
             return flat
     raise SamplingError(
         f"no Stable endpoint found in {MAX_ENDPOINT_ATTEMPTS} attempts for "
@@ -232,7 +234,7 @@ def count_path_failures(
     failures = 0
     for i in spec.path_suspects(polys, n_samples):
         point = [c0 + (c1 + c2 * i) * i for c0, c1, c2 in polys]
-        if not spec.is_stable_flat(point):
+        if not spec.status_flat(point).is_stable:
             failures += 1
     return failures
 
@@ -259,8 +261,8 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     commutes with evaluating at i, and an integer that is nonzero mod p
     is nonzero.  So where the minor gcd is nonzero some minor is nonzero
     over Z and the matrix has full rank.  Only the suspects get the exact
-    `is_stable_flat` check, so path_failures counts exactly the samples
-    a pointwise check of all of them would.
+    `status_flat` check, so path_failures counts exactly the samples a
+    pointwise check of all of them would.
     """
     start = time.monotonic()
     spec = cfg.family_spec
@@ -311,11 +313,8 @@ def kronecker_oracle_check(
     axis = range(-grid_radius, grid_radius + 1)
     mismatches = 0
     for point in itertools.product(axis, repeat=4):
-        if any(point):
-            mismatches += not spec.is_stable_flat(point)
-        else:  # the origin must be unstable, not just non-stable
-            verdict = spec.instance_from_flat(point).status().verdict
-            mismatches += verdict is not Verdict.UNSTABLE
+        expected = Verdict.STABLE if any(point) else Verdict.UNSTABLE
+        mismatches += spec.status_flat(point).verdict is not expected
     return HarnessReport(
         op=OP_KRONECKER_ORACLE,
         config=None,

@@ -4,8 +4,9 @@ This is the 2^v scan the package's point check ran before it became one
 minimum cut: try every proper nonempty subset of the thin support in
 increasing mask order, keep those no live arrow leaves, and remember the
 first one of greatest theta weight.  It shares no code with
-`git_topo.families.quiver`, so `quiver_thin_status` and `is_stable_flat`
-are checked against `oracle_status` below, which gives the verdict,
+`git_topo.families.quiver`, so `QuiverSpec.status_flat`, the package's
+one thin verdict, and `quiver_thin_status`, which clears an instance to
+it, are checked against `oracle_status` below, which gives the verdict,
 witness and theta sum the package must reproduce exactly.
 """
 

@@ -96,7 +96,7 @@ def test_has_stable_points_exactly_when_n_at_least_k():
             # the witness for n >= k: identity rows on top of the parent block
             flat = [int(i == j) for i in range(n) for j in range(k + 1)]
             assert fam.has_stable_points() is (n >= k)
-            assert fam.is_stable_flat(flat) is (n >= k)
+            assert fam.status_flat(flat).is_stable is (n >= k)
 
 
 @pytest.mark.parametrize(

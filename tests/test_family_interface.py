@@ -4,8 +4,9 @@ GL(1) scales C^n.  The stable points are exactly those off the origin,
 and the only destabilizing class is the 1-PS of weight -1, with m = n and
 orbit dimension 0, so d_min = 2n and V^st = C^n minus 0, a homotopy
 sphere S^(2n-1), is (2n - 2)-connected.  The family below writes only
-what is particular to it; drawing, flags, JSON and thresholds come from
-the base class, and the harness runs it through `TrialConfig`.
+what is particular to it, deciding its verdict once in `status_flat`;
+drawing, path suspects, flags, JSON and thresholds come from the base
+class, and the harness runs it through `TrialConfig`.
 """
 
 from dataclasses import dataclass
@@ -40,9 +41,7 @@ class ScalingPoint:
         return self.spec
 
     def status(self) -> StabilityStatus:
-        if any(self.flat):
-            return StabilityStatus.stable()
-        return StabilityStatus.unstable("the origin")
+        return self.spec.status_flat(self.flat)
 
     def to_json(self) -> dict:
         return {**self.spec.to_json(), "values": list(self.flat)}
@@ -80,11 +79,10 @@ class ScalingFamily(FamilySpec):
     def instance_from_flat(self, flat: Sequence[int]) -> ScalingPoint:
         return ScalingPoint(self, tuple(flat))
 
-    def is_stable_flat(self, flat: Sequence[int]) -> bool:
-        return any(flat)
-
-    def path_suspects(self, entry_polys, n_samples: int) -> Sequence[int]:
-        return range(n_samples)
+    def status_flat(self, flat: Sequence[int]) -> StabilityStatus:
+        if any(flat):
+            return StabilityStatus.stable()
+        return StabilityStatus.unstable("the origin")
 
     @staticmethod
     def instance_from_json(data: dict) -> ScalingPoint:

@@ -145,7 +145,7 @@ def test_status_size_and_domain_guards():
     with pytest.raises(SizeLimitError, match=f"make {n}, over the limit"):
         status(ThinQuiverRep(spec, ()))
     with pytest.raises(SizeLimitError):
-        spec.is_stable_flat([])
+        spec.status_flat([])
     empty = QuiverSpec(2, (), (0, 0), (1, -1))
     with pytest.raises(DomainError):
         status(ThinQuiverRep(empty, ()))
@@ -219,7 +219,7 @@ def thin_quivers(draw):
 @given(thin_quivers(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_status_matches_brute_force(spec, data):
-    """quiver_thin_status and the flat-integer is_stable_flat both agree."""
+    """quiver_thin_status and the flat-integer status_flat both agree."""
     live = [i for i, (s, t) in enumerate(spec.arrows)
             if spec.dim_vector[s] == 1 and spec.dim_vector[t] == 1]
     flat = [0] * (2 * len(spec.arrows))
@@ -231,11 +231,11 @@ def test_status_matches_brute_force(spec, data):
         with pytest.raises(DomainError):
             quiver_thin_status(rep)
         with pytest.raises(DomainError):
-            spec.is_stable_flat(flat)
+            spec.status_flat(flat)
         return
     expected = brute_force_thin_verdict(rep)
     assert quiver_thin_status(rep).verdict is expected
-    assert spec.is_stable_flat(flat) is (expected is Verdict.STABLE)
+    assert spec.status_flat(flat).verdict is expected
 
 
 def random_thin_quiver(rng: random.Random) -> QuiverSpec:
@@ -283,7 +283,7 @@ def test_min_cut_matches_the_subset_scan_oracle():
                 result.evidence.get("support", ()),
                 result.evidence.get("theta_sum"),
             ) == expected, (spec, nonzero)
-            assert spec.is_stable_flat(flat) is (expected[0] == "stable")
+            assert spec.status_flat(flat).is_stable is (expected[0] == "stable")
             verdicts.add(expected[0])
             if nonzero == list(live_mask):
                 generic += 1
