@@ -5,7 +5,7 @@ point and a table of destabilizing strata (one per 1-PS class that can
 occur as a worst destabilizer).  The types here are family-agnostic; the
 per-family modules fill them in.  `strata_from_classes` builds every
 family's stratum table from its 1-PS classes, counting each class's m
-from the family's weights.  The JSON and command-line primitives
+from the family's representation.  The JSON and command-line primitives
 live here too, so each family module can encode and parse its own
 shapes.
 """
@@ -190,14 +190,13 @@ class StratumClass:
     m is the dimension of the negative-weight subspace at the class's
     representative; value = 2*m - 2*orbit_dim is the contribution the
     class makes to connectivity counting, and is even by construction.
+    The family and the orbit convention are the report's.
     """
 
-    family: str
     descriptor: Mapping[str, Any]
     representative: OnePSClass
     m: int
     orbit_dim: int
-    convention: OrbitConvention
 
     @property
     def value(self) -> int:
@@ -230,8 +229,29 @@ def check_sampling_work(entries: int, checks: int) -> None:
 
 
 def negative_weight_dim(spec, lam: OnePSClass) -> int:
-    """m: the dimension of the strictly negative weight space of lam on V."""
-    return sum(mult for weight, mult in spec.weights(lam) if weight < 0)
+    """m: the dimension of the strictly negative weight space of lam on V.
+
+    V is `spec.representation`.  A coordinate of a block Hom(source,
+    target) has weight w_target - w_source.  Equal weights at an
+    endpoint are grouped first, so a block costs one step per pair of
+    distinct weights: a control class, whose n weights take two values,
+    costs six.
+    """
+    spec.group().check_one_ps(lam)
+    # Indexed by endpoint: GL factors, torus coordinates, last TRIVIAL.
+    grouped = [
+        ((ws[0], 1),) if len(ws) == 1 else tuple((w, ws.count(w)) for w in set(ws))
+        for ws in lam.gl_weights
+    ]
+    grouped += [((w, 1),) for w in lam.torus_weights]
+    grouped.append(((0, 1),))
+    m = 0
+    for source, target, mult in spec.representation:
+        for ws, cs in grouped[source]:
+            for wt, ct in grouped[target]:
+                if wt < ws:
+                    m += mult * cs * ct
+    return m
 
 
 def strata_from_classes(
@@ -241,12 +261,10 @@ def strata_from_classes(
     group = spec.group()
     return [
         StratumClass(
-            family=spec.name,
             descriptor=descriptor,
             representative=rep,
             m=negative_weight_dim(spec, rep),
             orbit_dim=orbit_dim(group, rep, convention),
-            convention=convention,
         )
         for descriptor, rep in classes
     ]
@@ -260,8 +278,12 @@ class FamilySpec:
 
     - `name`, its registry key, and `CLI_ARGS`, a (dest, type, help)
       triple per command-line flag;
-    - `DEFAULT_CONVENTION`, `group()`, `weights(lam)`, the (weight,
-      multiplicity) pairs of a 1-PS on V, and `strata(convention)`;
+    - `DEFAULT_CONVENTION`, `group()`, `representation`, V as a tuple of
+      blocks (source, target, multiplicity), each `multiplicity` copies of
+      Hom(source, target), and `strata(convention)`.  An endpoint indexes
+      a factor of `group()`, its GL factors first and then its torus
+      coordinates, or is `groups.TRIVIAL`, the trivial line;
+      `negative_weight_dim` reads every m off the blocks;
     - `has_stable_points()`, whether V^st is non-empty;
     - `flat_size`, the integers in the flat encoding of a point that the
       harness samples in, `instance_from_flat(flat)` and

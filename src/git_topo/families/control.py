@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
@@ -25,7 +25,7 @@ from git_topo.families.base import (
     require_int,
     strata_from_classes,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
+from git_topo.groups import TRIVIAL, GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
     PRIME,
     Matrix,
@@ -80,21 +80,10 @@ class ControlFamily(FamilySpec):
     def group(self) -> GroupSpec:
         return GroupSpec((self.n,))
 
-    def weights(self, lam: OnePSClass) -> Iterator[tuple[int, int]]:
-        """(weight, multiplicity) pairs of lam on V, equal weights grouped.
-
-        A entry (i, j) carries w_i - w_j and B entry (i, j) carries w_i.
-        """
-        if len(lam.gl_weights) != 1 or lam.torus_weights:
-            raise ShapeError("control systems carry a single GL factor and no torus")
-        (w,) = lam.gl_weights
-        if len(w) != self.n:
-            raise ShapeError(f"1-PS needs {self.n} weights, got {len(w)}")
-        counts = [(wi, w.count(wi)) for wi in set(w)]
-        for wi, ci in counts:
-            for wj, cj in counts:
-                yield wi - wj, ci * cj
-            yield wi, ci * self.m
+    @property
+    def representation(self) -> tuple[tuple[int, int, int], ...]:
+        """A is End(C^n), B is m copies of C^n."""
+        return ((0, 0, 1), (TRIVIAL, 0, self.m))
 
     @staticmethod
     def instance_from_json(data: dict) -> "ControlInstance":

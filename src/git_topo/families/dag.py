@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from git_topo.errors import DomainError, PreconditionError, ShapeError
 from git_topo.families.base import (
@@ -30,7 +30,7 @@ from git_topo.families.base import (
     require_int,
     strata_from_classes,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
+from git_topo.groups import TRIVIAL, GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
     Matrix,
     check_integers,
@@ -75,19 +75,11 @@ class DagFamily(FamilySpec):
     def group(self) -> GroupSpec:
         return GroupSpec((self.k,), torus_rank=1)
 
-    def weights(self, lam: OnePSClass) -> Iterator[tuple[int, int]]:
-        """(weight, multiplicity) pairs of lam on the n rows of Y.
-
-        A parent column carries its GL weight, the child minus the torus weight.
-        """
-        if len(lam.gl_weights) != 1 or len(lam.torus_weights) != 1:
-            raise ShapeError("DAG groups have one GL factor and a rank-1 torus")
-        (w,) = lam.gl_weights
-        if len(w) != self.k:
-            raise ShapeError(f"1-PS needs {self.k} parent weights, got {len(w)}")
-        for wc in w:
-            yield wc, self.n
-        yield -lam.torus_weights[0], self.n
+    @property
+    def representation(self) -> tuple[tuple[int, int, int], ...]:
+        """Each of the n rows of Y: k parent entries in C^k, and the child,
+        on which the torus (factor 1) acts by the inverse of its weight."""
+        return ((TRIVIAL, 0, self.n), (1, TRIVIAL, self.n))
 
     @staticmethod
     def instance_from_json(data: dict) -> "DagInstance":
@@ -276,7 +268,8 @@ def one_ps_redundant(fam: DagFamily, j: int) -> OnePSClass:
 def enumerate_strata(fam: DagFamily, convention: OrbitConvention) -> list[StratumClass]:
     """One destabilizing class per redundant-column count j in 1..k.
 
-    Each class has k + 1 weights on G and k + 1 weight pairs on V.
+    Each class has k + 1 weights on G and at most three distinct weight
+    pairs on V, which the work limit counts as k + 1.
     """
     check_stratum_work(fam.k, 2 * (fam.k + 1))
     return strata_from_classes(

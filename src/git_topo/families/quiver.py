@@ -111,11 +111,9 @@ class QuiverSpec(FamilySpec):
                 f"stability parameter is not admissible: theta . dim = {pairing} != 0"
             )
 
-    def positive_vertices(self) -> tuple[int, ...]:
-        return self._positive_vertices
-
     @cached_property
-    def _positive_vertices(self) -> tuple[int, ...]:
+    def positive_vertices(self) -> tuple[int, ...]:
+        """The vertices of positive dimension, one GL factor each."""
         return tuple(i for i, d in enumerate(self.dim_vector) if d >= 1)
 
     @cached_property
@@ -125,7 +123,7 @@ class QuiverSpec(FamilySpec):
         that every stratum shares these tuples."""
         return tuple(
             tuple((0,) * k + (-1,) * (d - k) for k in range(d + 1))
-            for d in (self.dim_vector[v] for v in self._positive_vertices)
+            for d in (self.dim_vector[v] for v in self.positive_vertices)
         )
 
     def support(self) -> tuple[int, ...]:
@@ -136,34 +134,21 @@ class QuiverSpec(FamilySpec):
         return all(d <= 1 for d in self.dim_vector)
 
     def group(self) -> GroupSpec:
-        return GroupSpec(tuple(self.dim_vector[i] for i in self.positive_vertices()))
+        return self._group
 
-    def weights(self, lam: OnePSClass) -> Iterator[tuple[int, int]]:
-        """(weight, multiplicity) pairs of lam on the arrow Hom spaces.
+    @cached_property
+    def _group(self) -> GroupSpec:
+        return GroupSpec(tuple(self.dim_vector[v] for v in self.positive_vertices))
 
-        An arrow coordinate from basis slot q at the source to slot p at
-        the target carries weight w_target[p] - w_source[q].
-        """
-        positive = self.positive_vertices()
-        if len(lam.gl_weights) != len(positive):
-            raise ShapeError(
-                f"1-PS has {len(lam.gl_weights)} factors, "
-                f"quiver group has {len(positive)}"
-            )
-        if lam.torus_weights:
-            raise ShapeError("quiver groups carry no torus factor")
-        per_vertex: list[tuple[int, ...]] = [()] * self.vertex_count
-        for vertex, ws in zip(positive, lam.gl_weights):
-            if len(ws) != self.dim_vector[vertex]:
-                raise ShapeError(
-                    f"factor at vertex {vertex + 1} needs {self.dim_vector[vertex]} "
-                    f"weights, got {len(ws)}"
-                )
-            per_vertex[vertex] = ws
-        for s, t in self.arrows:
-            for wp in per_vertex[t]:
-                for wq in per_vertex[s]:
-                    yield wp - wq, 1
+    @cached_property
+    def representation(self) -> tuple[tuple[int, int, int], ...]:
+        """Hom(C^d_s, C^d_t) per arrow s -> t between positive vertices."""
+        factor = {v: i for i, v in enumerate(self.positive_vertices)}
+        return tuple(
+            (factor[s], factor[t], 1)
+            for s, t in self.arrows
+            if s in factor and t in factor
+        )
 
     def live_mask(self) -> tuple[bool, ...]:
         """Per arrow, whether its Hom space is nonzero (both ends thin)."""
@@ -368,7 +353,7 @@ def one_ps_for_subdim(spec: QuiverSpec, sub: Sequence[int]) -> OnePSClass:
     subrepresentation into the quotient are exactly the negative weights.
     """
     factors = []
-    for vertex, table in zip(spec.positive_vertices(), spec._subdim_factors):
+    for vertex, table in zip(spec.positive_vertices, spec._subdim_factors):
         keep = sub[vertex]
         if not (0 <= keep < len(table)):
             raise DomainError(f"subdimension at vertex {vertex + 1} out of range")

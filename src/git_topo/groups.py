@@ -4,7 +4,8 @@ The groups acted with here are G = GL(n_1) x ... x GL(n_s) x (C*)^t.  A
 one-parameter subgroup is recorded by a chosen representative of its
 conjugacy class: its integer weights per GL factor, in construction order
 (so the representative keeps its stated coordinate alignment), plus one
-integer per torus coordinate.
+integer per torus coordinate.  `GroupSpec.check_one_ps` is the one rule
+for whether such a record fits G.
 
 Two orbit-dimension conventions coexist downstream, differing in which
 subgroup is taken as the stabilizer of the 1-PS class: its centralizer, or
@@ -19,6 +20,11 @@ from enum import Enum
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.linalg import check_integers
+
+
+# A family's V is a sum of Hom blocks whose endpoints index the factors of
+# G, GL factors first, or are TRIVIAL, the line G fixes.
+TRIVIAL = -1
 
 
 class OrbitConvention(Enum):
@@ -41,6 +47,17 @@ class GroupSpec:
             raise DomainError("GL factor ranks must be positive")
         if self.torus_rank < 0:
             raise DomainError("torus rank must be non-negative")
+
+    def check_one_ps(self, lam: OnePSClass) -> None:
+        """Raise ShapeError unless lam has one weight per coordinate of each
+        GL factor and of the torus."""
+        ranks = tuple(map(len, lam.gl_weights))
+        if ranks != self.gl_ranks or len(lam.torus_weights) != self.torus_rank:
+            raise ShapeError(
+                f"1-PS with GL factor ranks {ranks} and {len(lam.torus_weights)} "
+                f"torus weights does not fit G with GL factor ranks "
+                f"{self.gl_ranks} and torus rank {self.torus_rank}"
+            )
 
 
 def group_dim(spec: GroupSpec) -> int:
@@ -79,20 +96,10 @@ def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> 
     """
     if not isinstance(convention, OrbitConvention):
         raise DomainError(f"unknown orbit convention {convention!r}")
-    if len(lam.gl_weights) != len(spec.gl_ranks):
-        raise ShapeError(
-            f"1-PS has {len(lam.gl_weights)} GL factors, group has {len(spec.gl_ranks)}"
-        )
-    if len(lam.torus_weights) != spec.torus_rank:
-        raise ShapeError(
-            f"1-PS has {len(lam.torus_weights)} torus weights, group has rank "
-            f"{spec.torus_rank} torus"
-        )
+    spec.check_one_ps(lam)
     centralizer = convention is OrbitConvention.CENTRALIZER
     stab = spec.torus_rank
-    for idx, (ws, n) in enumerate(zip(lam.gl_weights, spec.gl_ranks)):
-        if len(ws) != n:
-            raise ShapeError(f"GL factor {idx} has rank {n} but {len(ws)} weights given")
+    for ws, n in zip(lam.gl_weights, spec.gl_ranks):
         if n == 1:
             stab += 1
             continue

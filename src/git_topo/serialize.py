@@ -74,9 +74,9 @@ def one_ps_to_json(lam: OnePSClass) -> dict:
     }
 
 
-def stratum_to_json(stratum: StratumClass) -> dict:
+def stratum_to_json(stratum: StratumClass, report: ConnectivityReport) -> dict:
     return {
-        "family": stratum.family,
+        "family": report.family,
         "descriptor": {
             key: list(value) if isinstance(value, tuple) else value
             for key, value in stratum.descriptor.items()
@@ -85,7 +85,7 @@ def stratum_to_json(stratum: StratumClass) -> dict:
         "m": stratum.m,
         "orbit_dim": stratum.orbit_dim,
         "value": stratum.value,
-        "convention": stratum.convention.value,
+        "convention": report.convention.value,
     }
 
 
@@ -113,7 +113,7 @@ def report_to_json(report: ConnectivityReport) -> dict:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        strata = [stratum_to_json(s) for s in report.strata]
+        strata = [stratum_to_json(s, report) for s in report.strata]
     finally:
         if enabled:
             gc.enable()

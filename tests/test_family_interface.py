@@ -7,22 +7,31 @@ sphere S^(2n-1), is (2n - 2)-connected.  The family below writes only
 what is particular to it, deciding its verdict once in `status_flat`;
 drawing, path suspects, flags, JSON and thresholds come from the base
 class, and the harness runs it through `TrialConfig`.
+
+Every family, the toy one included, states its representation V once, as
+Hom blocks; the tests at the end check the blocks against the group and
+dim V, and the weight count on them against `tests/weights_oracle.py`.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import SizeLimitError
+from git_topo.families import FAMILIES, ControlFamily, DagFamily, QuiverSpec
 from git_topo.families.base import (
     FamilySpec,
     StabilityStatus,
     StratumClass,
+    negative_weight_dim,
     strata_from_classes,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
+from git_topo.families.quiver import kronecker_spec
+from git_topo.groups import TRIVIAL, GroupSpec, OnePSClass, OrbitConvention
 from git_topo.harness import (
     TrialConfig,
     draw_instance,
@@ -30,6 +39,8 @@ from git_topo.harness import (
     sample_path_stability,
 )
 from git_topo.rng import CounterRng
+
+from weights_oracle import oracle_negative_weight_dim
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,9 @@ class ScalingFamily(FamilySpec):
     def group(self) -> GroupSpec:
         return GroupSpec((1,))
 
-    def weights(self, lam: OnePSClass):
-        ((w,),) = lam.gl_weights
-        yield w, self.n
+    @property
+    def representation(self) -> tuple[tuple[int, int, int], ...]:
+        return ((TRIVIAL, 0, self.n),)
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return strata_from_classes(
@@ -146,3 +157,96 @@ def test_trial_config_refuses_an_oversized_toy_point():
         TrialConfig(ScalingFamily(2**15 + 1), trials=1)
     with pytest.raises(SizeLimitError, match="257 point checks x 65536 integers"):
         TrialConfig(ScalingFamily(2**15), trials=257)
+
+
+# dim_C V from the shape of a point: n(n + m), n(k + 1), sum of d_s d_t.
+DIM_V = {
+    "control": lambda spec: spec.n * (spec.n + spec.m),
+    "dag": lambda spec: spec.n * (spec.k + 1),
+    "quiver": lambda spec: sum(
+        spec.dim_vector[s] * spec.dim_vector[t] for s, t in spec.arrows
+    ),
+    "scaling": lambda spec: spec.n,
+}
+
+# A quiver with a loop, parallel arrows and arrows into a dimension-0 vertex.
+MIXED_QUIVER = QuiverSpec(
+    4,
+    ((0, 1), (1, 1), (1, 2), (2, 0), (0, 1), (3, 0), (0, 3)),
+    (2, 3, 1, 0),
+    (3, -2, 0, 0),
+)
+
+SHAPES = (
+    ControlFamily(1, 1),
+    ControlFamily(3, 2),
+    ControlFamily(5, 4),
+    DagFamily(1, 1),
+    DagFamily(10, 3),
+    DagFamily(2, 5),
+    kronecker_spec(),
+    MIXED_QUIVER,
+    QuiverSpec(2, ((0, 1),), (0, 0), (0, 0)),
+    ScalingFamily(1),
+    ScalingFamily(4),
+)
+
+
+def test_every_family_has_conformance_shapes():
+    assert {spec.name for spec in SHAPES} == set(FAMILIES) | {"scaling"}
+    assert set(DIM_V) == set(FAMILIES) | {"scaling"}
+
+
+@pytest.mark.parametrize("spec", SHAPES, ids=repr)
+def test_representation_blocks_index_the_group_and_sum_to_dim_v(spec):
+    group = spec.group()
+    factor_dims = group.gl_ranks + (1,) * group.torus_rank
+
+    def dim(end) -> int:
+        if end == TRIVIAL:
+            return 1
+        assert type(end) is int and 0 <= end < len(factor_dims)
+        return factor_dims[end]
+
+    blocks = spec.representation
+    assert all(type(mult) is int and mult >= 1 for _, _, mult in blocks)
+    assert sum(mult * dim(s) * dim(t) for s, t, mult in blocks) == DIM_V[spec.name](spec)
+
+
+one_ps_weight = st.integers(-2, 2)
+
+
+@st.composite
+def quivers(draw) -> QuiverSpec:
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    vertex = st.integers(0, len(dims) - 1)
+    arrows = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=5)))
+    return QuiverSpec(len(dims), arrows, dims, (0,) * len(dims))
+
+
+FAMILY_SHAPES = {
+    "control": st.builds(ControlFamily, st.integers(1, 5), st.integers(1, 3)),
+    "dag": st.builds(DagFamily, st.integers(1, 5), st.integers(1, 4)),
+    "quiver": quivers(),
+}
+
+
+@st.composite
+def specs_with_one_ps(draw):
+    """A family shape and any integer 1-PS of its group: weights repeat, and
+    a DAG's torus weight is drawn too."""
+    spec = draw(st.sampled_from(sorted(FAMILIES)).flatmap(FAMILY_SHAPES.__getitem__))
+    group = spec.group()
+
+    def drawn(count: int) -> tuple[int, ...]:
+        return tuple(draw(st.lists(one_ps_weight, min_size=count, max_size=count)))
+
+    lam = OnePSClass(tuple(map(drawn, group.gl_ranks)), drawn(group.torus_rank))
+    return spec, lam
+
+
+@given(specs_with_one_ps())
+@settings(max_examples=300, deadline=None)
+def test_negative_weight_dim_matches_the_weights_oracle(case):
+    spec, lam = case
+    assert negative_weight_dim(spec, lam) == oracle_negative_weight_dim(spec, lam)

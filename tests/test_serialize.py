@@ -225,11 +225,11 @@ def test_report_to_json_restores_the_collector(monkeypatch, enabled):
     encode = serialize.stratum_to_json
     seen = []
 
-    def watched(stratum):
+    def watched(stratum, report):
         seen.append(gc.isenabled())
-        return encode(stratum)
+        return encode(stratum, report)
 
-    def planted(stratum):
+    def planted(stratum, report):
         raise RuntimeError("planted encode failure")
 
     was_enabled = gc.isenabled()
