@@ -7,7 +7,9 @@ per-family modules fill them in.  `strata_from_classes` builds every
 family's stratum table from its 1-PS classes, counting each class's m
 from the family's representation.  The JSON and command-line primitives
 live here too, so each family module can encode and parse its own
-shapes.
+shapes.  The rational reader keeps an integer an int (a JSON int, or a
+string without a "/"), so a matrix of integer entries reaches the
+elimination without a Fraction; only a "p/q" string becomes one.
 """
 
 from __future__ import annotations
@@ -59,23 +61,29 @@ MAX_TRIAL_WORK = 2**24
 
 
 def rational_to_str(value: int | Fraction) -> str:
+    if type(value) is int:
+        return str(value)
     return str(Fraction(value))
 
 
-def rational_from_json(value: Any, field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(f"{field}: rationals must be strings or integers")
-    if isinstance(value, int):
-        return Fraction(value)
+def rational_from_json(value: Any, field: str) -> int | Fraction:
+    """A JSON int, or a string in the rational grammar _RATIONAL_RE.
+
+    An integer stays an int; only a "p/q" string becomes a Fraction.
+    """
     if isinstance(value, str):
         if not _RATIONAL_RE.fullmatch(value):
             raise SchemaError(f"{field}: malformed rational string {value!r}")
         try:
-            return Fraction(value)
+            return Fraction(value) if "/" in value else int(value)
         except ZeroDivisionError:
             raise SchemaError(f"{field}: zero denominator in {value!r}") from None
         except ValueError as exc:  # past Python's integer digit limit
             raise SchemaError(f"{field}: {exc}") from None
+    if isinstance(value, bool) or isinstance(value, float):
+        raise SchemaError(f"{field}: rationals must be strings or integers")
+    if isinstance(value, int):
+        return value
     raise SchemaError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
@@ -89,11 +97,11 @@ def complex_from_json(value: Any, field: str) -> ComplexRational:
     if isinstance(value, list):
         if len(value) != 2:
             raise SchemaError(f"{field}: complex values are [re, im] pairs")
-        return ComplexRational(
+        return ComplexRational.of(
             rational_from_json(value[0], f"{field}[0]"),
             rational_from_json(value[1], f"{field}[1]"),
         )
-    return ComplexRational(rational_from_json(value, field), Fraction(0))
+    return ComplexRational.of(rational_from_json(value, field))
 
 
 def matrix_to_json(matrix: Matrix) -> list[list[str]]:

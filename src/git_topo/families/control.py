@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from git_topo.errors import DomainError, ShapeError
@@ -78,6 +79,10 @@ class ControlFamily(FamilySpec):
             raise DomainError("state and input dimensions must be positive")
 
     def group(self) -> GroupSpec:
+        return self._group
+
+    @cached_property
+    def _group(self) -> GroupSpec:
         return GroupSpec((self.n,))
 
     @property

@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from git_topo.errors import DomainError, PreconditionError, ShapeError
@@ -73,6 +74,10 @@ class DagFamily(FamilySpec):
             raise DomainError("sample count and parent count must be positive")
 
     def group(self) -> GroupSpec:
+        return self._group
+
+    @cached_property
+    def _group(self) -> GroupSpec:
         return GroupSpec((self.k,), torus_rank=1)
 
     @property
@@ -271,7 +276,7 @@ def enumerate_strata(fam: DagFamily, convention: OrbitConvention) -> list[Stratu
     Each class has k + 1 weights on G and at most three distinct weight
     pairs on V, which the work limit counts as k + 1.
     """
-    check_stratum_work(fam.k, 2 * (fam.k + 1))
+    check_stratum_work(fam.k, fam.k + 1)
     return strata_from_classes(
         fam,
         convention,

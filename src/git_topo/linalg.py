@@ -7,15 +7,18 @@ float, a bool or a string raises DomainError, so no floating point
 enters the package.  A Matrix carries no complex entries: it refuses a
 ComplexRational too.  ComplexRational is the exact Gaussian-rational
 value of a thin quiver arrow; the package only stores and encodes it
-and tests it against zero, so it carries no arithmetic.  Ranks are
-computed by fraction-free (Bareiss) elimination after clearing
-denominators (integer_rows or integer_columns, then int_rank).  The
-solvers the model families need (pivot columns, null spaces, square
-solves) share one fraction-free Gauss-Jordan elimination on integer
-rows, each row cleared of denominators on its own; a Fraction is built
-only for each entry of the answer.  The module also carries the
-polynomial arithmetic over F_p, p = 2^61 - 1, behind the path
-certificates (products, determinants, gcds and a root scan).
+and tests it against zero, so it carries no arithmetic.  Integer
+entries stay ints: an instance file's integers are decoded as ints, and
+clearing denominators (integer_rows, integer_columns) scales each
+entry's numerator by an int, so it does no Fraction arithmetic.  Ranks
+and pivot columns are computed by the forward half of fraction-free
+(Bareiss) elimination (echelon_pivots, behind int_rank and
+column_pivots).  Null spaces and square solves share one fraction-free
+Gauss-Jordan elimination on integer rows, each row cleared of
+denominators on its own; a Fraction is built only for each entry of the
+answer.  The module also carries the polynomial arithmetic over F_p,
+p = 2^61 - 1, behind the path certificates (products, determinants,
+gcds and a root scan).
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
 >>> int_rank(m.to_rows())
@@ -96,7 +99,7 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
             )
         for e in self.entries:
-            if not is_rational(e):
+            if type(e) is not int and not is_rational(e):
                 raise DomainError(f"matrix entry {e!r} is not an exact rational")
 
     @classmethod
@@ -139,7 +142,7 @@ def integer_rows(data: Sequence[Sequence[Rational]]) -> list[list[int]]:
     entries smaller.
     """
     scale = math.lcm(*(e.denominator for row in data for e in row))
-    return [[int(e * scale) for e in row] for row in data]
+    return [[e.numerator * (scale // e.denominator) for e in row] for row in data]
 
 
 def integer_columns(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -158,20 +161,23 @@ def integer_columns(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
     ], scales
 
 
-def int_rank(data: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination.
+def echelon_pivots(data: list[list[int]]) -> list[int]:
+    """Pivot columns of an integer matrix by fraction-free Bareiss elimination.
 
     Mutates its argument.  Division by the previous pivot is exact: after
     k elimination steps every remaining entry is a (k+1)-minor of the
     original matrix (Sylvester's identity), and skipping pivotless columns
     does not disturb that invariant.  This is the forward half of
-    _gauss_jordan, which also clears above each pivot; a rank needs only
-    the forward half.
+    _gauss_jordan, which also clears above each pivot.  Row swaps and
+    clearing above a pivot change no pivot column, so these are the
+    pivot columns of the reduced row echelon form, and their count is the
+    rank.
     """
     nrows = len(data)
     if nrows == 0:
-        return 0
+        return []
     ncols = len(data[0])
+    pivots: list[int] = []
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -193,10 +199,16 @@ def int_rank(data: list[list[int]]) -> int:
                 cur[j] = (pivot * cur[j] - lead * top[j]) // prev
             cur[col] = 0
         prev = pivot
+        pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return pivots
+
+
+def int_rank(data: list[list[int]]) -> int:
+    """Rank of an integer matrix (echelon_pivots; mutates its argument)."""
+    return len(echelon_pivots(data))
 
 
 def _integer_row(row: Sequence[Rational]) -> list[int]:
@@ -214,7 +226,7 @@ def _gauss_jordan(
     the reduced row echelon form.  Returns (integer rows, pivot columns,
     d) with that form equal to rows / d.  Each step turns every other
     row r into (pivot * r - r[col] * top) / prev, above the pivot row as
-    well as below, and that division is exact as it is in int_rank:
+    well as below, and that division is exact as it is in echelon_pivots:
     every entry stays a minor of the cleared matrix (Bareiss 1968).  A
     pivot row keeps the current pivot in its pivot column, so at the end
     every pivot entry is the last pivot d and the rows past the rank are
@@ -247,9 +259,13 @@ def _gauss_jordan(
 
 
 def column_pivots(matrix: Matrix) -> tuple[int, ...]:
-    """Pivot column indices of the reduced row echelon form."""
-    _, pivots, _ = _gauss_jordan(matrix.row(i) for i in range(matrix.rows))
-    return tuple(pivots)
+    """Pivot column indices of the reduced row echelon form.
+
+    Calls echelon_pivots directly, not int_rank, so that perfbench's
+    int_rank span counts ranks only.
+    """
+    rows = [_integer_row(matrix.row(i)) for i in range(matrix.rows)]
+    return tuple(echelon_pivots(rows))
 
 
 def nullspace(matrix: Matrix) -> list[tuple[Fraction, ...]]:

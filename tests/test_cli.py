@@ -4,6 +4,9 @@ import time
 import pytest
 
 from git_topo.cli import main
+from git_topo.families import dag
+from git_topo.families.base import check_stratum_work
+from git_topo.groups import OrbitConvention
 
 
 def run(capsys, *argv):
@@ -771,9 +774,11 @@ def test_check_refuses_unreadable_files(name, capsys, tmp_path):
          "stratum enumeration refused"),
         (["analyze", "dag", "--samples", "10", "--parents", "20000"],
          "stratum enumeration refused"),
+        (["analyze", "dag", "--samples", "10", "--parents", "2048"],
+         "2048 classes x 2049 weights per class"),
     ],
     ids=["analyze-max-q", "homotopy-max-q", "quiver-300x300", "control-n-20000",
-         "dag-k-20000"],
+         "dag-k-20000", "dag-k-2048"],
 )
 def test_oversized_tables_are_refused_before_any_work(argv, message, capsys, tmp_path):
     out_file = tmp_path / "err.json"
@@ -783,6 +788,16 @@ def test_oversized_tables_are_refused_before_any_work(argv, message, capsys, tmp
     assert code == 2 and out == ""
     assert message in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+def test_dag_work_limit_counts_k_plus_1_weights_per_class(monkeypatch):
+    # k classes of k + 1 weights each: k = 2047 fits in 2^22, k = 2048 does
+    # not (refused in test_oversized_tables_are_refused_before_any_work).
+    check_stratum_work(2047, 2048)
+    built = []
+    monkeypatch.setattr(dag, "strata_from_classes", lambda *args: built.append(args))
+    dag.DagFamily(10, 2047).strata(OrbitConvention.PARABOLIC)
+    assert len(built) == 1
 
 
 # One entry past MAX_POINT_ENTRIES = 2^16 integers per point: n(n + m) for

@@ -213,6 +213,12 @@ def test_representation_blocks_index_the_group_and_sum_to_dim_v(spec):
     assert sum(mult * dim(s) * dim(t) for s, t, mult in blocks) == DIM_V[spec.name](spec)
 
 
+@pytest.mark.parametrize("spec", [s for s in SHAPES if s.name in FAMILIES], ids=repr)
+def test_each_family_builds_its_group_once(spec):
+    # negative_weight_dim asks for the group once per stratum.
+    assert spec.group() is spec.group()
+
+
 one_ps_weight = st.integers(-2, 2)
 
 
