@@ -99,18 +99,18 @@ def _add_family_args(
     )
 
 
-# Each handler returns (JSON payload, text lines, exit status); main
-# prints the lines and writes the payload.
+# Each handler returns (canonical JSON text, text lines, exit status);
+# main prints the lines and writes the text.
 
 
-def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
     report = summarize_strata(
         _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
     return report_to_json(report), render_connectivity_text(report), 0
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_check(args: argparse.Namespace) -> tuple[str, list[str], int]:
     if args.epsilon is not None and not args.stabilize:
         raise SchemaError("--epsilon applies only with --stabilize")
     try:
@@ -145,10 +145,10 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         beta = dag_solve_mle(working)
         payload["mle"] = [rational_to_str(b) for b in beta]
         lines.append("mle: (" + ", ".join(rational_to_str(b) for b in beta) + ")")
-    return payload, lines, 0
+    return canonical_dumps(payload), lines, 0
 
 
-def cmd_homotopy(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_homotopy(args: argparse.Namespace) -> tuple[str, list[str], int]:
     if not args.assume_free_action:
         raise SchemaError(
             "homotopy tables assume the group acts freely on the stable "
@@ -158,10 +158,10 @@ def cmd_homotopy(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     report = summarize_strata(
         _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
-    return report_head_to_json(report), render_homotopy_text(report), 0
+    return canonical_dumps(report_head_to_json(report)), render_homotopy_text(report), 0
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:
     reports = []
     if args.family == "kronecker":
         refused = [d for d in _FAMILY_FLAGS if d != "theta"] + ["orbit_convention"]
@@ -205,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "ok": ok,
         "reports": [harness_report_to_json(r) for r in reports],
     }
-    return payload, lines, 0 if ok else 1
+    return canonical_dumps(payload), lines, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,17 +274,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, lines, code = args.handler(args)
+        text, lines, code = args.handler(args)
     except GitTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        lines, code = [], 2
-    for line in lines:
-        print(line)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        text, lines, code = canonical_dumps({"error": error}), [], 2
+    if lines:
+        print("\n".join(lines))
     if args.json:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(canonical_dumps(payload))
+                fh.write(text)
                 fh.write("\n")
         except OSError as exc:
             print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)

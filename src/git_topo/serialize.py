@@ -3,21 +3,22 @@
 All persisted numbers that are not integers travel as lowest-terms
 rational strings ("5", "-7/3"); Gaussian rationals as two-element
 ["re", "im"] arrays when the imaginary part is nonzero.  Canonical form
-is sorted keys, compact separators, no floating point anywhere.  The
+is sorted keys, compact separators, no floating point anywhere.  Small
+payloads are dicts that `canonical_dumps` sorts; a connectivity report,
+whose strata run to 2^15 rows, is written as text by `report_to_json`,
+each row from a template whose keys are already in sorted order.  The
 only JSON the package reads back is a `check` instance file; its reader
 validates shape and names the offending field in its SchemaError.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 from typing import Any
 
 from git_topo.connectivity import ConnectivityReport
 from git_topo.errors import SchemaError
-from git_topo.families import FAMILIES, Instance, StabilityStatus, StratumClass
-from git_topo.groups import OnePSClass
+from git_topo.families import FAMILIES, Instance, StabilityStatus
 from git_topo.harness import HarnessReport, TrialConfig
 
 CONVENTION_DEPENDENT_FIELDS = (
@@ -29,8 +30,22 @@ CONVENTION_DEPENDENT_FIELDS = (
 )
 
 
+# The one encoder of canonical text, for whole payloads and for the pieces
+# of a report's rows alike.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_dumps(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _encode(data)
+
+
+class _Texts(dict):
+    """Weight tuple -> its JSON text, each tuple encoded on first use.
+    Weights are ints and never bools, so equal tuples have equal text."""
+
+    def __missing__(self, weights: tuple[int, ...]) -> str:
+        text = self[weights] = _encode(weights)
+        return text
 
 
 # Instances (points); each family encodes and decodes its own.
@@ -64,31 +79,6 @@ def status_to_json(status: StabilityStatus) -> dict:
     }
 
 
-# 1-PS classes and strata.
-
-
-def one_ps_to_json(lam: OnePSClass) -> dict:
-    return {
-        "gl_weights": [list(ws) for ws in lam.gl_weights],
-        "torus_weights": list(lam.torus_weights),
-    }
-
-
-def stratum_to_json(stratum: StratumClass, report: ConnectivityReport) -> dict:
-    return {
-        "family": report.family,
-        "descriptor": {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in stratum.descriptor.items()
-        },
-        "representative": one_ps_to_json(stratum.representative),
-        "m": stratum.m,
-        "orbit_dim": stratum.orbit_dim,
-        "value": stratum.value,
-        "convention": report.convention.value,
-    }
-
-
 # Connectivity reports.
 
 
@@ -105,27 +95,36 @@ def report_head_to_json(report: ConnectivityReport) -> dict:
     }
 
 
-def report_to_json(report: ConnectivityReport) -> dict:
-    # The strata of a 16-vertex thin quiver, 2^15 of them, grow a tree of 22
-    # lists and dicts each, and every full collection on the way re-scans
-    # all of it.  The tree holds no cycles, so the cyclic collector pauses
-    # while it grows; reference counting still frees it.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        strata = [stratum_to_json(s, report) for s in report.strata]
-    finally:
-        if enabled:
-            gc.enable()
-    payload: dict[str, Any] = {
+def report_to_json(report: ConnectivityReport) -> str:
+    """The report's canonical JSON text.
+
+    canonical_dumps writes the head with a null "strata", and the rows go
+    in its place: the head has no other "strata" key, and a quote inside
+    a JSON string is escaped, so `"strata":null` occurs once.  Each row is
+    written from its StratumClass by a template whose keys are in sorted
+    order, so no dict is built and nothing is sorted per row.
+    """
+    head: dict[str, Any] = {
         **report_head_to_json(report),
         "connectivity": report.connectivity,
-        "strata": strata,
+        "strata": None,
         "convention_dependent_fields": list(CONVENTION_DEPENDENT_FIELDS),
     }
     if report.thresholds:
-        payload["thresholds"] = dict(report.thresholds)
-    return payload
+        head["thresholds"] = dict(report.thresholds)
+    before, _, after = canonical_dumps(head).partition('"strata":null')
+    weights = _Texts()
+    start = f'{{"convention":{_encode(report.convention.value)},"descriptor":'
+    family = f',"family":{_encode(report.family)},"m":'
+    rows = ",".join([
+        f'{start}{_encode(s.descriptor)}{family}{s.m},"orbit_dim":{s.orbit_dim},'
+        '"representative":{"gl_weights":['
+        f'{",".join(map(weights.__getitem__, s.representative.gl_weights))}],'
+        f'"torus_weights":{weights[s.representative.torus_weights]}}},'
+        f'"value":{s.value}}}'
+        for s in report.strata
+    ])
+    return f'{before}"strata":[{rows}]{after}'
 
 
 # Harness configs and reports.

@@ -4,13 +4,11 @@ The CLI payloads as a whole are pinned by tests/test_golden.py; the tests
 here pin the codecs and the writer behaviour those payloads do not reach.
 """
 
-import gc
 import json
 from fractions import Fraction
 
 import pytest
 
-from git_topo import serialize
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import SchemaError
 from git_topo.families.base import (
@@ -22,7 +20,7 @@ from git_topo.families.base import (
 from git_topo.families.control import ControlFamily, ControlInstance
 from git_topo.families.dag import DagFamily, DagInstance
 from git_topo.families.quiver import QuiverSpec, ThinQuiverRep, kronecker_spec
-from git_topo.groups import OnePSClass, OrbitConvention
+from git_topo.groups import OrbitConvention
 from git_topo.harness import TrialConfig, kronecker_oracle_check, sample_generic_points
 from git_topo.linalg import ComplexRational, Matrix
 from git_topo.rng import CounterRng
@@ -32,7 +30,6 @@ from git_topo.serialize import (
     harness_report_to_json,
     instance_from_json,
     instance_to_json,
-    one_ps_to_json,
     report_to_json,
     status_to_json,
     trial_config_to_json,
@@ -179,72 +176,32 @@ def test_status_round_trip_preserves_tuple_evidence():
     survives_canonical_text(payload)
 
 
-def test_one_ps_round_trip():
-    lam = OnePSClass(((0, -1, -1), (2,)), (-3,))
-    payload = one_ps_to_json(lam)
-    assert payload == {"gl_weights": [[0, -1, -1], [2]], "torus_weights": [-3]}
-    survives_canonical_text(payload)
-
-
 def test_connectivity_report_round_trip_with_thresholds():
     report = summarize_strata(DagFamily(10, 3), max_q=5)
-    payload = report_to_json(report)
+    payload = json.loads(report_to_json(report))
     assert payload["convention_dependent_fields"] == list(CONVENTION_DEPENDENT_FIELDS)
     assert payload["thresholds"] == {
         "path_connected_from_n": 5,
         "simply_connected_from_n": 6,
     }
-    survives_canonical_text(payload)
 
 
 def test_connectivity_report_round_trip_no_information():
     report = summarize_strata(
         ControlFamily(3, 2), convention=OrbitConvention.CENTRALIZER
     )
-    payload = report_to_json(report)
+    payload = json.loads(report_to_json(report))
     assert payload["connectivity"] == "no_information"
     assert payload["d_min"] == 0
-    survives_canonical_text(payload)
 
 
 def test_homotopy_rows_parse_back():
     report = summarize_strata(DagFamily(10, 3), max_q=5)
-    payload = report_to_json(report)
-    rows = json.loads(canonical_dumps(payload))["homotopy"]
+    rows = json.loads(report_to_json(report))["homotopy"]
     assert rows == [
         {"q": q, "group": group}
         for q, group in enumerate(["0", "0", "Z^2", "0", "Z", "0"])
     ]
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_report_to_json_restores_the_collector(monkeypatch, enabled):
-    """The collector pauses while the strata list grows and is left as it
-    was found, also when a stratum fails to encode."""
-    report = summarize_strata(DagFamily(10, 3), max_q=5)
-    encode = serialize.stratum_to_json
-    seen = []
-
-    def watched(stratum, report):
-        seen.append(gc.isenabled())
-        return encode(stratum, report)
-
-    def planted(stratum, report):
-        raise RuntimeError("planted encode failure")
-
-    was_enabled = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        monkeypatch.setattr(serialize, "stratum_to_json", watched)
-        assert report_to_json(report)["strata"]
-        assert seen and not any(seen)
-        assert gc.isenabled() is enabled
-        monkeypatch.setattr(serialize, "stratum_to_json", planted)
-        with pytest.raises(RuntimeError, match="planted"):
-            report_to_json(report)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_trial_config_round_trip():
@@ -288,7 +245,7 @@ def test_no_floats_anywhere_in_payloads():
             for v in node:
                 walk(v)
 
-    walk(report_to_json(summarize_strata(DagFamily(10, 3), max_q=5)))
+    walk(json.loads(report_to_json(summarize_strata(DagFamily(10, 3), max_q=5))))
     walk(
         instance_to_json(
             ControlInstance(
