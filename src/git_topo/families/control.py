@@ -50,11 +50,13 @@ MAX_CERTIFIED_N = 9
 
 # Smallest state dimension n whose rank check first tries the full-rank
 # Krylov certificate mod p.  On a 2-CPU x86 machine, with random entries
-# in [-9, 9] and m = 1, the certificate took 305 us against 225 us for
-# exact Bareiss at n = 9, 353 against 334 us at n = 10, 347 against
-# 424 us at n = 11 and 4.1 against 78 ms at n = 40.  m = 2 widens its
-# lead (334 against 632 us at n = 10), but the cut is set where m = 1
-# crosses over.
+# in [-9, 9], the certificate took 199 us against 193 us for exact
+# Bareiss at n = 10 and m = 2, and 331 against 414 us at n = 11.  The
+# nm x n Krylov matrix is tall for m = 2, and the elimination stops after
+# n of its rows.  At m = 1 it is square and is read whole, so exact
+# Bareiss stays ahead to n = 12: 200 against 134 us at n = 10, 276
+# against 251 us at n = 12, 324 against 340 us at n = 13 and 5.7 against
+# 61 ms at n = 40.  The cut is set where m = 2 crosses over.
 MIN_KRYLOV_CERTIFIED_N = 10
 
 

@@ -48,9 +48,11 @@ from git_topo.linalg import (
 # Largest parent count k whose quadratic paths get a minor-gcd
 # certificate; past it every sample is checked pointwise.  A k x k minor
 # has degree 2k, so the certificate grows as k^5 and 256 pointwise checks
-# as n k^2: on a 2-CPU x86 machine at n = 2k it took 103 ms against 178 ms
-# at k = 12 and 319 ms against 380 ms at k = 16.
-MAX_CERTIFIED_K = 16
+# as k^3, the elimination stopping after k of the n rows: on a 2-CPU x86
+# machine at n = 2k it took 30 ms against 37 ms at k = 10, 44-50 against
+# 42-55 ms at k = 11, 65 against 55 ms at k = 12 and 162 against 105 ms
+# at k = 14.
+MAX_CERTIFIED_K = 11
 
 
 @dataclass(frozen=True)
@@ -236,10 +238,16 @@ def dag_stabilize(inst: DagInstance, eps: Fraction | int) -> DagInstance:
     """Restore full column rank by an eps-perturbation of redundant columns.
 
     Each non-pivot parent column gets eps times a fresh left-null vector
-    of X added to it.  Those directions are orthogonal to the column
-    space, so the pivot columns still span the old space and each
-    perturbed column contributes a new independent direction; the result
-    is Stable for every nonzero eps.  Stable inputs come back unchanged.
+    of X added to it: the i-th redundant column gets the i-th vector of
+    the reduced-row-echelon basis of the null space of X^T.  Those
+    directions are orthogonal to the column space, so the pivot columns
+    still span the old space and each perturbed column contributes a new
+    independent direction; the result is Stable for every nonzero eps.
+    Stable inputs come back unchanged.  With r redundant columns, at most
+    k - r of X^T's first k columns are pivots, and the reduced row echelon
+    form commutes with dropping columns, so its first r null vectors are
+    those of its first k columns padded with zeros: only that k x k block
+    is eliminated.
     """
     eps = Fraction(eps)
     if eps == 0:
@@ -249,17 +257,16 @@ def dag_stabilize(inst: DagInstance, eps: Fraction | int) -> DagInstance:
             f"no {inst.n}x{inst.k} matrix has column rank {inst.k}; "
             "stabilization is impossible with fewer samples than parents"
         )
-    x = inst.parent_block()
-    pivots = set(column_pivots(x))
+    pivots = set(column_pivots(inst.parent_block()))
     deficient = [c for c in range(inst.k) if c not in pivots]
     if not deficient:
         return inst
-    directions = nullspace(x.transpose())
+    k = inst.k
+    head = Matrix(k, k, tuple(inst.y.at(i, j) for j in range(k) for i in range(k)))
     rows = inst.y.to_rows()
-    for slot, col in enumerate(deficient):
-        direction = directions[slot]
-        for i in range(inst.n):
-            rows[i][col] = Fraction(rows[i][col]) + eps * direction[i]
+    for col, direction in zip(deficient, nullspace(head)):
+        for i, value in enumerate(direction):
+            rows[i][col] = Fraction(rows[i][col]) + eps * value
     return DagInstance(inst.n, inst.k, Matrix.from_rows(rows))
 
 

@@ -10,27 +10,30 @@ value of a thin quiver arrow; the package only stores and encodes it
 and tests it against zero, so it carries no arithmetic.  Integer
 entries stay ints: an instance file's integers are decoded as ints, and
 clearing denominators (integer_rows, integer_columns) scales each
-entry's numerator by an int, so it does no Fraction arithmetic.  Ranks
-and pivot columns are computed by the forward half of fraction-free
-(Bareiss) elimination (echelon_pivots, behind int_rank and
-column_pivots).  Null spaces and square solves share one fraction-free
-Gauss-Jordan elimination on integer rows, each row cleared of
-denominators on its own; a Fraction is built only for each entry of the
-answer.  The module also carries the polynomial arithmetic over F_p,
-p = 2^61 - 1, behind the path certificates (products, determinants,
-gcds and a root scan).
+entry's numerator by an int, so it does no Fraction arithmetic.  One
+fraction-free (Bareiss) elimination that takes the rows one at a time
+(echelon_pivots) serves every exact question: int_rank counts its pivot
+rows, column_pivots reads their columns, and nullspace and solve_square
+back-substitute on them in integers, each row cleared of denominators
+on its own; a Fraction is built only for each entry of the answer.  The
+module also carries the polynomial arithmetic over F_p, p = 2^61 - 1,
+behind the path certificates (products, determinants, gcds and a root
+scan).
 
->>> m = Matrix.from_rows([[1, 2], [2, 4]])
->>> int_rank(m.to_rows())
-1
+>>> m = Matrix.from_rows([[1, 2], [2, 4], [3, 6]])
+>>> int_rank(m.to_rows()), column_pivots(m)
+(1, (0,))
 >>> nullspace(m)
 [(Fraction(-2, 1), Fraction(1, 1))]
+>>> solve_square(Matrix.from_rows([[2, 1], [1, 3]]), [5, 10])
+(Fraction(1, 1), Fraction(3, 1))
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,6 +41,7 @@ from typing import Iterable, Sequence
 from git_topo.errors import DomainError, ShapeError
 
 Rational = int | Fraction
+PivotRow = tuple[int, int, list[int]]  # see echelon_pivots
 
 
 def is_integer(value: object) -> bool:
@@ -125,13 +129,6 @@ class Matrix:
     def to_rows(self) -> list[list[Rational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
 
 def integer_rows(data: Sequence[Sequence[Rational]]) -> list[list[int]]:
     """Clear denominators: scale the matrix by the lcm of all its denominators.
@@ -161,101 +158,90 @@ def integer_columns(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
     ], scales
 
 
-def echelon_pivots(data: list[list[int]]) -> list[int]:
-    """Pivot columns of an integer matrix by fraction-free Bareiss elimination.
+def echelon_pivots(rows: Iterable[Sequence[int]], ncols: int) -> list[PivotRow]:
+    """The pivot rows of fraction-free (Bareiss) elimination, a row at a time.
 
-    Mutates its argument.  Division by the previous pivot is exact: after
-    k elimination steps every remaining entry is a (k+1)-minor of the
-    original matrix (Sylvester's identity), and skipping pivotless columns
-    does not disturb that invariant.  This is the forward half of
-    _gauss_jordan, which also clears above each pivot.  Row swaps and
-    clearing above a pivot change no pivot column, so these are the
-    pivot columns of the reduced row echelon form, and their count is the
-    rank.
+    Each new row is reduced by the pivot rows kept so far, in the order
+    they were kept, on the columns that are not yet pivots: the step by
+    (position, pivot, rest) drops the row's entry `lead` at that position
+    and maps each other entry e, beside t in rest, to
+    (pivot * e - lead * t) // prev, prev being the pivot kept before.
+    That is Bareiss (1968) with the rows in the order kept and the
+    columns in pivot order, so every entry is a minor of the matrix
+    (Sylvester's identity) and the division is exact.  A reduced row
+    with a nonzero entry is kept, pivoting on its first one; a zero row
+    lies in the span of the kept rows.  The loop stops at ncols pivot
+    rows, so a tall matrix of full column rank never reads the rest.
+    When a row reduces to zero with one column left free, the kernel of
+    the kept rows is one integer vector, and a later row lies in their
+    span exactly when its product with it is zero: from there each row of
+    a matrix of rank ncols - 1 costs one product, not a reduction.
+
+    The rows given are not changed.  Each pivot row is (position of its
+    pivot among the columns not yet pivots, pivot, the row on the columns
+    left after it).  The pivot columns are those of the reduced row
+    echelon form: the leading column of a vector in the row space is one
+    of them, and the kept rows have distinct leading columns.
     """
-    nrows = len(data)
-    if nrows == 0:
-        return []
-    ncols = len(data[0])
-    pivots: list[int] = []
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if data[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    kept: list[PivotRow] = []
+    kernel: list[int] = []
+    for row in rows:
+        if kernel and not sum(map(operator.mul, row, kernel)):
             continue
-        if pivot_row != rank:
-            data[pivot_row], data[rank] = data[rank], data[pivot_row]
-        pivot = data[rank][col]
-        top = data[rank]
-        for r in range(rank + 1, nrows):
-            cur = data[r]
-            lead = cur[col]
-            for j in range(col + 1, ncols):
-                cur[j] = (pivot * cur[j] - lead * top[j]) // prev
-            cur[col] = 0
-        prev = pivot
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
+        x = list(row)
+        prev = 1
+        for position, pivot, rest in kept:
+            lead = x.pop(position)
+            j = 0  # in place: a new list per step ran slower
+            for t in rest:
+                x[j] = (pivot * x[j] - lead * t) // prev
+                j += 1
+            prev = pivot
+        if not any(x):
+            if len(kept) == ncols - 1:
+                kernel = _back_substitute(kept, [prev])  # prev is the last pivot
+            continue
+        position = 0
+        while not x[position]:
+            position += 1
+        kept.append((position, x.pop(position), x))
+        if len(kept) == ncols:
             break
-    return pivots
+    return kept
+
+
+def _pivot_columns(kept: list[PivotRow], ncols: int) -> list[int]:
+    """The pivot columns of the kept rows, in increasing order."""
+    live = list(range(ncols))
+    return sorted(live.pop(position) for position, _, _ in kept)
+
+
+def _back_substitute(kept: list[PivotRow], y: list[int]) -> list[int]:
+    """Extend y, given on the free columns, to the integer kernel vector.
+
+    Solves the pivot rows from the last kept to the first, inserting each
+    pivot column's value at its position.  With d the last pivot, equal to
+    the pivot minor up to sign (Sylvester's identity), every value is an
+    integer when y is d times an integer vector (Cramer's rule), so each
+    division is exact.
+    """
+    for position, pivot, rest in reversed(kept):
+        y.insert(position, -sum(map(operator.mul, rest, y)) // pivot)
+    return y
 
 
 def int_rank(data: list[list[int]]) -> int:
-    """Rank of an integer matrix (echelon_pivots; mutates its argument)."""
-    return len(echelon_pivots(data))
+    """Rank of an integer matrix: the number of rows echelon_pivots keeps."""
+    return len(echelon_pivots(data, len(data[0]) if data else 0))
 
 
 def _integer_row(row: Sequence[Rational]) -> list[int]:
-    """The row scaled by the lcm of its own denominators."""
+    """The row scaled by the lcm of its own denominators.
+
+    Scaling a row keeps the row space, so the pivot columns and the kernel.
+    """
     scale = math.lcm(*(e.denominator for e in row))
     return [e.numerator * (scale // e.denominator) for e in row]
-
-
-def _gauss_jordan(
-    rows: Iterable[Sequence[Rational]],
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of a rational matrix.
-
-    Each row is first cleared of denominators on its own, which keeps
-    the reduced row echelon form.  Returns (integer rows, pivot columns,
-    d) with that form equal to rows / d.  Each step turns every other
-    row r into (pivot * r - r[col] * top) / prev, above the pivot row as
-    well as below, and that division is exact as it is in echelon_pivots:
-    every entry stays a minor of the cleared matrix (Bareiss 1968).  A
-    pivot row keeps the current pivot in its pivot column, so at the end
-    every pivot entry is the last pivot d and the rows past the rank are
-    zero.
-    """
-    data = [_integer_row(row) for row in rows]
-    nrows = len(data)
-    ncols = len(data[0]) if nrows else 0
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot_row = next((r for r in range(rank, nrows) if data[r][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            data[pivot_row], data[rank] = data[rank], data[pivot_row]
-        top = data[rank]
-        pivot = top[col]
-        for r in range(nrows):
-            lead = data[r][col]
-            if r == rank or not lead and pivot == prev:
-                continue
-            data[r] = [(pivot * e - lead * t) // prev for e, t in zip(data[r], top)]
-        prev = pivot
-        pivots.append(col)
-        if len(pivots) == nrows:
-            break
-    return data, pivots, prev
 
 
 def column_pivots(matrix: Matrix) -> tuple[int, ...]:
@@ -264,35 +250,34 @@ def column_pivots(matrix: Matrix) -> tuple[int, ...]:
     Calls echelon_pivots directly, not int_rank, so that perfbench's
     int_rank span counts ranks only.
     """
-    rows = [_integer_row(matrix.row(i)) for i in range(matrix.rows)]
-    return tuple(echelon_pivots(rows))
+    rows = (_integer_row(matrix.row(i)) for i in range(matrix.rows))
+    return tuple(_pivot_columns(echelon_pivots(rows, matrix.cols), matrix.cols))
 
 
 def nullspace(matrix: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space over Q, one vector per free column.
 
     Deterministic: vectors are returned in increasing free-column order,
-    each with a 1 in its free coordinate.
+    each with a 1 in its free coordinate and 0 in the other free ones,
+    so they are the basis the reduced row echelon form gives.
     """
-    rows, pivots, d = _gauss_jordan(matrix.row(i) for i in range(matrix.rows))
-    pivot_set = set(pivots)
+    rows = (_integer_row(matrix.row(i)) for i in range(matrix.rows))
+    kept = echelon_pivots(rows, matrix.cols)
+    d = kept[-1][1] if kept else 1
+    free = matrix.cols - len(kept)
     basis: list[tuple[Fraction, ...]] = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = Fraction(-rows[r][free], d)
-        basis.append(tuple(vec))
+    for slot in range(free):
+        y = [0] * free
+        y[slot] = d
+        basis.append(tuple(Fraction(v, d) for v in _back_substitute(kept, y)))
     return basis
 
 
 def solve_square(matrix: Matrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...]:
     """Solve M x = rhs for square nonsingular M over Q.
 
-    Scaling a row of the augmented system [M | rhs] keeps its solution,
-    so _gauss_jordan may clear each row of denominators on its own.
+    M x = rhs exactly when (x, -1) is in the kernel of [M | rhs], and M is
+    nonsingular exactly when the pivot columns of [M | rhs] are M's n.
     """
     n = matrix.rows
     if matrix.cols != n:
@@ -302,10 +287,13 @@ def solve_square(matrix: Matrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...
     for value in rhs:
         if not is_rational(value):
             raise DomainError(f"right-hand side {value!r} is not an exact rational")
-    rows, pivots, d = _gauss_jordan((*matrix.row(i), rhs[i]) for i in range(n))
-    if len(pivots) != n or any(c >= n for c in pivots):
+    kept = echelon_pivots(
+        (_integer_row((*matrix.row(i), rhs[i])) for i in range(n)), n + 1
+    )
+    if _pivot_columns(kept, n + 1) != list(range(n)):
         raise DomainError("matrix is singular; no unique solution")
-    return tuple(Fraction(rows[r][n], d) for r in range(n))
+    d = kept[-1][1] if kept else 1
+    return tuple(Fraction(-v, d) for v in _back_substitute(kept, [d])[:n])
 
 
 # Polynomials over F_p, p = 2^61 - 1, for the path certificates: a list of

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from git_topo.connectivity import summarize_strata
@@ -17,7 +17,7 @@ from git_topo.families.dag import (
     one_ps_redundant,
 )
 from git_topo.groups import OnePSClass, OrbitConvention
-from git_topo.linalg import Matrix
+from git_topo.linalg import Matrix, column_pivots, nullspace
 
 
 def make_instance(rows):
@@ -202,3 +202,44 @@ def test_stabilized_output_is_always_stable(rows):
         return
     fixed = dag_stabilize(inst, Fraction(1, 1000))
     assert dag_status(fixed).verdict is Verdict.STABLE
+
+
+@st.composite
+def rank_deficient_parent_blocks(draw):
+    """Parent blocks X = U V, n x k with n >= k, of rank below k; in some
+    the first k rows span less than the whole of X."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+    inner = draw(st.integers(0, k - 1))
+    u = [[draw(entry) for _ in range(inner)] for _ in range(n)]
+    v = [[draw(entry) for _ in range(k)] for _ in range(inner)]
+    if draw(st.booleans()):
+        u[:k] = [[0] * inner] * k
+    return [[sum(u[i][t] * v[t][j] for t in range(inner)) for j in range(k)]
+            for i in range(n)]
+
+
+@given(rank_deficient_parent_blocks())
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+@example([[0, 0], [0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 0], [0, 0], [1, 2], [3, 6]])
+@settings(max_examples=150, deadline=None)
+def test_stabilize_uses_the_first_null_vectors_of_x_transpose(x):
+    """The null vectors of the first k columns of X^T, padded with zeros,
+    are the first null vectors of the whole of X^T, so dag_stabilize adds
+    what eps times those of X^T itself would."""
+    n, k = len(x), len(x[0])
+    x_t = Matrix(k, n, tuple(x[i][j] for j in range(k) for i in range(n)))
+    head = Matrix(k, k, tuple(x[i][j] for j in range(k) for i in range(k)))
+    pivots = column_pivots(Matrix.from_rows(x))
+    deficient = [c for c in range(k) if c not in pivots]
+    full = nullspace(x_t)[: len(deficient)]
+    assert [v + (0,) * (n - k) for v in nullspace(head)[: len(deficient)]] == full
+    eps = Fraction(1, 1000)
+    fixed = dag_stabilize(make_instance([row + [1] for row in x]), eps)
+    shift = dict(zip(deficient, full))
+    assert fixed.y.to_rows() == [
+        [x[i][j] + (eps * shift[j][i] if j in shift else 0) for j in range(k)] + [1]
+        for i in range(n)
+    ]

@@ -1,9 +1,10 @@
 """Exact linear algebra against independent oracles.
 
-The fraction-free Bareiss rank is checked against a Laplace-expansion
-minor rank written here from scratch, and the fraction-free Gauss-Jordan
-solvers against their defining equations and against the Fraction RREF
-in `rref_oracle`.  The F_p[x] determinant behind the
+The fraction-free Bareiss rank and pivot columns are checked against a
+Laplace-expansion minor rank written here from scratch and against the
+Fraction RREF in `rref_oracle`, and the null spaces and square solves
+that back-substitute on the same elimination against their defining
+equations and against that RREF.  The F_p[x] determinant behind the
 path certificates is checked against a Leibniz expansion over Z[x], and
 its gcd and root scan against products of known linear factors.
 """
@@ -20,6 +21,7 @@ from git_topo.linalg import (
     ComplexRational,
     Matrix,
     column_pivots,
+    echelon_pivots,
     int_rank,
     integer_rows,
     minor_gcd,
@@ -65,22 +67,48 @@ def minor_rank(rows, cols_count):
 int_entries = st.integers(min_value=-9, max_value=9)
 
 
-def int_matrix_strategy(max_dim=4):
-    return st.integers(1, max_dim).flatmap(
-        lambda r: st.integers(1, max_dim).flatmap(
-            lambda c: st.lists(
-                st.lists(int_entries, min_size=c, max_size=c),
-                min_size=r,
-                max_size=r,
-            )
-        )
-    )
+@st.composite
+def int_matrices(draw):
+    """Integer matrices from 1 x 1 to 8 x 4 and 4 x 8, tall, wide or square.
+
+    Half are products U V, of rank at most their random inner dimension;
+    some have zero rows, and some a zero first column with no pivot.
+    """
+    long, short = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rows, cols = (long, short) if draw(st.booleans()) else (short, long)
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, min(rows, cols)))
+        u = [[draw(int_entries) for _ in range(inner)] for _ in range(rows)]
+        v = [[draw(int_entries) for _ in range(cols)] for _ in range(inner)]
+        data = [[sum(u[i][t] * v[t][j] for t in range(inner)) for j in range(cols)]
+                for i in range(rows)]
+    else:
+        data = [[draw(int_entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        data[i] = [0] * cols
+    if draw(st.booleans()):
+        for row in data:
+            row[0] = 0
+    return data
 
 
-@given(int_matrix_strategy())
-@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
 def test_int_rank_matches_minor_oracle(rows):
-    assert int_rank([list(r) for r in rows]) == minor_rank(rows, len(rows[0]))
+    cols = len(rows[0])
+    pivots = oracle_column_pivots(rows, cols)
+    data = [list(r) for r in rows]
+    assert int_rank(data) == minor_rank(rows, cols) == len(pivots)
+    assert data == rows
+    assert column_pivots(Matrix.from_rows(rows)) == pivots
+
+
+def test_a_full_rank_matrix_reads_no_row_past_its_last_pivot():
+    def rows():
+        yield from ([0, 2, 1], [1, 0, 0], [3, 1, 0])
+        raise AssertionError("read a row past the third pivot")
+
+    assert len(echelon_pivots(rows(), 3)) == 3
 
 
 def test_int_rank_known_cases():
@@ -89,6 +117,8 @@ def test_int_rank_known_cases():
     assert int_rank([[1, 2], [3, 4]]) == 2
     # skipped pivot column: first column zero
     assert int_rank([[0, 1, 2], [0, 2, 4], [0, 0, 1]]) == 2
+    # rows in the span of the first, then one outside it
+    assert int_rank([[1, 2], [2, 4], [3, 6], [0, 1]]) == 2
 
 
 def test_rank_rational_entries():
@@ -100,7 +130,7 @@ def test_rank_rational_entries():
     assert int_rank(integer_rows(singular)) == 1
 
 
-@given(int_matrix_strategy())
+@given(int_matrices())
 @settings(max_examples=80, deadline=None)
 def test_nullspace_vectors_annihilate(rows):
     m = Matrix.from_rows(rows)
@@ -184,6 +214,15 @@ def test_solve_square_equals_the_fraction_rref(shape, rhs):
         assert solve_square(m, rhs[:n]) == expected
 
 
+def test_empty_systems():
+    assert solve_square(Matrix(0, 0, ()), []) == ()
+    assert nullspace(Matrix(0, 0, ())) == []
+    assert nullspace(Matrix(2, 0, ())) == []
+    assert nullspace(Matrix(0, 2, ())) == [(1, 0), (0, 1)]
+    assert column_pivots(Matrix(0, 2, ())) == ()
+    assert int_rank([]) == 0
+
+
 def test_solve_square_refuses_an_inexact_right_hand_side():
     with pytest.raises(DomainError, match="not an exact rational"):
         solve_square(Matrix.from_rows([[1]]), [0.5])
@@ -228,11 +267,6 @@ def test_complex_rational_refuses_a_second_imaginary_part():
 def test_integer_rows_scales_the_whole_matrix_once():
     # One lcm, 6, for every row: row 0 alone would need only 2.
     assert integer_rows([[Fraction(1, 2), 1], [Fraction(1, 3), 0]]) == [[3, 6], [2, 0]]
-
-
-def test_hstack_and_transpose():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    assert a.transpose().to_rows() == [[1, 3], [2, 4]]
 
 
 # Polynomials over F_p: integer coefficient lists, lowest degree first.
