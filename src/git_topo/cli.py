@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import partial
+from typing import Callable
 
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import DomainError, GitTopoError, SchemaError
@@ -99,18 +101,22 @@ def _add_family_args(
     )
 
 
-# Each handler returns (canonical JSON text, text lines, exit status);
-# main prints the lines and writes the text.
+# Each handler returns (encoder of its canonical JSON text, renderer of
+# its text lines, exit status).  main encodes only under --json, renders
+# the lines after the text, and prints and writes them once the report
+# is gone, so a large table's JSON text is never built unread, and the
+# table, its lines and its text never all take memory at once.
+Handled = tuple[Callable[[], str], Callable[[], list[str]], int]
 
 
-def cmd_analyze(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def cmd_analyze(args: argparse.Namespace) -> Handled:
     report = summarize_strata(
         _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
-    return report_to_json(report), render_connectivity_text(report), 0
+    return partial(report_to_json, report), partial(render_connectivity_text, report), 0
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def cmd_check(args: argparse.Namespace) -> Handled:
     if args.epsilon is not None and not args.stabilize:
         raise SchemaError("--epsilon applies only with --stabilize")
     try:
@@ -145,10 +151,10 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, list[str], int]:
         beta = dag_solve_mle(working)
         payload["mle"] = [rational_to_str(b) for b in beta]
         lines.append("mle: (" + ", ".join(rational_to_str(b) for b in beta) + ")")
-    return canonical_dumps(payload), lines, 0
+    return partial(canonical_dumps, payload), lines.copy, 0
 
 
-def cmd_homotopy(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def cmd_homotopy(args: argparse.Namespace) -> Handled:
     if not args.assume_free_action:
         raise SchemaError(
             "homotopy tables assume the group acts freely on the stable "
@@ -158,10 +164,11 @@ def cmd_homotopy(args: argparse.Namespace) -> tuple[str, list[str], int]:
     report = summarize_strata(
         _family_from_args(args), _convention_from_args(args), max_q=args.max_q
     )
-    return canonical_dumps(report_head_to_json(report)), render_homotopy_text(report), 0
+    encode = partial(canonical_dumps, report_head_to_json(report))
+    return encode, partial(render_homotopy_text, report), 0
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:
+def cmd_verify(args: argparse.Namespace) -> Handled:
     reports = []
     if args.family == "kronecker":
         refused = [d for d in _FAMILY_FLAGS if d != "theta"] + ["orbit_convention"]
@@ -205,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, list[str], int]:
         "ok": ok,
         "reports": [harness_report_to_json(r) for r in reports],
     }
-    return canonical_dumps(payload), lines, 0 if ok else 1
+    return partial(canonical_dumps, payload), lines.copy, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,18 +277,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args: argparse.Namespace) -> tuple[str | None, list[str], int]:
+    """The handler's JSON text (only under --json), text lines and exit
+    status; the report they were built from goes when this returns."""
     try:
-        text, lines, code = args.handler(args)
+        encode, render, code = args.handler(args)
     except GitTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         error = {"type": type(exc).__name__, "message": str(exc)}
-        text, lines, code = canonical_dumps({"error": error}), [], 2
+        encode, render, code = partial(canonical_dumps, {"error": error}), list, 2
+    return encode() if args.json else None, render(), code
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    text, lines, code = _run(args)
     if lines:
         print("\n".join(lines))
-    if args.json:
+    if text is not None:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)

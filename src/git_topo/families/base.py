@@ -3,11 +3,12 @@
 Each family contributes two things downstream: a stability verdict for a
 point and a table of destabilizing strata (one per 1-PS class that can
 occur as a worst destabilizer).  The types here are family-agnostic; the
-per-family modules fill them in.  `strata_from_classes` builds every
+per-family modules fill them in.  `strata_from_classes` builds a
 family's stratum table from its 1-PS classes, counting each class's m
-from the family's representation.  The JSON and command-line primitives
-live here too, so each family module can encode and parse its own
-shapes.  The rational reader keeps an integer an int (a JSON int, or a
+from the family's representation; the quiver family sums the same
+per-block counts (`hom_negative_dim`) along one walk instead.  The JSON
+and command-line primitives live here too, so each family module can
+encode and parse its own shapes.  The rational reader keeps an integer an int (a JSON int, or a
 string without a "/"), so a matrix of integer entries reaches the
 elimination without a Fraction; only a "p/q" string becomes one.
 """
@@ -30,10 +31,11 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # Most work, class count x weights per class, one stratum enumeration
 # accepts.  A class's weights are its 1-PS weights on G plus the
 # (weight, multiplicity) pairs it has on V.  Control and DAG tables cost
-# 0.13-0.3 us a unit.  A thin quiver lists only the candidates theta
-# destabilizes, so on a 2-CPU x86 machine a 17-vertex thin path with 15
-# arrows (2^17 candidates x 32 weights) took 3.5-4.4 s and 230 MB with
-# theta = (16, -1, ..., -1), and 7.3-8.4 s and 444 MB with theta = 0.
+# 0.13-0.3 us a unit.  A thin quiver builds only the rows theta
+# destabilizes, so on a 2-CPU x86 machine `analyze quiver --json` on a
+# 17-vertex thin path with 15 arrows (2^17 candidates x 32 weights) took
+# 1.4-1.6 s and 96 MB with theta = (16, -1, ..., -1), and 2.3-2.8 s and
+# 175 MB with theta = 0.
 MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
@@ -236,30 +238,46 @@ def check_sampling_work(entries: int, checks: int) -> None:
         )
 
 
+def _weight_counts(weights: tuple[int, ...]) -> Iterable[tuple[int, int]]:
+    """Each distinct weight with its multiplicity; a rank-1 factor skips
+    the count."""
+    if len(weights) == 1:
+        return ((weights[0], 1),)
+    return [(w, weights.count(w)) for w in set(weights)]
+
+
+def hom_negative_dim(
+    source_weights: tuple[int, ...], target_weights: tuple[int, ...]
+) -> int:
+    """The coordinates of Hom(source, target) of negative weight.
+
+    A coordinate has weight w_target - w_source.  Equal weights at an
+    endpoint are grouped first, so the count costs one step per pair of
+    distinct weights.
+    """
+    targets = _weight_counts(target_weights)
+    m = 0
+    for ws, cs in _weight_counts(source_weights):
+        for wt, ct in targets:
+            if wt < ws:
+                m += cs * ct
+    return m
+
+
 def negative_weight_dim(spec, lam: OnePSClass) -> int:
     """m: the dimension of the strictly negative weight space of lam on V.
 
-    V is `spec.representation`.  A coordinate of a block Hom(source,
-    target) has weight w_target - w_source.  Equal weights at an
-    endpoint are grouped first, so a block costs one step per pair of
-    distinct weights: a control class, whose n weights take two values,
-    costs six.
+    V is `spec.representation`; each block adds its multiplicity times
+    `hom_negative_dim` of its endpoints' weights, so a control class,
+    whose n weights take two values, costs six steps.
     """
     spec.group().check_one_ps(lam)
     # Indexed by endpoint: GL factors, torus coordinates, last TRIVIAL.
-    grouped = [
-        ((ws[0], 1),) if len(ws) == 1 else tuple((w, ws.count(w)) for w in set(ws))
-        for ws in lam.gl_weights
-    ]
-    grouped += [((w, 1),) for w in lam.torus_weights]
-    grouped.append(((0, 1),))
-    m = 0
-    for source, target, mult in spec.representation:
-        for ws, cs in grouped[source]:
-            for wt, ct in grouped[target]:
-                if wt < ws:
-                    m += mult * cs * ct
-    return m
+    weights = [*lam.gl_weights, *((w,) for w in lam.torus_weights), (0,)]
+    return sum(
+        mult * hom_negative_dim(weights[source], weights[target])
+        for source, target, mult in spec.representation
+    )
 
 
 def strata_from_classes(
@@ -291,7 +309,7 @@ class FamilySpec:
       Hom(source, target), and `strata(convention)`.  An endpoint indexes
       a factor of `group()`, its GL factors first and then its torus
       coordinates, or is `groups.TRIVIAL`, the trivial line;
-      `negative_weight_dim` reads every m off the blocks;
+      every m is a sum of `hom_negative_dim` over the blocks;
     - `has_stable_points()`, whether V^st is non-empty;
     - `flat_size`, the integers in the flat encoding of a point that the
       harness samples in, `instance_from_flat(flat)` and

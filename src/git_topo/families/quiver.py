@@ -13,7 +13,12 @@ by one s-t minimum cut in polynomial time (`_max_closure`), and the
 witness subset comes from that flow's residual graph; each spec builds
 its closure graph once and caches the verdict of points with no
 vanishing arrow.  The stratum enumeration works for arbitrary dimension
-vectors.
+vectors.  A sub-dimension vector's m is a sum over arrows of terms that
+depend only on the subdimensions at the two ends, and its orbit
+dimension a sum over vertices, so the table is one walk over the
+vertices of positive dimension that adds these terms as it fixes each
+vertex, from tables built once per enumeration, and skips each prefix
+that theta already rules out.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from git_topo.errors import (
     DomainError,
@@ -39,13 +44,18 @@ from git_topo.families.base import (
     check_stratum_work,
     complex_from_json,
     complex_to_json,
+    hom_negative_dim,
     int_list,
     parse_int_list,
     require_int,
     require_list,
-    strata_from_classes,
 )
-from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
+from git_topo.groups import (
+    GroupSpec,
+    OnePSClass,
+    OrbitConvention,
+    factor_stabilizer_dim,
+)
 from git_topo.linalg import ComplexRational, check_integers
 
 # Most support vertices plus distinct arcs one thin point check accepts.
@@ -117,12 +127,12 @@ class QuiverSpec(FamilySpec):
         return tuple(i for i, d in enumerate(self.dim_vector) if d >= 1)
 
     @cached_property
-    def _subdim_factors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def _subdim_factors(self) -> tuple[dict[int, tuple[int, ...]], ...]:
         """Per positive vertex of dimension d, the GL factor of
-        `one_ps_for_subdim` for each subdimension k = 0..d, built once so
-        that every stratum shares these tuples."""
+        `one_ps_for_subdim` keyed by each subdimension k = 0..d, built once
+        so that every stratum shares these tuples."""
         return tuple(
-            tuple((0,) * k + (-1,) * (d - k) for k in range(d + 1))
+            {k: (0,) * k + (-1,) * (d - k) for k in range(d + 1)}
             for d in (self.dim_vector[v] for v in self.positive_vertices)
         )
 
@@ -352,12 +362,12 @@ def one_ps_for_subdim(spec: QuiverSpec, sub: Sequence[int]) -> OnePSClass:
     get weight 0 and the remaining ones weight -1, so arrows out of the
     subrepresentation into the quotient are exactly the negative weights.
     """
-    factors = []
-    for vertex, table in zip(spec.positive_vertices, spec._subdim_factors):
-        keep = sub[vertex]
-        if not (0 <= keep < len(table)):
-            raise DomainError(f"subdimension at vertex {vertex + 1} out of range")
-        factors.append(table[keep])
+    positive, tables = spec.positive_vertices, spec._subdim_factors
+    try:
+        factors = [table[sub[v]] for v, table in zip(positive, tables)]
+    except KeyError:
+        vertex = next(v for v, table in zip(positive, tables) if sub[v] not in table)
+        raise DomainError(f"subdimension at vertex {vertex + 1} out of range") from None
     return OnePSClass(tuple(factors), ())
 
 
@@ -366,9 +376,11 @@ def enumerate_strata(
 ) -> list[StratumClass]:
     """Destabilizing classes, one per admissible subdimension vector.
 
-    A subdimension d' destabilizes when theta . d' >= 0.  Every candidate
-    d' is scanned, and each carries sum dim_i weights on G and one weight
-    per arrow coordinate on V.
+    A subdimension d' destabilizes when theta . d' >= 0.  The work limit
+    counts every candidate d', each with sum dim_i weights on G and one
+    weight per arrow coordinate on V.  The table itself is one walk
+    (`_walk`) in the lex order of `sub_dimension_vectors`, which never
+    enters a subtree that theta rules out.
     """
     dims = spec.dim_vector
     if all(d == 0 for d in dims):
@@ -377,15 +389,100 @@ def enumerate_strata(
         math.prod(d + 1 for d in dims),
         sum(dims) + sum(dims[s] * dims[t] for s, t in spec.arrows),
     )
-    return strata_from_classes(
-        spec,
-        convention,
-        (
-            ({"sub_dim": sub}, one_ps_for_subdim(spec, sub))
-            for sub in sub_dimension_vectors(spec)
-            if sum(a * d for a, d in zip(spec.theta, sub)) >= 0
-        ),
-    )
+    zero = (0,) * len(dims)
+    group_dim = sum(d * d for d in dims)
+    sub_dim = list(zero)
+    rows: list[StratumClass] = []
+
+    def keep(m: int, stabilizer: int) -> None:
+        sub = tuple(sub_dim)
+        if sub != zero and sub != dims:
+            rep = one_ps_for_subdim(spec, sub)
+            rows.append(StratumClass({"sub_dim": sub}, rep, m, group_dim - stabilizer))
+
+    _walk(_walk_levels(spec, convention), 0, sub_dim, 0, 0, 0, keep)
+    return rows
+
+
+def _walk_levels(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple]:
+    """One level per positive vertex, in vertex order, for `_walk`.
+
+    A level is (vertex, theta_vertex, rest, own, stabilizers, pairs).
+    rest is the most theta . d' the later levels can add,
+    sum max(0, theta_v dim_v).  Indexed by the vertex's subdimension k,
+    own[k] is the m of its loops and stabilizers[k] its factor's
+    `factor_stabilizer_dim`.  pairs holds (earlier vertex, table) per
+    earlier vertex that shares arrows with this one, and table[j][k] is
+    the m of those arrows when the earlier vertex has subdimension j.
+    Each term is one `hom_negative_dim` of `one_ps_for_subdim`'s weights.
+    """
+    positive = spec.positive_vertices
+    weights = [tuple(table.values()) for table in spec._subdim_factors]
+    own = [[0] * len(ws) for ws in weights]
+    pairs: list[dict[int, list[list[int]]]] = [{} for _ in positive]
+    for source, target, mult in spec.representation:
+        if source == target:
+            for k, ws in enumerate(weights[source]):
+                own[source][k] += mult * hom_negative_dim(ws, ws)
+            continue
+        earlier, later = sorted((source, target))
+        table = pairs[later].setdefault(
+            positive[earlier], [[0] * len(weights[later]) for _ in weights[earlier]]
+        )
+        for j, early in enumerate(weights[earlier]):
+            for k, late in enumerate(weights[later]):
+                ends = (early, late) if source == earlier else (late, early)
+                table[j][k] += mult * hom_negative_dim(*ends)
+    levels = []
+    rest = 0
+    for i in reversed(range(len(positive))):
+        vertex = positive[i]
+        levels.append((
+            vertex,
+            spec.theta[vertex],
+            rest,
+            tuple(own[i]),
+            tuple(factor_stabilizer_dim(ws, convention) for ws in weights[i]),
+            tuple((u, tuple(map(tuple, table))) for u, table in pairs[i].items()),
+        ))
+        rest += max(0, spec.theta[vertex] * spec.dim_vector[vertex])
+    return levels[::-1]
+
+
+def _walk(
+    levels: list[tuple],
+    level: int,
+    sub_dim: list[int],
+    theta_sum: int,
+    m: int,
+    stabilizer: int,
+    keep: Callable[[int, int], None],
+) -> None:
+    """Set sub_dim at this level's vertex and every later one, first vertex
+    slowest, and call keep(m, stabilizer) on each d' with theta . d' >= 0.
+
+    The sums run over the levels already set.  A value k is skipped when
+    theta_sum + theta_vertex * k + rest < 0, as no completion reaches
+    theta . d' >= 0; past it, a larger k only lowers the sum unless
+    theta_vertex > 0.  Recursion is one frame per positive vertex, and the
+    work limit admits at most 17 of them (17 x 2^17 weights).
+    """
+    vertex, theta_vertex, rest, own, stabilizers, pairs = levels[level]
+    deeper = level + 1 < len(levels)
+    for k, added in enumerate(own):
+        theta_next = theta_sum + theta_vertex * k
+        if theta_next + rest < 0:
+            if theta_vertex > 0:
+                continue
+            break
+        sub_dim[vertex] = k
+        for u, table in pairs:
+            added += table[sub_dim[u]][k]
+        if deeper:
+            _walk(levels, level + 1, sub_dim, theta_next, m + added,
+                  stabilizer + stabilizers[k], keep)
+        else:
+            keep(m + added, stabilizer + stabilizers[k])
 
 
 @dataclass(frozen=True)

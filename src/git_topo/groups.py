@@ -15,6 +15,7 @@ multiplicities alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,33 +80,44 @@ class OnePSClass:
     torus_weights: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gl_weights", tuple(tuple(ws) for ws in self.gl_weights))
-        object.__setattr__(self, "torus_weights", tuple(self.torus_weights))
-        check_integers("1-PS weight", [w for ws in self.gl_weights for w in ws])
-        check_integers("1-PS weight", self.torus_weights)
+        gl_weights = tuple(map(tuple, self.gl_weights))
+        torus_weights = tuple(self.torus_weights)
+        object.__setattr__(self, "gl_weights", gl_weights)
+        object.__setattr__(self, "torus_weights", torus_weights)
+        check_integers("1-PS weight", itertools.chain(*gl_weights, torus_weights))
 
 
-def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> int:
-    """dim G minus the dim of lam's stabilizer under the chosen convention.
+def factor_stabilizer_dim(weights: tuple[int, ...], convention: OrbitConvention) -> int:
+    """dim of the stabilizer of a 1-PS with these weights in one GL factor.
 
-    Per GL factor of rank n whose weights have multiplicities m_1..m_r,
-    the centralizer has dimension S = sum m_i^2 and the parabolic (the
-    non-negative weight pairs) S + sum_{i<j} m_i m_j = (n^2 + S) / 2.
-    A rank-1 factor has S = 1 and so adds exactly 1 under both
-    conventions, without counting its weights.  The torus lies in both.
+    With weight multiplicities m_1..m_r the centralizer has dimension
+    S = sum m_i^2 and the parabolic (the non-negative weight pairs)
+    S + sum_{i<j} m_i m_j = (n^2 + S) / 2, n = len(weights).  A rank-1
+    factor has S = 1 and so gives exactly 1 under both conventions,
+    without counting its weights.
     """
     if not isinstance(convention, OrbitConvention):
         raise DomainError(f"unknown orbit convention {convention!r}")
+    n = len(weights)
+    if n == 1:
+        return 1
+    square = 0
+    for w in set(weights):
+        mult = weights.count(w)
+        square += mult * mult
+    if convention is OrbitConvention.CENTRALIZER:
+        return square
+    return (n * n + square) // 2
+
+
+def orbit_dim(spec: GroupSpec, lam: OnePSClass, convention: OrbitConvention) -> int:
+    """dim G minus the dim of lam's stabilizer under the chosen convention:
+    one `factor_stabilizer_dim` per GL factor, and the torus, which lies
+    in both stabilizers."""
+    if not isinstance(convention, OrbitConvention):  # also where G has no GL factor
+        raise DomainError(f"unknown orbit convention {convention!r}")
     spec.check_one_ps(lam)
-    centralizer = convention is OrbitConvention.CENTRALIZER
     stab = spec.torus_rank
-    for ws, n in zip(lam.gl_weights, spec.gl_ranks):
-        if n == 1:
-            stab += 1
-            continue
-        square = 0
-        for w in set(ws):
-            mult = ws.count(w)
-            square += mult * mult
-        stab += square if centralizer else (n * n + square) // 2
+    for ws in lam.gl_weights:
+        stab += factor_stabilizer_dim(ws, convention)
     return group_dim(spec) - stab

@@ -12,13 +12,15 @@ from git_topo.harness import HarnessReport
 
 
 def _format_value(value) -> str:
+    """An int, or a tuple of ints as its repr "(1, 0)", but "(5)" for a
+    1-tuple."""
     if isinstance(value, tuple):
-        return "(" + ", ".join(str(v) for v in value) + ")"
+        return f"({value[0]})" if len(value) == 1 else str(value)
     return str(value)
 
 
 def _descriptor_line(descriptor) -> str:
-    return ", ".join(f"{k}={_format_value(v)}" for k, v in descriptor.items())
+    return ", ".join([f"{k}={_format_value(v)}" for k, v in descriptor.items()])
 
 
 def _head_lines(report: ConnectivityReport) -> list[str]:
@@ -34,11 +36,11 @@ def render_connectivity_text(report: ConnectivityReport) -> list[str]:
     lines = _head_lines(report)
     if report.strata:
         lines.append("strata:")
-        for s in report.strata:
-            lines.append(
-                f"  {_descriptor_line(s.descriptor)}: "
-                f"m={s.m}, orbit_dim={s.orbit_dim}, value={s.value}"
-            )
+        lines += [
+            f"  {_descriptor_line(s.descriptor)}: "
+            f"m={s.m}, orbit_dim={s.orbit_dim}, value={s.value}"
+            for s in report.strata
+        ]
     else:
         lines.append("strata: none")
     if report.d_min is None:

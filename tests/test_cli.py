@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from git_topo import cli
 from git_topo.cli import main
 from git_topo.families import dag
 from git_topo.families.base import check_stratum_work
@@ -654,6 +655,31 @@ def test_quiver_arrow_out_of_range(capsys, arrow):
     )
     assert code == 2
     assert f"arrow {arrow}: vertex out of range 1..2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "quiver", "--arrows", "1->2,2->3", "--dim", "1,1,1",
+         "--theta=2,-1,-1"],
+        ["analyze", "control", "--n", "3", "--m", "2"],
+        ["homotopy", "dag", "--samples", "10", "--parents", "3", "--max-q", "3",
+         "--assume-free-action"],
+        ["verify", "kronecker"],
+        ["analyze", "control", "--n", "3"],
+    ],
+)
+def test_payloads_are_encoded_only_under_json(argv, capsys, monkeypatch, tmp_path):
+    target = tmp_path / "out.json"
+    code = run(capsys, *argv, "--json", str(target))[0]
+    assert read_json(target)  # the payload, or the error payload
+
+    def refuse(*args):
+        raise AssertionError("encoded without --json")
+
+    monkeypatch.setattr(cli, "report_to_json", refuse)
+    monkeypatch.setattr(cli, "canonical_dumps", refuse)
+    assert run(capsys, *argv)[0] == code
 
 
 def test_unwritable_json_path_exits_2(capsys, tmp_path):

@@ -10,6 +10,7 @@ benchmark's source without importing or editing it.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +74,18 @@ def _resolves(module: str, name: str | None) -> bool:
     except ImportError:
         return False
     return name is None or hasattr(mod, name)
+
+
+def test_quiver_tables_keep_the_shape_the_tracer_reads():
+    """The tracer's `_strata_result` hook reads `args[0].dim_vector` and
+    `len(result)` of quiver `enumerate_strata`."""
+    from git_topo.families import quiver
+    from git_topo.groups import OrbitConvention
+
+    spec = quiver.kronecker_spec()
+    params = list(inspect.signature(quiver.enumerate_strata).parameters.values())
+    assert [p.name for p in params] == ["spec", "convention"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    table = quiver.enumerate_strata(spec, OrbitConvention.PARABOLIC)
+    assert type(table) is list and len(table) == 1
+    assert spec.dim_vector == (1, 1)

@@ -1,8 +1,9 @@
+import gc
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from git_topo.errors import DomainError, ShapeError, SizeLimitError
@@ -380,3 +381,87 @@ def test_strata_m_closed_form_vs_weights(spec):
     for stratum in enumerate_strata(spec, OrbitConvention.PARABOLIC):
         assert stratum.m == closed_form_m(spec, stratum.descriptor["sub_dim"])
         assert stratum.value == 2 * stratum.m - 2 * stratum.orbit_dim
+
+
+def per_class_table(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple]:
+    """The table row by row: every candidate d', the theta filter, and each
+    kept class counted on its own by `negative_weight_dim` and `orbit_dim`."""
+    group = spec.group()
+    rows = []
+    for sub in sub_dimension_vectors(spec):
+        if sum(a * d for a, d in zip(spec.theta, sub)) >= 0:
+            lam = one_ps_for_subdim(spec, sub)
+            m = negative_weight_dim(spec, lam)
+            rows.append(({"sub_dim": sub}, lam, m, orbit_dim(group, lam, convention)))
+    return rows
+
+
+@st.composite
+def walk_quivers(draw):
+    """Up to 5 vertices of dimension 0-3 and up to 7 arrows, loops and
+    parallel arrows included, with theta zero or admissible at random."""
+    dims = list(draw(st.lists(st.integers(0, 3), min_size=1, max_size=5)))
+    if not any(dims):
+        dims[draw(st.integers(0, len(dims) - 1))] = draw(st.integers(1, 3))
+    v = len(dims)
+    vertex = st.integers(0, v - 1)
+    arrows = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=7)))
+    theta = [0] * v
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(vertex), draw(vertex)
+        c = draw(st.integers(-3, 3))
+        theta[i] += c * dims[j]
+        theta[j] -= c * dims[i]
+    return QuiverSpec(v, arrows, tuple(dims), tuple(theta))
+
+
+@given(walk_quivers())
+@example(QuiverSpec(4, ((0, 1), (1, 2), (2, 3), (3, 0)), (1, 1, 1, 1), (0, 0, 0, 0)))
+@example(QuiverSpec(3, ((0, 1), (0, 1), (1, 1), (2, 0)), (2, 3, 0), (-3, 2, 5)))
+@example(QuiverSpec(4, ((0, 2), (2, 2), (3, 1)), (3, 0, 2, 1), (-2, 4, 1, 4)))
+@example(QuiverSpec(3, ((1, 0), (2, 1)), (1, 2, 3), (6, 0, -2)))
+@example(QuiverSpec(4, ((0, 1), (2, 3), (3, 3)), (1, 1, 2, 1), (3, -3, 0, 0)))
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_the_per_class_route(spec):
+    # The examples: theta = 0, which keeps every candidate; parallel arrows
+    # and loops; dimension-0 vertices; and theta that rules out whole
+    # subtrees below the first vertex (the last two).
+    for convention in OrbitConvention:
+        rows = [
+            (s.descriptor, s.representative, s.m, s.orbit_dim)
+            for s in enumerate_strata(spec, convention)
+        ]
+        assert rows == per_class_table(spec, convention)
+
+
+def test_one_ps_refuses_a_subdimension_out_of_range():
+    spec = QuiverSpec(3, ((0, 1),), (2, 0, 1), (1, 0, -2))
+    with pytest.raises(DomainError, match="at vertex 3 out of range"):
+        one_ps_for_subdim(spec, (1, 0, 2))
+    with pytest.raises(DomainError, match="at vertex 1 out of range"):
+        one_ps_for_subdim(spec, (-1, 0, 1))
+
+
+def test_a_dropped_table_leaves_no_reference_cycle():
+    v = 12
+    cycle = tuple((i, (i + 1) % v) for i in range(v))
+    spec = QuiverSpec(v, cycle, (1,) * v, (v - 1,) + (-1,) * (v - 1))
+    gc.collect()
+    gc.disable()
+    try:
+        rows = enumerate_strata(spec, OrbitConvention.PARABOLIC)
+        assert len(rows) == 2 ** (v - 1) - 1
+        del rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_thousands_of_dimension_0_vertices_cost_no_recursion():
+    v = 3000
+    dims = (1,) + (0,) * (v - 2) + (1,)
+    theta = (1,) + (0,) * (v - 2) + (-1,)
+    spec = QuiverSpec(v, ((0, v - 1),), dims, theta)
+    (stratum,) = enumerate_strata(spec, OrbitConvention.PARABOLIC)
+    assert stratum.descriptor == {"sub_dim": (1,) + (0,) * (v - 1)}
+    assert (stratum.m, stratum.orbit_dim) == (1, 0)

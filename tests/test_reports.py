@@ -1,7 +1,7 @@
 from git_topo.connectivity import CONTRACTIBLE, summarize_strata
 from git_topo.families.control import ControlFamily
 from git_topo.families.dag import DagFamily
-from git_topo.families.quiver import kronecker_spec
+from git_topo.families.quiver import QuiverSpec, kronecker_spec
 from git_topo.groups import OrbitConvention
 from git_topo.harness import TrialConfig, sample_generic_points
 from git_topo.reports import (
@@ -77,3 +77,34 @@ def test_render_harness_counters():
     assert lines[0] == "op: generic_points"
     assert "trials_run = 10" in lines
     assert any(line.startswith("elapsed_ms = ") for line in lines)
+
+
+def _old_row(s):
+    """A stratum row as the text writer once spelled it, entry by entry."""
+    def value(v):
+        if isinstance(v, tuple):
+            return "(" + ", ".join(str(x) for x in v) + ")"
+        return str(v)
+
+    descriptor = ", ".join(f"{k}={value(v)}" for k, v in s.descriptor.items())
+    return f"  {descriptor}: m={s.m}, orbit_dim={s.orbit_dim}, value={s.value}"
+
+
+def test_stratum_rows_keep_their_spelling():
+    # A 1-tuple prints as "(1)", not as Python's "(1,)".
+    one_vertex = QuiverSpec(1, ((0, 0),), (2,), (0,))
+    lines = render_connectivity_text(summarize_strata(one_vertex))
+    assert "  sub_dim=(1): m=1, orbit_dim=1, value=0" in lines
+    for spec in (
+        one_vertex,
+        QuiverSpec(3, ((0, 1), (1, 2), (0, 2)), (2, 0, 1), (1, 5, -2)),
+        ControlFamily(4, 2),
+        DagFamily(10, 3),
+    ):
+        report = summarize_strata(spec)
+        lines = render_connectivity_text(report)
+        start = lines.index("strata:") + 1
+        assert report.strata
+        assert lines[start : start + len(report.strata)] == [
+            _old_row(s) for s in report.strata
+        ]
