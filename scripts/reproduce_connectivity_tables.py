@@ -5,8 +5,9 @@ Covers the 2-Kronecker quiver, the controllable-pair family at (n, m) =
 (3, 2) under both orbit conventions, and the star DAG at (n, k) = (10, 3)
 with its low-degree homotopy table.  Each table is one `git-topo
 analyze` command, run through git_topo.cli.main, so the text and the
---json files are exactly the command's.  Everything is recomputed from
-scratch; nothing is cached or looked up.
+--json files are exactly the command's.  Every table is recomputed from
+scratch; no result is cached or looked up.  Only the command-line
+parser, which main builds on its first call, is reused by the later ones.
 """
 
 import argparse

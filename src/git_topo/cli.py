@@ -7,6 +7,12 @@ to stdout; --json writes the same payload as canonical JSON.  Exit
 status: 0 on success, 1 when a verify counter fails, 2 on any validation
 or schema error or when the --json file cannot be written.  The family
 flags come from each family's spec class (see git_topo.families).
+
+`main(argv)` may be called any number of times in one process.  The
+parser is built once, on the first call (never at import), and reused:
+each call parses into a fresh namespace, and the handlers read this
+module's names when they run.  Code that changes `FAMILIES` must call
+`build_parser.cache_clear()` so the next parser offers the new flags.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from git_topo.connectivity import summarize_strata
@@ -215,6 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> Handled:
     return partial(canonical_dumps, payload), lines.copy, 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="git-topo",
@@ -290,8 +297,7 @@ def _run(args: argparse.Namespace) -> tuple[str | None, list[str], int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     text, lines, code = _run(args)
     if lines:
         print("\n".join(lines))

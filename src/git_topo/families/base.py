@@ -11,6 +11,8 @@ and command-line primitives live here too, so each family module can
 encode and parse its own shapes.  The rational reader keeps an integer an int (a JSON int, or a
 string without a "/"), so a matrix of integer entries reaches the
 elimination without a Fraction; only a "p/q" string becomes one.
+`matrix_from_json` decodes a row of plain integers in one pass, under the
+same grammar, and reads any other row entry by entry.
 """
 
 from __future__ import annotations
@@ -40,21 +42,24 @@ MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
 # for DAG, two per arrow for a quiver.  On a 2-CPU x86 machine a trial at
-# the limit drew its point in 20-25 ms and checked it in 10-180 ms:
-# 130-180 ms at control (3, 21842), 15-21 ms at DAG (16384, 3), 10-11 ms
-# on a 32768-arrow Kronecker quiver.  Square control shapes stay below
-# the limit, and with the Krylov certificate mod p a trial there cost
-# 7 ms at n = 40, 18 ms at n = 60, 54 ms at n = 100 and 0.42 s at
-# n = 250, with m = 1 (exact Bareiss alone took 21 s at n = 100).
+# the limit drew its point in 20-25 ms and checked it in 10-21 ms: 21 ms
+# at control (3, 21842) (the Krylov certificate packs only the columns
+# of B it reads; exact Bareiss took 150-180 ms), 15-21 ms at DAG
+# (16384, 3), 10-11 ms on a 32768-arrow Kronecker quiver.  Square
+# control shapes stay below the limit, and with the Krylov certificate
+# mod p a trial there cost 7 ms at n = 40, 18 ms at n = 60, 54 ms at
+# n = 100 and 0.42 s at n = 250, with m = 1 (exact Bareiss alone took
+# 21 s at n = 100).
 MAX_POINT_ENTRIES = 2**16
 
 # Most work, point checks x integers per point, one verify run accepts
 # (generic trials plus path points).  On a 2-CPU x86 machine a control
-# trial cost 2-21 us per integer of its point: 31 us at (3, 2), 4.7 ms at
-# (40, 2), 48 ms at (100, 1), 0.42 s at (250, 1), and the most, 39 ms, at
-# (9, 200), below the Krylov certificate's crossover.  So a control run
-# at the limit takes half a minute to six minutes; it accepts 2^20 trials
-# at (3, 2) and about 1700 at (100, 1).  DAG and thin-quiver trials cost
+# trial cost 0.3-9 us per integer of its point: 31-40 us at (3, 2),
+# 4.7 ms at (40, 2), 47 ms at (100, 1), and the most, 0.42-0.54 s, at
+# (250, 1); a wide B costs little once the Krylov certificate applies
+# (1.2 ms at (9, 200), 21 ms at (3, 21842)).  So a control run at the
+# limit takes 5 s to two and a half minutes; it accepts 2^20 trials at
+# (3, 2) and about 1700 at (100, 1).  DAG and thin-quiver trials cost
 # about 1 us per integer (38 us at DAG (10, 3), 50 ms at (16384, 3), 26 us
 # on a 20-vertex thin cycle), so their runs stop near 11-16 s: 419430
 # trials at DAG (10, 3) or on that cycle, 256 at (16384, 3), and every
@@ -113,16 +118,36 @@ def matrix_to_json(matrix: Matrix) -> list[list[str]]:
     ]
 
 
+def _integer_row(row: list) -> list[int] | None:
+    """The row as ints when every entry is a JSON int or a string that
+    _RATIONAL_RE accepts without a "/"; else None, also when int()
+    refuses an entry (past Python's digit limit)."""
+    fullmatch = _RATIONAL_RE.fullmatch
+    for e in row:
+        if type(e) is not int and (type(e) is not str or "/" in e or not fullmatch(e)):
+            return None
+    try:
+        return list(map(int, row))
+    except ValueError:
+        return None
+
+
 def matrix_from_json(value: Any, rows: int, cols: int, field: str) -> Matrix:
+    """A rows x cols matrix of rationals.  A row of plain integers is
+    decoded in one pass; any other row goes entry by entry through
+    rational_from_json, which names the entry it refuses."""
     if not isinstance(value, list) or len(value) != rows:
         raise SchemaError(f"{field}: expected {rows} rows")
     data = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{field}[{i}]: expected {cols} entries")
-        data.append(
-            [rational_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
-        )
+        entries = _integer_row(row)
+        if entries is None:
+            entries = [
+                rational_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)
+            ]
+        data.append(entries)
     return Matrix.from_rows(data)
 
 

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
@@ -48,16 +48,19 @@ from git_topo.linalg import (
 # 276 ms at n = 10), but the cut is set where m = 1 crosses over.
 MAX_CERTIFIED_N = 9
 
-# Smallest state dimension n whose rank check first tries the full-rank
-# Krylov certificate mod p.  On a 2-CPU x86 machine, with random entries
-# in [-9, 9], the certificate took 199 us against 193 us for exact
-# Bareiss at n = 10 and m = 2, and 331 against 414 us at n = 11.  The
-# nm x n Krylov matrix is tall for m = 2, and the elimination stops after
-# n of its rows.  At m = 1 it is square and is read whole, so exact
-# Bareiss stays ahead to n = 12: 200 against 134 us at n = 10, 276
-# against 251 us at n = 12, 324 against 340 us at n = 13 and 5.7 against
-# 61 ms at n = 40.  The cut is set where m = 2 crosses over.
-MIN_KRYLOV_CERTIFIED_N = 10
+# Fewest entries, n x nm, of a Krylov matrix whose rank check first tries
+# the full-rank certificate mod p.  On a 2-CPU x86 machine, with random
+# entries in [-9, 9] and the same inputs for both (median of 9 draws, in
+# us, certificate against exact Bareiss): at m = 1 the matrix is square
+# and read whole, and Bareiss stays ahead to n = 12 (419 against 369),
+# with the certificate first ahead at n = 13 (442 against 471) and far
+# ahead at n = 40 (5.7 against 61 ms).  A wider B gives Bareiss n of nm
+# rows of lower degree in A, and the certificate reads only the columns
+# it needs, so the crossover falls with m: n = 10-11 at m = 2 (207
+# against 198 at 10, 244 against 268 at 11), 8-9 at m = 3, 7 at m = 4,
+# 5-6 at m = 6, 3-4 at m = 12 and 1 at m = 200 (8 against 73).  n^2 m
+# >= 13^2 follows it to within a step of n.
+MIN_KRYLOV_CERTIFIED_ENTRIES = 169
 
 
 @dataclass(frozen=True)
@@ -190,11 +193,12 @@ def controllability_rank_ints(
 ) -> int:
     """Rank of the controllability matrix for integer A, B (fast path).
 
-    From n = MIN_KRYLOV_CERTIFIED_N on, full rank mod p is tried first:
-    it proves full rank over Q.  Every other outcome, and every smaller
-    n, runs exact Bareiss on the whole Krylov matrix.
+    From MIN_KRYLOV_CERTIFIED_ENTRIES entries on, full rank mod p is
+    tried first: it proves full rank over Q.  Every other outcome, and
+    every smaller Krylov matrix, runs exact Bareiss on the whole of it.
     """
-    if n >= MIN_KRYLOV_CERTIFIED_N and _krylov_full_rank_mod_p(n, m, a_rows, b_rows):
+    certified = n * n * m >= MIN_KRYLOV_CERTIFIED_ENTRIES
+    if certified and _krylov_full_rank_mod_p(n, m, a_rows, b_rows):
         return n
     current = [[b_rows[i][j] for i in range(n)] for j in range(m)]
     krylov = list(current)
@@ -214,8 +218,9 @@ def _krylov_full_rank_mod_p(
     for the next one: a column that reduces to zero lies in the span so
     far, and so does its image under A.  Stops at rank n, or when a
     whole block adds nothing (the span is then A-invariant and the rank
-    mod p is below n).  A nonzero n x n minor mod p is nonzero over Z,
-    so True proves controllability.
+    mod p is below n).  B's columns are packed as they are read, so a
+    wide B that reaches rank n early is not packed whole.  A nonzero
+    n x n minor mod p is nonzero over Z, so True proves controllability.
 
     A vector is packed into one integer, `size` bytes per entry, so that
     a reduction step or a product with A is one big-integer operation.
@@ -239,9 +244,11 @@ def _krylov_full_rank_mod_p(
         ]
 
     a_cols = [pack([a_rows[i][j] % PRIME for i in range(n)]) for j in range(n)]
-    block = [pack([b_rows[i][j] % PRIME for i in range(n)]) for j in range(m)]
+    block: Iterable[int] = (
+        pack([b_rows[i][j] % PRIME for i in range(n)]) for j in range(m)
+    )
     basis: list[tuple[int, int]] = []
-    while block:
+    while True:
         added = []
         for packed in block:
             for pivot, row in basis:
@@ -258,8 +265,9 @@ def _krylov_full_rank_mod_p(
             if len(basis) == n:
                 return True
             added.append(vec)
+        if not added:
+            return False
         block = [sum(map(operator.mul, vec, a_cols)) for vec in added]
-    return False
 
 
 def control_status(inst: ControlInstance) -> StabilityStatus:

@@ -1,5 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -916,3 +923,123 @@ def test_verify_refuses_bad_degenerate_trials(capsys, tmp_path, argv, message):
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
     assert read_json(out_file)["error"]["message"] == message
+
+
+# One parser per process.  main builds the parser on its first call and
+# reuses it, so these tests run commands back to back in one process and
+# compare each with the same command under a freshly built parser.  A
+# test that changes FAMILIES must call cli.build_parser.cache_clear(), or
+# later commands would be parsed with the old families' flags.
+
+REUSE_SEQUENCE = [
+    ["analyze", "dag", "--samples", "10", "--parents", "3", "--max-q", "3"],
+    ["check", "{dag}", "--stabilize", "--mle", "--epsilon", "1/7"],
+    ["homotopy", "control", "--n", "3", "--m", "2", "--max-q", "3",
+     "--assume-free-action"],
+    ["verify", "control", "--n", "3", "--m", "2", "--trials", "20", "--seed", "5"],
+    ["check", "{dag}", "--stabilise"],
+    ["check", "{bad}"],
+    ["analyze", "dag", "--samples", "10", "--parents", "3", "--max-q", "3"],
+]
+
+
+def _instance_files(tmp_path):
+    dag_file = tmp_path / "dag.json"
+    dag_file.write_text(json.dumps(
+        {"family": "dag", "n": 3, "k": 2,
+         "Y": [["1", "1", "0"], ["1", "1", "0"], ["1", "1", "0"]]}
+    ))
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(
+        {"family": "control", "n": 1, "m": 1, "A": [[1.5]], "B": [["1"]]}
+    ))
+    return {"dag": str(dag_file), "bad": str(bad_file)}
+
+
+def _zero_elapsed(text):
+    """verify's text and payload state its wall time; all else must match."""
+    return re.sub(r'(elapsed_ms(?: = |":))[0-9]+', r"\g<1>0", text)
+
+
+def _run_sequence(tmp_path, label, fresh_parser):
+    """(exit status, stdout, stderr, --json text or None) per command, with
+    verify's wall times set to 0."""
+    files = _instance_files(tmp_path)
+    results = []
+    for index, argv in enumerate(REUSE_SEQUENCE):
+        out_file = tmp_path / f"{label}-{index}.json"
+        argv = [arg.format(**files) for arg in argv] + ["--json", str(out_file)]
+        if fresh_parser:
+            cli.build_parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        payload = out_file.read_bytes().decode() if out_file.exists() else None
+        results.append((
+            code,
+            _zero_elapsed(out.getvalue()),
+            err.getvalue(),
+            payload and _zero_elapsed(payload),
+        ))
+    return results
+
+
+def test_one_parser_serves_a_sequence_of_commands(tmp_path):
+    cli.build_parser.cache_clear()
+    reused = _run_sequence(tmp_path, "reused", fresh_parser=False)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(REUSE_SEQUENCE) - 1)
+    assert reused == _run_sequence(tmp_path, "fresh", fresh_parser=True)
+    assert [code for code, *_ in reused] == [0, 0, 0, 0, 2, 2, 0]
+    assert reused[-1] == reused[0]
+    assert "unrecognized arguments: --stabilise" in reused[4][2]
+    assert reused[4][3] is None
+    assert reused[5][2] == "error: A[0][0]: rationals must be strings or integers\n"
+    assert json.loads(reused[5][3])["error"]["type"] == "SchemaError"
+
+
+def test_no_option_carries_over_to_the_next_call(capsys, tmp_path):
+    dag_file = _instance_files(tmp_path)["dag"]
+    out_file = tmp_path / "stabilized.json"
+    code, out, _ = run(
+        capsys, "check", dag_file, "--stabilize", "--epsilon", "1/7",
+        "--json", str(out_file),
+    )
+    assert code == 0 and "stabilized with epsilon = 1/7" in out
+    out_file.unlink()
+    # A leftover --epsilon without --stabilize would be refused here.
+    code, out, err = run(capsys, "check", dag_file)
+    assert code == 0 and err == ""
+    assert "stabilized" not in out
+    assert not out_file.exists()
+    code, out, _ = run(capsys, "check", dag_file, "--stabilize")
+    assert code == 0 and "stabilized with epsilon = 1/1000" in out
+    args = cli.build_parser().parse_args(["check", dag_file])
+    assert (args.json, args.stabilize, args.epsilon, args.mle) == (None, False, None, False)
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counted(self, *args, **kwargs):",
+        "    built.append(self)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counted",
+        "import git_topo.cli as cli",
+        "assert built == [] and cli.build_parser.cache_info().currsize == 0",
+        "assert cli.build_parser() is cli.build_parser() and built",
+    ])
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

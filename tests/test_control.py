@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.control import (
-    MIN_KRYLOV_CERTIFIED_N,
+    MIN_KRYLOV_CERTIFIED_ENTRIES,
     ControlFamily,
     ControlInstance,
     control_status,
@@ -220,14 +220,28 @@ def test_verdict_invariant_under_scalar_scaling(pair, scale):
 # Pairs at the size where the rank check first tries its certificate mod p.
 
 
+def first_certified_n(m):
+    """The smallest n whose n x nm Krylov matrix gets the certificate."""
+    n = 1
+    while n * n * m < MIN_KRYLOV_CERTIFIED_ENTRIES:
+        n += 1
+    return n
+
+
+def test_the_certificate_starts_at_the_measured_crossovers():
+    assert [first_certified_n(m) for m in (1, 2, 3, 4, 6, 12, 200)] == [
+        13, 10, 8, 7, 6, 4, 1
+    ]
+
+
 @pytest.mark.parametrize(
-    "reach", [MIN_KRYLOV_CERTIFIED_N, MIN_KRYLOV_CERTIFIED_N - 3]
+    "reach", [first_certified_n(1), first_certified_n(1) - 3]
 )
 def test_pairs_deficient_mod_p_reach_the_exact_rank(reach):
     # A shifts e_j to e_(j+1) for j < reach and B = e_1, every entry scaled
     # by p: the Krylov columns vanish mod p, so only exact Bareiss can
     # decide.  At reach = n the pair is controllable.
-    n = MIN_KRYLOV_CERTIFIED_N
+    n = first_certified_n(1)
     a = [[PRIME * int(i == j + 1 < reach) for j in range(n)] for i in range(n)]
     b = [[PRIME * int(i == 0)] for i in range(n)]
     result = control_status(make_instance(a, b))
@@ -240,7 +254,7 @@ def test_uncontrollable_pair_at_certified_size_reports_exact_rank(reach):
     # Block upper-triangular A with B inside the first `reach` coordinates,
     # where A acts as a shift: the reachable subspace is exactly those
     # coordinates.  A unimodular change of basis hides the block shape.
-    n, m = MIN_KRYLOV_CERTIFIED_N + 2, 2
+    n, m = first_certified_n(2) + 2, 2
     rng = CounterRng(reach, 7)
     a = [
         [int(i == j + 1) if i < reach else rng.int_between(-4, 4) * (j >= reach)
@@ -264,9 +278,10 @@ def test_uncontrollable_pair_at_certified_size_reports_exact_rank(reach):
 
 @st.composite
 def certified_pairs(draw):
-    # Products through an inner dimension below n make deficient pairs common.
-    n = draw(st.integers(MIN_KRYLOV_CERTIFIED_N, MIN_KRYLOV_CERTIFIED_N + 2))
-    m = draw(st.integers(1, 2))
+    # Products through an inner dimension below n make deficient pairs
+    # common; a B wider than n often reaches rank n in its first columns.
+    m = draw(st.sampled_from([1, 2, 3, 12, 43]))
+    n = draw(st.integers(first_certified_n(m), first_certified_n(m) + 2))
     inner = draw(st.integers(0, n))
     u = [[draw(entry) for _ in range(inner)] for _ in range(n)]
     v = [[draw(entry) for _ in range(n)] for _ in range(inner)]

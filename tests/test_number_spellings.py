@@ -9,7 +9,8 @@ or "10/2" (and p/q entries as "p/q", "+p/q", "00p/00q" or "2p/2q"), run
 and payloads, equal as well to those of the same instance built with
 every entry a Fraction.  Strings outside the rational grammar must be
 refused with a SchemaError, including those `int()` itself would
-accept.
+accept.  A row of plain integers is decoded in one pass; every row must
+read as it did entry by entry, refusals included.
 """
 
 import contextlib
@@ -23,6 +24,9 @@ from hypothesis import strategies as st
 
 from git_topo import cli
 from git_topo.cli import main
+from git_topo.errors import SchemaError
+from git_topo.families import base
+from git_topo.families.base import matrix_from_json, rational_from_json
 from git_topo.families.control import ControlInstance
 from git_topo.families.dag import DagInstance
 from git_topo.linalg import Matrix
@@ -184,3 +188,124 @@ def test_strings_outside_the_grammar_are_refused(text, capsys, tmp_path):
     assert len(captured.err.splitlines()) == 1
     error = json.loads(out_file.read_text(encoding="utf-8"))["error"]
     assert error["type"] == "SchemaError"
+
+
+# One pass per integer row.  matrix_from_json decodes a row whose entries
+# are all JSON ints or plain integer strings with one map(int, row), and
+# any other row entry by entry; the reader it replaced, below, read every
+# entry through rational_from_json.  Both must agree on every row: the
+# same entries of the same types, or the same SchemaError naming the
+# same [i][j].
+
+
+def entry_by_entry(value, rows, cols, field):
+    """matrix_from_json as it was before the one-pass rows."""
+    if not isinstance(value, list) or len(value) != rows:
+        raise SchemaError(f"{field}: expected {rows} rows")
+    data = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SchemaError(f"{field}[{i}]: expected {cols} entries")
+        data.append(
+            [rational_from_json(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
+        )
+    return Matrix.from_rows(data)
+
+
+def _outcome(reader, value, rows, cols):
+    try:
+        m = reader(value, rows, cols, "A")
+    except SchemaError as exc:
+        return "refused", str(exc)
+    return [type(e) for e in m.entries], m.entries
+
+
+NOT_PLAIN_INTEGERS = {
+    "bool": True,
+    "float": 5.0,
+    "leading_space": " 5",
+    "underscore": "5_000",
+    "arabic_indic_digit": "٣",
+    "digits_past_the_limit": "7" * 5000,
+}
+integer_spellings = st.integers(-10**6, 10**6).flatmap(
+    lambda p: st.sampled_from(
+        [p, str(p), spell(Fraction(p), "signed"), spell(Fraction(p), "padded")]
+    )
+)
+row_entries = st.one_of(
+    integer_spellings,
+    integer_spellings,
+    integer_spellings,
+    integer_spellings,
+    values.map(lambda v: spell(v, "scaled")),
+    st.sampled_from([*NOT_PLAIN_INTEGERS.values(), "1/0", None, [], "", "+", False]),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(row_entries, min_size=cols, max_size=cols), min_size=1, max_size=4
+        )
+    )
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_rows_decode_as_they_did_entry_by_entry(rows):
+    assert _outcome(matrix_from_json, rows, len(rows), len(rows[0])) == _outcome(
+        entry_by_entry, rows, len(rows), len(rows[0])
+    )
+
+
+def test_integer_rows_mixing_spellings_decode_to_ints():
+    rows = [[1, "-2", "+3", "007"], ["-0", 5, "6", -7], ["8", "9/3", 10, "1/2"]]
+    m = matrix_from_json(rows, 3, 4, "Y")
+    assert m.entries == (1, -2, 3, 7, 0, 5, 6, -7, 8, 3, 10, Fraction(1, 2))
+    assert [type(e) for e in m.entries] == [int] * 9 + [Fraction, int, Fraction]
+
+
+def test_a_p_over_q_entry_is_never_handed_to_int(monkeypatch):
+    # A "/" keeps a row off the one-pass path before int() can see it;
+    # int() refusing "4/2" is not what decides.
+    seen = []
+
+    class RecordedInt(int):
+        def __new__(cls, value):
+            seen.append(value)
+            return int(value)
+
+    monkeypatch.setattr(base, "int", RecordedInt, raising=False)
+    m = matrix_from_json([["1", "4/2", "3"]], 1, 3, "A")
+    assert m.entries == (1, 2, 3)
+    assert [type(e) for e in m.entries] == [int, Fraction, int]
+    assert seen == ["1", "3"]
+
+
+@pytest.mark.parametrize("column", [0, 2])
+@pytest.mark.parametrize(
+    "entry", NOT_PLAIN_INTEGERS.values(), ids=NOT_PLAIN_INTEGERS.keys()
+)
+def test_check_names_the_entry_an_integer_row_refuses(entry, column, capsys, tmp_path):
+    if entry == "7" * 5000:
+        with pytest.raises(ValueError) as exc:
+            int(entry)
+        message = str(exc.value)
+    elif isinstance(entry, str):
+        message = f"malformed rational string {entry!r}"
+    else:
+        message = "rationals must be strings or integers"
+    row = [4, "5", "-6"]
+    row[column] = entry
+    instance = {
+        "family": "control", "n": 3, "m": 1,
+        "A": [["1", 2, "+3"], row, ["7", "8", 9]], "B": [["1/2"], ["1"], [0]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(instance, ensure_ascii=False), encoding="utf-8")
+    out_file = tmp_path / "err.json"
+    code = main(["check", str(path), "--json", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: A[1][{column}]: {message}\n"
+    error = json.loads(out_file.read_text(encoding="utf-8"))["error"]
+    assert error == {"type": "SchemaError", "message": f"A[1][{column}]: {message}"}
