@@ -42,10 +42,13 @@ from git_topo.linalg import (
 # Largest state dimension n whose quadratic paths get a minor-gcd
 # certificate; past it every sample is checked pointwise.  A full Krylov
 # minor has degree D = n(n + 1), so the certificate grows as n^3 D^2 and
-# overtakes 256 pointwise checks: on a 2-CPU x86 machine at m = 1 it took
-# 43 ms against 87 ms at n = 8, 82 against 94 ms at n = 9 and 155 against
-# 144 ms at n = 10.  m = 2 widens the certificate's lead (137 against
-# 276 ms at n = 10), but the cut is set where m = 1 crosses over.
+# overtakes 256 pointwise checks.  On a 2-CPU x86 machine, per path
+# (median of 21 random paths, entries in [-9, 9], certificate against
+# pointwise): at m = 1 it took 43 against 54 ms at n = 8, 60 against 58 ms
+# at n = 9 (level, inside the spread of repeated runs), 104 against 79 ms
+# at n = 10 and 187 against 111 ms at n = 11 (9 paths); at m = 2, 42
+# against 71 ms at n = 8, 48-54 against 63-64 ms at n = 9 and 81 against
+# 53 ms at n = 10.  The cut sits where both lose from n = 10 on.
 MAX_CERTIFIED_N = 9
 
 # Fewest entries, n x nm, of a Krylov matrix whose rank check first tries

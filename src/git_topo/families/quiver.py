@@ -18,7 +18,9 @@ depend only on the subdimensions at the two ends, and its orbit
 dimension a sum over vertices, so the table is one walk over the
 vertices of positive dimension that adds these terms as it fixes each
 vertex, from tables built once per enumeration, and skips each prefix
-that theta already rules out.
+that theta already rules out.  Each kept row's representative is a tuple
+of per-vertex factors the spec built and checked once
+(`QuiverSpec._subdim_factors`), so a row pays for no weight check.
 """
 
 from __future__ import annotations
@@ -129,12 +131,17 @@ class QuiverSpec(FamilySpec):
     @cached_property
     def _subdim_factors(self) -> tuple[dict[int, tuple[int, ...]], ...]:
         """Per positive vertex of dimension d, the GL factor of
-        `one_ps_for_subdim` keyed by each subdimension k = 0..d, built once
-        so that every stratum shares these tuples."""
-        return tuple(
+        `one_ps_for_subdim` keyed by each subdimension k = 0..d, built and
+        checked to be tuples of exact ints once, so that every stratum
+        shares these tuples and none checks them again."""
+        tables = tuple(
             {k: (0,) * k + (-1,) * (d - k) for k in range(d + 1)}
             for d in (self.dim_vector[v] for v in self.positive_vertices)
         )
+        for table in tables:
+            for weights in table.values():
+                check_integers("1-PS weight", weights)
+        return tables
 
     def support(self) -> tuple[int, ...]:
         """Vertices of dimension exactly 1 (the thin support)."""
@@ -361,14 +368,30 @@ def one_ps_for_subdim(spec: QuiverSpec, sub: Sequence[int]) -> OnePSClass:
     At each positive vertex the first d'_i basis slots (the subspace)
     get weight 0 and the remaining ones weight -1, so arrows out of the
     subrepresentation into the quotient are exactly the negative weights.
+
+    Refuses a d' of the wrong length (ShapeError) and an entry outside
+    0..dim_i (DomainError).  Every factor is a shared tuple of
+    `QuiverSpec._subdim_factors`, checked when the spec built it, so the
+    class is built by `OnePSClass._of_checked` and no row re-checks it.
     """
+    dims = spec.dim_vector
+    if len(sub) != len(dims):
+        raise ShapeError(
+            f"subdimension vector has {len(sub)} entries for {len(dims)} vertices"
+        )
     positive, tables = spec.positive_vertices, spec._subdim_factors
     try:
-        factors = [table[sub[v]] for v, table in zip(positive, tables)]
+        if len(positive) == len(dims):
+            factors = tuple(map(dict.__getitem__, tables, sub))
+        else:
+            entries = map(sub.__getitem__, positive)
+            factors = tuple(map(dict.__getitem__, tables, entries))
+            if any(k for k, d in zip(sub, dims) if not d):
+                raise KeyError
     except KeyError:
-        vertex = next(v for v, table in zip(positive, tables) if sub[v] not in table)
+        vertex = next(v for v, d in enumerate(dims) if sub[v] not in range(d + 1))
         raise DomainError(f"subdimension at vertex {vertex + 1} out of range") from None
-    return OnePSClass(tuple(factors), ())
+    return OnePSClass._of_checked(factors, ())
 
 
 def enumerate_strata(
@@ -380,7 +403,10 @@ def enumerate_strata(
     counts every candidate d', each with sum dim_i weights on G and one
     weight per arrow coordinate on V.  The table itself is one walk
     (`_walk`) in the lex order of `sub_dimension_vectors`, which never
-    enters a subtree that theta rules out.
+    enters a subtree that theta rules out.  Each row's m and orbit
+    dimension are the walk's sums; its representative is
+    `one_ps_for_subdim`'s, built from shared factor tuples with no
+    per-row check.
     """
     dims = spec.dim_vector
     if all(d == 0 for d in dims):

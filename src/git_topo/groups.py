@@ -74,6 +74,13 @@ class OnePSClass:
     construction order; torus_weights has one exponent per torus
     coordinate.  Classes are not reduced on construction: a class and
     its positive multiples are distinct values.
+
+    The constructor tuples every weight list and refuses a weight that is
+    not an exact int.  `_of_checked` builds the same value with neither
+    step, for a caller whose weights are already tuples of such ints:
+    `quiver.one_ps_for_subdim` alone, which takes every factor from
+    `QuiverSpec._subdim_factors`, tables checked once per spec, so no row
+    of a 16-vertex stratum table re-checks its 16 shared factor tuples.
     """
 
     gl_weights: tuple[tuple[int, ...], ...] = ()
@@ -85,6 +92,17 @@ class OnePSClass:
         object.__setattr__(self, "gl_weights", gl_weights)
         object.__setattr__(self, "torus_weights", torus_weights)
         check_integers("1-PS weight", itertools.chain(*gl_weights, torus_weights))
+
+    @classmethod
+    def _of_checked(
+        cls, gl_weights: tuple[tuple[int, ...], ...], torus_weights: tuple[int, ...]
+    ) -> OnePSClass:
+        """The class of these weights, which the caller has checked are
+        tuples of exact ints; equal to what the constructor builds."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "gl_weights", gl_weights)
+        object.__setattr__(lam, "torus_weights", torus_weights)
+        return lam
 
 
 def factor_stabilizer_dim(weights: tuple[int, ...], convention: OrbitConvention) -> int:

@@ -6,15 +6,18 @@ rational strings ("5", "-7/3"); Gaussian rationals as two-element
 is sorted keys, compact separators, no floating point anywhere.  Small
 payloads are dicts that `canonical_dumps` sorts; a connectivity report,
 whose strata run to 2^15 rows, is written as text by `report_to_json`,
-each row from a template whose keys are already in sorted order.  The
-only JSON the package reads back is a `check` instance file; its reader
-validates shape and names the offending field in its SchemaError.
+each row from a template whose keys are already in sorted order.  A row's
+weight tuples, and a descriptor of one str key with an exact int or int
+tuple value (every family's), are written from texts cached for the
+report; any other descriptor goes through the encoder.  The only JSON the
+package reads back is a `check` instance file; its reader validates shape
+and names the offending field in its SchemaError.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from git_topo.connectivity import ConnectivityReport
 from git_topo.errors import SchemaError
@@ -40,12 +43,44 @@ def canonical_dumps(data: Any) -> str:
 
 
 class _Texts(dict):
-    """Weight tuple -> its JSON text, each tuple encoded on first use.
-    Weights are ints and never bools, so equal tuples have equal text."""
+    """Exact int, or tuple of exact ints -> its JSON text, each encoded on
+    first use.  Only such values go in: True == 1 and hashes alike, so a
+    bool would be given the text of the int it equals."""
 
-    def __missing__(self, weights: tuple[int, ...]) -> str:
-        text = self[weights] = _encode(weights)
+    def __missing__(self, value: int | tuple[int, ...]) -> str:
+        text = self[value] = _encode(value)
         return text
+
+
+_EXACT_INTS = frozenset({int})
+
+
+def _descriptor_writer() -> Callable[[Mapping[str, Any]], str]:
+    """A function giving a stratum descriptor's canonical text, for the rows
+    of one report.
+
+    Every family's descriptor is a dict of one str key whose value is an
+    exact int or a tuple of them (`type(v) is int`, so never a bool).
+    Such a descriptor is written from two caches: `{"key":` encoded once
+    per key, and each int's text in a `_Texts`.  Any other descriptor
+    goes through `_encode` whole.
+    """
+    heads: dict[str, str] = {}
+    ints = _Texts().__getitem__
+
+    def write(descriptor: Mapping[str, Any]) -> str:
+        if type(descriptor) is dict and len(descriptor) == 1:
+            ((key, value),) = descriptor.items()
+            kind = type(value)
+            if type(key) is str and (
+                kind is int or kind is tuple and set(map(type, value)) <= _EXACT_INTS
+            ):
+                head = heads.get(key) or heads.setdefault(key, f"{{{_encode(key)}:")
+                body = ints(value) if kind is int else f'[{",".join(map(ints, value))}]'
+                return f"{head}{body}}}"
+        return _encode(descriptor)
+
+    return write
 
 
 # Instances (points); each family encodes and decodes its own.
@@ -102,7 +137,8 @@ def report_to_json(report: ConnectivityReport) -> str:
     in its place: the head has no other "strata" key, and a quote inside
     a JSON string is escaped, so `"strata":null` occurs once.  Each row is
     written from its StratumClass by a template whose keys are in sorted
-    order, so no dict is built and nothing is sorted per row.
+    order, so no dict is built and nothing is sorted per row, and whose
+    descriptor and weights come from `_descriptor_writer` and `_Texts`.
     """
     head: dict[str, Any] = {
         **report_head_to_json(report),
@@ -114,10 +150,11 @@ def report_to_json(report: ConnectivityReport) -> str:
         head["thresholds"] = dict(report.thresholds)
     before, _, after = canonical_dumps(head).partition('"strata":null')
     weights = _Texts()
+    descriptor = _descriptor_writer()
     start = f'{{"convention":{_encode(report.convention.value)},"descriptor":'
     family = f',"family":{_encode(report.family)},"m":'
     rows = ",".join([
-        f'{start}{_encode(s.descriptor)}{family}{s.m},"orbit_dim":{s.orbit_dim},'
+        f'{start}{descriptor(s.descriptor)}{family}{s.m},"orbit_dim":{s.orbit_dim},'
         '"representative":{"gl_weights":['
         f'{",".join(map(weights.__getitem__, s.representative.gl_weights))}],'
         f'"torus_weights":{weights[s.representative.torus_weights]}}},'

@@ -1,6 +1,8 @@
+import ast
 import gc
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -440,6 +442,67 @@ def test_one_ps_refuses_a_subdimension_out_of_range():
         one_ps_for_subdim(spec, (1, 0, 2))
     with pytest.raises(DomainError, match="at vertex 1 out of range"):
         one_ps_for_subdim(spec, (-1, 0, 1))
+    # Vertex 2 has dimension 0, so only 0 is in range there.
+    for sub in [(1, 1, 1), (1, -1, 0)]:
+        with pytest.raises(DomainError, match="at vertex 2 out of range"):
+            one_ps_for_subdim(spec, sub)
+
+
+def test_one_ps_refuses_a_subdimension_of_the_wrong_length():
+    # (1, 0, 1, 5) used to drop its last entry and (1, 0) to raise IndexError.
+    spec = QuiverSpec(3, ((0, 1), (1, 2)), (1, 2, 1), (1, 0, -1))
+    for sub in [(1, 0, 1, 5), (1, 0), ()]:
+        with pytest.raises(ShapeError, match=f"has {len(sub)} entries for 3 vertices"):
+            one_ps_for_subdim(spec, sub)
+    with pytest.raises(DomainError, match="at vertex 3 out of range"):
+        one_ps_for_subdim(spec, (1, 0, -1))  # a table index -1 would wrap
+
+
+def weight_types(lam: OnePSClass) -> tuple:
+    """The type of every container and weight in lam, nested as lam is."""
+    return (
+        type(lam.gl_weights),
+        tuple((type(ws), tuple(map(type, ws))) for ws in lam.gl_weights),
+        type(lam.torus_weights),
+        tuple(map(type, lam.torus_weights)),
+    )
+
+
+@given(walk_quivers(), st.sampled_from(list(OrbitConvention)))
+@settings(max_examples=150, deadline=None)
+def test_walk_representatives_equal_validated_classes(spec, convention):
+    # Rows are built without the constructor's checks; each must equal,
+    # type for type, the class the checking constructor makes from lists
+    # of the same weights and from the closed form 0^k (-1)^(d - k).
+    for s in enumerate_strata(spec, convention):
+        sub = s.descriptor["sub_dim"]
+        lam = one_ps_for_subdim(spec, sub)
+        checked = OnePSClass(
+            [list(ws) for ws in lam.gl_weights], list(lam.torus_weights)
+        )
+        closed = OnePSClass(
+            [[0] * sub[v] + [-1] * (spec.dim_vector[v] - sub[v])
+             for v in spec.positive_vertices],
+            [],
+        )
+        for built in (checked, closed):
+            assert s.representative == built
+            assert weight_types(s.representative) == weight_types(built)
+
+
+def test_only_one_ps_for_subdim_skips_the_weight_check():
+    # OnePSClass._of_checked is sound only for weights taken from the
+    # spec's checked factor tables.
+    root = Path(__file__).resolve().parent.parent
+    callers = []
+    sources = sorted((root / "src").rglob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "_of_checked":
+                    callers.append((path.name, getattr(top, "name", None)))
+    assert callers == [("quiver.py", "one_ps_for_subdim")]
 
 
 def test_a_dropped_table_leaves_no_reference_cycle():

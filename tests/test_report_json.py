@@ -6,12 +6,17 @@ writing it with `canonical_dumps` gives it again."""
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from git_topo.cli import main
-from git_topo.connectivity import CONTRACTIBLE, NO_INFORMATION, summarize_strata
-from git_topo.families import ControlFamily, DagFamily, QuiverSpec
+from git_topo.connectivity import (
+    CONTRACTIBLE,
+    NO_INFORMATION,
+    ConnectivityReport,
+    summarize_strata,
+)
+from git_topo.families import ControlFamily, DagFamily, QuiverSpec, StratumClass
 from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.reports import render_connectivity_text
 from git_topo.serialize import canonical_dumps, report_to_json
@@ -88,6 +93,73 @@ def quivers(draw):
 @settings(max_examples=150, deadline=None)
 def test_quiver_reports_match_the_oracle(spec, convention, max_q):
     assert_matches_oracle(spec, convention, max_q)
+
+
+# Descriptor values the row writer must get right: exact ints of every sign
+# and size; int tuples where True and False sit beside 1 and 0, which they
+# equal and hash like; and strings, bools and nested lists, which it must
+# hand to the encoder whole.
+small_ints = st.sampled_from([0, 1, -1, True, False, 2])
+exact_ints = st.integers() | st.integers(-(2**200), 2**200) | st.integers(-3, 3)
+scalars = exact_ints | st.booleans() | st.text(max_size=4)
+descriptor_values = st.one_of(
+    exact_ints,
+    small_ints,
+    st.lists(exact_ints | small_ints, max_size=6).map(tuple),
+    st.lists(small_ints, max_size=6).map(tuple),
+    st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple),
+        max_leaves=6,
+    ),
+)
+descriptor_keys = st.sampled_from(["sub_dim", "r", "j"]) | st.text(max_size=5)
+descriptors = st.one_of(
+    st.builds(lambda k, v: {k: v}, descriptor_keys, descriptor_values),
+    st.dictionaries(descriptor_keys, descriptor_values, min_size=2, max_size=3),
+)
+
+
+@st.composite
+def hand_built_reports(draw):
+    strata = []
+    weight = st.integers(-3, 3)
+    for descriptor in draw(st.lists(descriptors, max_size=8)):
+        lam = OnePSClass(
+            draw(st.lists(st.lists(weight, min_size=1, max_size=3), max_size=3)),
+            draw(st.lists(weight, max_size=2)),
+        )
+        m, orbit = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        strata.append(StratumClass(descriptor, lam, m, orbit))
+    d_min = min((s.value for s in strata), default=None)
+    return ConnectivityReport(
+        family=draw(st.sampled_from(["quiver", "control", "dag"])),
+        convention=draw(st.sampled_from(list(OrbitConvention))),
+        strata=tuple(strata),
+        d_min=d_min,
+        connectivity=CONTRACTIBLE if d_min is None else d_min - 2,
+    )
+
+
+# 1 and 0 are cached first; True and False after them keep their own text.
+BOOLS_AFTER_EQUAL_INTS = ConnectivityReport(
+    "quiver",
+    OrbitConvention.PARABOLIC,
+    tuple(
+        StratumClass({"sub_dim": value}, OnePSClass(((0,),), ()), 1, 0)
+        for value in [(1, 0), (True, False), 1, True, (0, True), False]
+    ),
+    2,
+    0,
+)
+
+
+@given(hand_built_reports())
+@example(BOOLS_AFTER_EQUAL_INTS)
+@settings(max_examples=300, deadline=None)
+def test_hand_built_descriptors_match_the_oracle(report):
+    assert_same_text(report_to_json(report), oracle_report_text(report))
 
 
 def test_contractible_and_no_information_reports_match_the_oracle():
