@@ -36,7 +36,7 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # 0.13-0.3 us a unit.  A thin quiver builds only the rows theta
 # destabilizes, so on a 2-CPU x86 machine `analyze quiver --json` on a
 # 17-vertex thin path with 15 arrows (2^17 candidates x 32 weights) took
-# 1.4-1.6 s and 96 MB with theta = (16, -1, ..., -1), and 2.3-2.8 s and
+# 0.8-0.9 s and 96 MB with theta = (16, -1, ..., -1), and 1.8-1.9 s and
 # 175 MB with theta = 0.
 MAX_STRATUM_WORK = 2**22
 

@@ -18,9 +18,9 @@ depend only on the subdimensions at the two ends, and its orbit
 dimension a sum over vertices, so the table is one walk over the
 vertices of positive dimension that adds these terms as it fixes each
 vertex, from tables built once per enumeration, and skips each prefix
-that theta already rules out.  Each kept row's representative is a tuple
-of per-vertex factors the spec built and checked once
-(`QuiverSpec._subdim_factors`), so a row pays for no weight check.
+that theta already rules out.  Each kept row's representative is the
+tuple of per-vertex weight tuples the walk chose on its way down, so a
+row pays for no weight check.
 """
 
 from __future__ import annotations
@@ -127,21 +127,6 @@ class QuiverSpec(FamilySpec):
     def positive_vertices(self) -> tuple[int, ...]:
         """The vertices of positive dimension, one GL factor each."""
         return tuple(i for i, d in enumerate(self.dim_vector) if d >= 1)
-
-    @cached_property
-    def _subdim_factors(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """Per positive vertex of dimension d, the GL factor of
-        `one_ps_for_subdim` keyed by each subdimension k = 0..d, built and
-        checked to be tuples of exact ints once, so that every stratum
-        shares these tuples and none checks them again."""
-        tables = tuple(
-            {k: (0,) * k + (-1,) * (d - k) for k in range(d + 1)}
-            for d in (self.dim_vector[v] for v in self.positive_vertices)
-        )
-        for table in tables:
-            for weights in table.values():
-                check_integers("1-PS weight", weights)
-        return tables
 
     def support(self) -> tuple[int, ...]:
         """Vertices of dimension exactly 1 (the thin support)."""
@@ -362,38 +347,6 @@ def sub_dimension_vectors(spec: QuiverSpec) -> Iterator[tuple[int, ...]]:
             yield candidate
 
 
-def one_ps_for_subdim(spec: QuiverSpec, sub: Sequence[int]) -> OnePSClass:
-    """Representative 1-PS fixing a subrepresentation of dimension d'.
-
-    At each positive vertex the first d'_i basis slots (the subspace)
-    get weight 0 and the remaining ones weight -1, so arrows out of the
-    subrepresentation into the quotient are exactly the negative weights.
-
-    Refuses a d' of the wrong length (ShapeError) and an entry outside
-    0..dim_i (DomainError).  Every factor is a shared tuple of
-    `QuiverSpec._subdim_factors`, checked when the spec built it, so the
-    class is built by `OnePSClass._of_checked` and no row re-checks it.
-    """
-    dims = spec.dim_vector
-    if len(sub) != len(dims):
-        raise ShapeError(
-            f"subdimension vector has {len(sub)} entries for {len(dims)} vertices"
-        )
-    positive, tables = spec.positive_vertices, spec._subdim_factors
-    try:
-        if len(positive) == len(dims):
-            factors = tuple(map(dict.__getitem__, tables, sub))
-        else:
-            entries = map(sub.__getitem__, positive)
-            factors = tuple(map(dict.__getitem__, tables, entries))
-            if any(k for k, d in zip(sub, dims) if not d):
-                raise KeyError
-    except KeyError:
-        vertex = next(v for v, d in enumerate(dims) if sub[v] not in range(d + 1))
-        raise DomainError(f"subdimension at vertex {vertex + 1} out of range") from None
-    return OnePSClass._of_checked(factors, ())
-
-
 def enumerate_strata(
     spec: QuiverSpec, convention: OrbitConvention
 ) -> list[StratumClass]:
@@ -404,8 +357,8 @@ def enumerate_strata(
     weight per arrow coordinate on V.  The table itself is one walk
     (`_walk`) in the lex order of `sub_dimension_vectors`, which never
     enters a subtree that theta rules out.  Each row's m and orbit
-    dimension are the walk's sums; its representative is
-    `one_ps_for_subdim`'s, built from shared factor tuples with no
+    dimension are the walk's sums, and its representative the weight
+    tuples the walk chose, built by `OnePSClass._of_checked` with no
     per-row check.
     """
     dims = spec.dim_vector
@@ -418,32 +371,39 @@ def enumerate_strata(
     zero = (0,) * len(dims)
     group_dim = sum(d * d for d in dims)
     sub_dim = list(zero)
+    levels = _walk_levels(spec, convention)
+    factors: list[tuple[int, ...]] = [()] * len(levels)
     rows: list[StratumClass] = []
 
     def keep(m: int, stabilizer: int) -> None:
         sub = tuple(sub_dim)
         if sub != zero and sub != dims:
-            rep = one_ps_for_subdim(spec, sub)
+            rep = OnePSClass._of_checked(tuple(factors), ())
             rows.append(StratumClass({"sub_dim": sub}, rep, m, group_dim - stabilizer))
 
-    _walk(_walk_levels(spec, convention), 0, sub_dim, 0, 0, 0, keep)
+    _walk(levels, 0, sub_dim, factors, 0, 0, 0, keep)
     return rows
 
 
 def _walk_levels(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple]:
     """One level per positive vertex, in vertex order, for `_walk`.
 
-    A level is (vertex, theta_vertex, rest, own, stabilizers, pairs).
-    rest is the most theta . d' the later levels can add,
+    A level is (vertex, theta_vertex, rest, weights, own, stabilizers,
+    pairs).  rest is the most theta . d' the later levels can add,
     sum max(0, theta_v dim_v).  Indexed by the vertex's subdimension k,
-    own[k] is the m of its loops and stabilizers[k] its factor's
-    `factor_stabilizer_dim`.  pairs holds (earlier vertex, table) per
-    earlier vertex that shares arrows with this one, and table[j][k] is
-    the m of those arrows when the earlier vertex has subdimension j.
-    Each term is one `hom_negative_dim` of `one_ps_for_subdim`'s weights.
+    weights[k] = 0^k (-1)^(d - k) is its GL factor's (the subspace gets
+    0, so arrows into the quotient carry the negative weights), own[k]
+    the m of its loops and stabilizers[k] its `factor_stabilizer_dim`.
+    pairs holds (earlier vertex, table) per earlier vertex that shares
+    arrows with this one, and table[j][k] is the m of those arrows when
+    the earlier vertex has subdimension j.  Each term is one
+    `hom_negative_dim` of these weights.
     """
     positive = spec.positive_vertices
-    weights = [tuple(table.values()) for table in spec._subdim_factors]
+    weights = [
+        tuple((0,) * k + (-1,) * (d - k) for k in range(d + 1))
+        for d in (spec.dim_vector[v] for v in positive)
+    ]
     own = [[0] * len(ws) for ws in weights]
     pairs: list[dict[int, list[list[int]]]] = [{} for _ in positive]
     for source, target, mult in spec.representation:
@@ -467,6 +427,7 @@ def _walk_levels(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple]:
             vertex,
             spec.theta[vertex],
             rest,
+            weights[i],
             tuple(own[i]),
             tuple(factor_stabilizer_dim(ws, convention) for ws in weights[i]),
             tuple((u, tuple(map(tuple, table))) for u, table in pairs[i].items()),
@@ -479,13 +440,15 @@ def _walk(
     levels: list[tuple],
     level: int,
     sub_dim: list[int],
+    factors: list[tuple[int, ...]],
     theta_sum: int,
     m: int,
     stabilizer: int,
     keep: Callable[[int, int], None],
 ) -> None:
     """Set sub_dim at this level's vertex and every later one, first vertex
-    slowest, and call keep(m, stabilizer) on each d' with theta . d' >= 0.
+    slowest, with factors[level] the vertex's weights for its subdimension,
+    and call keep(m, stabilizer) on each d' with theta . d' >= 0.
 
     The sums run over the levels already set.  A value k is skipped when
     theta_sum + theta_vertex * k + rest < 0, as no completion reaches
@@ -493,7 +456,7 @@ def _walk(
     theta_vertex > 0.  Recursion is one frame per positive vertex, and the
     work limit admits at most 17 of them (17 x 2^17 weights).
     """
-    vertex, theta_vertex, rest, own, stabilizers, pairs = levels[level]
+    vertex, theta_vertex, rest, weights, own, stabilizers, pairs = levels[level]
     deeper = level + 1 < len(levels)
     for k, added in enumerate(own):
         theta_next = theta_sum + theta_vertex * k
@@ -502,10 +465,11 @@ def _walk(
                 continue
             break
         sub_dim[vertex] = k
+        factors[level] = weights[k]
         for u, table in pairs:
             added += table[sub_dim[u]][k]
         if deeper:
-            _walk(levels, level + 1, sub_dim, theta_next, m + added,
+            _walk(levels, level + 1, sub_dim, factors, theta_next, m + added,
                   stabilizer + stabilizers[k], keep)
         else:
             keep(m + added, stabilizer + stabilizers[k])

@@ -78,9 +78,9 @@ class OnePSClass:
     The constructor tuples every weight list and refuses a weight that is
     not an exact int.  `_of_checked` builds the same value with neither
     step, for a caller whose weights are already tuples of such ints:
-    `quiver.one_ps_for_subdim` alone, which takes every factor from
-    `QuiverSpec._subdim_factors`, tables checked once per spec, so no row
-    of a 16-vertex stratum table re-checks its 16 shared factor tuples.
+    `quiver.enumerate_strata` alone, whose rows take the weight tuples
+    of 0s and -1s its walk built once per table, so no row of a
+    16-vertex stratum table re-checks its 16 factor tuples.
     """
 
     gl_weights: tuple[tuple[int, ...], ...] = ()
@@ -97,8 +97,8 @@ class OnePSClass:
     def _of_checked(
         cls, gl_weights: tuple[tuple[int, ...], ...], torus_weights: tuple[int, ...]
     ) -> OnePSClass:
-        """The class of these weights, which the caller has checked are
-        tuples of exact ints; equal to what the constructor builds."""
+        """The class of these weights, which the caller built as tuples of
+        exact ints; equal to what the constructor builds."""
         lam = object.__new__(cls)
         object.__setattr__(lam, "gl_weights", gl_weights)
         object.__setattr__(lam, "torus_weights", torus_weights)

@@ -37,7 +37,6 @@ from git_topo.families.quiver import (
     QuiverSpec,
     ThinQuiverRep,
     kronecker_spec,
-    one_ps_for_subdim,
     quiver_thin_status,
     sub_dimension_vectors,
 )
@@ -61,6 +60,7 @@ from group_actions import (
 )
 from euler_oracle import euler_form
 from krylov_oracle import KERNEL, certificate_holds, certify, krylov_matrix
+from weights_oracle import quiver_representative
 
 SEEDS_TEN = tuple(range(10))
 
@@ -415,7 +415,7 @@ def test_criterion_09_quiver_identity():
         group = spec.group()
         for sub in sub_dimension_vectors(spec):
             subdims += 1
-            lam = one_ps_for_subdim(spec, sub)
+            lam = quiver_representative(spec, sub)
             m = negative_weight_dim(spec, lam)
             orbit = orbit_dim(group, lam, OrbitConvention.PARABOLIC)
             rest = tuple(d - s for d, s in zip(spec.dim_vector, sub))

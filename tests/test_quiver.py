@@ -16,7 +16,6 @@ from git_topo.families.quiver import (
     ThinQuiverRep,
     enumerate_strata,
     kronecker_spec,
-    one_ps_for_subdim,
     quiver_thin_status,
     sub_dimension_vectors,
 )
@@ -25,6 +24,7 @@ from git_topo.linalg import ComplexRational
 
 from closure_oracle import oracle_status
 from euler_oracle import euler_form
+from weights_oracle import quiver_representative
 
 status = quiver_thin_status
 
@@ -168,7 +168,11 @@ def test_rep_validation_on_dead_arrows():
 
 def test_one_ps_skips_dimension_zero_vertices():
     spec = QuiverSpec(3, ((0, 1), (1, 2)), (1, 0, 1), (1, 0, -1))
-    lam = one_ps_for_subdim(spec, (1, 0, 0))
+    rows = {
+        s.descriptor["sub_dim"]: s.representative
+        for s in enumerate_strata(spec, OrbitConvention.PARABOLIC)
+    }
+    lam = rows[(1, 0, 0)]
     assert lam.gl_weights == ((0,), (-1,))
     assert lam.torus_weights == ()
 
@@ -183,7 +187,7 @@ def test_negative_weight_dim_matches_stratum_m():
     for stratum in enumerate_strata(spec, OrbitConvention.PARABOLIC):
         sub = stratum.descriptor["sub_dim"]
         assert stratum.m == closed_form_m(spec, sub)
-        assert negative_weight_dim(spec, one_ps_for_subdim(spec, sub)) == stratum.m
+        assert negative_weight_dim(spec, quiver_representative(spec, sub)) == stratum.m
     # a 1-PS that does not fit GL(1) x GL(1): one factor, two weights, a torus weight
     for lam in [
         OnePSClass(((0,),), ()),
@@ -368,7 +372,7 @@ def test_stratum_value_equals_euler_form(spec):
         return
     group = spec.group()
     for sub in sub_dimension_vectors(spec):
-        lam = one_ps_for_subdim(spec, sub)
+        lam = quiver_representative(spec, sub)
         m = negative_weight_dim(spec, lam)
         orbit = orbit_dim(group, lam, OrbitConvention.PARABOLIC)
         rest = tuple(d - s for d, s in zip(spec.dim_vector, sub))
@@ -392,7 +396,7 @@ def per_class_table(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple
     rows = []
     for sub in sub_dimension_vectors(spec):
         if sum(a * d for a, d in zip(spec.theta, sub)) >= 0:
-            lam = one_ps_for_subdim(spec, sub)
+            lam = quiver_representative(spec, sub)
             m = negative_weight_dim(spec, lam)
             rows.append(({"sub_dim": sub}, lam, m, orbit_dim(group, lam, convention)))
     return rows
@@ -436,26 +440,37 @@ def test_walk_matches_the_per_class_route(spec):
         assert rows == per_class_table(spec, convention)
 
 
-def test_one_ps_refuses_a_subdimension_out_of_range():
-    spec = QuiverSpec(3, ((0, 1),), (2, 0, 1), (1, 0, -2))
-    with pytest.raises(DomainError, match="at vertex 3 out of range"):
-        one_ps_for_subdim(spec, (1, 0, 2))
-    with pytest.raises(DomainError, match="at vertex 1 out of range"):
-        one_ps_for_subdim(spec, (-1, 0, 1))
-    # Vertex 2 has dimension 0, so only 0 is in range there.
-    for sub in [(1, 1, 1), (1, -1, 0)]:
-        with pytest.raises(DomainError, match="at vertex 2 out of range"):
-            one_ps_for_subdim(spec, sub)
+def test_walk_subdimensions_stay_in_range():
+    # Vertex 2 has dimension 0, so only 0 is in range there; theta = 0
+    # keeps every candidate, the other theta rules some out.
+    for theta in [(0, 0, 0), (1, 0, -2)]:
+        spec = QuiverSpec(3, ((0, 1),), (2, 0, 1), theta)
+        rows = enumerate_strata(spec, OrbitConvention.PARABOLIC)
+        subs = [s.descriptor["sub_dim"] for s in rows]
+        assert subs == [
+            sub for sub in sub_dimension_vectors(spec)
+            if sum(a * d for a, d in zip(theta, sub)) >= 0
+        ]
+        for sub in subs:
+            assert all(0 <= k <= d for k, d in zip(sub, spec.dim_vector))
+            assert sub[1] == 0
 
 
-def test_one_ps_refuses_a_subdimension_of_the_wrong_length():
-    # (1, 0, 1, 5) used to drop its last entry and (1, 0) to raise IndexError.
-    spec = QuiverSpec(3, ((0, 1), (1, 2)), (1, 2, 1), (1, 0, -1))
-    for sub in [(1, 0, 1, 5), (1, 0), ()]:
-        with pytest.raises(ShapeError, match=f"has {len(sub)} entries for 3 vertices"):
-            one_ps_for_subdim(spec, sub)
-    with pytest.raises(DomainError, match="at vertex 3 out of range"):
-        one_ps_for_subdim(spec, (1, 0, -1))  # a table index -1 would wrap
+@given(walk_quivers(), st.sampled_from(list(OrbitConvention)))
+@settings(max_examples=100, deadline=None)
+def test_walk_rows_have_one_entry_per_vertex(spec, convention):
+    # One sub_dim entry per vertex and one GL factor per positive vertex,
+    # of its dimension, with d'_v zeros; rows do not share the walk's list.
+    rows = enumerate_strata(spec, convention)
+    for s in rows:
+        sub = s.descriptor["sub_dim"]
+        assert type(sub) is tuple and len(sub) == spec.vertex_count
+        factors = s.representative.gl_weights
+        assert len(factors) == len(spec.positive_vertices)
+        for v, ws in zip(spec.positive_vertices, factors):
+            assert len(ws) == spec.dim_vector[v]
+            assert ws.count(0) == sub[v]
+    assert len({s.descriptor["sub_dim"] for s in rows}) == len(rows)
 
 
 def weight_types(lam: OnePSClass) -> tuple:
@@ -475,24 +490,19 @@ def test_walk_representatives_equal_validated_classes(spec, convention):
     # type for type, the class the checking constructor makes from lists
     # of the same weights and from the closed form 0^k (-1)^(d - k).
     for s in enumerate_strata(spec, convention):
-        sub = s.descriptor["sub_dim"]
-        lam = one_ps_for_subdim(spec, sub)
+        lam = s.representative
         checked = OnePSClass(
             [list(ws) for ws in lam.gl_weights], list(lam.torus_weights)
         )
-        closed = OnePSClass(
-            [[0] * sub[v] + [-1] * (spec.dim_vector[v] - sub[v])
-             for v in spec.positive_vertices],
-            [],
-        )
+        closed = quiver_representative(spec, s.descriptor["sub_dim"])
         for built in (checked, closed):
             assert s.representative == built
             assert weight_types(s.representative) == weight_types(built)
 
 
-def test_only_one_ps_for_subdim_skips_the_weight_check():
-    # OnePSClass._of_checked is sound only for weights taken from the
-    # spec's checked factor tables.
+def test_only_enumerate_strata_skips_the_weight_check():
+    # OnePSClass._of_checked is sound only for the weight tuples the
+    # quiver walk builds from a spec's checked dimensions.
     root = Path(__file__).resolve().parent.parent
     callers = []
     sources = sorted((root / "src").rglob("*.py")) + sorted((root / "scripts").glob("*.py"))
@@ -502,7 +512,7 @@ def test_only_one_ps_for_subdim_skips_the_weight_check():
             for node in ast.walk(top):
                 if isinstance(node, ast.Attribute) and node.attr == "_of_checked":
                     callers.append((path.name, getattr(top, "name", None)))
-    assert callers == [("quiver.py", "one_ps_for_subdim")]
+    assert callers == [("quiver.py", "enumerate_strata")]
 
 
 def test_a_dropped_table_leaves_no_reference_cycle():

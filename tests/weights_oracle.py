@@ -32,6 +32,17 @@ def dag_weights(fam, lam: OnePSClass) -> Iterator[tuple[int, int]]:
     yield -lam.torus_weights[0], fam.n
 
 
+def quiver_representative(spec, sub) -> OnePSClass:
+    """The 1-PS fixing a subrepresentation of dimension d', by the checking
+    constructor: at each positive vertex the first d'_i basis slots (the
+    subspace) get weight 0 and the rest -1, so the arrows from the
+    subrepresentation into the quotient carry exactly the negative weights."""
+    return OnePSClass(
+        [[0] * k + [-1] * (d - k) for k, d in zip(sub, spec.dim_vector) if d],
+        [],
+    )
+
+
 def quiver_weights(spec, lam: OnePSClass) -> Iterator[tuple[int, int]]:
     """An arrow coordinate from basis slot q at the source to slot p at the
     target carries w_target[p] - w_source[q]; a vertex of dimension 0 has
