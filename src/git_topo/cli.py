@@ -108,10 +108,11 @@ def _add_family_args(
 
 
 # Each handler returns (encoder of its canonical JSON text, renderer of
-# its text lines, exit status).  main encodes only under --json, renders
-# the lines after the text, and prints and writes them once the report
-# is gone, so a large table's JSON text is never built unread, and the
-# table, its lines and its text never all take memory at once.
+# its text lines, exit status).  main encodes only under --json, so a
+# large table's JSON text is never built unread, and prints and writes
+# both once the report is gone.  The table, its text and its lines are
+# all alive while the lines render; the lines come after the text, so
+# they never coexist with the row list the encoder joins.
 Handled = tuple[Callable[[], str], Callable[[], list[str]], int]
 
 
@@ -143,7 +144,8 @@ def cmd_check(args: argparse.Namespace) -> Handled:
     if args.stabilize:
         if not isinstance(instance, DagInstance):
             raise SchemaError("--stabilize applies to DAG instance files")
-        eps = rational_from_json(args.epsilon or DEFAULT_EPSILON, "--epsilon")
+        epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+        eps = rational_from_json(epsilon, "--epsilon")
         working = dag_stabilize(instance, eps)
         payload["stabilized"] = instance_to_json(working)
         payload["epsilon"] = rational_to_str(eps)
@@ -180,7 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> Handled:
         refused = [d for d in _FAMILY_FLAGS if d != "theta"] + ["orbit_convention"]
         refused += [dest for dest, _, _ in _TRIAL_OPTIONS] + ["degenerate_trials"]
         _refuse_options(args, refused)
-        theta = parse_int_list(args.theta, "--theta") if args.theta else (1, -1)
+        theta = (1, -1) if args.theta is None else parse_int_list(args.theta, "--theta")
         if len(theta) != 2:
             raise SchemaError("--theta: the Kronecker quiver has two vertices")
         grid = DEFAULT_GRID if args.grid is None else args.grid
@@ -204,9 +206,10 @@ def cmd_verify(args: argparse.Namespace) -> Handled:
                 entry_bound=cfg.entry_bound,
             )
             check_degenerate_config(degen_cfg)
-        reports.append(sample_generic_points(cfg))
-        if cfg.paths > 0:
-            reports.append(sample_path_stability(cfg))
+        # The path gate's table is checked before the first generic trial;
+        # each stream is keyed by (seed, op), so the order draws nothing new.
+        paths = [sample_path_stability(cfg)] if cfg.paths > 0 else []
+        reports += [sample_generic_points(cfg), *paths]
         if degen_cfg is not None:
             reports.append(detect_constructed_degenerates(degen_cfg))
     ok = not any(r.failed() for r in reports)
@@ -293,7 +296,7 @@ def _run(args: argparse.Namespace) -> tuple[str | None, list[str], int]:
         print(f"error: {exc}", file=sys.stderr)
         error = {"type": type(exc).__name__, "message": str(exc)}
         encode, render, code = partial(canonical_dumps, {"error": error}), list, 2
-    return encode() if args.json else None, render(), code
+    return None if args.json is None else encode(), render(), code
 
 
 def main(argv: list[str] | None = None) -> int:

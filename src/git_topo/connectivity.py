@@ -141,8 +141,16 @@ def summarize_strata(
     """The analyze pipeline for one family spec, under its default
     convention unless one is given: strata, d_min, the connectivity
     bound d_min - 2 (none below d_min = 2), the family's thresholds and,
-    when max_q is given, the homotopy table up to q = max_q.
+    when max_q is given, the homotopy table up to q = max_q.  A max_q
+    out of range is refused before any stratum is enumerated.
     """
+    if max_q is not None and max_q < 0:
+        raise DomainError("max_q must be a natural number")
+    if max_q is not None and max_q > MAX_HOMOTOPY_DEGREE:
+        raise SizeLimitError(
+            f"homotopy table up to q = {max_q} refused: "
+            f"the limit is {MAX_HOMOTOPY_DEGREE}"
+        )
     if convention is None:
         convention = spec.DEFAULT_CONVENTION
     strata = spec.strata(convention)
@@ -156,13 +164,6 @@ def summarize_strata(
         notes = ("no destabilizing classes: V^st = V",)
     homotopy: tuple[tuple[int, AbelianGroup], ...] = ()
     if max_q is not None:
-        if max_q < 0:
-            raise DomainError("max_q must be a natural number")
-        if max_q > MAX_HOMOTOPY_DEGREE:
-            raise SizeLimitError(
-                f"homotopy table up to q = {max_q} refused: "
-                f"the limit is {MAX_HOMOTOPY_DEGREE}"
-            )
         group = spec.group()
         homotopy = tuple(
             (q, quotient_homotopy_group(group, d, q)) for q in range(max_q + 1)

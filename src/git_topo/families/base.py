@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from git_topo.errors import SchemaError, SizeLimitError
-from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
+from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim, weight_counts
 from git_topo.linalg import ComplexRational, Matrix, is_integer
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -263,14 +263,6 @@ def check_sampling_work(entries: int, checks: int) -> None:
         )
 
 
-def _weight_counts(weights: tuple[int, ...]) -> Iterable[tuple[int, int]]:
-    """Each distinct weight with its multiplicity; a rank-1 factor skips
-    the count."""
-    if len(weights) == 1:
-        return ((weights[0], 1),)
-    return [(w, weights.count(w)) for w in set(weights)]
-
-
 def hom_negative_dim(
     source_weights: tuple[int, ...], target_weights: tuple[int, ...]
 ) -> int:
@@ -280,9 +272,9 @@ def hom_negative_dim(
     endpoint are grouped first, so the count costs one step per pair of
     distinct weights.
     """
-    targets = _weight_counts(target_weights)
+    targets = weight_counts(target_weights)
     m = 0
-    for ws, cs in _weight_counts(source_weights):
+    for ws, cs in weight_counts(source_weights):
         for wt, ct in targets:
             if wt < ws:
                 m += cs * ct

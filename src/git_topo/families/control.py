@@ -32,7 +32,7 @@ from git_topo.linalg import (
     Matrix,
     check_integers,
     int_rank,
-    integer_rows,
+    integer_entries,
     minor_gcd,
     poly_dot,
     poly_mod,
@@ -277,11 +277,11 @@ def control_status(inst: ControlInstance) -> StabilityStatus:
     """`ControlFamily.status_flat` of the instance cleared to integers.
 
     The rank of the controllability matrix is invariant under scaling A
-    and B separately (each Krylov block only picks up a scalar), so each
-    is cleared of denominators by one scale.
+    and B separately (each Krylov block only picks up a scalar), so the
+    entries of each are cleared of denominators by one scale.
     """
-    rows = integer_rows(inst.a.to_rows()) + integer_rows(inst.b.to_rows())
-    return inst.family().status_flat([x for row in rows for x in row])
+    flat = integer_entries(inst.a.entries) + integer_entries(inst.b.entries)
+    return inst.family().status_flat(flat)
 
 
 def invariant_subspace_dim(inst: ControlInstance) -> int:
@@ -327,31 +327,20 @@ def invariant_subspace_dim(inst: ControlInstance) -> int:
     return len(basis)
 
 
-def one_ps_for_subspace(fam: ControlFamily, r: int) -> OnePSClass:
-    """Representative fixing an r-dimensional invariant subspace.
-
-    The first r basis slots (the subspace) get weight 0, the quotient
-    slots weight -1.
-    """
-    if not (1 <= r <= fam.n - 1):
-        raise DomainError(f"subspace dimension must lie in [1, {fam.n - 1}]")
-    return OnePSClass(((0,) * r + (-1,) * (fam.n - r),), ())
-
-
 def enumerate_strata(
     fam: ControlFamily, convention: OrbitConvention
 ) -> list[StratumClass]:
     """One destabilizing class per invariant-subspace dimension r in 1..n-1.
 
-    Each class has n weights on G, two of them distinct, so six weight
-    pairs on V.
+    Its representative fixes an r-dimensional invariant subspace: the
+    first r basis slots (the subspace) get weight 0, the quotient slots
+    weight -1.  Each class has n weights on G, two of them distinct, so
+    six weight pairs on V.
     """
-    check_stratum_work(fam.n - 1, fam.n + 6)
-    return strata_from_classes(
-        fam,
-        convention,
-        (
-            ({"invariant_subspace_dim": r}, one_ps_for_subspace(fam, r))
-            for r in range(1, fam.n)
-        ),
+    n = fam.n
+    check_stratum_work(n - 1, n + 6)
+    classes = (
+        ({"invariant_subspace_dim": r}, OnePSClass(((0,) * r + (-1,) * (n - r),), ()))
+        for r in range(1, n)
     )
+    return strata_from_classes(fam, convention, classes)

@@ -270,25 +270,18 @@ def dag_stabilize(inst: DagInstance, eps: Fraction | int) -> DagInstance:
     return DagInstance(inst.n, inst.k, Matrix.from_rows(rows))
 
 
-def one_ps_redundant(fam: DagFamily, j: int) -> OnePSClass:
-    """Representative with j redundant parent columns in weight -1."""
-    if not (1 <= j <= fam.k):
-        raise DomainError(f"redundant-column count must lie in [1, {fam.k}]")
-    return OnePSClass(((-1,) * j + (0,) * (fam.k - j),), (-j,))
-
-
 def enumerate_strata(fam: DagFamily, convention: OrbitConvention) -> list[StratumClass]:
     """One destabilizing class per redundant-column count j in 1..k.
 
-    Each class has k + 1 weights on G and at most three distinct weight
-    pairs on V, which the work limit counts as k + 1.
+    Its representative puts the j redundant parent columns in weight -1
+    and the torus in weight -j.  Each class has k + 1 weights on G and
+    at most three distinct weight pairs on V, which the work limit
+    counts as k + 1.
     """
-    check_stratum_work(fam.k, fam.k + 1)
-    return strata_from_classes(
-        fam,
-        convention,
-        (
-            ({"redundant_columns": j}, one_ps_redundant(fam, j))
-            for j in range(1, fam.k + 1)
-        ),
+    k = fam.k
+    check_stratum_work(k, k + 1)
+    classes = (
+        ({"redundant_columns": j}, OnePSClass(((-1,) * j + (0,) * (k - j),), (-j,)))
+        for j in range(1, k + 1)
     )
+    return strata_from_classes(fam, convention, classes)

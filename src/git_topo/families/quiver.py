@@ -57,6 +57,7 @@ from git_topo.groups import (
     OnePSClass,
     OrbitConvention,
     factor_stabilizer_dim,
+    group_dim,
 )
 from git_topo.linalg import ComplexRational, check_integers
 
@@ -369,7 +370,7 @@ def enumerate_strata(
         sum(dims) + sum(dims[s] * dims[t] for s, t in spec.arrows),
     )
     zero = (0,) * len(dims)
-    group_dim = sum(d * d for d in dims)
+    dim_g = group_dim(spec.group())
     sub_dim = list(zero)
     levels = _walk_levels(spec, convention)
     factors: list[tuple[int, ...]] = [()] * len(levels)
@@ -379,7 +380,7 @@ def enumerate_strata(
         sub = tuple(sub_dim)
         if sub != zero and sub != dims:
             rep = OnePSClass._of_checked(tuple(factors), ())
-            rows.append(StratumClass({"sub_dim": sub}, rep, m, group_dim - stabilizer))
+            rows.append(StratumClass({"sub_dim": sub}, rep, m, dim_g - stabilizer))
 
     _walk(levels, 0, sub_dim, factors, 0, 0, 0, keep)
     return rows

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.linalg import check_integers
@@ -105,26 +106,29 @@ class OnePSClass:
         return lam
 
 
+def weight_counts(weights: tuple[int, ...]) -> Iterable[tuple[int, int]]:
+    """Each distinct weight with its multiplicity; a rank-1 factor skips
+    the count."""
+    if len(weights) == 1:
+        return ((weights[0], 1),)
+    return [(w, weights.count(w)) for w in set(weights)]
+
+
 def factor_stabilizer_dim(weights: tuple[int, ...], convention: OrbitConvention) -> int:
     """dim of the stabilizer of a 1-PS with these weights in one GL factor.
 
     With weight multiplicities m_1..m_r the centralizer has dimension
     S = sum m_i^2 and the parabolic (the non-negative weight pairs)
-    S + sum_{i<j} m_i m_j = (n^2 + S) / 2, n = len(weights).  A rank-1
-    factor has S = 1 and so gives exactly 1 under both conventions,
-    without counting its weights.
+    S + sum_{i<j} m_i m_j = (n^2 + S) / 2, n = len(weights), with the
+    m_i from `weight_counts`.  A rank-1 factor has S = 1 and so gives
+    exactly 1 under both conventions.
     """
     if not isinstance(convention, OrbitConvention):
         raise DomainError(f"unknown orbit convention {convention!r}")
-    n = len(weights)
-    if n == 1:
-        return 1
-    square = 0
-    for w in set(weights):
-        mult = weights.count(w)
-        square += mult * mult
+    square = sum(mult * mult for _, mult in weight_counts(weights))
     if convention is OrbitConvention.CENTRALIZER:
         return square
+    n = len(weights)
     return (n * n + square) // 2
 
 

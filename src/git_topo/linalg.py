@@ -9,8 +9,9 @@ ComplexRational too.  ComplexRational is the exact Gaussian-rational
 value of a thin quiver arrow; the package only stores and encodes it
 and tests it against zero, so it carries no arithmetic.  Integer
 entries stay ints: an instance file's integers are decoded as ints, and
-clearing denominators (integer_rows, integer_columns) scales each
-entry's numerator by an int, so it does no Fraction arithmetic.  One
+clearing denominators (integer_entries by one scale for a row or a
+whole matrix, integer_columns by one per column) scales each entry's
+numerator by an int, so it does no Fraction arithmetic.  One
 fraction-free (Bareiss) elimination that takes the rows one at a time
 (echelon_pivots) serves every exact question: int_rank counts its pivot
 rows, column_pivots reads their columns, and nullspace and solve_square
@@ -130,16 +131,17 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def integer_rows(data: Sequence[Sequence[Rational]]) -> list[list[int]]:
-    """Clear denominators: scale the matrix by the lcm of all its denominators.
+def integer_entries(entries: Sequence[Rational]) -> list[int]:
+    """Clear denominators: the entries scaled by the lcm of theirs.
 
-    One scale for the whole matrix preserves its rank and also the
+    On a row this keeps the row space, so the pivot columns and the
+    kernel.  On a whole matrix's entries it keeps the rank and also the
     products of the matrix with itself, such as Krylov blocks.  Where
     only the rank of some columns matters, integer_columns keeps the
     entries smaller.
     """
-    scale = math.lcm(*(e.denominator for row in data for e in row))
-    return [[e.numerator * (scale // e.denominator) for e in row] for row in data]
+    scale = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (scale // e.denominator) for e in entries]
 
 
 def integer_columns(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -235,22 +237,13 @@ def int_rank(data: list[list[int]]) -> int:
     return len(echelon_pivots(data, len(data[0]) if data else 0))
 
 
-def _integer_row(row: Sequence[Rational]) -> list[int]:
-    """The row scaled by the lcm of its own denominators.
-
-    Scaling a row keeps the row space, so the pivot columns and the kernel.
-    """
-    scale = math.lcm(*(e.denominator for e in row))
-    return [e.numerator * (scale // e.denominator) for e in row]
-
-
 def column_pivots(matrix: Matrix) -> tuple[int, ...]:
     """Pivot column indices of the reduced row echelon form.
 
     Calls echelon_pivots directly, not int_rank, so that perfbench's
     int_rank span counts ranks only.
     """
-    rows = (_integer_row(matrix.row(i)) for i in range(matrix.rows))
+    rows = (integer_entries(matrix.row(i)) for i in range(matrix.rows))
     return tuple(_pivot_columns(echelon_pivots(rows, matrix.cols), matrix.cols))
 
 
@@ -261,7 +254,7 @@ def nullspace(matrix: Matrix) -> list[tuple[Fraction, ...]]:
     each with a 1 in its free coordinate and 0 in the other free ones,
     so they are the basis the reduced row echelon form gives.
     """
-    rows = (_integer_row(matrix.row(i)) for i in range(matrix.rows))
+    rows = (integer_entries(matrix.row(i)) for i in range(matrix.rows))
     kept = echelon_pivots(rows, matrix.cols)
     d = kept[-1][1] if kept else 1
     free = matrix.cols - len(kept)
@@ -288,7 +281,7 @@ def solve_square(matrix: Matrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...
         if not is_rational(value):
             raise DomainError(f"right-hand side {value!r} is not an exact rational")
     kept = echelon_pivots(
-        (_integer_row((*matrix.row(i), rhs[i])) for i in range(n)), n + 1
+        (integer_entries((*matrix.row(i), rhs[i])) for i in range(n)), n + 1
     )
     if _pivot_columns(kept, n + 1) != list(range(n)):
         raise DomainError("matrix is singular; no unique solution")

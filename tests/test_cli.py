@@ -12,7 +12,7 @@ import pytest
 
 from git_topo import cli
 from git_topo.cli import main
-from git_topo.families import dag
+from git_topo.families import dag, quiver
 from git_topo.families.base import check_stratum_work
 from git_topo.groups import OrbitConvention
 
@@ -360,7 +360,7 @@ def test_check_mle_exact_values(capsys, tmp_path):
     assert read_json(out_file)["mle"] == ["0", "1"]
 
 
-@pytest.mark.parametrize("eps", ["0.001", "1e-3", " 1/1000 "])
+@pytest.mark.parametrize("eps", ["0.001", "1e-3", " 1/1000 ", ""])
 def test_check_epsilon_is_p_over_q_only(capsys, tmp_path, eps):
     inst_file = tmp_path / "dag.json"
     inst_file.write_text(
@@ -689,16 +689,25 @@ def test_payloads_are_encoded_only_under_json(argv, capsys, monkeypatch, tmp_pat
     assert run(capsys, *argv)[0] == code
 
 
-def test_unwritable_json_path_exits_2(capsys, tmp_path):
-    target = tmp_path / "no_such_dir" / "x.json"
+def test_verify_kronecker_refuses_an_empty_theta(capsys):
+    # An empty value is a malformed list, not a missing one: no default theta.
+    code, out, err = run(capsys, "verify", "kronecker", "--theta", "")
+    assert code == 2 and out == ""
+    assert err == "error: --theta: expected comma-separated integers\n"
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["missing-dir", "empty-path"])
+def test_unwritable_json_path_exits_2(capsys, tmp_path, empty):
+    # An empty --json is a path that cannot be written, not a missing option.
+    target = "" if empty else str(tmp_path / "no_such_dir" / "x.json")
     code, out, err = run(
-        capsys, "analyze", "control", "--n", "3", "--m", "2", "--json", str(target)
+        capsys, "analyze", "control", "--n", "3", "--m", "2", "--json", target
     )
     assert code == 2
     assert "d_min = 4" in out
     assert err.startswith(f"error: cannot write {target}: ")
     assert len(err.splitlines()) == 1
-    assert not target.exists()
+    assert not os.path.exists(target)
 
 
 def test_unwritable_json_path_after_an_error_is_not_retried(capsys, tmp_path):
@@ -1043,3 +1052,42 @@ def test_importing_the_cli_builds_no_parser():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _thin_cycle(vertices, theta):
+    arrows = ",".join(f"{i}->{i % vertices + 1}" for i in range(1, vertices + 1))
+    dims = ",".join(["1"] * vertices)
+    return ["quiver", "--arrows", arrows, "--dim", dims, "--theta=" + theta]
+
+
+def test_analyze_refuses_max_q_before_building_a_row(capsys, monkeypatch, tmp_path):
+    def enumerated(*args):
+        raise AssertionError("stratum rows built before --max-q was checked")
+
+    monkeypatch.setattr(quiver, "enumerate_strata", enumerated)
+    out_file = tmp_path / "err.json"
+    argv = _thin_cycle(16, ",".join(["15"] + ["-1"] * 15))
+    code, out, err = run(
+        capsys, "analyze", *argv, "--max-q", "5000", "--json", str(out_file)
+    )
+    assert code == 2 and out == ""
+    assert "homotopy table up to q = 5000 refused" in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+def test_verify_refuses_the_path_gate_table_before_a_generic_trial(
+    capsys, monkeypatch, tmp_path
+):
+    def sampled(*args):
+        raise AssertionError("generic trials drawn before the path gate's table")
+
+    monkeypatch.setattr(cli, "sample_generic_points", sampled)
+    out_file = tmp_path / "err.json"
+    argv = _thin_cycle(20, ",".join(["1", "-1"] + ["0"] * 18))
+    code, out, err = run(
+        capsys, "verify", *argv, "--trials", "100000", "--paths", "1",
+        "--json", str(out_file),
+    )
+    assert code == 2 and out == ""
+    assert "stratum enumeration refused" in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"

@@ -10,7 +10,7 @@ from git_topo.connectivity import (
     summarize_strata,
     unitary_group_pi,
 )
-from git_topo.errors import DomainError
+from git_topo.errors import DomainError, SizeLimitError
 from git_topo.families.control import ControlFamily
 from git_topo.families.control import enumerate_strata as control_strata
 from git_topo.families.dag import DagFamily
@@ -147,3 +147,15 @@ def test_window_edge_is_always_unknown(q_extra, n, torus):
     group = GroupSpec((n,), torus_rank=torus)
     d = q_extra + 1  # so q = d - 1 + anything is outside
     assert quotient_homotopy_group(group, d, d - 1 + q_extra).is_unknown
+
+
+@pytest.mark.parametrize(
+    "max_q, error", [(-1, DomainError), (4097, SizeLimitError)]
+)
+def test_max_q_is_refused_before_the_strata_are_enumerated(max_q, error, monkeypatch):
+    def enumerated(self, convention):
+        raise AssertionError("strata enumerated before max_q was checked")
+
+    monkeypatch.setattr(ControlFamily, "strata", enumerated)
+    with pytest.raises(error):
+        summarize_strata(ControlFamily(3, 2), max_q=max_q)

@@ -14,13 +14,13 @@ from git_topo.families.control import (
     controllability_rank_ints,
     enumerate_strata,
     invariant_subspace_dim,
-    one_ps_for_subspace,
 )
 from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.linalg import PRIME, Matrix
 from git_topo.rng import CounterRng
 
 from group_actions import matmul, unimodular_from_stream
+from weights_oracle import control_representative
 
 
 def fraction_rank(rows):
@@ -91,7 +91,8 @@ def test_stratum_m_closed_form():
             for stratum in enumerate_strata(fam, OrbitConvention.PARABOLIC):
                 r = stratum.descriptor["invariant_subspace_dim"]
                 assert stratum.m == r * (n - r) + (n - r) * m_in
-                lam = one_ps_for_subspace(fam, r)
+                lam = control_representative(fam, r)
+                assert stratum.representative == lam
                 assert negative_weight_dim(fam, lam) == stratum.m
     # a 1-PS that does not fit GL(2): two factors, three weights, a torus weight
     for lam in [

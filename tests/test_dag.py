@@ -14,7 +14,6 @@ from git_topo.families.dag import (
     dag_stabilize,
     dag_status,
     enumerate_strata,
-    one_ps_redundant,
 )
 from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.linalg import Matrix, column_pivots, nullspace
@@ -63,14 +62,11 @@ def test_stratum_m_is_jn():
 
 
 def test_one_ps_redundant_shape():
-    fam = DagFamily(5, 3)
-    lam = one_ps_redundant(fam, 2)
+    strata = enumerate_strata(DagFamily(5, 3), OrbitConvention.PARABOLIC)
+    (row,) = [s for s in strata if s.descriptor["redundant_columns"] == 2]
+    lam = row.representative
     assert lam.gl_weights == ((-1, -1, 0),)
     assert lam.torus_weights == (-2,)
-    with pytest.raises(DomainError):
-        one_ps_redundant(fam, 0)
-    with pytest.raises(DomainError):
-        one_ps_redundant(fam, 4)
 
 
 @pytest.mark.parametrize("convention", list(OrbitConvention))

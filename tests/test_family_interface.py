@@ -40,7 +40,11 @@ from git_topo.harness import (
 )
 from git_topo.rng import CounterRng
 
-from weights_oracle import oracle_negative_weight_dim
+from weights_oracle import (
+    control_representative,
+    dag_representative,
+    oracle_negative_weight_dim,
+)
 
 
 @dataclass(frozen=True)
@@ -256,3 +260,30 @@ def specs_with_one_ps(draw):
 def test_negative_weight_dim_matches_the_weights_oracle(case):
     spec, lam = case
     assert negative_weight_dim(spec, lam) == oracle_negative_weight_dim(spec, lam)
+
+
+CLOSED_FORM_SHAPES = {
+    "control": (
+        [ControlFamily(n, m) for n in range(1, 9) for m in range(1, 4)],
+        "invariant_subspace_dim",
+        control_representative,
+    ),
+    "dag": (
+        [DagFamily(n, k) for n in range(1, 13) for k in range(1, 7)],
+        "redundant_columns",
+        dag_representative,
+    ),
+}
+
+
+@pytest.mark.parametrize("convention", list(OrbitConvention))
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_SHAPES))
+def test_stratum_rows_match_the_closed_form_representatives(family, convention):
+    # Each row's representative is the oracle's, built by the checking
+    # constructor, and its m is the oracle's weight count.
+    shapes, key, representative = CLOSED_FORM_SHAPES[family]
+    for spec in shapes:
+        for row in spec.strata(convention):
+            lam = representative(spec, row.descriptor[key])
+            assert row.representative == lam
+            assert row.m == oracle_negative_weight_dim(spec, lam)

@@ -7,6 +7,7 @@ from git_topo.groups import (
     GroupSpec,
     OnePSClass,
     OrbitConvention,
+    factor_stabilizer_dim,
     group_dim,
     orbit_dim,
 )
@@ -126,3 +127,17 @@ def test_orbit_dim_counts_stabilizer_pairs(gl, torus):
     at_least = sum(wi >= wj for ws in gl for wi in ws for wj in ws)
     assert orbit_dim(spec, lam, OrbitConvention.CENTRALIZER) == dim_g - equal - len(torus)
     assert orbit_dim(spec, lam, OrbitConvention.PARABOLIC) == dim_g - at_least - len(torus)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+@example(weights=[7])
+@settings(max_examples=150, deadline=None)
+def test_factor_stabilizer_dim_counts_index_pairs(weights):
+    """Against brute force: the centralizer is #{(i, j): w_i = w_j} and
+    the parabolic #{(i, j): w_i >= w_j}; a rank-1 factor gives 1."""
+    ws = tuple(weights)
+    pairs = [(wi, wj) for wi in ws for wj in ws]
+    equal = sum(wi == wj for wi, wj in pairs)
+    at_least = sum(wi >= wj for wi, wj in pairs)
+    assert factor_stabilizer_dim(ws, OrbitConvention.CENTRALIZER) == equal
+    assert factor_stabilizer_dim(ws, OrbitConvention.PARABOLIC) == at_least

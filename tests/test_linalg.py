@@ -23,7 +23,7 @@ from git_topo.linalg import (
     column_pivots,
     echelon_pivots,
     int_rank,
-    integer_rows,
+    integer_entries,
     minor_gcd,
     nullspace,
     poly_det,
@@ -121,13 +121,20 @@ def test_int_rank_known_cases():
     assert int_rank([[1, 2], [2, 4], [3, 6], [0, 1]]) == 2
 
 
+def cleared_rows(rows):
+    """The rows cleared by one scale: integer_entries of the flat entries."""
+    flat = integer_entries([e for row in rows for e in row])
+    width = len(rows[0])
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
+
+
 def test_rank_rational_entries():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [1, 1]]
-    assert int_rank(integer_rows(rows)) == 2
-    assert int_rank(integer_rows([[6 * e for e in row] for row in rows])) == 2
+    assert int_rank(cleared_rows(rows)) == 2
+    assert int_rank(cleared_rows([[6 * e for e in row] for row in rows])) == 2
     # proportional rows: (3/2, 1) = 3 * (1/2, 1/3)
     singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
-    assert int_rank(integer_rows(singular)) == 1
+    assert int_rank(cleared_rows(singular)) == 1
 
 
 @given(int_matrices())
@@ -264,9 +271,9 @@ def test_complex_rational_refuses_a_second_imaginary_part():
         ComplexRational.of(ComplexRational.of(1), 1)
 
 
-def test_integer_rows_scales_the_whole_matrix_once():
-    # One lcm, 6, for every row: row 0 alone would need only 2.
-    assert integer_rows([[Fraction(1, 2), 1], [Fraction(1, 3), 0]]) == [[3, 6], [2, 0]]
+def test_integer_entries_scales_the_whole_matrix_once():
+    # One lcm, 6, for every entry: row 0 alone would need only 2.
+    assert integer_entries([Fraction(1, 2), 1, Fraction(1, 3), 0]) == [3, 6, 2, 0]
 
 
 # Polynomials over F_p: integer coefficient lists, lowest degree first.

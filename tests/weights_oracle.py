@@ -32,6 +32,20 @@ def dag_weights(fam, lam: OnePSClass) -> Iterator[tuple[int, int]]:
     yield -lam.torus_weights[0], fam.n
 
 
+def control_representative(fam, r: int) -> OnePSClass:
+    """The 1-PS fixing an r-dimensional invariant subspace, by the checking
+    constructor: the first r basis slots (the subspace) get weight 0 and
+    the quotient slots -1."""
+    return OnePSClass([[0] * r + [-1] * (fam.n - r)], [])
+
+
+def dag_representative(fam, j: int) -> OnePSClass:
+    """The 1-PS with j redundant parent columns, by the checking
+    constructor: those columns get weight -1, the rest 0, and the torus
+    -j, so the child stays in non-negative weight."""
+    return OnePSClass([[-1] * j + [0] * (fam.k - j)], [-j])
+
+
 def quiver_representative(spec, sub) -> OnePSClass:
     """The 1-PS fixing a subrepresentation of dimension d', by the checking
     constructor: at each positive vertex the first d'_i basis slots (the
