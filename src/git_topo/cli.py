@@ -22,7 +22,7 @@ import json
 import sys
 from dataclasses import fields
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, Iterable
 
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import DomainError, GitTopoError, SchemaError
@@ -107,20 +107,31 @@ def _add_family_args(
     )
 
 
-# Each handler returns (encoder of its canonical JSON text, renderer of
-# its text lines, exit status).  main encodes only under --json, so a
-# large table's JSON text is never built unread, and prints and writes
-# both once the report is gone.  The table, its text and its lines are
-# all alive while the lines render; the lines come after the text, so
-# they never coexist with the row list the encoder joins.
-Handled = tuple[Callable[[], str], Callable[[], list[str]], int]
+# Each handler returns (encoder of its canonical JSON text as chunks,
+# renderer of its text lines, exit status).  main encodes only under
+# --json and writes the chunks one by one, so no full copy of a large
+# table's JSON text is built.  `analyze` asks for the rows' JSON texts
+# only under --json: its table writes each row's text line, and its JSON
+# text with it, as the walk finds the row.
+Handled = tuple[Callable[[], Iterable[str]], Callable[[], list[str]], int]
+
+
+def _encoded(payload: dict) -> list[str]:
+    return [canonical_dumps(payload)]
 
 
 def cmd_analyze(args: argparse.Namespace) -> Handled:
     report = summarize_strata(
-        _family_from_args(args), _convention_from_args(args), max_q=args.max_q
+        _family_from_args(args),
+        _convention_from_args(args),
+        max_q=args.max_q,
+        rows="text" if args.json is None else "json",
     )
-    return partial(report_to_json, report), partial(render_connectivity_text, report), 0
+    return (
+        partial(report_to_json, report),
+        partial(render_connectivity_text, report),
+        0,
+    )
 
 
 def cmd_check(args: argparse.Namespace) -> Handled:
@@ -159,7 +170,7 @@ def cmd_check(args: argparse.Namespace) -> Handled:
         beta = dag_solve_mle(working)
         payload["mle"] = [rational_to_str(b) for b in beta]
         lines.append("mle: (" + ", ".join(rational_to_str(b) for b in beta) + ")")
-    return partial(canonical_dumps, payload), lines.copy, 0
+    return partial(_encoded, payload), lines.copy, 0
 
 
 def cmd_homotopy(args: argparse.Namespace) -> Handled:
@@ -169,10 +180,9 @@ def cmd_homotopy(args: argparse.Namespace) -> Handled:
             "locus, which this tool cannot verify; pass --assume-free-action "
             "to attest it"
         )
-    report = summarize_strata(
-        _family_from_args(args), _convention_from_args(args), max_q=args.max_q
-    )
-    encode = partial(canonical_dumps, report_head_to_json(report))
+    spec = _family_from_args(args)
+    report = summarize_strata(spec, _convention_from_args(args), args.max_q, rows=None)
+    encode = partial(_encoded, report_head_to_json(report))
     return encode, partial(render_homotopy_text, report), 0
 
 
@@ -221,7 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> Handled:
         "ok": ok,
         "reports": [harness_report_to_json(r) for r in reports],
     }
-    return partial(canonical_dumps, payload), lines.copy, 0 if ok else 1
+    return partial(_encoded, payload), lines.copy, 0 if ok else 1
 
 
 @cache
@@ -287,27 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> tuple[str | None, list[str], int]:
-    """The handler's JSON text (only under --json), text lines and exit
-    status; the report they were built from goes when this returns."""
+def _run(args: argparse.Namespace) -> tuple[Iterable[str] | None, list[str], int]:
+    """The handler's JSON text chunks (only under --json), text lines and
+    exit status."""
     try:
         encode, render, code = args.handler(args)
     except GitTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         error = {"type": type(exc).__name__, "message": str(exc)}
-        encode, render, code = partial(canonical_dumps, {"error": error}), list, 2
+        encode, render, code = partial(_encoded, {"error": error}), list, 2
     return None if args.json is None else encode(), render(), code
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    text, lines, code = _run(args)
+    chunks, lines, code = _run(args)
     if lines:
         print("\n".join(lines))
-    if text is not None:
+    if chunks is not None:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
                 fh.write("\n")
         except OSError as exc:
             print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from git_topo.errors import DomainError, SizeLimitError
 from git_topo.families import FamilySpec
-from git_topo.families.base import StratumClass
+from git_topo.families.base import StratumClass, StratumTexts
 from git_topo.groups import GroupSpec, OrbitConvention
 
 NO_INFORMATION = "no_information"
@@ -120,7 +120,10 @@ class ConnectivityReport:
     connectivity is an integer bound, "no_information" when d_min <= 1,
     or "contractible" when there are no destabilizing classes at all.
     thresholds carries family-specific sample-size cutoffs (the DAG
-    family reports when path- and simple-connectedness kick in).
+    family reports when path- and simple-connectedness kick in).  The
+    rows are in strata, as `StratumClass` records, or in texts, as the
+    text `summarize_strata` wrote them in; a report built with no rows
+    has neither.
     """
 
     family: str
@@ -131,19 +134,43 @@ class ConnectivityReport:
     homotopy: tuple[tuple[int, AbelianGroup], ...] = ()
     thresholds: tuple[tuple[str, int], ...] = ()
     notes: tuple[str, ...] = ()
+    texts: StratumTexts | None = None
+
+    def row_texts(self, with_json: bool) -> StratumTexts:
+        """The rows as texts, with their JSON texts if with_json is set: those
+        written while the table was built, or written now from strata."""
+        texts = self.texts
+        if texts is None:
+            texts = StratumTexts(self.family, self.convention, with_json)
+            texts.add_classes(self.strata)
+        elif with_json and texts.rows is None:
+            raise ValueError("the report's rows were written without their JSON")
+        return texts
+
+
+ROW_FORMS = ("classes", "text", "json", None)
 
 
 def summarize_strata(
     spec: FamilySpec,
     convention: OrbitConvention | None = None,
     max_q: int | None = None,
+    rows: str | None = "classes",
 ) -> ConnectivityReport:
     """The analyze pipeline for one family spec, under its default
     convention unless one is given: strata, d_min, the connectivity
     bound d_min - 2 (none below d_min = 2), the family's thresholds and,
     when max_q is given, the homotopy table up to q = max_q.  A max_q
     out of range is refused before any stratum is enumerated.
+
+    rows says what the report keeps of the table: "classes", its
+    `StratumClass` rows in strata; "text", each row's text line in texts,
+    and "json" its JSON text as well, both written as the family's
+    `d_min` finds each row; None, nothing but d_min, which `homotopy`
+    and the path gate of `verify` read.
     """
+    if rows not in ROW_FORMS:
+        raise DomainError(f"rows must be one of {ROW_FORMS}, not {rows!r}")
     if max_q is not None and max_q < 0:
         raise DomainError("max_q must be a natural number")
     if max_q is not None and max_q > MAX_HOMOTOPY_DEGREE:
@@ -153,13 +180,19 @@ def summarize_strata(
         )
     if convention is None:
         convention = spec.DEFAULT_CONVENTION
-    strata = spec.strata(convention)
+    strata: tuple[StratumClass, ...] = ()
+    texts = None
+    if rows == "classes":
+        strata = tuple(spec.strata(convention))
+        d = min((s.value for s in strata), default=None)
+    else:
+        if rows is not None:
+            texts = StratumTexts(spec.name, convention, with_json=rows == "json")
+        d = spec.d_min(convention, texts)
     notes: tuple[str, ...] = ()
-    if strata:
-        d: int | None = min(s.value for s in strata)
+    if d is not None:
         connectivity: int | str = d - 2 if d >= 2 else NO_INFORMATION
     else:
-        d = None
         connectivity = CONTRACTIBLE
         notes = ("no destabilizing classes: V^st = V",)
     homotopy: tuple[tuple[int, AbelianGroup], ...] = ()
@@ -171,10 +204,11 @@ def summarize_strata(
     return ConnectivityReport(
         family=spec.name,
         convention=convention,
-        strata=tuple(strata),
+        strata=strata,
         d_min=d,
         connectivity=connectivity,
         homotopy=homotopy,
         thresholds=spec.thresholds(convention),
         notes=notes,
+        texts=texts,
     )

@@ -8,9 +8,11 @@ family's stratum table from its 1-PS classes, counting each class's m
 from the family's representation; the quiver family sums the same
 per-block counts (`hom_negative_dim`) along one walk instead.  The JSON
 and command-line primitives live here too, so each family module can
-encode and parse its own shapes.  The rational reader keeps an integer an int (a JSON int, or a
-string without a "/"), so a matrix of integer entries reaches the
-elimination without a Fraction; only a "p/q" string becomes one.
+encode and parse its own shapes, and so does `StratumTexts`, the one
+writer of a stratum row's text line and JSON text.  The rational reader
+keeps an integer an int (a JSON int, or a string without a "/"), so a
+matrix of integer entries reaches the elimination without a Fraction;
+only a "p/q" string becomes one.
 `matrix_from_json` decodes a row of plain integers in one pass, under the
 same grammar, and reads any other row entry by entry.
 """
@@ -18,11 +20,12 @@ same grammar, and reads any other row entry by entry.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from git_topo.errors import SchemaError, SizeLimitError
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim, weight_counts
@@ -36,8 +39,8 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # 0.13-0.3 us a unit.  A thin quiver builds only the rows theta
 # destabilizes, so on a 2-CPU x86 machine `analyze quiver --json` on a
 # 17-vertex thin path with 15 arrows (2^17 candidates x 32 weights) took
-# 0.8-0.9 s and 96 MB with theta = (16, -1, ..., -1), and 1.8-1.9 s and
-# 175 MB with theta = 0.
+# 0.25-0.36 s and 54 MB with theta = (16, -1, ..., -1), and 0.5-0.7 s and
+# 90 MB with theta = 0.
 MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
@@ -65,6 +68,11 @@ MAX_POINT_ENTRIES = 2**16
 # trials at DAG (10, 3) or on that cycle, 256 at (16384, 3), and every
 # Kronecker run under MAX_TRIALS.
 MAX_TRIAL_WORK = 2**24
+
+
+# The one encoder of canonical JSON text, for whole payloads and for the
+# pieces of a report's rows alike.
+json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def rational_to_str(value: int | Fraction) -> str:
@@ -238,6 +246,118 @@ class StratumClass:
         return 2 * self.m - 2 * self.orbit_dim
 
 
+class _Texts(dict):
+    """Exact int, or tuple of exact ints -> its JSON text, each encoded on
+    first use.  Only such values go in: True == 1 and hashes alike, so a
+    bool would be given the text of the int it equals."""
+
+    def __missing__(self, value: int | tuple[int, ...]) -> str:
+        text = self[value] = json_text(value)
+        return text
+
+
+_EXACT_INTS = frozenset({int})
+
+
+def _descriptor_writer() -> Callable[[Mapping[str, Any]], str]:
+    """A function giving a stratum descriptor's canonical text, for the rows
+    of one table.
+
+    Every family's descriptor is a dict of one str key whose value is an
+    exact int or a tuple of them (`type(v) is int`, so never a bool).
+    Such a descriptor is written from two caches: `{"key":` encoded once
+    per key, and each int's text in a `_Texts`.  Any other descriptor
+    goes through `json_text` whole.
+    """
+    heads: dict[str, str] = {}
+    ints = _Texts().__getitem__
+
+    def write(descriptor: Mapping[str, Any]) -> str:
+        if type(descriptor) is dict and len(descriptor) == 1:
+            ((key, value),) = descriptor.items()
+            kind = type(value)
+            if type(key) is str and (
+                kind is int or kind is tuple and set(map(type, value)) <= _EXACT_INTS
+            ):
+                head = heads.get(key) or heads.setdefault(key, f"{{{json_text(key)}:")
+                body = ints(value) if kind is int else f'[{",".join(map(ints, value))}]'
+                return f"{head}{body}}}"
+        return json_text(descriptor)
+
+    return write
+
+
+def format_value(value) -> str:
+    """An int, or a tuple of ints as its repr "(1, 0)", but "(5)" for a
+    1-tuple."""
+    if isinstance(value, tuple):
+        return f"({value[0]})" if len(value) == 1 else str(value)
+    return str(value)
+
+
+class StratumTexts:
+    """A stratum table written as text, row by row, while it is built.
+
+    `lines` gets each row's text line and `rows`, unless it is None, the
+    row's canonical JSON text.  The line format (`line`) and the JSON
+    template (`json_row`) live here and nowhere else.  Both take every
+    field already written: the descriptor, and m, orbit_dim and value
+    from `ints`, the table's cache of int texts.  The template's keys are
+    in sorted order, so no dict is built and nothing is sorted per row.
+    A quiver table is written by its walk, from texts cached per table;
+    every other table from its `StratumClass` rows by `add_classes`,
+    which writes descriptors and weights from per-table caches too.
+    """
+
+    def __init__(
+        self, family: str, convention: OrbitConvention, with_json: bool
+    ) -> None:
+        self.lines: list[str] = []
+        self.rows: list[str] | None = [] if with_json else None
+        self.ints = _Texts()
+        self._head = f'{{"convention":{json_text(convention.value)},"descriptor":'
+        self._family = f',"family":{json_text(family)},"m":'
+
+    def line(self, descriptor: str, m: str, orbit_dim: str, value: str) -> str:
+        return f"  {descriptor}: m={m}, orbit_dim={orbit_dim}, value={value}"
+
+    def json_row(
+        self,
+        descriptor: str,
+        m: str,
+        orbit_dim: str,
+        gl_weights: str,
+        torus_weights: str,
+        value: str,
+    ) -> str:
+        """gl_weights is the comma-joined text of the factors' weight lists,
+        torus_weights the text of the whole list."""
+        return (
+            f'{self._head}{descriptor}{self._family}{m},"orbit_dim":{orbit_dim},'
+            f'"representative":{{"gl_weights":[{gl_weights}],'
+            f'"torus_weights":{torus_weights}}},"value":{value}}}'
+        )
+
+    def add_classes(self, strata: Iterable[StratumClass]) -> None:
+        descriptor = _descriptor_writer()
+        weights = _Texts()
+        ints = self.ints
+        for s in strata:
+            m, orbit, value = ints[s.m], ints[s.orbit_dim], ints[s.value]
+            line = ", ".join([f"{k}={format_value(v)}" for k, v in s.descriptor.items()])
+            self.lines.append(self.line(line, m, orbit, value))
+            if self.rows is not None:
+                rep = s.representative
+                self.rows.append(self.json_row(
+                    descriptor(s.descriptor),
+                    m,
+                    orbit,
+                    ",".join(map(weights.__getitem__, rep.gl_weights)),
+                    weights[rep.torus_weights],
+                    value,
+                ))
+
+
 def check_stratum_work(classes: int, weights_per_class: int) -> None:
     """Refuse, before anything is built, a table past MAX_STRATUM_WORK."""
     if classes * weights_per_class > MAX_STRATUM_WORK:
@@ -342,7 +462,10 @@ class FamilySpec:
     n_samples)`, the samples of a quadratic path a certificate mod
     2^61 - 1 cannot clear, is every sample, `from_args(args)` passes the
     flags to the constructor in order, `to_json()` writes the name and
-    the fields, and `thresholds(convention)` is empty.
+    the fields, `thresholds(convention)` is empty, and
+    `d_min(convention, texts)`, the least stratum value, reads it off
+    `strata(convention)` and writes those rows to a `StratumTexts` when one
+    is given.
     """
 
     name: str
@@ -370,3 +493,13 @@ class FamilySpec:
 
     def thresholds(self, convention: OrbitConvention) -> tuple[tuple[str, int], ...]:
         return ()
+
+    def d_min(
+        self, convention: OrbitConvention, texts: StratumTexts | None = None
+    ) -> int | None:
+        """The least value over `strata(convention)`, None when there is no
+        stratum; each row is written to texts when they are given."""
+        strata = self.strata(convention)
+        if texts is not None:
+            texts.add_classes(strata)
+        return min((s.value for s in strata), default=None)

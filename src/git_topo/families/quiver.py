@@ -18,9 +18,12 @@ depend only on the subdimensions at the two ends, and its orbit
 dimension a sum over vertices, so the table is one walk over the
 vertices of positive dimension that adds these terms as it fixes each
 vertex, from tables built once per enumeration, and skips each prefix
-that theta already rules out.  Each kept row's representative is the
-tuple of per-vertex weight tuples the walk chose on its way down, so a
-row pays for no weight check.
+that theta already rules out.  The walk carries each row's labels down
+with it, its sub_dim and its per-vertex weight tuples, as tuples for
+`StratumClass` rows or as JSON texts.  From the texts `analyze` writes
+each row's text line and JSON text at the leaf, and `homotopy` and the
+path gate of `verify` keep only the least value, so neither builds a
+per-row object.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from git_topo.errors import (
     DomainError,
@@ -43,11 +46,13 @@ from git_topo.families.base import (
     FamilySpec,
     StabilityStatus,
     StratumClass,
+    StratumTexts,
     check_stratum_work,
     complex_from_json,
     complex_to_json,
     hom_negative_dim,
     int_list,
+    json_text,
     parse_int_list,
     require_int,
     require_list,
@@ -317,6 +322,43 @@ class QuiverSpec(FamilySpec):
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
 
+    def d_min(
+        self, convention: OrbitConvention, texts: StratumTexts | None = None
+    ) -> int | None:
+        """The least stratum value, from one walk (`_table`) that keeps the
+        least m + stabilizer, the row value plus 2 dim G halved.
+
+        With texts, each row's text line, and its JSON text when
+        texts.rows is a list, is written from the walk's text labels, so
+        no per-row object exists.
+        """
+        dim_g = group_dim(self.group())
+        zero = ",".join("0" * self.vertex_count)
+        full = ",".join(map(str, self.dim_vector))
+        least = None
+        if texts is not None:
+            lines, rows, ints = texts.lines, texts.rows, texts.ints
+            line, json_row = texts.line, texts.json_row
+
+        def keep(m: int, stabilizer: int, sub: str, rep: str) -> None:
+            nonlocal least
+            if sub == zero or sub == full:
+                return
+            if least is None or m + stabilizer < least:
+                least = m + stabilizer
+            if texts is None:
+                return
+            orbit = dim_g - stabilizer
+            m_text, orbit_text, value = ints[m], ints[orbit], ints[2 * (m - orbit)]
+            descriptor = f"sub_dim=({sub.replace(',', ', ')})"
+            lines.append(line(descriptor, m_text, orbit_text, value))
+            if rows is not None:
+                descriptor = f'{{"sub_dim":[{sub}]}}'
+                rows.append(json_row(descriptor, m_text, orbit_text, rep, "[]", value))
+
+        _table(self, convention, True, keep)
+        return None if least is None else 2 * (least - dim_g)
+
 
 _ARROW_RE = re.compile(r"^(\d+)->(\d+)$")
 
@@ -353,14 +395,38 @@ def enumerate_strata(
 ) -> list[StratumClass]:
     """Destabilizing classes, one per admissible subdimension vector.
 
-    A subdimension d' destabilizes when theta . d' >= 0.  The work limit
-    counts every candidate d', each with sum dim_i weights on G and one
-    weight per arrow coordinate on V.  The table itself is one walk
-    (`_walk`) in the lex order of `sub_dimension_vectors`, which never
-    enters a subtree that theta rules out.  Each row's m and orbit
-    dimension are the walk's sums, and its representative the weight
-    tuples the walk chose, built by `OnePSClass._of_checked` with no
-    per-row check.
+    A subdimension d' destabilizes when theta . d' >= 0.  The rows are the
+    leaves of one walk (`_table`) in the lex order of
+    `sub_dimension_vectors`, each row's m and orbit dimension the walk's
+    sums, its descriptor and representative the labels it chose.
+    """
+    dim_g = group_dim(spec.group())
+    zero, full = (0,) * spec.vertex_count, spec.dim_vector
+    rows: list[StratumClass] = []
+
+    def keep(m: int, stabilizer: int, sub: tuple, rep: tuple) -> None:
+        if sub != zero and sub != full:
+            rows.append(
+                StratumClass({"sub_dim": sub}, OnePSClass(rep), m, dim_g - stabilizer)
+            )
+
+    _table(spec, convention, False, keep)
+    return rows
+
+
+def _table(
+    spec: QuiverSpec,
+    convention: OrbitConvention,
+    text: bool,
+    keep: Callable[[int, int, Any, Any], None],
+) -> None:
+    """Walk every d' with theta . d' >= 0, d' = 0 and d' = dim among them,
+    and call keep(m, stabilizer, sub, rep) on each; see `_walk_levels`
+    for the labels sub and rep.
+
+    The work limit counts every candidate d', each with sum dim_i weights
+    on G and one weight per arrow coordinate on V, and refuses before the
+    walk starts.
     """
     dims = spec.dim_vector
     if all(d == 0 for d in dims):
@@ -369,36 +435,34 @@ def enumerate_strata(
         math.prod(d + 1 for d in dims),
         sum(dims) + sum(dims[s] * dims[t] for s, t in spec.arrows),
     )
-    zero = (0,) * len(dims)
-    dim_g = group_dim(spec.group())
-    sub_dim = list(zero)
-    levels = _walk_levels(spec, convention)
-    factors: list[tuple[int, ...]] = [()] * len(levels)
-    rows: list[StratumClass] = []
-
-    def keep(m: int, stabilizer: int) -> None:
-        sub = tuple(sub_dim)
-        if sub != zero and sub != dims:
-            rep = OnePSClass._of_checked(tuple(factors), ())
-            rows.append(StratumClass({"sub_dim": sub}, rep, m, dim_g - stabilizer))
-
-    _walk(levels, 0, sub_dim, factors, 0, 0, 0, keep)
-    return rows
+    empty = "" if text else ()
+    levels = _walk_levels(spec, convention, text)
+    _walk(levels, 0, [0] * len(dims), 0, 0, 0, empty, empty, keep)
 
 
-def _walk_levels(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple]:
+def _walk_levels(
+    spec: QuiverSpec, convention: OrbitConvention, text: bool
+) -> list[tuple]:
     """One level per positive vertex, in vertex order, for `_walk`.
 
-    A level is (vertex, theta_vertex, rest, weights, own, stabilizers,
-    pairs).  rest is the most theta . d' the later levels can add,
+    A level is (vertex, theta_vertex, rest, own, stabilizers, pairs, subs,
+    reps).  rest is the most theta . d' the later levels can add,
     sum max(0, theta_v dim_v).  Indexed by the vertex's subdimension k,
-    weights[k] = 0^k (-1)^(d - k) is its GL factor's (the subspace gets
-    0, so arrows into the quotient carry the negative weights), own[k]
-    the m of its loops and stabilizers[k] its `factor_stabilizer_dim`.
-    pairs holds (earlier vertex, table) per earlier vertex that shares
-    arrows with this one, and table[j][k] is the m of those arrows when
-    the earlier vertex has subdimension j.  Each term is one
-    `hom_negative_dim` of these weights.
+    with weights[k] = 0^k (-1)^(d - k) its GL factor's weights (the
+    subspace gets 0, so arrows into the quotient carry the negative
+    weights), own[k] is the m of its loops and stabilizers[k] its
+    `factor_stabilizer_dim`.  pairs holds (earlier vertex, table) per
+    earlier vertex that shares arrows with this one, and table[j][k] is
+    the m of those arrows when the earlier vertex has subdimension j.
+    Each term is one `hom_negative_dim` of these weights.
+
+    subs[k] and reps[k] are the labels the level adds to a row: the
+    subdimensions from the previous positive vertex (or the first vertex)
+    through this one, and the last level through the last vertex, as a
+    tuple; and (weights[k],).  With text set they are the JSON texts of
+    those entries, comma-joined, with a leading comma past the first
+    level, so a leaf's labels are the row's sub_dim and gl_weights lists
+    without their brackets.
     """
     positive = spec.positive_vertices
     weights = [
@@ -424,14 +488,23 @@ def _walk_levels(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple]:
     rest = 0
     for i in reversed(range(len(positive))):
         vertex = positive[i]
+        before = vertex - positive[i - 1] - 1 if i else vertex
+        after = spec.vertex_count - vertex - 1 if i + 1 == len(positive) else 0
+        subs = [(0,) * before + (k,) + (0,) * after for k in range(len(own[i]))]
+        reps = [(ws,) for ws in weights[i]]
+        if text:
+            comma = "," if i else ""
+            subs = [comma + ",".join(map(str, sub)) for sub in subs]
+            reps = [comma + json_text(ws) for ws in weights[i]]
         levels.append((
             vertex,
             spec.theta[vertex],
             rest,
-            weights[i],
             tuple(own[i]),
             tuple(factor_stabilizer_dim(ws, convention) for ws in weights[i]),
             tuple((u, tuple(map(tuple, table))) for u, table in pairs[i].items()),
+            tuple(subs),
+            tuple(reps),
         ))
         rest += max(0, spec.theta[vertex] * spec.dim_vector[vertex])
     return levels[::-1]
@@ -441,23 +514,25 @@ def _walk(
     levels: list[tuple],
     level: int,
     sub_dim: list[int],
-    factors: list[tuple[int, ...]],
     theta_sum: int,
     m: int,
     stabilizer: int,
-    keep: Callable[[int, int], None],
+    sub: Any,
+    rep: Any,
+    keep: Callable[[int, int, Any, Any], None],
 ) -> None:
     """Set sub_dim at this level's vertex and every later one, first vertex
-    slowest, with factors[level] the vertex's weights for its subdimension,
-    and call keep(m, stabilizer) on each d' with theta . d' >= 0.
+    slowest, and call keep(m, stabilizer, sub, rep) on each d' with
+    theta . d' >= 0, where sub and rep have gained this level's labels.
 
     The sums run over the levels already set.  A value k is skipped when
     theta_sum + theta_vertex * k + rest < 0, as no completion reaches
     theta . d' >= 0; past it, a larger k only lowers the sum unless
-    theta_vertex > 0.  Recursion is one frame per positive vertex, and the
-    work limit admits at most 17 of them (17 x 2^17 weights).
+    theta_vertex > 0.  So neither d' = 0 nor d' = dim is ever skipped.
+    Recursion is one frame per positive vertex, and the work limit admits
+    at most 17 of them (17 x 2^17 weights).
     """
-    vertex, theta_vertex, rest, weights, own, stabilizers, pairs = levels[level]
+    vertex, theta_vertex, rest, own, stabilizers, pairs, subs, reps = levels[level]
     deeper = level + 1 < len(levels)
     for k, added in enumerate(own):
         theta_next = theta_sum + theta_vertex * k
@@ -466,14 +541,13 @@ def _walk(
                 continue
             break
         sub_dim[vertex] = k
-        factors[level] = weights[k]
         for u, table in pairs:
             added += table[sub_dim[u]][k]
         if deeper:
-            _walk(levels, level + 1, sub_dim, factors, theta_next, m + added,
-                  stabilizer + stabilizers[k], keep)
+            _walk(levels, level + 1, sub_dim, theta_next, m + added,
+                  stabilizer + stabilizers[k], sub + subs[k], rep + reps[k], keep)
         else:
-            keep(m + added, stabilizer + stabilizers[k])
+            keep(m + added, stabilizer + stabilizers[k], sub + subs[k], rep + reps[k])
 
 
 @dataclass(frozen=True)

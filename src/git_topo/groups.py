@@ -77,11 +77,7 @@ class OnePSClass:
     its positive multiples are distinct values.
 
     The constructor tuples every weight list and refuses a weight that is
-    not an exact int.  `_of_checked` builds the same value with neither
-    step, for a caller whose weights are already tuples of such ints:
-    `quiver.enumerate_strata` alone, whose rows take the weight tuples
-    of 0s and -1s its walk built once per table, so no row of a
-    16-vertex stratum table re-checks its 16 factor tuples.
+    not an exact int.
     """
 
     gl_weights: tuple[tuple[int, ...], ...] = ()
@@ -93,17 +89,6 @@ class OnePSClass:
         object.__setattr__(self, "gl_weights", gl_weights)
         object.__setattr__(self, "torus_weights", torus_weights)
         check_integers("1-PS weight", itertools.chain(*gl_weights, torus_weights))
-
-    @classmethod
-    def _of_checked(
-        cls, gl_weights: tuple[tuple[int, ...], ...], torus_weights: tuple[int, ...]
-    ) -> OnePSClass:
-        """The class of these weights, which the caller built as tuples of
-        exact ints; equal to what the constructor builds."""
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "gl_weights", gl_weights)
-        object.__setattr__(lam, "torus_weights", torus_weights)
-        return lam
 
 
 def weight_counts(weights: tuple[int, ...]) -> Iterable[tuple[int, int]]:

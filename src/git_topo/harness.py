@@ -250,7 +250,8 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     check stays in integer arithmetic.  Skipped (not failed) when
     `summarize_strata` gives no connectivity bound for the family under
     the active convention (d_min < 2), since the claim being tested
-    needs it.
+    needs it; the gate asks it for d_min alone, so no stratum row is
+    built.
 
     With left, mid and right entries a, b, c, each entry of sample i is
     e(i) = N^2 a + N(4b - 3a - c) i + 2(a - 2b + c) i^2.  The family's
@@ -266,7 +267,7 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     """
     start = time.monotonic()
     spec = cfg.family_spec
-    report = summarize_strata(spec, cfg.convention)
+    report = summarize_strata(spec, cfg.convention, rows=None)
     if report.connectivity == NO_INFORMATION:
         convention = report.convention.value
         note = f"d_min = {report.d_min} < 2 under the {convention} convention"

@@ -4,24 +4,25 @@ All persisted numbers that are not integers travel as lowest-terms
 rational strings ("5", "-7/3"); Gaussian rationals as two-element
 ["re", "im"] arrays when the imaginary part is nonzero.  Canonical form
 is sorted keys, compact separators, no floating point anywhere.  Small
-payloads are dicts that `canonical_dumps` sorts; a connectivity report,
-whose strata run to 2^15 rows, is written as text by `report_to_json`,
-each row from a template whose keys are already in sorted order.  A row's
-weight tuples, and a descriptor of one str key with an exact int or int
-tuple value (every family's), are written from texts cached for the
-report; any other descriptor goes through the encoder.  The only JSON the
-package reads back is a `check` instance file; its reader validates shape
-and names the offending field in its SchemaError.
+payloads are dicts that `canonical_dumps` sorts.  A connectivity report,
+whose strata run to 2^15 rows, is written as chunks of text by
+`report_to_json`: its head by `canonical_dumps`, its rows as the JSON
+texts `families.base.StratumTexts` wrote from a template whose keys are
+already in sorted order, while the table was built
+(`summarize_strata(..., rows="json")`) or, for a report of
+`StratumClass` rows, when it is written.  The only JSON the package
+reads back is a `check` instance file; its reader validates shape and
+names the offending field in its SchemaError.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Mapping
+from typing import Any, Iterator
 
 from git_topo.connectivity import ConnectivityReport
 from git_topo.errors import SchemaError
 from git_topo.families import FAMILIES, Instance, StabilityStatus
+from git_topo.families.base import json_text
 from git_topo.harness import HarnessReport, TrialConfig
 
 CONVENTION_DEPENDENT_FIELDS = (
@@ -33,54 +34,8 @@ CONVENTION_DEPENDENT_FIELDS = (
 )
 
 
-# The one encoder of canonical text, for whole payloads and for the pieces
-# of a report's rows alike.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def canonical_dumps(data: Any) -> str:
-    return _encode(data)
-
-
-class _Texts(dict):
-    """Exact int, or tuple of exact ints -> its JSON text, each encoded on
-    first use.  Only such values go in: True == 1 and hashes alike, so a
-    bool would be given the text of the int it equals."""
-
-    def __missing__(self, value: int | tuple[int, ...]) -> str:
-        text = self[value] = _encode(value)
-        return text
-
-
-_EXACT_INTS = frozenset({int})
-
-
-def _descriptor_writer() -> Callable[[Mapping[str, Any]], str]:
-    """A function giving a stratum descriptor's canonical text, for the rows
-    of one report.
-
-    Every family's descriptor is a dict of one str key whose value is an
-    exact int or a tuple of them (`type(v) is int`, so never a bool).
-    Such a descriptor is written from two caches: `{"key":` encoded once
-    per key, and each int's text in a `_Texts`.  Any other descriptor
-    goes through `_encode` whole.
-    """
-    heads: dict[str, str] = {}
-    ints = _Texts().__getitem__
-
-    def write(descriptor: Mapping[str, Any]) -> str:
-        if type(descriptor) is dict and len(descriptor) == 1:
-            ((key, value),) = descriptor.items()
-            kind = type(value)
-            if type(key) is str and (
-                kind is int or kind is tuple and set(map(type, value)) <= _EXACT_INTS
-            ):
-                head = heads.get(key) or heads.setdefault(key, f"{{{_encode(key)}:")
-                body = ints(value) if kind is int else f'[{",".join(map(ints, value))}]'
-                return f"{head}{body}}}"
-        return _encode(descriptor)
-
-    return write
+    return json_text(data)
 
 
 # Instances (points); each family encodes and decodes its own.
@@ -130,15 +85,20 @@ def report_head_to_json(report: ConnectivityReport) -> dict:
     }
 
 
-def report_to_json(report: ConnectivityReport) -> str:
-    """The report's canonical JSON text.
+# Rows per chunk of a report's JSON text: about 1 MB of a quiver table.
+_ROW_BLOCK = 4096
+
+
+def report_to_json(report: ConnectivityReport) -> Iterator[str]:
+    """The report's canonical JSON text, in chunks to write one after the
+    other, so no full copy of the text is built unless the caller joins
+    them.
 
     canonical_dumps writes the head with a null "strata", and the rows go
     in its place: the head has no other "strata" key, and a quote inside
     a JSON string is escaped, so `"strata":null` occurs once.  Each row is
-    written from its StratumClass by a template whose keys are in sorted
-    order, so no dict is built and nothing is sorted per row, and whose
-    descriptor and weights come from `_descriptor_writer` and `_Texts`.
+    the JSON text `StratumTexts` wrote (`ConnectivityReport.row_texts`),
+    and the rows are joined _ROW_BLOCK at a time.
     """
     head: dict[str, Any] = {
         **report_head_to_json(report),
@@ -149,19 +109,13 @@ def report_to_json(report: ConnectivityReport) -> str:
     if report.thresholds:
         head["thresholds"] = dict(report.thresholds)
     before, _, after = canonical_dumps(head).partition('"strata":null')
-    weights = _Texts()
-    descriptor = _descriptor_writer()
-    start = f'{{"convention":{_encode(report.convention.value)},"descriptor":'
-    family = f',"family":{_encode(report.family)},"m":'
-    rows = ",".join([
-        f'{start}{descriptor(s.descriptor)}{family}{s.m},"orbit_dim":{s.orbit_dim},'
-        '"representative":{"gl_weights":['
-        f'{",".join(map(weights.__getitem__, s.representative.gl_weights))}],'
-        f'"torus_weights":{weights[s.representative.torus_weights]}}},'
-        f'"value":{s.value}}}'
-        for s in report.strata
-    ])
-    return f'{before}"strata":[{rows}]{after}'
+    rows = report.row_texts(with_json=True).rows
+    yield f'{before}"strata":['
+    for start in range(0, len(rows), _ROW_BLOCK):
+        if start:
+            yield ","
+        yield ",".join(rows[start : start + _ROW_BLOCK])
+    yield f"]{after}"
 
 
 # Harness configs and reports.

@@ -1,9 +1,10 @@
 """Byte-level pins of the seeded streams and the canonical CLI output.
 
 Refactors must leave these unchanged: the raw CounterRng words, the flat
-integer draws behind `draw_instance`, and the sha256 of the canonical
-`--json` payload of the README's CLI examples (with every `elapsed_ms`
-set to 0, the only field that depends on the clock).  A change that
+integer draws behind `draw_instance`, the sha256 of the canonical
+`--json` payload of the README's CLI examples and of two quiver shapes
+(with every `elapsed_ms` set to 0, the only field that depends on the
+clock), and the sha256 of one large table's stdout.  A change that
 moves any of them changes what every seeded run reports, so it must say
 so and re-pin here.
 """
@@ -140,6 +141,14 @@ CLI = [
      "0815b67761aee97492dbbafaf695be0938e1edaeb41d8f9b92512390efa91727"),
     (["check", "quiver.json"], 0,
      "6779f3880534f105227044e11a60b505e1e3c9cd57400d4928b42e791f150983"),
+    # Non-thin, with a dimension-0 vertex, a loop and parallel arrows.
+    (["analyze", "quiver", "--arrows", "1->2,2->2,2->4,3->1,1->2,4->1",
+      "--dim", "2,3,0,1", "--theta=1,-1,5,1", "--orbit-convention", "centralizer"], 0,
+     "931624f5780a34108f42fb8ca3406780161e24a6fe76e9dce15cf3ce07721697"),
+    # The 3-Kronecker quiver at dim (2, 3).
+    (["homotopy", "quiver", "--arrows", "1->2,1->2,1->2", "--dim", "2,3",
+      "--theta=3,-2", "--max-q", "5", "--assume-free-action"], 0,
+     "61c9056c53efc42b9c94ef221df840bfb24b55b9ff27a23474b640f12fb518fa"),
     (["analyze", "quiver", "--dim", "1,1"], 2,
      "5189c5a9a5337d089254dbd9a62ca9ac7d2c32127b535779aebaaf4bcb055725"),
     (["verify", "dag", "--samples", "4"], 2,
@@ -163,3 +172,26 @@ def test_cli_json_payloads(argv, code, digest, tmp_path, capsys, monkeypatch):
     assert raw == canonical
     pinned = json.dumps(zero_elapsed(payload), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(pinned.encode()).hexdigest() == digest
+
+
+def _cycle_12():
+    v = 12
+    arrows = ",".join(f"{i + 1}->{(i + 1) % v + 1}" for i in range(v))
+    theta = ",".join(str(t) for t in [v - 1] + [-1] * (v - 1))
+    dims = ",".join("1" * v)
+    return ["analyze", "quiver", "--arrows", arrows, "--dim", dims, f"--theta={theta}"]
+
+
+# argv -> sha256 of stdout.
+STDOUT = [
+    (_cycle_12(), "09d77079f6e83e6ec0f11beb0489b74899c665d9397044aa23f97d473af8814e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT, ids=["analyze 12-cycle"])
+@pytest.mark.parametrize("with_json", [False, True], ids=["text", "json"])
+def test_cli_stdout(argv, digest, with_json, tmp_path, capsys):
+    extra = ["--json", str(tmp_path / "out.json")] if with_json else []
+    assert main([*argv, *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

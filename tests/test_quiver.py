@@ -1,8 +1,6 @@
-import ast
 import gc
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -498,21 +496,6 @@ def test_walk_representatives_equal_validated_classes(spec, convention):
         for built in (checked, closed):
             assert s.representative == built
             assert weight_types(s.representative) == weight_types(built)
-
-
-def test_only_enumerate_strata_skips_the_weight_check():
-    # OnePSClass._of_checked is sound only for the weight tuples the
-    # quiver walk builds from a spec's checked dimensions.
-    root = Path(__file__).resolve().parent.parent
-    callers = []
-    sources = sorted((root / "src").rglob("*.py")) + sorted((root / "scripts").glob("*.py"))
-    for path in sources:
-        tree = ast.parse(path.read_text(), str(path))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "_of_checked":
-                    callers.append((path.name, getattr(top, "name", None)))
-    assert callers == [("quiver.py", "enumerate_strata")]
 
 
 def test_a_dropped_table_leaves_no_reference_cycle():

@@ -178,7 +178,7 @@ def test_status_round_trip_preserves_tuple_evidence():
 
 def test_connectivity_report_round_trip_with_thresholds():
     report = summarize_strata(DagFamily(10, 3), max_q=5)
-    payload = json.loads(report_to_json(report))
+    payload = json.loads("".join(report_to_json(report)))
     assert payload["convention_dependent_fields"] == list(CONVENTION_DEPENDENT_FIELDS)
     assert payload["thresholds"] == {
         "path_connected_from_n": 5,
@@ -190,14 +190,14 @@ def test_connectivity_report_round_trip_no_information():
     report = summarize_strata(
         ControlFamily(3, 2), convention=OrbitConvention.CENTRALIZER
     )
-    payload = json.loads(report_to_json(report))
+    payload = json.loads("".join(report_to_json(report)))
     assert payload["connectivity"] == "no_information"
     assert payload["d_min"] == 0
 
 
 def test_homotopy_rows_parse_back():
     report = summarize_strata(DagFamily(10, 3), max_q=5)
-    rows = json.loads(report_to_json(report))["homotopy"]
+    rows = json.loads("".join(report_to_json(report)))["homotopy"]
     assert rows == [
         {"q": q, "group": group}
         for q, group in enumerate(["0", "0", "Z^2", "0", "Z", "0"])
@@ -245,7 +245,7 @@ def test_no_floats_anywhere_in_payloads():
             for v in node:
                 walk(v)
 
-    walk(json.loads(report_to_json(summarize_strata(DagFamily(10, 3), max_q=5))))
+    walk(json.loads("".join(report_to_json(summarize_strata(DagFamily(10, 3), max_q=5)))))
     walk(
         instance_to_json(
             ControlInstance(
