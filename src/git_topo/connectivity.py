@@ -167,7 +167,8 @@ def summarize_strata(
     `StratumClass` rows in strata; "text", each row's text line in texts,
     and "json" its JSON text as well, both written as the family's
     `d_min` finds each row; None, nothing but d_min, which `homotopy`
-    and the path gate of `verify` read.
+    and the path gate of `verify` read, and which a quiver finds by a
+    search that builds no table (`QuiverSpec.d_min`).
     """
     if rows not in ROW_FORMS:
         raise DomainError(f"rows must be one of {ROW_FORMS}, not {rows!r}")

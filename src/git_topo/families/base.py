@@ -40,7 +40,11 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # destabilizes, so on a 2-CPU x86 machine `analyze quiver --json` on a
 # 17-vertex thin path with 15 arrows (2^17 candidates x 32 weights) took
 # 0.25-0.36 s and 54 MB with theta = (16, -1, ..., -1), and 0.5-0.7 s and
-# 90 MB with theta = 0.
+# 90 MB with theta = 0.  A quiver's d_min alone (`homotopy`, the path gate
+# of `verify`) counts, in the same units, only the tables its search reads
+# (`quiver._levels_work`).  At the limit they took 0.13-0.22 s to build
+# (three parallel arrows at dim (87, 87), one at (127, 127), one vertex of
+# dim 2047).
 MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
@@ -498,7 +502,12 @@ class FamilySpec:
         self, convention: OrbitConvention, texts: StratumTexts | None = None
     ) -> int | None:
         """The least value over `strata(convention)`, None when there is no
-        stratum; each row is written to texts when they are given."""
+        stratum; each row is written to texts when they are given.
+
+        A family may find the least value without its table when texts is
+        None, as the quiver family does by branch and bound; it must
+        equal the minimum over `strata(convention)` exactly.
+        """
         strata = self.strata(convention)
         if texts is not None:
             texts.add_classes(strata)

@@ -21,15 +21,18 @@ vertex, from tables built once per enumeration, and skips each prefix
 that theta already rules out.  The walk carries each row's labels down
 with it, its sub_dim and its per-vertex weight tuples, as tuples for
 `StratumClass` rows or as JSON texts.  From the texts `analyze` writes
-each row's text line and JSON text at the leaf, and `homotopy` and the
-path gate of `verify` keep only the least value, so neither builds a
-per-row object.
+each row's text line and JSON text at the leaf.  `homotopy` and the
+path gate of `verify` need only the least value, and a branch and bound
+over the same levels finds it (`_least_row`): it cuts each prefix that
+cannot beat the best row found, so it visits a few prefixes where the
+walk visits every row, and it builds no row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +46,7 @@ from git_topo.errors import (
     SizeLimitError,
 )
 from git_topo.families.base import (
+    MAX_STRATUM_WORK,
     FamilySpec,
     StabilityStatus,
     StratumClass,
@@ -73,6 +77,21 @@ from git_topo.linalg import ComplexRational, check_integers
 # 2499-2500; 1.0-1.2 s with the arrows and theta reversed; and 30-40 ms
 # on random graphs of that size.
 MAX_CLOSURE_GRAPH_SIZE = 2500
+
+# Most table reads one d_min search (`_least_row`) makes: per prefix it
+# extends, one per candidate k and one more per earlier vertex sharing
+# arrows with this one.  A thin cycle of v vertices with theta =
+# (v - 1, -1, ..., -1) takes about 8v (16k at v = 2000), the benchmark's
+# `homotopy` quivers 78-375.  On a 2-CPU x86 machine a read cost
+# 0.2-0.5 us, against 0.13-0.3 us a unit of MAX_STRATUM_WORK, so that
+# limit would have let a search run 1-2 s.  At this one the random
+# quivers that reach it (21-59 vertices, dense arrows) were refused after
+# 0.22-0.42 s in-process and 0.35-0.54 s for the whole `homotopy` command.
+# Past it a quiver whose table MAX_STRATUM_WORK admits is walked whole
+# instead: `homotopy` on the 16-vertex thin star with every arrow into its
+# last vertex, whose floors never cut, took 0.42-0.60 s so, against
+# 0.29-0.31 s for the table alone.
+MAX_SEARCH_READS = 2**20
 
 
 @dataclass(frozen=True)
@@ -325,10 +344,15 @@ class QuiverSpec(FamilySpec):
     def d_min(
         self, convention: OrbitConvention, texts: StratumTexts | None = None
     ) -> int | None:
-        """The least stratum value, from one walk (`_table`) that keeps the
-        least m + stabilizer, the row value plus 2 dim G halved.
+        """The least stratum value, 2(m + stabilizer) - 2 dim G at the row
+        with the least m + stabilizer.
 
-        With texts, each row's text line, and its JSON text when
+        Without texts that row is found by `_least_row`'s branch and
+        bound, which visits only prefixes that can still beat the best
+        row, builds no row and has its own size limits; past them the
+        table is walked for the least value alone, so whatever the
+        table's limit admits is answered.  With texts the table is walked
+        whole (`_table`): each row's text line, and its JSON text when
         texts.rows is a list, is written from the walk's text labels, so
         no per-row object exists.
         """
@@ -356,7 +380,16 @@ class QuiverSpec(FamilySpec):
                 descriptor = f'{{"sub_dim":[{sub}]}}'
                 rows.append(json_row(descriptor, m_text, orbit_text, rep, "[]", value))
 
-        _table(self, convention, True, keep)
+        if texts is not None:
+            _table(self, convention, True, keep)
+            return None if least is None else 2 * (least - dim_g)
+        try:
+            least = _least_row(self, convention)
+        except SizeLimitError as search_refusal:
+            try:
+                _table(self, convention, True, keep)
+            except SizeLimitError as table_refusal:
+                raise SizeLimitError(f"{search_refusal}; {table_refusal}") from None
         return None if least is None else 2 * (least - dim_g)
 
 
@@ -429,8 +462,6 @@ def _table(
     walk starts.
     """
     dims = spec.dim_vector
-    if all(d == 0 for d in dims):
-        raise DomainError("the zero dimension vector has no strata")
     check_stratum_work(
         math.prod(d + 1 for d in dims),
         sum(dims) + sum(dims[s] * dims[t] for s, t in spec.arrows),
@@ -465,6 +496,8 @@ def _walk_levels(
     without their brackets.
     """
     positive = spec.positive_vertices
+    if not positive:
+        raise DomainError("the zero dimension vector has no strata")
     weights = [
         tuple((0,) * k + (-1,) * (d - k) for k in range(d + 1))
         for d in (spec.dim_vector[v] for v in positive)
@@ -510,6 +543,20 @@ def _walk_levels(
     return levels[::-1]
 
 
+def _levels_work(spec: QuiverSpec) -> int:
+    """The weights `_walk_levels` computes, in MAX_STRATUM_WORK's units:
+    d_v + 1 weight tuples of d_v weights per positive vertex, and per
+    arrow between two of them (d_s + 1)(d_t + 1) `hom_negative_dim` terms
+    (d_s + 1 for a loop) of d_s + d_t weights each."""
+    dims = spec.dim_vector
+    work = sum(dims[v] * (dims[v] + 1) for v in spec.positive_vertices)
+    return work + sum(
+        (dims[s] + 1) * (dims[t] + 1 if s != t else 1) * (dims[s] + dims[t])
+        for s, t in spec.arrows
+        if dims[s] and dims[t]
+    )
+
+
 def _walk(
     levels: list[tuple],
     level: int,
@@ -529,8 +576,9 @@ def _walk(
     theta_sum + theta_vertex * k + rest < 0, as no completion reaches
     theta . d' >= 0; past it, a larger k only lowers the sum unless
     theta_vertex > 0.  So neither d' = 0 nor d' = dim is ever skipped.
-    Recursion is one frame per positive vertex, and the work limit admits
-    at most 17 of them (17 x 2^17 weights).
+    Recursion is one frame per positive vertex, and the work limit of a
+    table admits at most 17 of them (17 x 2^17 weights); `_least_row`,
+    which walks the same levels with no table, keeps its own stack.
     """
     vertex, theta_vertex, rest, own, stabilizers, pairs, subs, reps = levels[level]
     deeper = level + 1 < len(levels)
@@ -548,6 +596,88 @@ def _walk(
                   stabilizer + stabilizers[k], sub + subs[k], rep + reps[k], keep)
         else:
             keep(m + added, stabilizer + stabilizers[k], sub + subs[k], rep + reps[k])
+
+
+def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
+    """The least m + stabilizer over the rows of `enumerate_strata`, None
+    when there is none, by a branch and bound over `_walk`'s levels.
+
+    Every m and stabilizer term a level adds is non-negative, so a
+    prefix's m + stabilizer plus floors[i], the sum over the levels from
+    i on of min over k of own[k] + stabilizers[k], bounds every
+    completion from below; a prefix whose bound reaches the best row
+    found is cut, so the result is exact.  Otherwise the search keeps the
+    walk's rules: it skips the k theta rules out, and drops d' = 0 and
+    d' = dim only at the leaves.  It is depth first on an explicit stack,
+    the cheapest next k first, so its depth is not bounded by Python's
+    recursion limit.
+
+    It skips the table's work limit, which counts every candidate, and
+    has two of its own: before the levels are built, `_levels_work` up to
+    MAX_STRATUM_WORK, and while the search runs, its table reads up to
+    MAX_SEARCH_READS.  `QuiverSpec.d_min` walks the table whenever its
+    limit admits what these refuse.
+    """
+    tabulated = _levels_work(spec)
+    if tabulated > MAX_STRATUM_WORK:
+        raise SizeLimitError(
+            f"d_min search refused: its tables hold {tabulated} weights, "
+            f"over the limit of {MAX_STRATUM_WORK}"
+        )
+    levels = [
+        (vertex, theta_vertex, rest, tuple(map(operator.add, own, stabilizers)), pairs)
+        for vertex, theta_vertex, rest, own, stabilizers, pairs, _, _ in _walk_levels(
+            spec, convention, False
+        )
+    ]
+    floors = [0] * (len(levels) + 1)
+    for i in reversed(range(len(levels))):
+        floors[i] = floors[i + 1] + min(levels[i][3])
+    sub_dim = [0] * spec.vertex_count
+    best = math.inf
+    reads = 0
+    # (levels set, k at the last of them, theta . d', m + stabilizer,
+    # whether d' is 0 and whether it is dim on the levels set)
+    stack = [(0, 0, 0, 0, True, True)]
+    while stack:
+        depth, k, theta_sum, total, zero, full = stack.pop()
+        if total + floors[depth] >= best:
+            continue
+        if depth == len(levels):
+            if not (zero or full):
+                best = total
+            continue
+        if depth:
+            sub_dim[levels[depth - 1][0]] = k
+        _, theta_vertex, rest, costs, pairs = levels[depth]
+        reads += len(costs) * (1 + len(pairs))
+        if reads > MAX_SEARCH_READS:
+            raise SizeLimitError(
+                f"d_min search refused: past {MAX_SEARCH_READS} table reads, "
+                f"at level {depth + 1} of {len(levels)}"
+            )
+        pair_rows = [table[sub_dim[u]] for u, table in pairs]
+        bound = best - floors[depth + 1]
+        top = len(costs) - 1
+        children = []
+        for k, cost in enumerate(costs):
+            theta_next = theta_sum + theta_vertex * k
+            if theta_next + rest < 0:
+                if theta_vertex > 0:
+                    continue
+                break
+            cost += total
+            for row in pair_rows:
+                cost += row[k]
+            if cost < bound:
+                children.append((cost, k, theta_next))
+        children.sort(reverse=True)
+        depth += 1
+        stack += [
+            (depth, k, theta_next, cost, zero and k == 0, full and k == top)
+            for cost, k, theta_next in children
+        ]
+    return None if best == math.inf else best
 
 
 @dataclass(frozen=True)

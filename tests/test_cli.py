@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from git_topo import cli
+from git_topo import cli, harness
 from git_topo.cli import main
+from git_topo.connectivity import summarize_strata
 from git_topo.families import dag, quiver
 from git_topo.families.base import check_stratum_work
 from git_topo.groups import OrbitConvention
@@ -802,6 +803,19 @@ def test_check_refuses_unreadable_files(name, capsys, tmp_path):
     assert read_json(out_file)["error"]["type"] == "SchemaError"
 
 
+def _thin_cycle(vertices, theta):
+    arrows = ",".join(f"{i}->{i % vertices + 1}" for i in range(1, vertices + 1))
+    dims = ",".join(["1"] * vertices)
+    return ["quiver", "--arrows", arrows, "--dim", dims, "--theta=" + theta]
+
+
+def _heavy_cycle(vertices):
+    """A directed thin cycle with theta = (v - 1, -1, ..., -1): the best S
+    holds vertex 1 and one arrow leaves it, so d_min = 2."""
+    theta = [str(vertices - 1)] + ["-1"] * (vertices - 1)
+    return _thin_cycle(vertices, ",".join(theta))
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -818,9 +832,14 @@ def test_check_refuses_unreadable_files(name, capsys, tmp_path):
          "stratum enumeration refused"),
         (["analyze", "dag", "--samples", "10", "--parents", "2048"],
          "2048 classes x 2049 weights per class"),
+        (["homotopy", "quiver", "--arrows", "1->2,1->2,1->2", "--dim", "3000,3000",
+          "--theta=1,-1", "--max-q", "3", "--assume-free-action"],
+         "d_min search refused: its tables hold 162126024000 weights"),
+        (["analyze", *_heavy_cycle(18)], "stratum enumeration refused"),
     ],
     ids=["analyze-max-q", "homotopy-max-q", "quiver-300x300", "control-n-20000",
-         "dag-k-20000", "dag-k-2048"],
+         "dag-k-20000", "dag-k-2048", "homotopy-quiver-3000x3000",
+         "analyze-thin-cycle-18"],
 )
 def test_oversized_tables_are_refused_before_any_work(argv, message, capsys, tmp_path):
     out_file = tmp_path / "err.json"
@@ -1054,12 +1073,6 @@ def test_importing_the_cli_builds_no_parser():
     assert result.returncode == 0, result.stderr
 
 
-def _thin_cycle(vertices, theta):
-    arrows = ",".join(f"{i}->{i % vertices + 1}" for i in range(1, vertices + 1))
-    dims = ",".join(["1"] * vertices)
-    return ["quiver", "--arrows", arrows, "--dim", dims, "--theta=" + theta]
-
-
 def test_analyze_refuses_max_q_before_building_a_row(capsys, monkeypatch, tmp_path):
     def enumerated(*args):
         raise AssertionError("stratum rows built before --max-q was checked")
@@ -1075,13 +1088,14 @@ def test_analyze_refuses_max_q_before_building_a_row(capsys, monkeypatch, tmp_pa
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"
 
 
-def test_verify_refuses_the_path_gate_table_before_a_generic_trial(
+def test_verify_refuses_the_path_gate_search_before_a_generic_trial(
     capsys, monkeypatch, tmp_path
 ):
     def sampled(*args):
-        raise AssertionError("generic trials drawn before the path gate's table")
+        raise AssertionError("generic trials drawn before the path gate's d_min")
 
     monkeypatch.setattr(cli, "sample_generic_points", sampled)
+    monkeypatch.setattr(quiver, "MAX_SEARCH_READS", 64)
     out_file = tmp_path / "err.json"
     argv = _thin_cycle(20, ",".join(["1", "-1"] + ["0"] * 18))
     code, out, err = run(
@@ -1089,5 +1103,89 @@ def test_verify_refuses_the_path_gate_table_before_a_generic_trial(
         "--json", str(out_file),
     )
     assert code == 2 and out == ""
+    assert "d_min search refused: past 64 table reads" in err
+    assert read_json(out_file)["error"]["type"] == "SizeLimitError"
+
+
+@pytest.mark.parametrize("vertices", [18, 60, 2000])
+def test_homotopy_finds_d_min_past_the_table_limit(vertices, capsys, tmp_path):
+    out_file = tmp_path / "homotopy.json"
+    code, out, err = run(
+        capsys, "homotopy", *_heavy_cycle(vertices), "--max-q", "3",
+        "--assume-free-action", "--json", str(out_file),
+    )
+    assert (code, err) == (0, "")
+    assert "d_min = 2" in out.splitlines()
+    assert read_json(out_file)["d_min"] == 2
+
+
+@pytest.mark.parametrize("vertices", [18, 60])
+def test_verify_path_gate_finds_d_min_past_the_table_limit(
+    vertices, capsys, monkeypatch, tmp_path
+):
+    gates = []
+
+    def summarize(*args, **kwargs):
+        gates.append(summarize_strata(*args, **kwargs))
+        return gates[-1]
+
+    monkeypatch.setattr(harness, "summarize_strata", summarize)
+    out_file = tmp_path / "verify.json"
+    code, out, err = run(
+        capsys, "verify", *_heavy_cycle(vertices), "--trials", "1", "--paths", "1",
+        "--path-samples", "4", "--json", str(out_file),
+    )
+    assert (code, err) == (0, "")
+    assert [report.d_min for report in gates] == [2]
+    (gate,) = [r for r in read_json(out_file)["reports"] if r["op"] == "path_stability"]
+    assert not gate["skipped"] and gate["path_failures"] == 0
+
+
+def _star(vertices):
+    """A thin star with an arrow from each of vertices 1..v-1 into vertex v
+    and theta = (1, ..., 1, 1 - v): S = {i} has one arrow leaving it, so
+    d_min = 2.  No prefix pays an arrow term before the last level, so
+    the search's floors never cut and it reads past its budget; the
+    table, which its limit admits at v = 16, answers."""
+    arrows = ",".join(f"{i}->{vertices}" for i in range(1, vertices))
+    theta = ",".join(["1"] * (vertices - 1) + [str(1 - vertices)])
+    dims = ",".join(["1"] * vertices)
+    return ["quiver", "--arrows", arrows, "--dim", dims, "--theta=" + theta]
+
+
+def test_d_min_past_the_search_budget_comes_from_the_table(capsys, monkeypatch):
+    walks = []
+    table = quiver._table
+    monkeypatch.setattr(quiver, "_table", lambda *args: walks.append(table(*args)))
+    code, out, err = run(
+        capsys, "homotopy", *_star(16), "--max-q", "3", "--assume-free-action"
+    )
+    assert (code, err) == (0, "")
+    assert "d_min = 2" in out.splitlines()
+    code, out, err = run(
+        capsys, "verify", *_star(16), "--trials", "1", "--paths", "1",
+        "--path-samples", "4",
+    )
+    assert (code, err) == (0, "")
+    assert len(walks) == 2
+    monkeypatch.setattr(quiver, "MAX_SEARCH_READS", 50)
+    code, out, err = run(
+        capsys, "homotopy", *_heavy_cycle(16), "--max-q", "3", "--assume-free-action"
+    )
+    assert (code, err) == (0, "")
+    assert "d_min = 2" in out.splitlines()
+    assert len(walks) == 3
+
+
+def test_d_min_search_refuses_past_its_read_budget(capsys, monkeypatch, tmp_path):
+    argv = ["homotopy", *_heavy_cycle(18), "--max-q", "3", "--assume-free-action"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(quiver, "MAX_SEARCH_READS", 50)
+    out_file = tmp_path / "err.json"
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--json", str(out_file))
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert "d_min search refused: past 50 table reads" in err
     assert "stratum enumeration refused" in err
     assert read_json(out_file)["error"]["type"] == "SizeLimitError"

@@ -13,6 +13,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,15 +32,15 @@ HEAD_KEYS = ("convention", "d_min", "family", "homotopy", "notes")
 
 
 @st.composite
-def quivers(draw):
+def quivers(draw, vertices=(1, 4), top_dim=3, max_arrows=6):
     """1-4 vertices of dimension 0-3, 1-6 arrows with loops and parallel
-    arrows, and an admissible theta: any value at a dimension-0 vertex,
-    and a sum of multiples of d_j e_i - d_i e_j over the other vertices,
-    so theta = 0 and tables with no row occur."""
-    v = draw(st.integers(1, 4))
-    dims = draw(st.lists(st.integers(0, 3), min_size=v, max_size=v).filter(any))
+    arrows (or the given ranges), and an admissible theta: any value at a
+    dimension-0 vertex, and a sum of multiples of d_j e_i - d_i e_j over
+    the other vertices, so theta = 0 and tables with no row occur."""
+    v = draw(st.integers(*vertices))
+    dims = draw(st.lists(st.integers(0, top_dim), min_size=v, max_size=v).filter(any))
     vertex = st.integers(0, v - 1)
-    arrows = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6))
+    arrows = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=max_arrows))
     theta = [draw(st.integers(-3, 3)) if d == 0 else 0 for d in dims]
     positive = [i for i, d in enumerate(dims) if d]
     for i, j in zip(positive, positive[1:]):
@@ -115,6 +116,28 @@ def test_min_only_d_min_is_the_least_row_value(spec, convention):
     assert spec.d_min(convention) == least
     for rows in (None, "text", "json", "classes"):
         assert summarize_strata(spec, convention, rows=rows).d_min == least
+
+
+@given(quivers(vertices=(5, 9), top_dim=2, max_arrows=12))
+@example(QuiverSpec(5, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (3, 4), (4, 3), (2, 0)),
+                    (2, 1, 2, 0, 1), (1, 0, -1, 3, 0)))
+@example(QuiverSpec(9, tuple((i, (i + 1) % 9) for i in range(9)) + ((4, 4), (4, 5)),
+                    (1, 2, 1, 0, 2, 1, 2, 1, 0), (2, -1, 0, 5, 0, 0, -1, 2, -3)))
+@settings(max_examples=200, deadline=None)
+def test_d_min_search_is_the_least_row_value_on_larger_quivers(spec):
+    for convention in OrbitConvention:
+        rows = enumerate_strata(spec, convention)
+        assert spec.d_min(convention) == min((s.value for s in rows), default=None)
+
+
+@given(quivers(), st.sampled_from(list(OrbitConvention)))
+@settings(max_examples=100, deadline=None)
+def test_d_min_past_the_search_budget_is_the_least_row_value(spec, convention):
+    # With no read allowed the search gives up at its first prefix, and
+    # the table answers for it.
+    least = min((s.value for s in enumerate_strata(spec, convention)), default=None)
+    with mock.patch.object(quiver, "MAX_SEARCH_READS", 0):
+        assert spec.d_min(convention) == least
 
 
 def _cycle(v: int) -> list[str]:
