@@ -138,9 +138,12 @@ class ConnectivityReport:
 
     def row_texts(self, with_json: bool) -> StratumTexts:
         """The rows as texts, with their JSON texts if with_json is set: those
-        written while the table was built, or written now from strata."""
+        written while the table was built, or written now from strata.  A
+        report that kept no rows has none to give unless it has no stratum."""
         texts = self.texts
         if texts is None:
+            if not self.strata and self.d_min is not None:
+                raise ValueError("the report was built without its rows")
             texts = StratumTexts(self.family, self.convention, with_json)
             texts.add_classes(self.strata)
         elif with_json and texts.rows is None:

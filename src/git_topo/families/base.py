@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from git_topo.errors import SchemaError, SizeLimitError
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim, weight_counts
@@ -41,10 +41,11 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # 17-vertex thin path with 15 arrows (2^17 candidates x 32 weights) took
 # 0.25-0.36 s and 54 MB with theta = (16, -1, ..., -1), and 0.5-0.7 s and
 # 90 MB with theta = 0.  A quiver's d_min alone (`homotopy`, the path gate
-# of `verify`) counts, in the same units, only the tables its search reads
-# (`quiver._levels_work`).  At the limit they took 0.13-0.22 s to build
-# (three parallel arrows at dim (87, 87), one at (127, 127), one vertex of
-# dim 2047).
+# of `verify`) comes from a search that runs unlimited where this limit
+# admits the table; past it the search counts, in the same units, only
+# the tables it reads (`quiver._levels_work`).  At the limit they took
+# 0.13-0.22 s to build (three parallel arrows at dim (87, 87), one at
+# (127, 127), one vertex of dim 2047).
 MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
@@ -251,44 +252,13 @@ class StratumClass:
 
 
 class _Texts(dict):
-    """Exact int, or tuple of exact ints -> its JSON text, each encoded on
-    first use.  Only such values go in: True == 1 and hashes alike, so a
-    bool would be given the text of the int it equals."""
+    """Exact int -> its JSON text, encoded on first use.  Only exact ints
+    go in: True == 1 and hashes alike, so a bool would be given the text
+    of the int it equals."""
 
-    def __missing__(self, value: int | tuple[int, ...]) -> str:
+    def __missing__(self, value: int) -> str:
         text = self[value] = json_text(value)
         return text
-
-
-_EXACT_INTS = frozenset({int})
-
-
-def _descriptor_writer() -> Callable[[Mapping[str, Any]], str]:
-    """A function giving a stratum descriptor's canonical text, for the rows
-    of one table.
-
-    Every family's descriptor is a dict of one str key whose value is an
-    exact int or a tuple of them (`type(v) is int`, so never a bool).
-    Such a descriptor is written from two caches: `{"key":` encoded once
-    per key, and each int's text in a `_Texts`.  Any other descriptor
-    goes through `json_text` whole.
-    """
-    heads: dict[str, str] = {}
-    ints = _Texts().__getitem__
-
-    def write(descriptor: Mapping[str, Any]) -> str:
-        if type(descriptor) is dict and len(descriptor) == 1:
-            ((key, value),) = descriptor.items()
-            kind = type(value)
-            if type(key) is str and (
-                kind is int or kind is tuple and set(map(type, value)) <= _EXACT_INTS
-            ):
-                head = heads.get(key) or heads.setdefault(key, f"{{{json_text(key)}:")
-                body = ints(value) if kind is int else f'[{",".join(map(ints, value))}]'
-                return f"{head}{body}}}"
-        return json_text(descriptor)
-
-    return write
 
 
 def format_value(value) -> str:
@@ -308,9 +278,10 @@ class StratumTexts:
     field already written: the descriptor, and m, orbit_dim and value
     from `ints`, the table's cache of int texts.  The template's keys are
     in sorted order, so no dict is built and nothing is sorted per row.
-    A quiver table is written by its walk, from texts cached per table;
-    every other table from its `StratumClass` rows by `add_classes`,
-    which writes descriptors and weights from per-table caches too.
+    A quiver table is written by its walk, from label texts built once
+    per table; every other table, and any report of `StratumClass` rows,
+    by `add_classes`, which encodes each descriptor and weight list with
+    `json_text`.
     """
 
     def __init__(
@@ -343,8 +314,6 @@ class StratumTexts:
         )
 
     def add_classes(self, strata: Iterable[StratumClass]) -> None:
-        descriptor = _descriptor_writer()
-        weights = _Texts()
         ints = self.ints
         for s in strata:
             m, orbit, value = ints[s.m], ints[s.orbit_dim], ints[s.value]
@@ -353,11 +322,11 @@ class StratumTexts:
             if self.rows is not None:
                 rep = s.representative
                 self.rows.append(self.json_row(
-                    descriptor(s.descriptor),
+                    json_text(s.descriptor),
                     m,
                     orbit,
-                    ",".join(map(weights.__getitem__, rep.gl_weights)),
-                    weights[rep.torus_weights],
+                    ",".join(map(json_text, rep.gl_weights)),
+                    json_text(rep.torus_weights),
                     value,
                 ))
 

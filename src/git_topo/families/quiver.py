@@ -78,19 +78,19 @@ from git_topo.linalg import ComplexRational, check_integers
 # on random graphs of that size.
 MAX_CLOSURE_GRAPH_SIZE = 2500
 
-# Most table reads one d_min search (`_least_row`) makes: per prefix it
-# extends, one per candidate k and one more per earlier vertex sharing
-# arrows with this one.  A thin cycle of v vertices with theta =
-# (v - 1, -1, ..., -1) takes about 8v (16k at v = 2000), the benchmark's
-# `homotopy` quivers 78-375.  On a 2-CPU x86 machine a read cost
-# 0.2-0.5 us, against 0.13-0.3 us a unit of MAX_STRATUM_WORK, so that
-# limit would have let a search run 1-2 s.  At this one the random
-# quivers that reach it (21-59 vertices, dense arrows) were refused after
-# 0.22-0.42 s in-process and 0.35-0.54 s for the whole `homotopy` command.
-# Past it a quiver whose table MAX_STRATUM_WORK admits is walked whole
-# instead: `homotopy` on the 16-vertex thin star with every arrow into its
-# last vertex, whose floors never cut, took 0.42-0.60 s so, against
-# 0.29-0.31 s for the table alone.
+# Most table reads one d_min search (`_least_row`) makes on a quiver whose
+# table MAX_STRATUM_WORK refuses: per prefix it extends, one per candidate
+# k and one more per earlier vertex sharing arrows with this one.  A thin
+# cycle of v vertices with theta = (v - 1, -1, ..., -1) takes about 8v
+# (16k at v = 2000), the benchmark's `homotopy` quivers 78-375.  On a
+# 2-CPU x86 machine a read cost 0.2-0.5 us, against 0.13-0.3 us a unit of
+# MAX_STRATUM_WORK, so that limit would have let a search run 1-2 s.  At
+# this one the random quivers that reach it (21-59 vertices, dense arrows)
+# were refused after 0.22-0.42 s in-process and 0.35-0.54 s for the whole
+# `homotopy` command.  Where MAX_STRATUM_WORK admits the table the search
+# visits no prefix its walk does not, and runs with no budget:
+# `homotopy` on the 16-vertex thin star with every arrow into its last
+# vertex, whose floors never cut, took 0.21-0.22 s in-process.
 MAX_SEARCH_READS = 2**20
 
 
@@ -349,20 +349,20 @@ class QuiverSpec(FamilySpec):
 
         Without texts that row is found by `_least_row`'s branch and
         bound, which visits only prefixes that can still beat the best
-        row, builds no row and has its own size limits; past them the
-        table is walked for the least value alone, so whatever the
-        table's limit admits is answered.  With texts the table is walked
-        whole (`_table`): each row's text line, and its JSON text when
+        row and builds no row.  With texts the table is walked whole
+        (`_table`): each row's text line, and its JSON text when
         texts.rows is a list, is written from the walk's text labels, so
         no per-row object exists.
         """
         dim_g = group_dim(self.group())
+        if texts is None:
+            least = _least_row(self, convention)
+            return None if least is None else 2 * (least - dim_g)
         zero = ",".join("0" * self.vertex_count)
         full = ",".join(map(str, self.dim_vector))
+        lines, rows, ints = texts.lines, texts.rows, texts.ints
+        line, json_row = texts.line, texts.json_row
         least = None
-        if texts is not None:
-            lines, rows, ints = texts.lines, texts.rows, texts.ints
-            line, json_row = texts.line, texts.json_row
 
         def keep(m: int, stabilizer: int, sub: str, rep: str) -> None:
             nonlocal least
@@ -370,8 +370,6 @@ class QuiverSpec(FamilySpec):
                 return
             if least is None or m + stabilizer < least:
                 least = m + stabilizer
-            if texts is None:
-                return
             orbit = dim_g - stabilizer
             m_text, orbit_text, value = ints[m], ints[orbit], ints[2 * (m - orbit)]
             descriptor = f"sub_dim=({sub.replace(',', ', ')})"
@@ -380,16 +378,7 @@ class QuiverSpec(FamilySpec):
                 descriptor = f'{{"sub_dim":[{sub}]}}'
                 rows.append(json_row(descriptor, m_text, orbit_text, rep, "[]", value))
 
-        if texts is not None:
-            _table(self, convention, True, keep)
-            return None if least is None else 2 * (least - dim_g)
-        try:
-            least = _least_row(self, convention)
-        except SizeLimitError as search_refusal:
-            try:
-                _table(self, convention, True, keep)
-            except SizeLimitError as table_refusal:
-                raise SizeLimitError(f"{search_refusal}; {table_refusal}") from None
+        _table(self, convention, True, keep)
         return None if least is None else 2 * (least - dim_g)
 
 
@@ -457,18 +446,24 @@ def _table(
     and call keep(m, stabilizer, sub, rep) on each; see `_walk_levels`
     for the labels sub and rep.
 
-    The work limit counts every candidate d', each with sum dim_i weights
-    on G and one weight per arrow coordinate on V, and refuses before the
-    walk starts.
+    `_check_table` refuses a table past its work limit before the walk
+    starts.
     """
+    _check_table(spec)
+    empty = "" if text else ()
+    levels = _walk_levels(spec, convention, text)
+    _walk(levels, 0, [0] * spec.vertex_count, 0, 0, 0, empty, empty, keep)
+
+
+def _check_table(spec: QuiverSpec) -> None:
+    """Refuse a table past MAX_STRATUM_WORK: its work counts every
+    candidate d', each with sum dim_i weights on G and one weight per
+    arrow coordinate on V."""
     dims = spec.dim_vector
     check_stratum_work(
         math.prod(d + 1 for d in dims),
         sum(dims) + sum(dims[s] * dims[t] for s, t in spec.arrows),
     )
-    empty = "" if text else ()
-    levels = _walk_levels(spec, convention, text)
-    _walk(levels, 0, [0] * len(dims), 0, 0, 0, empty, empty, keep)
 
 
 def _walk_levels(
@@ -612,18 +607,24 @@ def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
     the cheapest next k first, so its depth is not bounded by Python's
     recursion limit.
 
-    It skips the table's work limit, which counts every candidate, and
-    has two of its own: before the levels are built, `_levels_work` up to
-    MAX_STRATUM_WORK, and while the search runs, its table reads up to
-    MAX_SEARCH_READS.  `QuiverSpec.d_min` walks the table whenever its
-    limit admits what these refuse.
+    It visits only prefixes the walk of `_table` visits and reads the same
+    tables at each, so where the table's limit (`_check_table`) admits the
+    quiver it runs with no limit of its own.  Past that limit it has two:
+    before the levels are built, `_levels_work` up to MAX_STRATUM_WORK,
+    and while the search runs, its table reads up to MAX_SEARCH_READS.
+    Its refusal names the table's as well.
     """
-    tabulated = _levels_work(spec)
-    if tabulated > MAX_STRATUM_WORK:
-        raise SizeLimitError(
-            f"d_min search refused: its tables hold {tabulated} weights, "
-            f"over the limit of {MAX_STRATUM_WORK}"
-        )
+    budget, table_refusal = math.inf, ""
+    try:
+        _check_table(spec)
+    except SizeLimitError as exc:
+        budget, table_refusal = MAX_SEARCH_READS, f"; {exc}"
+        tabulated = _levels_work(spec)
+        if tabulated > MAX_STRATUM_WORK:
+            raise SizeLimitError(
+                f"d_min search refused: its tables hold {tabulated} weights, "
+                f"over the limit of {MAX_STRATUM_WORK}{table_refusal}"
+            ) from None
     levels = [
         (vertex, theta_vertex, rest, tuple(map(operator.add, own, stabilizers)), pairs)
         for vertex, theta_vertex, rest, own, stabilizers, pairs, _, _ in _walk_levels(
@@ -651,10 +652,10 @@ def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
             sub_dim[levels[depth - 1][0]] = k
         _, theta_vertex, rest, costs, pairs = levels[depth]
         reads += len(costs) * (1 + len(pairs))
-        if reads > MAX_SEARCH_READS:
+        if reads > budget:
             raise SizeLimitError(
-                f"d_min search refused: past {MAX_SEARCH_READS} table reads, "
-                f"at level {depth + 1} of {len(levels)}"
+                f"d_min search refused: past {budget} table reads, "
+                f"at level {depth + 1} of {len(levels)}{table_refusal}"
             )
         pair_rows = [table[sub_dim[u]] for u, table in pairs]
         bound = best - floors[depth + 1]

@@ -1145,18 +1145,26 @@ def _star(vertices):
     """A thin star with an arrow from each of vertices 1..v-1 into vertex v
     and theta = (1, ..., 1, 1 - v): S = {i} has one arrow leaving it, so
     d_min = 2.  No prefix pays an arrow term before the last level, so
-    the search's floors never cut and it reads past its budget; the
-    table, which its limit admits at v = 16, answers."""
+    the search's floors never cut and it reads past its budget; at v = 16
+    the table's limit admits the star, so the search runs unbudgeted."""
     arrows = ",".join(f"{i}->{vertices}" for i in range(1, vertices))
     theta = ",".join(["1"] * (vertices - 1) + [str(1 - vertices)])
     dims = ",".join(["1"] * vertices)
     return ["quiver", "--arrows", arrows, "--dim", dims, "--theta=" + theta]
 
 
-def test_d_min_past_the_search_budget_comes_from_the_table(capsys, monkeypatch):
-    walks = []
-    table = quiver._table
-    monkeypatch.setattr(quiver, "_table", lambda *args: walks.append(table(*args)))
+def test_d_min_past_the_search_budget_comes_from_the_search(capsys, monkeypatch):
+    def walked(*args):
+        raise AssertionError("a stratum table walked for d_min alone")
+
+    gates = []
+
+    def summarize(*args, **kwargs):
+        gates.append(summarize_strata(*args, **kwargs))
+        return gates[-1]
+
+    monkeypatch.setattr(quiver, "_table", walked)
+    monkeypatch.setattr(harness, "summarize_strata", summarize)
     code, out, err = run(
         capsys, "homotopy", *_star(16), "--max-q", "3", "--assume-free-action"
     )
@@ -1167,14 +1175,13 @@ def test_d_min_past_the_search_budget_comes_from_the_table(capsys, monkeypatch):
         "--path-samples", "4",
     )
     assert (code, err) == (0, "")
-    assert len(walks) == 2
+    assert [report.d_min for report in gates] == [2]
     monkeypatch.setattr(quiver, "MAX_SEARCH_READS", 50)
     code, out, err = run(
         capsys, "homotopy", *_heavy_cycle(16), "--max-q", "3", "--assume-free-action"
     )
     assert (code, err) == (0, "")
     assert "d_min = 2" in out.splitlines()
-    assert len(walks) == 3
 
 
 def test_d_min_search_refuses_past_its_read_budget(capsys, monkeypatch, tmp_path):

@@ -22,6 +22,7 @@ from git_topo.reports import render_connectivity_text
 from git_topo.serialize import canonical_dumps, report_to_json
 
 from report_json_oracle import oracle_report_text, one_ps_to_json
+from report_text_oracle import oracle_connectivity_lines
 from test_family_interface import ScalingFamily
 
 
@@ -40,10 +41,19 @@ def assert_same_text(text, expected):
 
 
 def assert_matches_oracle(spec, convention, max_q=None):
+    """Every row form writes the oracle's texts: the report of
+    `StratumClass` rows, written when it is rendered, and the reports of
+    rows written while the table is built, as `analyze` writes them."""
     report = summarize_strata(spec, convention, max_q=max_q)
-    text = "".join(report_to_json(report))
-    assert_same_text(text, oracle_report_text(report))
-    assert_same_text(text, canonical_dumps(json.loads(text)))
+    expected = oracle_report_text(report)
+    expected_lines = oracle_connectivity_lines(report)
+    for rows in ("classes", "text", "json"):
+        written = summarize_strata(spec, convention, max_q=max_q, rows=rows)
+        assert render_connectivity_text(written) == expected_lines
+        if rows != "text":
+            text = "".join(report_to_json(written))
+            assert_same_text(text, expected)
+            assert_same_text(text, canonical_dumps(json.loads(text)))
     return report
 
 
@@ -61,6 +71,14 @@ def test_control_reports_match_the_oracle(n, m, convention, max_q):
 def test_dag_reports_with_thresholds_match_the_oracle(n, k, convention, max_q):
     report = assert_matches_oracle(DagFamily(n, k), convention, max_q)
     assert report.thresholds
+
+
+@pytest.mark.parametrize("convention", list(OrbitConvention))
+@pytest.mark.parametrize(
+    "spec", [ControlFamily(40, 1), ControlFamily(40, 2), DagFamily(40, 10)], ids=repr
+)
+def test_largest_benchmark_shapes_match_the_oracle(spec, convention):
+    assert_matches_oracle(spec, convention, max_q=5)
 
 
 @pytest.mark.parametrize("max_q", [None, 3])
@@ -142,7 +160,7 @@ def hand_built_reports(draw):
     )
 
 
-# 1 and 0 are cached first; True and False after them keep their own text.
+# 1 and 0 come first; True and False after them keep their own text.
 BOOLS_AFTER_EQUAL_INTS = ConnectivityReport(
     "quiver",
     OrbitConvention.PARABOLIC,

@@ -1,3 +1,5 @@
+import pytest
+
 from git_topo.connectivity import CONTRACTIBLE, summarize_strata
 from git_topo.families.control import ControlFamily
 from git_topo.families.dag import DagFamily
@@ -9,6 +11,7 @@ from git_topo.reports import (
     render_harness_text,
     render_status_text,
 )
+from git_topo.serialize import report_to_json
 from git_topo.harness import draw_instance
 
 
@@ -52,6 +55,21 @@ def test_render_contractible_lines():
     assert "strata: none" in lines
     assert "d_min: none (no destabilizing classes: V^st = V)" in lines
     assert "connectivity: contractible (V^st is all of V)" in lines
+
+
+def test_a_report_without_its_rows_writes_no_table():
+    # d_min alone is kept: no table may be printed as if it were empty.
+    for spec in (ControlFamily(3, 2), kronecker_spec()):
+        report = summarize_strata(spec, rows=None)
+        assert report.d_min == 4
+        with pytest.raises(ValueError, match="without its rows"):
+            render_connectivity_text(report)
+        with pytest.raises(ValueError, match="without its rows"):
+            "".join(report_to_json(report))
+    # With no stratum at all there is nothing to keep.
+    lines = render_connectivity_text(summarize_strata(ControlFamily(1, 2), rows=None))
+    assert "strata: none" in lines
+    assert "d_min: none (no destabilizing classes: V^st = V)" in lines
 
 
 def test_render_dag_threshold_line():

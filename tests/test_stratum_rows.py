@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from git_topo.cli import main
 from git_topo.connectivity import summarize_strata
+from git_topo.errors import SizeLimitError
 from git_topo.families import QuiverSpec, quiver
 from git_topo.families.base import StratumTexts
 from git_topo.families.quiver import enumerate_strata
@@ -130,14 +131,25 @@ def test_d_min_search_is_the_least_row_value_on_larger_quivers(spec):
         assert spec.d_min(convention) == min((s.value for s in rows), default=None)
 
 
-@given(quivers(), st.sampled_from(list(OrbitConvention)))
+def _refuse_table(spec):
+    raise SizeLimitError("stratum enumeration refused: over the limit")
+
+
+@given(quivers(), st.sampled_from(list(OrbitConvention)), st.integers(0, 64))
 @settings(max_examples=100, deadline=None)
-def test_d_min_past_the_search_budget_is_the_least_row_value(spec, convention):
-    # With no read allowed the search gives up at its first prefix, and
-    # the table answers for it.
+def test_d_min_past_the_search_budget_is_the_least_row_value(spec, convention, budget):
+    # With the table refused the search keeps its read budget: it either
+    # finishes within it or refuses, naming both refusals.
     least = min((s.value for s in enumerate_strata(spec, convention)), default=None)
-    with mock.patch.object(quiver, "MAX_SEARCH_READS", 0):
-        assert spec.d_min(convention) == least
+    with mock.patch.object(quiver, "_check_table", _refuse_table), \
+            mock.patch.object(quiver, "MAX_SEARCH_READS", budget):
+        try:
+            d_min = spec.d_min(convention)
+        except SizeLimitError as exc:
+            assert f"d_min search refused: past {budget} table reads" in str(exc)
+            assert str(exc).endswith("; stratum enumeration refused: over the limit")
+        else:
+            assert d_min == least
 
 
 def _cycle(v: int) -> list[str]:
