@@ -50,28 +50,28 @@ MAX_STRATUM_WORK = 2**22
 
 # Most integers one drawn point may have: n(n + m) for control, n(k + 1)
 # for DAG, two per arrow for a quiver.  On a 2-CPU x86 machine a trial at
-# the limit drew its point in 20-25 ms and checked it in 10-21 ms: 21 ms
-# at control (3, 21842) (the Krylov certificate packs only the columns
-# of B it reads; exact Bareiss took 150-180 ms), 15-21 ms at DAG
-# (16384, 3), 10-11 ms on a 32768-arrow Kronecker quiver.  Square
-# control shapes stay below the limit, and with the Krylov certificate
-# mod p a trial there cost 7 ms at n = 40, 18 ms at n = 60, 54 ms at
-# n = 100 and 0.42 s at n = 250, with m = 1 (exact Bareiss alone took
-# 21 s at n = 100).
+# the limit drew its point in 14-15 ms and checked it in 0.3-4 ms: 0.3 ms
+# at control (3, 21842) (the exact rank builds only the Krylov columns it
+# reads), 4 ms at DAG (16384, 3) and on a 32768-arrow Kronecker quiver.
+# Square control shapes stay below the limit, and with the Krylov
+# certificate mod p a trial there cost 7 ms at n = 40, 18 ms at n = 60,
+# 54 ms at n = 100 and 0.42 s at n = 250, with m = 1 (exact Bareiss alone
+# took 21 s at n = 100).
 MAX_POINT_ENTRIES = 2**16
 
 # Most work, point checks x integers per point, one verify run accepts
 # (generic trials plus path points).  On a 2-CPU x86 machine a control
-# trial cost 0.3-9 us per integer of its point: 31-40 us at (3, 2),
-# 4.7 ms at (40, 2), 47 ms at (100, 1), and the most, 0.42-0.54 s, at
-# (250, 1); a wide B costs little once the Krylov certificate applies
-# (1.2 ms at (9, 200), 21 ms at (3, 21842)).  So a control run at the
-# limit takes 5 s to two and a half minutes; it accepts 2^20 trials at
-# (3, 2) and about 1700 at (100, 1).  DAG and thin-quiver trials cost
-# about 1 us per integer (38 us at DAG (10, 3), 50 ms at (16384, 3), 26 us
-# on a 20-vertex thin cycle), so their runs stop near 11-16 s: 419430
-# trials at DAG (10, 3) or on that cycle, 256 at (16384, 3), and every
-# Kronecker run under MAX_TRIALS.
+# trial cost 0.25-5.4 us per integer of its point: 13 us at (3, 2),
+# 3.5 ms at (40, 2), 31 ms at (100, 1), and the most, 0.33-0.34 s, at
+# (250, 1); a wide B costs little, since the exact rank reads only the
+# Krylov columns it needs (0.52 ms at (9, 200), 16 ms at (3, 21842), most
+# of it the draw).  So a control run at the limit takes 4 s to a minute
+# and a half; it accepts 2^20 trials at (3, 2) and about 1700 at
+# (100, 1).  DAG and thin-quiver trials cost 0.3-0.6 us per integer
+# (13 us at DAG (10, 3), 20 ms at (16384, 3), 22 us on a 20-vertex thin
+# cycle), so their runs stop near 5-9 s: 419430 trials at DAG (10, 3) or
+# on that cycle, 256 at (16384, 3), and every Kronecker run under
+# MAX_TRIALS.
 MAX_TRIAL_WORK = 2**24
 
 
@@ -431,9 +431,11 @@ class FamilySpec:
     The base class gives the rest, which a family overrides where it
     differs: `draw_flat(rng, bound)` draws `flat_size` integers in
     [-bound, bound], `draw_generic` (the same, minus points generic
-    sampling excludes) calls `draw_flat`, `path_suspects(entry_polys,
-    n_samples)`, the samples of a quadratic path a certificate mod
-    2^61 - 1 cannot clear, is every sample, `from_args(args)` passes the
+    sampling excludes) calls `draw_flat`, `draw_generic_block` draws
+    the `draw_generic` points of consecutive trials in one packed pass,
+    `path_suspects(entry_polys, n_samples)`, the samples of a quadratic
+    path a certificate mod 2^61 - 1 cannot clear, is every sample,
+    `from_args(args)` passes the
     flags to the constructor in order, `to_json()` writes the name and
     the fields, `thresholds(convention)` is empty, and
     `d_min(convention, texts)`, the least stratum value, reads it off
@@ -458,6 +460,25 @@ class FamilySpec:
 
     def draw_generic(self, rng, bound: int) -> list[int]:
         return self.draw_flat(rng, bound)
+
+    def draw_generic_block(
+        self, stream, first: int, trials: int, bound: int
+    ) -> list[list[int]]:
+        """`[self.draw_generic(stream.split(i), bound) for i in range(first,
+        first + trials)]`, the draws packed by `stream.split_ints`.
+
+        A family that overrides `draw_flat` or `draw_generic` overrides
+        this too, or each of its trials is drawn by `draw_generic`.
+        """
+        draws = (type(self).draw_flat, type(self).draw_generic)
+        if draws == (FamilySpec.draw_flat, FamilySpec.draw_generic):
+            words = stream.split_ints(first, trials, -bound, bound, self.flat_size)
+        else:
+            words = [None] * trials
+        return [
+            flat if flat is not None else self.draw_generic(stream.split(i), bound)
+            for i, flat in enumerate(words, first)
+        ]
 
     def path_suspects(self, entry_polys, n_samples: int) -> Sequence[int]:
         # Every sample, checked pointwise: cheap where a point check is, as

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import (
@@ -31,7 +31,7 @@ from git_topo.linalg import (
     PRIME,
     Matrix,
     check_integers,
-    int_rank,
+    echelon_pivots,
     integer_entries,
     minor_gcd,
     poly_dot,
@@ -51,19 +51,22 @@ from git_topo.linalg import (
 # 53 ms at n = 10.  The cut sits where both lose from n = 10 on.
 MAX_CERTIFIED_N = 9
 
-# Fewest entries, n x nm, of a Krylov matrix whose rank check first tries
-# the full-rank certificate mod p.  On a 2-CPU x86 machine, with random
-# entries in [-9, 9] and the same inputs for both (median of 9 draws, in
-# us, certificate against exact Bareiss): at m = 1 the matrix is square
-# and read whole, and Bareiss stays ahead to n = 12 (419 against 369),
-# with the certificate first ahead at n = 13 (442 against 471) and far
-# ahead at n = 40 (5.7 against 61 ms).  A wider B gives Bareiss n of nm
-# rows of lower degree in A, and the certificate reads only the columns
-# it needs, so the crossover falls with m: n = 10-11 at m = 2 (207
-# against 198 at 10, 244 against 268 at 11), 8-9 at m = 3, 7 at m = 4,
-# 5-6 at m = 6, 3-4 at m = 12 and 1 at m = 200 (8 against 73).  n^2 m
-# >= 13^2 follows it to within a step of n.
-MIN_KRYLOV_CERTIFIED_ENTRIES = 169
+# Least state dimension n whose Krylov rank check first tries the
+# full-rank certificate mod p, at m = 1; a wider B raises it.  On a 2-CPU
+# x86 machine, with random entries in [-9, 9] and the same inputs for
+# both (median of 9 draws, in us, certificate against exact Bareiss): at
+# m = 1 the matrix is square and read whole, and Bareiss stays ahead to
+# n = 12 (275 against 244), the two are level at n = 13 (322 against 337,
+# and 606 against 605 in a slower run), and the certificate is ahead from
+# n = 14 (370 against 434) and far ahead at n = 40 (4.9 against 80 ms).
+# Bareiss builds a Krylov column only when it reads it and stops at n
+# pivots, so a wider B gives it n columns of lower degree in A, and the
+# crossover rises with m: n = 15-16 at m = 2 (790 against 776 at 15, 904
+# against 915 at 16), 17 at m = 3, 18-19 at m = 4, 20 at m = 6, 23-24 at
+# m = 12, and 30 at m = 43 and at m = 200 (1707 against 1754), where B
+# alone holds n columns.  n^4 >= 13^4 min(m, n) follows it to within a
+# step of n.
+MIN_KRYLOV_CERTIFIED_N = 13
 
 
 @dataclass(frozen=True)
@@ -196,19 +199,28 @@ def controllability_rank_ints(
 ) -> int:
     """Rank of the controllability matrix for integer A, B (fast path).
 
-    From MIN_KRYLOV_CERTIFIED_ENTRIES entries on, full rank mod p is
-    tried first: it proves full rank over Q.  Every other outcome, and
-    every smaller Krylov matrix, runs exact Bareiss on the whole of it.
+    From n^4 >= MIN_KRYLOV_CERTIFIED_N^4 min(m, n) on, full rank mod p
+    is tried first: it proves full rank over Q.  Every other outcome, and
+    every smaller shape, runs exact Bareiss on the Krylov columns, each
+    built only when the elimination reads it: B's columns, then column
+    c of A^(t+1) B as A times column c of A^t B.  The elimination stops
+    at n pivots, so a controllable pair never builds the rest.
     """
-    certified = n * n * m >= MIN_KRYLOV_CERTIFIED_ENTRIES
+    certified = n**4 >= MIN_KRYLOV_CERTIFIED_N**4 * min(m, n)
     if certified and _krylov_full_rank_mod_p(n, m, a_rows, b_rows):
         return n
-    current = [[b_rows[i][j] for i in range(n)] for j in range(m)]
-    krylov = list(current)
-    for _ in range(n - 1):
-        current = [[sum(map(operator.mul, row, col)) for row in a_rows] for col in current]
-        krylov.extend(current)
-    return int_rank(krylov)
+
+    def columns() -> Iterator[list[int]]:
+        built: list[list[int]] = []
+        for c in range(n * m):
+            if c < m:
+                col = [row[c] for row in b_rows]
+            else:
+                col = [sum(map(operator.mul, row, built[c - m])) for row in a_rows]
+            built.append(col)
+            yield col
+
+    return len(echelon_pivots(columns(), n))
 
 
 def _krylov_full_rank_mod_p(

@@ -193,8 +193,7 @@ class DagInstance:
 
 def parent_rank_ints(n: int, k: int, y_flat: Sequence[int]) -> int:
     """Rank of the parent block from flat integer Y entries (fast path)."""
-    rows = [[y_flat[i * (k + 1) + j] for j in range(k)] for i in range(n)]
-    return int_rank(rows)
+    return int_rank([y_flat[i * (k + 1) : i * (k + 1) + k] for i in range(n)])
 
 
 def dag_status(inst: DagInstance) -> StabilityStatus:

@@ -276,8 +276,11 @@ class QuiverSpec(FamilySpec):
 
     def draw_flat(self, rng, bound: int) -> list[int]:
         """Two entries per live arrow, drawn in arrow order; zeros elsewhere."""
+        return self._scatter(rng.ints(-bound, bound, 2 * len(self._live_arrows)))
+
+    def _scatter(self, values: list[int]) -> list[int]:
+        """The flat point with `values` on the live arrows, in arrow order."""
         live = self._live_arrows
-        values = rng.ints(-bound, bound, 2 * len(live))
         if len(live) == len(self.arrows):
             return values
         flat = [0] * self.flat_size
@@ -297,6 +300,20 @@ class QuiverSpec(FamilySpec):
         while has_live and not any(flat):
             flat = self.draw_flat(rng, bound)
         return flat
+
+    def draw_generic_block(
+        self, stream, first: int, trials: int, bound: int
+    ) -> list[list[int]]:
+        """`draw_generic` of each trial from `first` on, its first draw_flat
+        packed by `stream.split_ints`.  A trial whose first draw is the
+        origin, or holds a rejected word, is redrawn by `draw_generic`."""
+        count = 2 * len(self._live_arrows)
+        words = stream.split_ints(first, trials, -bound, bound, count)
+        return [
+            self._scatter(values) if values is not None and any(values)
+            else self.draw_generic(stream.split(i), bound)
+            for i, values in enumerate(words, first)
+        ]
 
     def instance_from_flat(self, flat: Sequence[int]) -> "ThinQuiverRep":
         values = tuple(

@@ -60,17 +60,21 @@ MAX_ENDPOINT_ATTEMPTS = 1000
 MAX_KRONECKER_GRID_POINTS = 2**20
 # Most generic-point trials, path points (paths x path_samples) and
 # constructed degenerate trials one run accepts, each at most about a
-# minute of work on the same machine: a generic trial costs 8-40 us at
+# minute of work on the same machine: a generic trial costs 3-13 us at
 # control (3, 2), DAG (10, 3) and Kronecker sizes, and a degenerate DAG
 # (10, 3) trial, which stabilizes by fraction-free elimination,
-# 0.4-0.5 ms.  A path point at those sizes costs 1.3-2.1 us on a
-# certified control or DAG path of 256 samples, 13-15 us when every
-# sample of such a path is a suspect, and about 2.3 us on a Kronecker
+# 0.35-0.39 ms.  A path point at those sizes costs 1.1-3.0 us on a
+# certified control or DAG path of 256 samples, 5-9 us when every
+# sample of such a path is a suspect, and about 2.2 us on a Kronecker
 # path, which is always checked pointwise.  Control runs at larger n
 # also meet base.MAX_TRIAL_WORK.
 MAX_TRIALS = 2**20
 MAX_PATH_POINTS = 2**20
 MAX_DEGENERATE_TRIALS = 2**16
+
+# Generic trials drawn per `draw_generic_block` call: one packed pass of
+# the rng, whose blocks hold 64 trials, and a bounded list of points.
+_GENERIC_BLOCK = 64
 
 # Stream tags keep the per-op draws disjoint for a shared seed.
 _OP_GENERIC = 0
@@ -182,7 +186,15 @@ def draw_instance(cfg: TrialConfig, index: int):
 
 
 def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
-    """Draw random integer instances and count non-Stable verdicts."""
+    """Draw random integer instances and count non-Stable verdicts.
+
+    Trial i checks `draw_instance(cfg, i)`'s point: the spec's
+    `draw_generic` on the stream keyed by (seed, op, i).  The points are
+    drawn 64 trials at a time by `draw_generic_block`, which computes
+    the words of every trial in a block in one packed pass and redraws
+    a trial through its own stream only where that pass cannot give its
+    point (a rejected word, or a quiver point at the origin).
+    """
     start = time.monotonic()
     spec = cfg.family_spec
     if not spec.has_stable_points():
@@ -190,10 +202,11 @@ def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
         return _skipped(OP_GENERIC_POINTS, cfg, start, note)
     unstable = 0
     stream = CounterRng(cfg.seed, _OP_GENERIC)
-    for i in range(cfg.trials):
-        flat = spec.draw_generic(stream.split(i), cfg.entry_bound)
-        if not spec.status_flat(flat).is_stable:
-            unstable += 1
+    for first in range(0, cfg.trials, _GENERIC_BLOCK):
+        trials = min(_GENERIC_BLOCK, cfg.trials - first)
+        for flat in spec.draw_generic_block(stream, first, trials, cfg.entry_bound):
+            if not spec.status_flat(flat).is_stable:
+                unstable += 1
     return HarnessReport(
         op=OP_GENERIC_POINTS,
         config=cfg,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from git_topo.errors import DomainError, ShapeError
 from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.control import (
-    MIN_KRYLOV_CERTIFIED_ENTRIES,
+    MIN_KRYLOV_CERTIFIED_N,
     ControlFamily,
     ControlInstance,
     control_status,
@@ -224,14 +224,15 @@ def test_verdict_invariant_under_scalar_scaling(pair, scale):
 def first_certified_n(m):
     """The smallest n whose n x nm Krylov matrix gets the certificate."""
     n = 1
-    while n * n * m < MIN_KRYLOV_CERTIFIED_ENTRIES:
+    while n**4 < MIN_KRYLOV_CERTIFIED_N**4 * min(m, n):
         n += 1
     return n
 
 
 def test_the_certificate_starts_at_the_measured_crossovers():
-    assert [first_certified_n(m) for m in (1, 2, 3, 4, 6, 12, 200)] == [
-        13, 10, 8, 7, 6, 4, 1
+    # Measured: 13, 15-16, 17, 18-19, 20, 23-24, 30 and 30.
+    assert [first_certified_n(m) for m in (1, 2, 3, 4, 6, 12, 43, 200)] == [
+        13, 16, 18, 19, 21, 25, 31, 31
     ]
 
 
@@ -300,3 +301,45 @@ def test_certified_rank_matches_invariant_subspace_dim(pair):
     assert controllability_rank_ints(len(a), len(b[0]), a, b) == (
         invariant_subspace_dim(inst)
     )
+
+
+# The exact rank builds Krylov columns only as the elimination reads them;
+# these pairs make it read past the first pivots, or all n m columns.
+def shift(n, reach):
+    """A sends e_j to e_(j+1) for j + 1 < reach and every other e_j to 0."""
+    return [[int(i == j + 1 < reach) for j in range(n)] for i in range(n)]
+
+
+CERTIFIED_N = first_certified_n(2)
+LATE_PIVOT_PAIRS = {
+    # B's first column is zero; A cycles the basis.
+    "zero first column": (
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 1], [0, 0], [0, 0]]
+    ),
+    # A nilpotent: B = e_1 reaches every e_j, B = e_3 only e_3 and e_4.
+    "nilpotent chain": (shift(4, 4), [[1], [0], [0], [0]]),
+    "nilpotent, rank n - 2": (shift(4, 4), [[0], [0], [1], [0]]),
+    # Krylov rank n - 1: A's eigenvalue 2 is repeated.
+    "rank n - 1": ([[1, 0, 0], [0, 2, 0], [0, 0, 2]], [[1], [1], [0]]),
+    # Krylov rank n - 2 with every column read: Im B is A-invariant.
+    "rank n - 2, invariant B": (
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
+        [[1, 0], [0, 1], [0, 0], [0, 0]],
+    ),
+    "zero B": ([[1, 2], [3, 4]], [[0], [0]]),
+    # At the certified size, rank n - 1: the certificate fails and the
+    # exact rank reads every column.
+    "certified size, rank n - 1": (
+        shift(CERTIFIED_N, CERTIFIED_N - 1),
+        [[0, int(i == 0)] for i in range(CERTIFIED_N)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LATE_PIVOT_PAIRS)
+def test_rank_with_late_pivots_matches_plain_fraction_elimination(name):
+    a, b = LATE_PIVOT_PAIRS[name]
+    n, m = len(a), len(b[0])
+    expected = fraction_rank(krylov_rows(n, a, b))
+    assert controllability_rank_ints(n, m, a, b) == expected
+    assert expected == invariant_subspace_dim(make_instance(a, b))

@@ -1,3 +1,5 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,9 +16,14 @@ from git_topo.families.dag import (
     dag_stabilize,
     dag_status,
     enumerate_strata,
+    parent_rank_ints,
 )
 from git_topo.groups import OnePSClass, OrbitConvention
+from git_topo import linalg
+from git_topo.cli import main
 from git_topo.linalg import Matrix, column_pivots, nullspace
+
+from rref_oracle import oracle_column_pivots
 
 
 def make_instance(rows):
@@ -239,3 +246,59 @@ def test_stabilize_uses_the_first_null_vectors_of_x_transpose(x):
         [x[i][j] + (eps * shift[j][i] if j in shift else 0) for j in range(k)] + [1]
         for i in range(n)
     ]
+
+
+# The parent rank hands int_rank the k parent entries of each row; these
+# blocks put the pivots late, behind zero or repeated rows.
+LATE_PARENT_BLOCKS = {
+    "zero rows first": [
+        [0, 0, 0, 1], [0, 0, 0, 2], [1, 0, 0, 3], [0, 1, 0, 4], [0, 0, 1, 5]
+    ],
+    "repeated rows first": [[1, 1, 1, 0]] * 3 + [[1, 2, 3, 0], [1, 4, 9, 0]],
+    "one direction": [
+        [0, 0, 0, 7], [0, 0, 0, 7], [1, 2, 3, 1], [1, 2, 3, 1], [2, 4, 6, 1]
+    ],
+    "rank k - 1 late": [
+        [0, 0, 0, 1], [1, 1, 0, 1], [1, 1, 0, 2], [0, 0, 0, 3], [2, 2, 1, 4],
+        [1, 1, 1, 0],
+    ],
+    "rank k - 1": [
+        [1, -1, 0, 1], [0, 0, 0, 2], [2, -2, 0, 3], [0, 0, 1, 4], [3, -3, 5, 6]
+    ],
+    "zero block": [[0, 0, 0, 1]] * 4,
+}
+
+
+@pytest.mark.parametrize("name", LATE_PARENT_BLOCKS)
+def test_parent_rank_with_late_pivots_matches_the_fraction_rref(name):
+    rows = LATE_PARENT_BLOCKS[name]
+    n, k = len(rows), len(rows[0]) - 1
+    expected = len(oracle_column_pivots([row[:k] for row in rows], k))
+    assert parent_rank_ints(n, k, [x for row in rows for x in row]) == expected
+
+
+def test_int_rank_is_only_handed_lists(monkeypatch, capsys, tmp_path):
+    # The benchmark's tracer wraps int_rank in every module that holds it
+    # and reads its first argument whole before the call, so a generator
+    # would reach the rank already consumed.  Wrap it the same way.
+    original = linalg.int_rank
+    arguments = []
+
+    def recording(data):
+        arguments.append(type(data))
+        return original(data)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "git_topo" or name.startswith("git_topo.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    path = tmp_path / "dag.json"
+    instance = make_instance(LATE_PARENT_BLOCKS["rank k - 1 late"])
+    path.write_text(json.dumps(instance.to_json()))
+    verify = ["verify", "dag", "--samples", "5", "--parents", "3", "--trials", "70",
+              "--paths", "2", "--degenerate-trials", "3"]
+    assert main(verify) == 0
+    assert main(["check", str(path), "--stabilize"]) == 0
+    capsys.readouterr()
+    assert arguments and set(arguments) == {list}

@@ -155,6 +155,36 @@ def test_draw_generic_follows_an_overridden_draw_flat():
     assert sample_generic_points(cfg).unstable_hits == 0
 
 
+class PositiveScaling(ScalingFamily):
+    """Overrides draw_flat alone, so its block draw is trial by trial."""
+
+    def draw_flat(self, rng, bound):
+        return [rng.int_between(1, bound) for _ in range(self.flat_size)]
+
+
+# One sampling shape per family, the toy ones included, at a bound where
+# hits and redraws are common.
+SAMPLED = (
+    ControlFamily(2, 1),
+    DagFamily(3, 2),
+    kronecker_spec(),
+    ScalingFamily(1),
+    PositiveScaling(1),
+)
+
+
+@pytest.mark.parametrize("spec", SAMPLED, ids=lambda spec: type(spec).__name__)
+def test_block_draws_are_the_per_trial_draws_of_every_family(spec):
+    assert {shape.name for shape in SAMPLED} == set(FAMILIES) | {"scaling"}
+    cfg = TrialConfig(spec, trials=150, seed=4, entry_bound=1)
+    stream = CounterRng(4, 0)
+    assert spec.draw_generic_block(stream, 0, 150, 1) == [
+        spec.draw_generic(stream.split(i), 1) for i in range(150)
+    ]
+    hits = sum(not draw_instance(cfg, i).status().is_stable for i in range(150))
+    assert sample_generic_points(cfg).unstable_hits == hits
+
+
 def test_trial_config_refuses_an_oversized_toy_point():
     TrialConfig(ScalingFamily(2**15), trials=1)
     with pytest.raises(SizeLimitError, match="a point of 65538 integers refused"):

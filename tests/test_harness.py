@@ -379,3 +379,46 @@ def test_large_shapes_skip_the_certificate():
     assert dag.path_suspects([(1, 2, 3)] * entries, samples) == range(samples)
     cfg = TrialConfig(control, trials=1, seed=4, paths=1, path_samples=samples)
     assert sample_path_stability(cfg).path_failures == pointwise_path_failures(cfg)
+
+
+# Generic trials are drawn 64 at a time by `draw_generic_block`; trial i
+# must still be `draw_instance(cfg, i)`.  Each shape below sends trials
+# down the per-trial redraw: a hit rate of 1/3 at control (1, 1), the
+# origin of the Kronecker quiver (1 in 81 draws at bound 1), dead arrows
+# into a dimension-0 vertex, and at bound 2^62 a range whose words are
+# rejected about half the time.
+DEAD_ARROW_QUIVER = QuiverSpec(
+    3, ((0, 1), (0, 2), (0, 1), (2, 1)), (1, 1, 0), (1, -1, 0)
+)
+BLOCK_SHAPES = [
+    (ControlFamily(1, 1), 1),
+    (kronecker_spec(), 1),
+    (DEAD_ARROW_QUIVER, 1),
+    (ControlFamily(3, 2), 2**62),
+]
+
+
+@pytest.mark.parametrize("spec, bound", BLOCK_SHAPES)
+def test_block_sampling_is_the_per_trial_draw(spec, bound):
+    for trials in (1, 63, 64, 65, 1000):
+        cfg = TrialConfig(spec, trials=trials, seed=5, entry_bound=bound)
+        hits = sum(
+            not draw_instance(cfg, i).status().is_stable for i in range(trials)
+        )
+        report = sample_generic_points(cfg)
+        assert not report.skipped and report.unstable_hits == hits, trials
+    stream = CounterRng(5, 0)
+    for first in (0, 64, 4000):
+        assert spec.draw_generic_block(stream, first, 64, bound) == [
+            spec.draw_generic(stream.split(i), bound) for i in range(first, first + 64)
+        ]
+
+
+def test_block_shapes_reach_every_redraw():
+    stream = CounterRng(5, 0)
+    kron = [stream.split(i).ints(-1, 1, 4) for i in range(1000)]
+    assert any(not any(words) for words in kron)  # an origin to redraw
+    assert DEAD_ARROW_QUIVER.draw_generic(stream, 1)[2:4] == [0, 0]
+    assert None in stream.split_ints(0, 64, -(2**62), 2**62, 15)
+    cfg = TrialConfig(ControlFamily(1, 1), trials=1000, seed=5, entry_bound=1)
+    assert 250 < sample_generic_points(cfg).unstable_hits < 420

@@ -1,7 +1,8 @@
-"""The packed draw and the key split are the `int_between` stream.
+"""The packed draws and the key split are the `int_between` stream.
 
 `CounterRng.int_between` defines every seeded stream; `ints` computes 64
-words per big-integer pass and `split` reuses a mixed key prefix.  Both
+words per big-integer pass, `split` reuses a mixed key prefix and
+`split_ints` draws the first words of many split streams at once.  Each
 must give the same integers and leave the same stream state as the plain
 calls, including when words land in the rejection zone.
 """
@@ -69,3 +70,62 @@ def test_a_point_limit_draw_is_linear_time():
 def test_ints_refuses_an_empty_range_with_a_package_error():
     with pytest.raises(DomainError, match=r"empty range \[1, 0\]"):
         CounterRng(0).ints(1, 0, 3)
+
+
+# `split_ints` draws the streams of consecutive trials in packed blocks of
+# 64; a trial with a rejected word comes back as None for its caller to
+# redraw through `split(i)`.
+BLOCK_COUNTS = [1, 4, 15, 40, 64]
+BLOCK_TRIALS = [1, 63, 64]
+
+
+def expected_block(stream, first, trials, lo, hi, count):
+    """Per trial, split(i).ints(lo, hi, count), or None where one of the
+    trial's first `count` words is rejected."""
+    span = hi - lo + 1
+    limit = (1 << 64) - (1 << 64) % span
+    out = []
+    for i in range(first, first + trials):
+        words = stream.split(i)
+        rejected = any(words.next64() >= limit for _ in range(count))
+        out.append(None if rejected else stream.split(i).ints(lo, hi, count))
+    return out
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("lo, hi", RANGES)
+def test_split_ints_is_the_per_trial_split(key, lo, hi):
+    stream = CounterRng(*key)
+    stream.ints(-9, 9, 3)  # part-way through the parent stream
+    state = stream._state
+    for count in BLOCK_COUNTS:
+        for trials in BLOCK_TRIALS:
+            for first in (0, 4000):
+                got = stream.split_ints(first, trials, lo, hi, count)
+                assert got == expected_block(stream, first, trials, lo, hi, count), (
+                    count, trials, first
+                )
+    assert stream._state == state  # the block draw leaves the parent as it was
+
+
+def test_split_ints_leaves_exactly_the_rejected_trials_to_the_caller():
+    # [0, 2^63] rejects about half of all words, so at one word per trial
+    # about half of a block comes back None, and only those trials.
+    stream = CounterRng(3, 1)
+    got = stream.split_ints(0, 130, 0, 2**63, 1)
+    rejected = [stream.split(i).next64() > 2**63 for i in range(130)]
+    assert [words is None for words in got] == rejected
+    assert 30 < sum(rejected) < 100
+    for i, words in enumerate(got):
+        if words is not None:
+            assert words == stream.split(i).ints(0, 2**63, 1)
+
+
+def test_split_ints_draws_points_past_a_block_trial_by_trial():
+    stream = CounterRng(9)
+    for count in (0, 65, 300):
+        assert stream.split_ints(7, 3, -9, 9, count) == [
+            stream.split(i).ints(-9, 9, count) for i in range(7, 10)
+        ]
+    with pytest.raises(DomainError, match=r"empty range \[1, 0\]"):
+        stream.split_ints(0, 3, 1, 0, 4)
