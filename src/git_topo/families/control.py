@@ -28,28 +28,28 @@ from git_topo.families.base import (
 )
 from git_topo.groups import TRIVIAL, GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
+    MAX_MINORS,
     PRIME,
     Matrix,
     check_integers,
     echelon_pivots,
+    hadamard_width,
     integer_entries,
     minor_gcd,
-    poly_dot,
-    poly_mod,
+    pack_poly,
     poly_roots_below,
 )
 
 # Largest state dimension n whose quadratic paths get a minor-gcd
-# certificate; past it every sample is checked pointwise.  A full Krylov
-# minor has degree D = n(n + 1), so the certificate grows as n^3 D^2 and
-# overtakes 256 pointwise checks.  On a 2-CPU x86 machine, per path
-# (median of 21 random paths, entries in [-9, 9], certificate against
-# pointwise): at m = 1 it took 43 against 54 ms at n = 8, 60 against 58 ms
-# at n = 9 (level, inside the spread of repeated runs), 104 against 79 ms
-# at n = 10 and 187 against 111 ms at n = 11 (9 paths); at m = 2, 42
-# against 71 ms at n = 8, 48-54 against 63-64 ms at n = 9 and 81 against
-# 53 ms at n = 10.  The cut sits where both lose from n = 10 on.
-MAX_CERTIFIED_N = 9
+# certificate; past it every sample is checked pointwise.  A Krylov minor
+# of degree about n^2 packs into an integer of n^2 w bits, w growing with
+# n, and CPython divides such integers in quadratic time, so it grows
+# about 3x per step in n.  On a 2-CPU x86 machine, per path (median of 21
+# random paths, 9 from n = 8, entries in [-9, 9], certificate against
+# pointwise, in ms): at m = 1, 4.7 against 12.9 at n = 6, 17 against 21 at
+# n = 7, 58 against 31 at n = 8 and 191 against 52 at n = 9; at m = 2, 12
+# against 16 at n = 7 and 37 against 24 at n = 8: both lose from n = 8.
+MAX_CERTIFIED_N = 7
 
 # Least state dimension n whose Krylov rank check first tries the
 # full-rank certificate mod p, at m = 1; a wider B raises it.  On a 2-CPU
@@ -126,16 +126,19 @@ class ControlFamily(FamilySpec):
             n, m, Matrix(n, n, tuple(flat[: n * n])), Matrix(n, m, tuple(flat[n * n :]))
         )
 
+    def _blocks(self, flat: Sequence[int]) -> tuple[list, list]:
+        """A's rows and B's columns, sliced from the flat encoding."""
+        n, m = self.n, self.m
+        a_rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        return a_rows, [flat[n * n + j :: m] for j in range(m)]
+
     def status_flat(self, flat: Sequence[int]) -> StabilityStatus:
         """Stable exactly when (A, B) is controllable: Krylov rank n."""
-        n, m = self.n, self.m
-        a_rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        b_rows = [list(flat[n * n + i * m : n * n + (i + 1) * m]) for i in range(n)]
-        r = controllability_rank_ints(n, m, a_rows, b_rows)
-        if r == n:
+        r = controllability_rank_ints(self.n, self.m, *self._blocks(flat))
+        if r == self.n:
             return StabilityStatus.stable(rank=r)
         return StabilityStatus.unstable(
-            reason=f"reachable subspace has dimension {r} < {n}",
+            reason=f"reachable subspace has dimension {r} < {self.n}",
             rank=r,
         )
 
@@ -145,21 +148,21 @@ class ControlFamily(FamilySpec):
         """Samples of a quadratic path the Krylov minor gcd cannot clear.
 
         entry_polys holds one integer polynomial in the sample index per
-        flat entry.  The Krylov matrix is built once over F_p[i]; where the
-        gcd of its first maximal minors is nonzero mod p, some minor is
-        nonzero over Z, so the point is controllable.
+        flat entry.  The Krylov columns the minors read are built once in
+        integers from the entries packed at x = 2^w, w chosen from the
+        same columns built from the entries' l1 norms (l1 is
+        submultiplicative).  Where the gcd of the first maximal minors is
+        nonzero mod p, some minor is nonzero over Z: controllable.
         """
-        n, m = self.n, self.m
+        n = self.n
         if n > MAX_CERTIFIED_N:
             return range(n_samples)
-        polys = [poly_mod(e) for e in entry_polys]
-        a_rows = [polys[i * n : (i + 1) * n] for i in range(n)]
-        current = [[polys[n * n + i * m + j] for i in range(n)] for j in range(m)]
-        krylov = list(current)
-        for _ in range(n - 1):
-            current = [[poly_dot(row, col) for row in a_rows] for col in current]
-            krylov.extend(current)
-        return poly_roots_below(minor_gcd(krylov), n_samples)
+        count = min(n + MAX_MINORS - 1, n * self.m)
+        norms = self._blocks([sum(map(abs, e)) for e in entry_polys])
+        width = hadamard_width(_krylov_columns(*norms, count), n)
+        packed = self._blocks([pack_poly(e, width) for e in entry_polys])
+        rows = list(_krylov_columns(*packed, count))
+        return poly_roots_below(minor_gcd(rows, width), n_samples)
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)
@@ -195,36 +198,34 @@ class ControlInstance:
 
 
 def controllability_rank_ints(
-    n: int, m: int, a_rows: list[list[int]], b_rows: list[list[int]]
+    n: int, m: int, a_rows: Sequence[Sequence[int]], b_cols: Sequence[Sequence[int]]
 ) -> int:
-    """Rank of the controllability matrix for integer A, B (fast path).
+    """Rank of the controllability matrix for A's rows and B's columns.
 
     From n^4 >= MIN_KRYLOV_CERTIFIED_N^4 min(m, n) on, full rank mod p
     is tried first: it proves full rank over Q.  Every other outcome, and
     every smaller shape, runs exact Bareiss on the Krylov columns, each
-    built only when the elimination reads it: B's columns, then column
-    c of A^(t+1) B as A times column c of A^t B.  The elimination stops
+    built only when the elimination reads it (_krylov_columns), and stops
     at n pivots, so a controllable pair never builds the rest.
     """
     certified = n**4 >= MIN_KRYLOV_CERTIFIED_N**4 * min(m, n)
-    if certified and _krylov_full_rank_mod_p(n, m, a_rows, b_rows):
+    if certified and _krylov_full_rank_mod_p(n, m, a_rows, b_cols):
         return n
+    return len(echelon_pivots(_krylov_columns(a_rows, b_cols, n * m), n))
 
-    def columns() -> Iterator[list[int]]:
-        built: list[list[int]] = []
-        for c in range(n * m):
-            if c < m:
-                col = [row[c] for row in b_rows]
-            else:
-                col = [sum(map(operator.mul, row, built[c - m])) for row in a_rows]
-            built.append(col)
-            yield col
 
-    return len(echelon_pivots(columns(), n))
+def _krylov_columns(a_rows, b_cols, count: int) -> Iterator[Sequence[int]]:
+    """The first count Krylov columns, each built when it is read: B's
+    columns, then column c of A^(t+1) B as A times column c of A^t B."""
+    built = list(b_cols[:count])
+    yield from built
+    for c in range(count - len(built)):
+        built.append([sum(map(operator.mul, row, built[c])) for row in a_rows])
+        yield built[-1]
 
 
 def _krylov_full_rank_mod_p(
-    n: int, m: int, a_rows: list[list[int]], b_rows: list[list[int]]
+    n: int, m: int, a_rows: Sequence[Sequence[int]], b_cols: Sequence[Sequence[int]]
 ) -> bool:
     """Whether the Krylov columns B, AB, A^2 B, ... reach rank n modulo p.
 
@@ -259,9 +260,7 @@ def _krylov_full_rank_mod_p(
         ]
 
     a_cols = [pack([a_rows[i][j] % PRIME for i in range(n)]) for j in range(n)]
-    block: Iterable[int] = (
-        pack([b_rows[i][j] % PRIME for i in range(n)]) for j in range(m)
-    )
+    block: Iterable[int] = (pack([x % PRIME for x in col]) for col in b_cols)
     basis: list[tuple[int, int]] = []
     while True:
         added = []

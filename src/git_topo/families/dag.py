@@ -33,26 +33,29 @@ from git_topo.families.base import (
 )
 from git_topo.groups import TRIVIAL, GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
+    MAX_MINORS,
     Matrix,
     check_integers,
     column_pivots,
+    hadamard_width,
     int_rank,
     integer_columns,
     minor_gcd,
     nullspace,
-    poly_mod,
+    pack_poly,
     poly_roots_below,
     solve_square,
 )
 
 # Largest parent count k whose quadratic paths get a minor-gcd
 # certificate; past it every sample is checked pointwise.  A k x k minor
-# has degree 2k, so the certificate grows as k^5 and 256 pointwise checks
-# as k^3, the elimination stopping after k of the n rows: on a 2-CPU x86
-# machine at n = 2k it took 30 ms against 37 ms at k = 10, 44-50 against
-# 42-55 ms at k = 11, 65 against 55 ms at k = 12 and 162 against 105 ms
-# at k = 14.
-MAX_CERTIFIED_K = 11
+# of degree 2k packs into 2k w bits, w growing as k, so the certificate
+# outgrows 256 pointwise checks (k^3, the elimination stopping after k of
+# the n rows): on a 2-CPU x86 machine at n = 2k (median of 9 random
+# paths, entries in [-9, 9], certificate against pointwise) it took 47
+# against 79 ms at k = 14, 76-79 against 102-106 at k = 15, 123-139
+# against 137-157 at k = 16 (level) and 182 against 161 at k = 17.
+MAX_CERTIFIED_K = 15
 
 
 @dataclass(frozen=True)
@@ -124,17 +127,17 @@ class DagFamily(FamilySpec):
         """Samples of a quadratic path the parent-block minor gcd cannot clear.
 
         Where the gcd of the first k x k row minors of the parent block,
-        taken over F_p[i], is nonzero mod p, some minor is nonzero over Z,
-        so the parent block has full column rank.
+        packed at x = 2^w (hadamard_width), is nonzero mod p, some minor
+        is nonzero over Z, so the parent block has full column rank.
         """
         k = self.k
         if k > MAX_CERTIFIED_K:
             return range(n_samples)
-        rows = [
-            [poly_mod(entry_polys[i * (k + 1) + j]) for j in range(k)]
-            for i in range(self.n)
-        ]
-        return poly_roots_below(minor_gcd(rows), n_samples)
+        reads = min(self.n, k + MAX_MINORS - 1)  # the rows the minors read
+        rows = [entry_polys[i : i + k] for i in range(0, reads * (k + 1), k + 1)]
+        width = hadamard_width([[sum(map(abs, e)) for e in row] for row in rows], k)
+        packed = [[pack_poly(e, width) for e in row] for row in rows]
+        return poly_roots_below(minor_gcd(packed, width), n_samples)
 
     def strata(self, convention: OrbitConvention) -> list[StratumClass]:
         return enumerate_strata(self, convention)

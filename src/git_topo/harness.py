@@ -269,12 +269,13 @@ def sample_path_stability(cfg: TrialConfig) -> HarnessReport:
     With left, mid and right entries a, b, c, each entry of sample i is
     e(i) = N^2 a + N(4b - 3a - c) i + 2(a - 2b + c) i^2.  The family's
     `path_suspects` turns these polynomials into a certificate modulo
-    p = 2^61 - 1 (control and DAG: a gcd of maximal minors) and returns
-    the samples where it vanishes mod p; thin quivers and shapes past a
-    family's crossover return every sample.  It is sound: reducing mod p
-    commutes with evaluating at i, and an integer that is nonzero mod p
-    is nonzero.  So where the minor gcd is nonzero some minor is nonzero
-    over Z and the matrix has full rank.  Only the suspects get the exact
+    p = 2^61 - 1 (control and DAG: a gcd of maximal minors, each one
+    integer elimination at x = 2^w) and returns the samples where it
+    vanishes mod p; thin quivers and shapes past a family's crossover
+    return every sample.  It is sound: reducing mod p commutes with
+    evaluating at i, and an integer nonzero mod p is nonzero.  So where
+    the minor gcd is nonzero some minor is nonzero over Z and the matrix
+    has full rank.  Only the suspects get the exact
     `status_flat` check, so path_failures counts exactly the samples a
     pointwise check of all of them would.
     """

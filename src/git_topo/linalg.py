@@ -17,9 +17,9 @@ fraction-free (Bareiss) elimination that takes the rows one at a time
 rows, column_pivots reads their columns, and nullspace and solve_square
 back-substitute on them in integers, each row cleared of denominators
 on its own; a Fraction is built only for each entry of the answer.  The
-module also carries the polynomial arithmetic over F_p, p = 2^61 - 1,
-behind the path certificates (products, determinants, gcds and a root
-scan).
+same elimination takes the path certificates' minors, on polynomial
+entries packed into integers (Kronecker substitution); the module also
+carries their gcd and root scan over F_p, p = 2^61 - 1.
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4], [3, 6]])
 >>> int_rank(m.to_rows()), column_pivots(m)
@@ -297,9 +297,9 @@ PRIME = 2**61 - 1
 # each of control (3,2), DAG (4,2) and DAG (10,3), at entry bounds 1 and
 # 9, the first 4 minors left at most 0.3 suspect samples per path on
 # average (2 minors: 0.5, 8 minors: 0.3) and no path fell back to every
-# sample.  The lexicographic minors share their first s - 1 rows, so an
-# identically zero row among them zeroes every minor taken and sends the
-# whole path to the exact pointwise check.
+# sample.  The lexicographic minors of a matrix with s columns read its
+# first s + MAX_MINORS - 1 rows and share the first s - 1, so a zero row
+# among those zeroes every minor taken: the path is checked pointwise.
 MAX_MINORS = 4
 
 
@@ -311,67 +311,62 @@ def poly_mod(coeffs: Sequence[int]) -> list[int]:
     return out
 
 
-def poly_dot(fs: Sequence[list[int]], gs: Sequence[list[int]]) -> list[int]:
-    """sum(f * g for f, g in zip(fs, gs)) over F_p, reduced once at the end."""
-    size = max((len(f) + len(g) - 1 for f, g in zip(fs, gs) if f and g), default=0)
-    acc = [0] * size
-    for f, g in zip(fs, gs):
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                acc[i + j] += a * b
-    return poly_mod(acc)
+def pack_poly(coeffs: Sequence[int], width: int) -> int:
+    """The integer polynomial's value at x = 2^width (Kronecker substitution)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
 
 
-def _poly_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by a nonzero g over F_p."""
-    inv = pow(g[-1], -1, PRIME)
-    shift = len(g) - 1
-    rem = list(f)
-    quot = [0] * max(len(f) - shift, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + shift] * inv % PRIME
-        quot[k] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[k + j] = (rem[k + j] - c * b) % PRIME
-    return poly_mod(quot), poly_mod(rem[:shift])
+def hadamard_width(norms: Iterable[Sequence[int]], size: int) -> int:
+    """A width at which every size x size minor of these rows unpacks.
 
-
-def poly_det(rows: Sequence[Sequence[list[int]]]) -> list[int]:
-    """Determinant of a square matrix over F_p[x] by Bareiss elimination.
-
-    The same fraction-free scheme as int_rank: after k steps every
-    remaining entry is a (k+1)-minor, so the division by the previous
-    pivot is exact in F_p[x] as it is in Z.
+    norms holds each entry's l1 norm, its bound on |x| = 1, where by
+    Hadamard a minor on rows R, and so each coefficient, is at most the
+    square root of the product over R of s_r, the sum of row r's squared
+    norms; the size largest s_r bound every R, with one bit to spare.
     """
-    data = [list(r) for r in rows]
-    n = len(data)
-    negate = False
-    prev = [1]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if data[r][col]), None)
-        if pivot_row is None:
-            return []
-        if pivot_row != col:
-            data[pivot_row], data[col] = data[col], data[pivot_row]
-            negate = not negate
-        pivot = data[col][col]
-        top = data[col]
-        for r in range(col + 1, n):
-            cur = data[r]
-            minus_lead = [-c % PRIME for c in cur[col]]
-            for j in range(col + 1, n):
-                cross = poly_dot((pivot, minus_lead), (cur[j], top[j]))
-                cur[j] = _poly_divmod(cross, prev)[0] if col else cross
-        prev = pivot
-    det = data[-1][-1]
-    return [-c % PRIME for c in det] if negate else det
+    sums = sorted((sum(v * v for v in row) for row in norms), reverse=True)
+    return (math.prod(sums[:size]).bit_length() + 1) // 2 + 2
+
+
+def packed_det(rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """The determinant over Z[x] of a square matrix packed at x = 2^width.
+
+    One Bareiss elimination gives det(2^width): 0 for dependent rows, else
+    the last pivot times the sign of the pivot columns' order, in which a
+    pivot at position q among the columns left precedes q smaller ones.
+    With each coefficient under 2^(width - 1) in size (hadamard_width),
+    det(2^width) has one expansion in balanced digits of base 2^width.
+    """
+    kept = echelon_pivots(rows, len(rows))
+    full = len(kept) == len(rows)
+    value = kept[-1][1] * (-1) ** sum(q for q, _, _ in kept) if full else 0
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    coeffs = []
+    while value:
+        coeffs.append(((value + half) & mask) - half)
+        value = (value - coeffs[-1]) >> width
+    return coeffs
 
 
 def poly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Monic gcd over F_p; the gcd of two zero polynomials is zero."""
+    """Monic gcd over F_p; the gcd of two zero polynomials is zero.
+
+    Euclid on pseudo-remainders: a step replaces f by lead(g) f - c x^k g
+    (c, k: f's leading coefficient and degree less g's), which scales the
+    remainder by a unit, so the one inverse is the final monic step's.
+    """
     while g:
-        f, g = g, _poly_divmod(f, g)[1]
+        lead, top = g[-1], len(g) - 1
+        rem = list(f)
+        while len(rem) > top:
+            c = rem.pop() % PRIME
+            k = len(rem) - top
+            rem[:k] = [lead * a for a in rem[:k]]
+            rem[k:] = [lead * a - c * b for a, b in zip(rem[k:], g)]
+        f, g = g, poly_mod(rem)
     if not f:
         return []
     inv = pow(f[-1], -1, PRIME)
@@ -392,13 +387,14 @@ def poly_roots_below(f: list[int], count: int) -> list[int]:
     return roots
 
 
-def minor_gcd(rows: Sequence[Sequence[list[int]]]) -> list[int]:
+def minor_gcd(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     """gcd over F_p[x] of the first MAX_MINORS maximal minors of a matrix.
 
-    rows has s columns; the minors are its s x s row selections in
-    lexicographic order.  The scan stops early once the gcd is a nonzero
-    constant.  The gcd is an F_p[x]-combination of those minors, so
-    wherever it is nonzero mod p one of them is too, and the matrix has
+    rows has s columns, packed at a width at which every s x s minor
+    unpacks (hadamard_width); the minors are its s x s row selections in
+    lexicographic order (packed_det), and the scan stops once the gcd is
+    a nonzero constant.  The gcd is an F_p[x]-combination of those minors,
+    so wherever it is nonzero mod p one of them is too, and the matrix has
     full column rank there.  Zero when every minor taken is zero,
     including when there are fewer than s rows.
     """
@@ -406,7 +402,7 @@ def minor_gcd(rows: Sequence[Sequence[list[int]]]) -> list[int]:
     for chosen in itertools.islice(
         itertools.combinations(rows, len(rows[0])), MAX_MINORS
     ):
-        g = poly_gcd(g, poly_det(chosen))
+        g = poly_gcd(g, poly_mod(packed_det(chosen, width)))
         if len(g) == 1:
             break
     return g

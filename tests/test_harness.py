@@ -24,6 +24,8 @@ from git_topo.harness import (
 )
 from git_topo.rng import CounterRng
 
+from poly_oracle import control_suspects, dag_suspects
+
 
 def strip_time(report: HarnessReport) -> HarnessReport:
     return replace(report, elapsed_ms=0)
@@ -379,6 +381,59 @@ def test_large_shapes_skip_the_certificate():
     assert dag.path_suspects([(1, 2, 3)] * entries, samples) == range(samples)
     cfg = TrialConfig(control, trials=1, seed=4, paths=1, path_samples=samples)
     assert sample_path_stability(cfg).path_failures == pointwise_path_failures(cfg)
+
+
+# The packed certificate against the F_p[x] one it replaced (poly_oracle):
+# the same suspects on random paths, at each family's certified edge too.
+# With an even sample count, sample N/2 is N^2 times the midpoint, so a
+# midpoint with B = 0, or a zero parent column, plants a failure there.
+CERTIFIED_SHAPES = [
+    (ControlFamily(2, 1), 32, 40),
+    (ControlFamily(3, 2), 32, 40),
+    (ControlFamily(MAX_CERTIFIED_N, 1), 8, 4),
+    (DagFamily(4, 2), 32, 40),
+    (DagFamily(10, 3), 32, 40),
+    (DagFamily(MAX_CERTIFIED_K + 2, MAX_CERTIFIED_K), 8, 3),
+]
+
+
+def planted(spec, flat):
+    """The point with B, or the first parent column, set to zero."""
+    if isinstance(spec, ControlFamily):
+        return flat[: spec.n**2] + [0] * (spec.n * spec.m)
+    return [0 if i % (spec.k + 1) == 0 else x for i, x in enumerate(flat)]
+
+
+@pytest.mark.parametrize("spec, samples, examples", CERTIFIED_SHAPES, ids=str)
+def test_packed_suspects_match_the_polynomial_oracle(spec, samples, examples):
+    oracle = control_suspects if isinstance(spec, ControlFamily) else dag_suspects
+    shape = (spec.n, spec.m if isinstance(spec, ControlFamily) else spec.k)
+
+    @given(st.sampled_from([1, 9, 2**20]), st.booleans(), st.data())
+    @settings(max_examples=examples, deadline=None)
+    def check(bound, plant, data):
+        entries = st.lists(
+            st.integers(-bound, bound), min_size=spec.flat_size, max_size=spec.flat_size
+        )
+        left, mid, right = (data.draw(entries) for _ in range(3))
+        if plant:
+            mid = planted(spec, mid)
+        polys = [
+            (samples**2 * a, samples * (4 * b - 3 * a - c), 2 * (a - 2 * b + c))
+            for a, b, c in zip(left, mid, right)
+        ]
+        suspects = list(spec.path_suspects(polys, samples))
+        assert suspects == oracle(*shape, polys, samples)
+        failures = [
+            i for i in range(samples)
+            if not spec.status_flat([c0 + (c1 + c2 * i) * i for c0, c1, c2 in polys])
+            .is_stable
+        ]
+        assert set(failures) <= set(suspects)
+        if plant:
+            assert samples // 2 in failures
+
+    check()
 
 
 # Generic trials are drawn 64 at a time by `draw_generic_block`; trial i

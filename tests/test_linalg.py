@@ -4,9 +4,11 @@ The fraction-free Bareiss rank and pivot columns are checked against a
 Laplace-expansion minor rank written here from scratch and against the
 Fraction RREF in `rref_oracle`, and the null spaces and square solves
 that back-substitute on the same elimination against their defining
-equations and against that RREF.  The F_p[x] determinant behind the
-path certificates is checked against a Leibniz expansion over Z[x], and
-its gcd and root scan against products of known linear factors.
+equations and against that RREF.  The packed determinant behind the path
+certificates is checked against a Leibniz expansion over Z[x], at its
+Hadamard width and on the matrix that attains that bound, and the gcd
+and root scan against products of known linear factors and the F_p[x]
+Euclid in `poly_oracle`.
 """
 
 from fractions import Fraction
@@ -24,9 +26,11 @@ from git_topo.linalg import (
     echelon_pivots,
     int_rank,
     integer_entries,
+    hadamard_width,
     minor_gcd,
     nullspace,
-    poly_det,
+    pack_poly,
+    packed_det,
     poly_gcd,
     poly_mod,
     poly_roots_below,
@@ -36,6 +40,7 @@ from git_topo.rng import CounterRng
 from git_topo.errors import ShapeError, DomainError
 
 from group_actions import matmul, unimodular_from_stream
+from poly_oracle import poly_gcd as oracle_gcd
 from rref_oracle import oracle_column_pivots, oracle_nullspace, oracle_solve_square
 
 
@@ -276,7 +281,7 @@ def test_integer_entries_scales_the_whole_matrix_once():
     assert integer_entries([Fraction(1, 2), 1, Fraction(1, 3), 0]) == [3, 6, 2, 0]
 
 
-# Polynomials over F_p: integer coefficient lists, lowest degree first.
+# Integer polynomials: coefficient lists, lowest degree first.
 
 
 def int_poly_mul(f, g):
@@ -292,6 +297,13 @@ def int_poly_add(f, g):
     return [a + (short[i] if i < len(short) else 0) for i, a in enumerate(long)]
 
 
+def stripped(f):
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
 def leibniz_det(rows):
     """Determinant over Z[x] as the signed sum over permutations."""
     n = len(rows)
@@ -302,7 +314,7 @@ def leibniz_det(rows):
         for r, c in enumerate(perm):
             term = int_poly_mul(term, rows[r][c])
         total = int_poly_add(total, term)
-    return total
+    return stripped(total)
 
 
 def linear_product(roots, lead=1):
@@ -312,7 +324,14 @@ def linear_product(roots, lead=1):
     return out
 
 
+def packed_rows(rows, size):
+    """The rows packed at the Hadamard width of their size x size minors."""
+    width = hadamard_width([[sum(map(abs, e)) for e in row] for row in rows], size)
+    return [[pack_poly(e, width) for e in row] for row in rows], width
+
+
 int_polys = st.lists(st.integers(-4, 4), min_size=0, max_size=3)
+wide_polys = st.lists(st.integers(-(2**20), 2**20), min_size=0, max_size=4)
 
 
 def square(entries):
@@ -323,18 +342,39 @@ def square(entries):
     )
 
 
-@given(square(int_polys))
-@settings(max_examples=50, deadline=None)
-def test_poly_det_matches_leibniz(rows):
-    reduced = [[poly_mod(e) for e in row] for row in rows]
-    assert poly_det(reduced) == poly_mod(leibniz_det(rows))
+@given(st.one_of(square(int_polys), square(wide_polys)))
+@settings(max_examples=80, deadline=None)
+def test_packed_det_matches_leibniz_over_z(rows):
+    packed, width = packed_rows(rows, len(rows))
+    assert packed_det(packed, width) == leibniz_det(rows)
 
 
 @given(square(int_entries))
 @settings(max_examples=60, deadline=None)
-def test_poly_det_of_integer_matrices_is_the_determinant_mod_p(rows):
-    reduced = [[poly_mod([e]) for e in row] for row in rows]
-    assert poly_det(reduced) == poly_mod([laplace_det(rows)])
+def test_packed_det_of_integer_matrices_is_the_determinant(rows):
+    packed, width = packed_rows([[[e] for e in row] for row in rows], len(rows))
+    assert packed_det(packed, width) == stripped([laplace_det(rows)])
+
+
+def sylvester(n):
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_width_holds_the_determinant_at_the_hadamard_bound(n):
+    # Row r of a Sylvester-Hadamard matrix times 2^20 x^r: the determinant
+    # is det(H) 2^(20 n) x^(n(n-1)/2), and |det(H)| = n^(n/2) attains
+    # Hadamard's bound, so the one coefficient is as large as the width
+    # allows (2^172 at n = 8).
+    h = sylvester(n)
+    rows = [[[0] * r + [2**20 * x] for x in row] for r, row in enumerate(h)]
+    packed, width = packed_rows(rows, n)
+    coeff = laplace_det(h) * 2 ** (20 * n)
+    assert abs(coeff) ** 2 == (n * 2**40) ** n
+    assert packed_det(packed, width) == [0] * (n * (n - 1) // 2) + [coeff]
 
 
 @given(
@@ -353,6 +393,18 @@ def test_gcd_and_root_scan_on_linear_factors(common, only_f, only_g, lead):
     assert poly_roots_below(f, 30) == sorted(r for r in common | only_f if r < 30)
 
 
+f_p_polys = st.lists(st.integers(0, PRIME - 1), max_size=9).map(poly_mod)
+
+
+@given(f_p_polys, f_p_polys, f_p_polys)
+@settings(max_examples=80, deadline=None)
+def test_pseudo_remainder_gcd_matches_euclid(f, g, h):
+    # A common factor h makes the gcd non-trivial, so later steps divide
+    # by remainders that are not monic.
+    f, g = poly_mod(int_poly_mul(f, h)), poly_mod(int_poly_mul(g, h))
+    assert poly_gcd(f, g) == oracle_gcd(f, g)
+
+
 def test_poly_edge_cases():
     assert poly_mod([PRIME, 2 * PRIME, 0]) == []
     assert poly_mod([-1]) == [PRIME - 1]
@@ -363,8 +415,8 @@ def test_poly_edge_cases():
     # x^2 - p has no integer root but vanishes mod p at 0 like x^2 does.
     assert poly_roots_below(poly_mod([-PRIME, 0, 1]), 3) == [0]
     # The 2 x 2 minors of [[x, 0], [0, 1], [1, x]] are x, x^2 and -1.
-    rows = [[[0, 1], []], [[], [1]], [[1], [0, 1]]]
-    assert minor_gcd(rows) == [1]
-    assert minor_gcd(rows[:2]) == [0, 1]
+    rows, width = packed_rows([[[0, 1], []], [[], [1]], [[1], [0, 1]]], 2)
+    assert minor_gcd(rows, width) == [1]
+    assert minor_gcd(rows[:2], width) == [0, 1]
     # A matrix with fewer rows than columns has no maximal minor.
-    assert minor_gcd([[[1], [2]]]) == []
+    assert minor_gcd([[1, 2]], width) == []
