@@ -6,6 +6,9 @@ The pipeline: a family's destabilizing classes each carry a value
 groups of the free quotient match those of the group shifted by one.
 Unitary homotopy is only trusted in the stable range i <= 2k-1;
 everything outside a proven window is reported Unknown, never guessed.
+A report keeps the table only as the text and JSON rows the family's
+`d_min` wrote (`families.base.StratumTexts`), or keeps d_min alone; the
+rows as `StratumClass` records are the family's `strata(convention)`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from git_topo.errors import DomainError, SizeLimitError
 from git_topo.families import FamilySpec
-from git_topo.families.base import StratumClass, StratumTexts
+from git_topo.families.base import StratumTexts
 from git_topo.groups import GroupSpec, OrbitConvention
 
 NO_INFORMATION = "no_information"
@@ -121,14 +124,12 @@ class ConnectivityReport:
     or "contractible" when there are no destabilizing classes at all.
     thresholds carries family-specific sample-size cutoffs (the DAG
     family reports when path- and simple-connectedness kick in).  The
-    rows are in strata, as `StratumClass` records, or in texts, as the
-    text `summarize_strata` wrote them in; a report built with no rows
-    has neither.
+    rows are in texts, as the text `summarize_strata` wrote them in; a
+    report built with no rows has texts None.
     """
 
     family: str
     convention: OrbitConvention
-    strata: tuple[StratumClass, ...]
     d_min: int | None
     connectivity: int | str
     homotopy: tuple[tuple[int, AbelianGroup], ...] = ()
@@ -137,28 +138,27 @@ class ConnectivityReport:
     texts: StratumTexts | None = None
 
     def row_texts(self, with_json: bool) -> StratumTexts:
-        """The rows as texts, with their JSON texts if with_json is set: those
-        written while the table was built, or written now from strata.  A
-        report that kept no rows has none to give unless it has no stratum."""
+        """The rows as texts, with their JSON texts if with_json is set, as
+        they were written while the table was built.  A report that kept no
+        rows has none to give unless it has no stratum."""
         texts = self.texts
         if texts is None:
-            if not self.strata and self.d_min is not None:
+            if self.d_min is not None:
                 raise ValueError("the report was built without its rows")
             texts = StratumTexts(self.family, self.convention, with_json)
-            texts.add_classes(self.strata)
         elif with_json and texts.rows is None:
             raise ValueError("the report's rows were written without their JSON")
         return texts
 
 
-ROW_FORMS = ("classes", "text", "json", None)
+ROW_FORMS = ("text", "json", None)
 
 
 def summarize_strata(
     spec: FamilySpec,
     convention: OrbitConvention | None = None,
     max_q: int | None = None,
-    rows: str | None = "classes",
+    rows: str | None = "json",
 ) -> ConnectivityReport:
     """The analyze pipeline for one family spec, under its default
     convention unless one is given: strata, d_min, the connectivity
@@ -166,12 +166,13 @@ def summarize_strata(
     when max_q is given, the homotopy table up to q = max_q.  A max_q
     out of range is refused before any stratum is enumerated.
 
-    rows says what the report keeps of the table: "classes", its
-    `StratumClass` rows in strata; "text", each row's text line in texts,
-    and "json" its JSON text as well, both written as the family's
-    `d_min` finds each row; None, nothing but d_min, which `homotopy`
-    and the path gate of `verify` read, and which a quiver finds by a
-    search that builds no table (`QuiverSpec.d_min`).
+    rows says what the report keeps of the table, written as the
+    family's `d_min` finds each row: "json", each row's text line and
+    its JSON text in texts; "text", the text lines alone; None, nothing
+    but d_min, which `homotopy` and the path gate of `verify` read, and
+    which a quiver finds by a search that builds no table
+    (`QuiverSpec.d_min`).  The rows as `StratumClass` records are
+    `spec.strata(convention)`.
     """
     if rows not in ROW_FORMS:
         raise DomainError(f"rows must be one of {ROW_FORMS}, not {rows!r}")
@@ -184,15 +185,8 @@ def summarize_strata(
         )
     if convention is None:
         convention = spec.DEFAULT_CONVENTION
-    strata: tuple[StratumClass, ...] = ()
-    texts = None
-    if rows == "classes":
-        strata = tuple(spec.strata(convention))
-        d = min((s.value for s in strata), default=None)
-    else:
-        if rows is not None:
-            texts = StratumTexts(spec.name, convention, with_json=rows == "json")
-        d = spec.d_min(convention, texts)
+    texts = None if rows is None else StratumTexts(spec.name, convention, rows == "json")
+    d = spec.d_min(convention, texts)
     notes: tuple[str, ...] = ()
     if d is not None:
         connectivity: int | str = d - 2 if d >= 2 else NO_INFORMATION
@@ -208,7 +202,6 @@ def summarize_strata(
     return ConnectivityReport(
         family=spec.name,
         convention=convention,
-        strata=strata,
         d_min=d,
         connectivity=connectivity,
         homotopy=homotopy,

@@ -279,9 +279,8 @@ class StratumTexts:
     from `ints`, the table's cache of int texts.  The template's keys are
     in sorted order, so no dict is built and nothing is sorted per row.
     A quiver table is written by its walk, from label texts built once
-    per table; every other table, and any report of `StratumClass` rows,
-    by `add_classes`, which encodes each descriptor and weight list with
-    `json_text`.
+    per table; every other table by `add_classes`, which encodes each
+    descriptor and weight list with `json_text`.
     """
 
     def __init__(

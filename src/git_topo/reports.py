@@ -2,8 +2,7 @@
 
 `connectivity.summarize_strata` builds a family's ConnectivityReport;
 JSON shapes live in serialize.  A report's stratum lines are the ones
-`families.base.StratumTexts` wrote, while the table was built or from
-the report's `StratumClass` rows.
+`families.base.StratumTexts` wrote while the table was built.
 """
 
 from __future__ import annotations

@@ -114,10 +114,13 @@ def _key_states(key_state: int, first: int, trials: int) -> list[int]:
 
 def _span_limit(lo: int, hi: int) -> tuple[int, int]:
     """The size of [lo, hi], and the bound below which a word is accepted:
-    the largest multiple of the size up to 2^64."""
+    the largest multiple of the size up to 2^64.  A range of more than
+    2^64 values has no such multiple, and no word would ever be accepted."""
     if hi < lo:
         raise DomainError(f"empty range [{lo}, {hi}]")
     span = hi - lo + 1
+    if span > 1 << 64:
+        raise DomainError(f"range [{lo}, {hi}] holds more than 2^64 values")
     return span, (1 << 64) - ((1 << 64) % span)
 
 

@@ -9,9 +9,8 @@ whose strata run to 2^15 rows, is written as chunks of text by
 `report_to_json`: its head by `canonical_dumps`, its rows as the JSON
 texts `families.base.StratumTexts` wrote from a template whose keys are
 already in sorted order, while the table was built
-(`summarize_strata(..., rows="json")`) or, for a report of
-`StratumClass` rows, when it is written; a report that kept only d_min
-has no rows to write.  The only JSON the package
+(`summarize_strata(..., rows="json")`); a report that kept only d_min,
+or only the text lines, has no rows to write.  The only JSON the package
 reads back is a `check` instance file; its reader validates shape and
 names the offending field in its SchemaError.
 """

@@ -2,11 +2,14 @@
 
 This is the writer the package used before `serialize.report_to_json`
 wrote the text directly: one dict per stratum and per representative,
-then `json.dumps` with sorted keys over the whole tree.  The package's
-text must equal `oracle_report_text(report)` byte for byte.
+then `json.dumps` with sorted keys over the whole tree.  The rows come as
+`StratumClass` records, the family's `spec.strata(report.convention)`.
+The package's text must equal `oracle_report_text(report, strata)` byte
+for byte.
 """
 
 import json
+from typing import Sequence
 
 from git_topo.connectivity import ConnectivityReport
 from git_topo.families import StratumClass
@@ -36,7 +39,9 @@ def stratum_to_json(stratum: StratumClass, report: ConnectivityReport) -> dict:
     }
 
 
-def oracle_report_dict(report: ConnectivityReport) -> dict:
+def oracle_report_dict(
+    report: ConnectivityReport, strata: Sequence[StratumClass]
+) -> dict:
     payload = {
         "family": report.family,
         "convention": report.convention.value,
@@ -46,7 +51,7 @@ def oracle_report_dict(report: ConnectivityReport) -> dict:
         ],
         "notes": list(report.notes),
         "connectivity": report.connectivity,
-        "strata": [stratum_to_json(s, report) for s in report.strata],
+        "strata": [stratum_to_json(s, report) for s in strata],
         "convention_dependent_fields": list(CONVENTION_DEPENDENT_FIELDS),
     }
     if report.thresholds:
@@ -54,5 +59,8 @@ def oracle_report_dict(report: ConnectivityReport) -> dict:
     return payload
 
 
-def oracle_report_text(report: ConnectivityReport) -> str:
-    return json.dumps(oracle_report_dict(report), sort_keys=True, separators=(",", ":"))
+def oracle_report_text(
+    report: ConnectivityReport, strata: Sequence[StratumClass]
+) -> str:
+    payload = oracle_report_dict(report, strata)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

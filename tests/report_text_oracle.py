@@ -1,13 +1,17 @@
-"""A connectivity report's text lines from its `StratumClass` rows, test-side only.
+"""A connectivity report's text lines from `StratumClass` rows, test-side only.
 
 This is the renderer the package used before stratum lines were written
 while the table is built (`families.base.StratumTexts`): each line
-formatted from its StratumClass record.  The CLI's stdout must equal
-`oracle_connectivity_lines(report)` and `oracle_homotopy_lines(report)`,
-joined by newlines, for a report of `StratumClass` rows.
+formatted from its StratumClass record, the rows being the family's
+`spec.strata(report.convention)`.  The CLI's stdout must equal
+`oracle_connectivity_lines(report, strata)` and
+`oracle_homotopy_lines(report)`, joined by newlines.
 """
 
+from typing import Sequence
+
 from git_topo.connectivity import CONTRACTIBLE, NO_INFORMATION, ConnectivityReport
+from git_topo.families import StratumClass
 
 
 def _format_value(value) -> str:
@@ -29,14 +33,16 @@ def _homotopy_and_note_lines(report: ConnectivityReport) -> list[str]:
     return lines + [f"note: {note}" for note in report.notes]
 
 
-def oracle_connectivity_lines(report: ConnectivityReport) -> list[str]:
+def oracle_connectivity_lines(
+    report: ConnectivityReport, strata: Sequence[StratumClass]
+) -> list[str]:
     lines = _head_lines(report)
-    if report.strata:
+    if strata:
         lines.append("strata:")
         lines += [
             f"  {_descriptor_line(s.descriptor)}: "
             f"m={s.m}, orbit_dim={s.orbit_dim}, value={s.value}"
-            for s in report.strata
+            for s in strata
         ]
     else:
         lines.append("strata: none")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from git_topo import cli, harness
 from git_topo.cli import main
 from git_topo.connectivity import summarize_strata
-from git_topo.families import dag, quiver
+from git_topo.families import control, dag, quiver
 from git_topo.families.base import check_stratum_work
 from git_topo.groups import OrbitConvention
 
@@ -892,6 +893,64 @@ def test_verify_refuses_an_oversized_point_even_when_it_draws_none(capsys):
     )
     assert code == 2 and out == ""
     assert "a point of 70001 integers refused" in err
+
+
+def _cli_in_a_fresh_process(*argv, timeout):
+    """Exit status, stdout, stderr and wall seconds of the command in its
+    own interpreter, killed (and the test failed) after timeout seconds,
+    so that a command that hangs fails in seconds."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    start = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "git_topo.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    return result.returncode, result.stdout, result.stderr, time.monotonic() - start
+
+
+def test_verify_refuses_a_bound_past_2_to_the_63():
+    # [-b, b] has 2b + 1 values, more than 2^64 from b = 2^63 on, so no
+    # word would ever be accepted.
+    argv = ["verify", "control", "--n", "2", "--m", "1", "--trials", "1"]
+    code, out, err, seconds = _cli_in_a_fresh_process(
+        *argv, "--bound", str(2**63), timeout=20
+    )
+    assert (code, out) == (2, "") and seconds < 2.0
+    assert "holds more than 2^64 values" in err
+    code, out, err, _ = _cli_in_a_fresh_process(
+        *argv, "--bound", str(2**63 - 1), timeout=20
+    )
+    assert (code, err) == (0, "") and "trials_run = 1" in out
+
+
+def _one_input_control_file(path, n, controllable):
+    """An m = 1 system whose B = (b, 0) and A with a random (n - 1) x (n - 1)
+    block keep the last state unreachable, entries in [-9, 9]; with
+    controllable set, A's last row reads the first state as well."""
+    rnd = random.Random(n)
+    a = [[rnd.randint(-9, 9) for _ in range(n - 1)] + [0] for _ in range(n - 1)]
+    a.append([int(controllable)] + [0] * (n - 1))
+    b = [[rnd.randint(-9, 9)] for _ in range(n - 1)] + [[0]]
+    path.write_text(json.dumps({"family": "control", "n": n, "m": 1, "A": a, "B": b}))
+    return str(path)
+
+
+def test_check_refuses_the_exact_krylov_rank_past_its_limit(tmp_path):
+    # The certificate mod p cannot clear a rank-deficient pair, and the
+    # exact rank it would fall back to grows faster than n^4.
+    n = 180
+    assert n > control.MAX_EXACT_KRYLOV_N
+    deficient = _one_input_control_file(tmp_path / "deficient.json", n, False)
+    code, out, err, seconds = _cli_in_a_fresh_process("check", deficient, timeout=30)
+    assert (code, out) == (2, "") and seconds < 2.0
+    assert f"exact Krylov rank stops at n = {control.MAX_EXACT_KRYLOV_N}" in err
+    full = _one_input_control_file(tmp_path / "full.json", n, True)
+    code, out, err, seconds = _cli_in_a_fresh_process("check", full, timeout=30)
+    assert (code, err) == (0, "") and seconds < 2.0
+    assert out.splitlines()[:3] == ["family: control", "verdict: stable", f"rank = {n}"]
 
 
 def test_verify_control_refuses_a_run_past_the_work_limit(capsys, tmp_path):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from git_topo.errors import DomainError, ShapeError
+from git_topo.errors import DomainError, ShapeError, SizeLimitError
 from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.control import (
+    MAX_EXACT_KRYLOV_N,
     MIN_KRYLOV_CERTIFIED_N,
     ControlFamily,
     ControlInstance,
@@ -348,3 +349,18 @@ def test_rank_with_late_pivots_matches_plain_fraction_elimination(name):
     expected = fraction_rank(krylov_rows(n, a, b))
     assert controllability_rank_ints(n, m, a, columns(b)) == expected
     assert expected == invariant_subspace_dim(make_instance(a, b))
+
+
+def test_the_exact_fallback_is_refused_past_its_limit():
+    # A shift that stops short of the last state has rank n - 1, which the
+    # certificate mod p cannot clear: the exact rank answers at the limit,
+    # and one state past it the pair is refused.  A controllable pair of
+    # that size is still answered by the certificate.
+    n = MAX_EXACT_KRYLOV_N
+    assert n**4 >= MIN_KRYLOV_CERTIFIED_N**4
+    e1 = [[1] + [0] * (n - 1)]
+    assert controllability_rank_ints(n, 1, shift(n, n - 1), e1) == n - 1
+    e1 = [[1] + [0] * n]
+    with pytest.raises(SizeLimitError, match=f"exact Krylov rank stops at n = {n}"):
+        controllability_rank_ints(n + 1, 1, shift(n + 1, n), e1)
+    assert controllability_rank_ints(n + 1, 1, shift(n + 1, n + 1), e1) == n + 1

@@ -13,11 +13,14 @@ definition itself; an import alone does not count.
   three uses.
 - A method counts as used where `self.x` or `cls.x` is loaded inside its
   own class (or `x` in the class body), or where `obj.x` is loaded on
-  any other object, whose class is not known statically.  Dunder methods
-  are called by Python and are not checked.
+  any other object, whose class is not known statically.  A `self.x`
+  loaded in a method of a base class counts for each subclass that
+  inherits that method: `FamilySpec.d_min` reaches `ControlFamily.strata`,
+  but not `QuiverSpec.strata`, since `QuiverSpec` has its own `d_min`.
+  Dunder methods are called by Python and are not checked.
 
-The allowlist holds the few named oracles that tests and the benchmark
-check the package against.
+The allowlist holds the few named oracles, functions or methods, that
+tests and the benchmark check the package against.
 """
 
 import ast
@@ -29,6 +32,9 @@ PACKAGE = ROOT / "src" / "git_topo"
 TEST_ORACLES = {
     "families.control.invariant_subspace_dim": "control checks and perfbench/reference.py",
     "families.quiver.sub_dimension_vectors": "quiver stratum tables and perfbench/reference.py",
+    "families.quiver.QuiverSpec.strata": (
+        "the report oracles' quiver rows, against the rows the walk writes"
+    ),
 }
 
 
@@ -114,9 +120,11 @@ class _Index:
 
 
 def _collect_uses(index: _Index):
-    """Used top-level symbols, per-class method uses and any-object uses."""
+    """Used top-level symbols, per-class method uses, the `self.x` loads
+    each method makes, and any-object uses."""
     symbols: set[tuple[str, str]] = set()
     own_class: set[tuple[str, str, str]] = set()
+    from_method: set[tuple[str, str, str, str]] = set()
     any_object: set[str] = set()
 
     for mod in index.modules.values():
@@ -141,6 +149,8 @@ def _collect_uses(index: _Index):
                 ):
                     if node.attr != method:
                         own_class.add((module, cls, node.attr))
+                        if method is not None:
+                            from_method.add((module, cls, node.attr, method))
                 else:
                     any_object.add(node.attr)
             for child in ast.iter_child_nodes(node):
@@ -159,13 +169,42 @@ def _collect_uses(index: _Index):
                 visit(node, node.name, None, None)
             else:
                 visit(node, None, None, None)
-    return symbols, own_class, any_object
+    return symbols, own_class, from_method, any_object
+
+
+def _method_names(node: ast.ClassDef) -> set[str]:
+    return {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+
+
+def _inherited_uses(index: _Index, from_method) -> set[tuple[str, str, str]]:
+    """(module, class, x) for each `self.x` a base class loads in a
+    method the class inherits, through any number of scanned bases."""
+    uses = set()
+    for mod in index.modules.values():
+        for name, node in mod.defs.items():
+            if not isinstance(node, ast.ClassDef):
+                continue
+            overridden = _method_names(node)
+            bases = [(mod.name, b) for b in node.bases]
+            while bases:
+                module, expr = bases.pop()
+                base = index.name_use(module, expr.id) if isinstance(expr, ast.Name) else None
+                if base is None:
+                    continue
+                for owner, cls, attr, method in from_method:
+                    if (owner, cls) == base and method not in overridden:
+                        uses.add((mod.name, name, attr))
+                base_node = index.modules[base[0]].defs[base[1]]
+                overridden |= _method_names(base_node)
+                bases += [(base[0], b) for b in base_node.bases]
+    return uses
 
 
 def test_no_test_only_code_in_src():
     sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     index = _Index(sources)
-    symbols, own_class, any_object = _collect_uses(index)
+    symbols, own_class, from_method, any_object = _collect_uses(index)
+    own_class |= _inherited_uses(index, from_method)
     unused = []
     for mod in index.modules.values():
         if PACKAGE not in mod.path.parents:
@@ -182,6 +221,8 @@ def test_no_test_only_code_in_src():
                 if not isinstance(item, ast.FunctionDef) or item.name.startswith("__"):
                     continue
                 if (mod.name, name, item.name) in own_class or item.name in any_object:
+                    continue
+                if f"{qualified}.{item.name}" in TEST_ORACLES:
                     continue
                 unused.append(f"{qualified}.{item.name} ({where}:{item.lineno})")
     assert unused == [], "defined in src/ but used only by tests: " + ", ".join(unused)

@@ -108,7 +108,7 @@ class ScalingFamily(FamilySpec):
 @pytest.mark.parametrize("convention", list(OrbitConvention))
 def test_toy_family_connectivity_is_that_of_a_sphere(n, convention):
     report = summarize_strata(ScalingFamily(n), convention)
-    (stratum,) = report.strata
+    (stratum,) = ScalingFamily(n).strata(convention)
     assert (stratum.m, stratum.orbit_dim) == (n, 0)
     assert report.d_min == 2 * n
     assert report.connectivity == 2 * n - 2

@@ -163,7 +163,7 @@ OPTIONS = {
     "--grid": st.one_of(st.integers(-1, 1).map(str), st.just("100000000")),
     "--degenerate-trials": counts,
     "--seed": st.sampled_from(["0", "1", "-1", str(2**64), *GARBAGE]),
-    "--bound": st.sampled_from(["1", "9", "0", "-3", *GARBAGE]),
+    "--bound": st.sampled_from(["1", "9", "0", "-3", str(2**63), *GARBAGE]),
     "--orbit-convention": st.sampled_from(["parabolic", "centralizer", "other"]),
 }
 SWITCHES = ["--assume-free-action", "--expect-degenerate", "--help-me"]

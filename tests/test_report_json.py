@@ -17,6 +17,7 @@ from git_topo.connectivity import (
     summarize_strata,
 )
 from git_topo.families import ControlFamily, DagFamily, QuiverSpec, StratumClass
+from git_topo.families.base import StratumTexts
 from git_topo.groups import OnePSClass, OrbitConvention
 from git_topo.reports import render_connectivity_text
 from git_topo.serialize import canonical_dumps, report_to_json
@@ -41,13 +42,14 @@ def assert_same_text(text, expected):
 
 
 def assert_matches_oracle(spec, convention, max_q=None):
-    """Every row form writes the oracle's texts: the report of
-    `StratumClass` rows, written when it is rendered, and the reports of
-    rows written while the table is built, as `analyze` writes them."""
+    """Every row form writes the oracle's texts of the family's
+    `StratumClass` rows, `spec.strata(convention)`: the reports of rows
+    written while the table is built, as `analyze` writes them."""
     report = summarize_strata(spec, convention, max_q=max_q)
-    expected = oracle_report_text(report)
-    expected_lines = oracle_connectivity_lines(report)
-    for rows in ("classes", "text", "json"):
+    strata = spec.strata(convention)
+    expected = oracle_report_text(report, strata)
+    expected_lines = oracle_connectivity_lines(report, strata)
+    for rows in ("text", "json"):
         written = summarize_strata(spec, convention, max_q=max_q, rows=rows)
         assert render_connectivity_text(written) == expected_lines
         if rows != "text":
@@ -139,6 +141,15 @@ descriptors = st.one_of(
 )
 
 
+def hand_built(family, convention, strata, d_min, connectivity):
+    """A report of the given rows, written by `StratumTexts.add_classes`,
+    and the rows themselves for the oracle."""
+    texts = StratumTexts(family, convention, with_json=True)
+    texts.add_classes(strata)
+    report = ConnectivityReport(family, convention, d_min, connectivity, texts=texts)
+    return report, strata
+
+
 @st.composite
 def hand_built_reports(draw):
     strata = []
@@ -151,23 +162,23 @@ def hand_built_reports(draw):
         m, orbit = draw(st.integers(0, 9)), draw(st.integers(0, 9))
         strata.append(StratumClass(descriptor, lam, m, orbit))
     d_min = min((s.value for s in strata), default=None)
-    return ConnectivityReport(
-        family=draw(st.sampled_from(["quiver", "control", "dag"])),
-        convention=draw(st.sampled_from(list(OrbitConvention))),
-        strata=tuple(strata),
-        d_min=d_min,
-        connectivity=CONTRACTIBLE if d_min is None else d_min - 2,
+    return hand_built(
+        draw(st.sampled_from(["quiver", "control", "dag"])),
+        draw(st.sampled_from(list(OrbitConvention))),
+        strata,
+        d_min,
+        CONTRACTIBLE if d_min is None else d_min - 2,
     )
 
 
 # 1 and 0 come first; True and False after them keep their own text.
-BOOLS_AFTER_EQUAL_INTS = ConnectivityReport(
+BOOLS_AFTER_EQUAL_INTS = hand_built(
     "quiver",
     OrbitConvention.PARABOLIC,
-    tuple(
+    [
         StratumClass({"sub_dim": value}, OnePSClass(((0,),), ()), 1, 0)
         for value in [(1, 0), (True, False), 1, True, (0, True), False]
-    ),
+    ],
     2,
     0,
 )
@@ -176,8 +187,9 @@ BOOLS_AFTER_EQUAL_INTS = ConnectivityReport(
 @given(hand_built_reports())
 @example(BOOLS_AFTER_EQUAL_INTS)
 @settings(max_examples=300, deadline=None)
-def test_hand_built_descriptors_match_the_oracle(report):
-    assert_same_text("".join(report_to_json(report)), oracle_report_text(report))
+def test_hand_built_descriptors_match_the_oracle(built):
+    report, strata = built
+    assert_same_text("".join(report_to_json(report)), oracle_report_text(report, strata))
 
 
 def test_contractible_and_no_information_reports_match_the_oracle():
@@ -208,9 +220,10 @@ def test_analyze_writes_the_oracle_text_for_a_12_cycle(tmp_path, capsys):
     cycle = tuple((i, (i + 1) % v) for i in range(v))
     spec = QuiverSpec(v, cycle, (1,) * v, (v - 1,) + (-1,) * (v - 1))
     report = summarize_strata(spec)
-    assert len(report.strata) == 2 ** (v - 1) - 1
+    strata = spec.strata(report.convention)
+    assert len(strata) == 2 ** (v - 1) - 1
     written = out.read_text(encoding="utf-8")
-    assert_same_text(written, oracle_report_text(report) + "\n")
+    assert_same_text(written, oracle_report_text(report, strata) + "\n")
     captured = capsys.readouterr()
     assert captured.out == "\n".join(render_connectivity_text(report)) + "\n"
     assert captured.err == ""

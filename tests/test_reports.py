@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
-from git_topo.connectivity import CONTRACTIBLE, summarize_strata
+from git_topo.connectivity import CONTRACTIBLE, ROW_FORMS, summarize_strata
+from git_topo.errors import DomainError
 from git_topo.families.control import ControlFamily
 from git_topo.families.dag import DagFamily
 from git_topo.families.quiver import QuiverSpec, kronecker_spec
@@ -34,8 +37,9 @@ def test_build_report_defaults_per_family():
 
 
 def test_build_report_single_state_control_is_contractible():
-    report = summarize_strata(ControlFamily(1, 2))
-    assert report.strata == ()
+    spec = ControlFamily(1, 2)
+    report = summarize_strata(spec)
+    assert spec.strata(report.convention) == []
     assert report.d_min is None
     assert report.connectivity == CONTRACTIBLE
     assert any("V^st = V" in n for n in report.notes)
@@ -67,9 +71,24 @@ def test_a_report_without_its_rows_writes_no_table():
         with pytest.raises(ValueError, match="without its rows"):
             "".join(report_to_json(report))
     # With no stratum at all there is nothing to keep.
-    lines = render_connectivity_text(summarize_strata(ControlFamily(1, 2), rows=None))
+    empty = summarize_strata(ControlFamily(1, 2), rows=None)
+    lines = render_connectivity_text(empty)
     assert "strata: none" in lines
     assert "d_min: none (no destabilizing classes: V^st = V)" in lines
+    assert '"strata":[]' in "".join(report_to_json(empty))
+
+
+def test_a_text_report_writes_no_json():
+    report = summarize_strata(ControlFamily(3, 2), rows="text")
+    assert "d_min = 4" in render_connectivity_text(report)
+    with pytest.raises(ValueError, match="written without their JSON"):
+        "".join(report_to_json(report))
+
+
+@pytest.mark.parametrize("rows", ["classes", "JSON", ""])
+def test_unknown_row_forms_are_refused(rows):
+    with pytest.raises(DomainError, match=re.escape(str(ROW_FORMS))):
+        summarize_strata(ControlFamily(3, 2), rows=rows)
 
 
 def test_render_dag_threshold_line():
@@ -120,9 +139,8 @@ def test_stratum_rows_keep_their_spelling():
         DagFamily(10, 3),
     ):
         report = summarize_strata(spec)
+        strata = spec.strata(report.convention)
         lines = render_connectivity_text(report)
         start = lines.index("strata:") + 1
-        assert report.strata
-        assert lines[start : start + len(report.strata)] == [
-            _old_row(s) for s in report.strata
-        ]
+        assert strata
+        assert lines[start : start + len(strata)] == [_old_row(s) for s in strata]

@@ -72,6 +72,29 @@ def test_ints_refuses_an_empty_range_with_a_package_error():
         CounterRng(0).ints(1, 0, 3)
 
 
+def test_a_range_past_2_to_the_64_values_is_refused_before_any_word():
+    # 2^64 + 1 values leave no multiple of the span up to 2^64, so every
+    # word would be rejected and the draw would never return.
+    rng = CounterRng(1)
+    state = rng._state
+    message = r"range \[0, 18446744073709551616\] holds more than 2\^64 values"
+    for draw in (
+        lambda: rng.int_between(0, 2**64),
+        lambda: rng.ints(0, 2**64, 3),
+        lambda: rng.split_ints(0, 3, 0, 2**64, 4),
+        lambda: rng.split_ints(0, 3, 0, 2**64, 65),
+    ):
+        with pytest.raises(DomainError, match=message):
+            draw()
+    assert rng._state == state
+    # Exactly 2^64 values accept every word.
+    lo, hi = -(2**63), 2**63 - 1
+    again = CounterRng(1)
+    assert rng.int_between(lo, hi) == lo + again.next64()
+    assert all(lo <= x <= hi for x in rng.ints(lo, hi, 70))
+    assert all(lo <= x <= hi for t in rng.split_ints(0, 3, lo, hi, 4) for x in t)
+
+
 # `split_ints` draws the streams of consecutive trials in packed blocks of
 # 64; a trial with a rejected word comes back as None for its caller to
 # redraw through `split(i)`.

@@ -5,7 +5,8 @@
 text, at the walk's leaf; `homotopy` and the path gate of `verify` ask
 `summarize_strata` for no rows.  Their JSON must equal the dict-tree
 writer of `report_json_oracle.py` and their stdout the renderer of
-`report_text_oracle.py`, both run on the report of `StratumClass` rows.
+`report_text_oracle.py`, both run on the family's `StratumClass` rows,
+`spec.strata(convention)`.
 """
 
 import contextlib
@@ -93,16 +94,17 @@ THREE_KRONECKER = QuiverSpec(2, ((0, 1),) * 3, (2, 3), (3, -2))
 @settings(max_examples=150, deadline=None)
 def test_analyze_and_homotopy_write_the_oracle_texts(spec, convention, max_q):
     report = summarize_strata(spec, convention, max_q=max_q)
+    strata = spec.strata(convention)
     args = [*quiver_args(spec), "--orbit-convention", convention.value]
     q = [] if max_q is None else ["--max-q", str(max_q)]
-    expected_lines = lines_text(oracle_connectivity_lines(report))
+    expected_lines = lines_text(oracle_connectivity_lines(report, strata))
     assert run(["analyze", *args, *q]) == (
-        0, expected_lines, oracle_report_text(report) + "\n"
+        0, expected_lines, oracle_report_text(report, strata) + "\n"
     )
     assert run(["analyze", *args, *q], json_out=False) == (0, expected_lines, None)
 
     table = summarize_strata(spec, convention, max_q=max_q or 0)
-    head = {key: oracle_report_dict(table)[key] for key in HEAD_KEYS}
+    head = {key: oracle_report_dict(table, strata)[key] for key in HEAD_KEYS}
     canonical = json.dumps(head, sort_keys=True, separators=(",", ":"))
     homotopy = ["homotopy", *args, "--max-q", str(max_q or 0), "--assume-free-action"]
     assert run(homotopy) == (
@@ -115,7 +117,7 @@ def test_analyze_and_homotopy_write_the_oracle_texts(spec, convention, max_q):
 def test_min_only_d_min_is_the_least_row_value(spec, convention):
     least = min((s.value for s in enumerate_strata(spec, convention)), default=None)
     assert spec.d_min(convention) == least
-    for rows in (None, "text", "json", "classes"):
+    for rows in (None, "text", "json"):
         assert summarize_strata(spec, convention, rows=rows).d_min == least
 
 
