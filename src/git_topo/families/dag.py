@@ -223,9 +223,10 @@ def dag_solve_mle(inst: DagInstance) -> tuple[Fraction, ...]:
     k = inst.k
     rows, scales = integer_columns(inst.y)
     cols = list(zip(*rows))
-    gram = [
-        [sum(map(operator.mul, cols[i], cols[j])) for j in range(k)] for i in range(k)
-    ]
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):  # symmetric: each pair once, mirrored
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, cols[i], cols[j]))
     rhs = [sum(map(operator.mul, cols[i], cols[k])) for i in range(k)]
     try:
         gamma = solve_square(Matrix.from_rows(gram), rhs)

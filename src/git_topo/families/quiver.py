@@ -20,8 +20,11 @@ vertices of positive dimension that adds these terms as it fixes each
 vertex, from tables built once per enumeration, and skips each prefix
 that theta already rules out.  The walk carries each row's labels down
 with it, its sub_dim and its per-vertex weight tuples, as tuples for
-`StratumClass` rows or as JSON texts.  From the texts `analyze` writes
-each row's text line and JSON text at the leaf.  `homotopy` and the
+`StratumClass` rows or as JSON texts.  Its last few levels are not
+walked below every prefix: their completions are tabulated once per
+state of the earlier vertices they share arrows with, and each prefix
+keeps the entries theta admits.  From the texts `analyze` writes each
+row's text line and JSON text at the leaf.  `homotopy` and the
 path gate of `verify` need only the least value, and a branch and bound
 over the same levels finds it (`_least_row`): it cuts each prefix that
 cannot beat the best row found, so it visits a few prefixes where the
@@ -92,6 +95,14 @@ MAX_CLOSURE_GRAPH_SIZE = 2500
 # `homotopy` on the 16-vertex thin star with every arrow into its last
 # vertex, whose floors never cut, took 0.21-0.22 s in-process.
 MAX_SEARCH_READS = 2**20
+
+# Most candidates of the last levels `_table` tabulates once per boundary
+# state (`_suffix_table`) instead of walking them below every prefix.  On
+# a 2-CPU x86 machine, `d_min` with JSON rows on the benchmark's thin
+# cycles of 10-16 vertices took its least time at 32-64 and 128 slowed the
+# 10- and 12-vertex ones; 64 also beat 32 on a complete 12-vertex quiver,
+# 6.6 against 7.7 ms, where every prefix has a boundary state of its own.
+SUFFIX_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -460,8 +471,19 @@ def _table(
     keep: Callable[[int, int, Any, Any], None],
 ) -> None:
     """Walk every d' with theta . d' >= 0, d' = 0 and d' = dim among them,
-    and call keep(m, stabilizer, sub, rep) on each; see `_walk_levels`
-    for the labels sub and rep.
+    and call keep(m, stabilizer, sub, rep) on each, in lex order; see
+    `_walk_levels` for the labels sub and rep.
+
+    The levels split where the last ones, the suffix, hold at most
+    SUFFIX_CANDIDATES candidates.  `_walk` runs over the levels before
+    it, the prefix, with its theta pruning.  A suffix row depends on its
+    prefix only through the boundary, the subdimensions of the earlier
+    vertices that the suffix's pairs read, so each boundary state gets
+    one table of every completion (`_suffix_table`), built the first
+    time a prefix reaches it.  At each prefix leaf the entries whose
+    theta part brings theta . d' to 0 or more are kept, in table order:
+    the walk's pruning only drops subtrees with no such leaf, so these
+    are the rows and the order the whole walk would give.
 
     `_check_table` refuses a table past its work limit before the walk
     starts.
@@ -469,7 +491,76 @@ def _table(
     _check_table(spec)
     empty = "" if text else ()
     levels = _walk_levels(spec, convention, text)
-    _walk(levels, 0, [0] * spec.vertex_count, 0, 0, 0, empty, empty, keep)
+    split, candidates = len(levels), 1
+    while split and candidates * len(levels[split - 1][3]) <= SUFFIX_CANDIDATES:
+        split -= 1
+        candidates *= len(levels[split][3])
+    prefix, suffix = levels[:split], levels[split:]
+    shared = _suffix_rows(suffix, empty)
+    boundary = sorted(
+        {u for level in suffix for u, _ in level[5]} - {level[0] for level in suffix}
+    )
+    sub_dim = [0] * spec.vertex_count
+    tables: dict[tuple[int, ...], list[tuple]] = {}
+
+    def leaf(theta_sum: int, m: int, stabilizer: int, sub: Any, rep: Any) -> None:
+        key = tuple([sub_dim[u] for u in boundary])
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _suffix_table(suffix, sub_dim, shared)
+        for theta_part, m_part, stabilizer_part, sub_part, rep_part in table:
+            if theta_sum + theta_part >= 0:
+                keep(m + m_part, stabilizer + stabilizer_part,
+                     sub + sub_part, rep + rep_part)
+
+    if prefix:
+        _walk(prefix, 0, sub_dim, 0, 0, 0, empty, empty, leaf)
+    else:
+        leaf(0, 0, 0, empty, empty)
+
+
+def _suffix_rows(levels: list[tuple], empty: Any) -> list[tuple]:
+    """Every completion of `levels`, the last levels of a walk, in lex
+    order, as (theta part, m part, stabilizer part, sub, rep): what those
+    levels add to a row, the m part counting only their loops and the
+    arrows among them.  Built level by level, each entry carrying its
+    subdimensions at these levels for the later levels' pairs."""
+    entries = [((), 0, 0, 0, empty, empty)]
+    at: dict[int, int] = {}
+    for vertex, theta_vertex, _, own, stabilizers, pairs, subs, reps in levels:
+        inside = [(at[u], table) for u, table in pairs if u in at]
+        at[vertex] = len(at)
+        extended = []
+        for ks, theta, m, stabilizer, sub, rep in entries:
+            for k, added in enumerate(own):
+                for j, table in inside:
+                    added += table[ks[j]][k]
+                extended.append((
+                    ks + (k,), theta + theta_vertex * k, m + added,
+                    stabilizer + stabilizers[k], sub + subs[k], rep + reps[k],
+                ))
+        entries = extended
+    return [entry[1:] for entry in entries]
+
+
+def _suffix_table(
+    levels: list[tuple], sub_dim: list[int], shared: list[tuple]
+) -> list[tuple]:
+    """The rows of `_suffix_rows` completing a prefix that set sub_dim at
+    each earlier vertex: each m part gains the m of the arrows between
+    those vertices and `levels`."""
+    suffix_vertices = {level[0] for level in levels}
+    m_parts = [0]
+    for level in levels:
+        added = [0] * len(level[3])
+        for u, table in level[5]:
+            if u not in suffix_vertices:
+                added = list(map(operator.add, added, table[sub_dim[u]]))
+        m_parts = [m + a for m in m_parts for a in added]
+    return [
+        (theta, m + m_part, stabilizer, sub, rep)
+        for (theta, m, stabilizer, sub, rep), m_part in zip(shared, m_parts)
+    ]
 
 
 def _check_table(spec: QuiverSpec) -> None:
@@ -578,19 +669,23 @@ def _walk(
     stabilizer: int,
     sub: Any,
     rep: Any,
-    keep: Callable[[int, int, Any, Any], None],
+    keep: Callable[[int, int, int, Any, Any], None],
 ) -> None:
     """Set sub_dim at this level's vertex and every later one, first vertex
-    slowest, and call keep(m, stabilizer, sub, rep) on each d' with
-    theta . d' >= 0, where sub and rep have gained this level's labels.
+    slowest, and call keep(theta_sum, m, stabilizer, sub, rep) at each
+    leaf from which some choice at the table's later levels, those past
+    `levels`, reaches theta . d' >= 0; sub and rep have gained this
+    level's labels.
 
     The sums run over the levels already set.  A value k is skipped when
     theta_sum + theta_vertex * k + rest < 0, as no completion reaches
     theta . d' >= 0; past it, a larger k only lowers the sum unless
     theta_vertex > 0.  So neither d' = 0 nor d' = dim is ever skipped.
-    Recursion is one frame per positive vertex, and the work limit of a
-    table admits at most 17 of them (17 x 2^17 weights); `_least_row`,
-    which walks the same levels with no table, keeps its own stack.
+    `_table` passes the prefix of its levels, whose rest counts the
+    later levels too.  Recursion is one frame per prefix level, and the
+    work limit of a table admits at most 17 levels (17 x 2^17 weights);
+    `_least_row`, which walks the same levels with no table, keeps its
+    own stack.
     """
     vertex, theta_vertex, rest, own, stabilizers, pairs, subs, reps = levels[level]
     deeper = level + 1 < len(levels)
@@ -607,7 +702,8 @@ def _walk(
             _walk(levels, level + 1, sub_dim, theta_next, m + added,
                   stabilizer + stabilizers[k], sub + subs[k], rep + reps[k], keep)
         else:
-            keep(m + added, stabilizer + stabilizers[k], sub + subs[k], rep + reps[k])
+            keep(theta_next, m + added, stabilizer + stabilizers[k],
+                 sub + subs[k], rep + reps[k])
 
 
 def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:

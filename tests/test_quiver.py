@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from itertools import combinations
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from git_topo.connectivity import summarize_strata
 from git_topo.errors import DomainError, ShapeError, SizeLimitError
+from git_topo.families import StratumClass, quiver
 from git_topo.families.base import Verdict, negative_weight_dim
 from git_topo.families.quiver import (
     MAX_CLOSURE_GRAPH_SIZE,
@@ -19,9 +22,13 @@ from git_topo.families.quiver import (
 )
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim
 from git_topo.linalg import ComplexRational
+from git_topo.reports import render_connectivity_text
+from git_topo.serialize import report_to_json
 
 from closure_oracle import oracle_status
 from euler_oracle import euler_form
+from report_json_oracle import oracle_report_text
+from report_text_oracle import oracle_connectivity_lines
 from weights_oracle import quiver_representative
 
 status = quiver_thin_status
@@ -436,6 +443,107 @@ def test_walk_matches_the_per_class_route(spec):
             for s in enumerate_strata(spec, convention)
         ]
         assert rows == per_class_table(spec, convention)
+
+
+@st.composite
+def split_quivers(draw):
+    """6-10 vertices: a thin cycle with random orientations and v // 4
+    chords, theta v - 1 at one vertex and -1 elsewhere or an admissible
+    mix; or dimensions 0-3, at most 2^10 candidates, with loops, parallel
+    arrows and dimension-0 vertices."""
+    v = draw(st.integers(6, 10))
+    vertex = st.integers(0, v - 1)
+    if draw(st.booleans()):
+        dims = [1] * v
+        arrows = [
+            (i, (i + 1) % v) if draw(st.booleans()) else ((i + 1) % v, i)
+            for i in range(v)
+        ]
+        arrows += [draw(st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1]))
+                   for _ in range(v // 4)]
+    else:
+        dims, room = [], 2**10
+        for _ in range(v):
+            dims.append(draw(st.integers(0, min(3, room - 1))))
+            room //= dims[-1] + 1
+        dims = list(draw(st.permutations(dims)))
+        if not any(dims):
+            dims[draw(vertex)] = 1
+        arrows = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * v))
+    if all(d == 1 for d in dims) and draw(st.booleans()):
+        theta = [-1] * v
+        theta[draw(vertex)] = v - 1
+    else:
+        theta = [draw(st.integers(-3, 3)) if d == 0 else 0 for d in dims]
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(vertex), draw(vertex)
+            c = draw(st.integers(-3, 3))
+            theta[i] += c * dims[j]
+            theta[j] -= c * dims[i]
+    return QuiverSpec(v, tuple(arrows), tuple(dims), tuple(theta))
+
+
+def split_constants(spec: QuiverSpec) -> list[int]:
+    """One SUFFIX_CANDIDATES per split of the walk's levels, from the whole
+    walk tabulated to no level tabulated: the candidates of each suffix."""
+    counts = [spec.dim_vector[v] + 1 for v in spec.positive_vertices]
+    return [math.prod(counts[i:]) for i in range(len(counts) + 1)]
+
+
+@given(split_quivers(), st.sampled_from(list(OrbitConvention)))
+@example(QuiverSpec(8, ((0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (5, 6), (7, 6), (0, 7),
+                        (5, 2), (1, 6)), (1,) * 8, (-1, -1, -1, -1, 7, -1, -1, -1)),
+         OrbitConvention.PARABOLIC)
+@example(QuiverSpec(7, ((0, 0), (0, 6), (0, 6), (3, 1), (6, 2), (2, 2), (5, 3)),
+                    (2, 1, 0, 3, 1, 0, 2), (1, -2, 5, 0, 0, 4, 0)),
+         OrbitConvention.CENTRALIZER)
+@settings(max_examples=40, deadline=None)
+def test_every_split_gives_the_per_class_table(spec, convention):
+    # Each split point of the walk's levels, the whole table in one suffix
+    # table and none in any, gives the rows of the per-class route; and
+    # the rows `d_min` writes as texts are the oracles' texts of them.
+    expected = per_class_table(spec, convention)
+    strata = [StratumClass(*row) for row in expected]
+    for constant in split_constants(spec):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quiver, "SUFFIX_CANDIDATES", constant)
+            rows = [
+                (s.descriptor, s.representative, s.m, s.orbit_dim)
+                for s in enumerate_strata(spec, convention)
+            ]
+            report = summarize_strata(spec, convention, rows="json")
+        assert rows == expected
+        assert render_connectivity_text(report) == oracle_connectivity_lines(
+            report, strata
+        )
+        assert "".join(report_to_json(report)) == oracle_report_text(report, strata)
+
+
+@pytest.mark.parametrize("theta", [(0,) * 12, (11,) + (-1,) * 11], ids=["0", "11,-1"])
+def test_suffix_tables_hold_no_more_entries_than_the_candidates(monkeypatch, theta):
+    # On the complete 12-vertex thin quiver every prefix has a boundary
+    # state of its own, so no table is shared; theta = (11, -1, ..., -1)
+    # keeps 2049 of the 4096 candidates, d' = 0 and d' = dim among them,
+    # and the walk skips about half the prefixes.
+    v = 12
+    spec = QuiverSpec(
+        v, tuple((i, j) for i in range(v) for j in range(i + 1, v)), (1,) * v, theta
+    )
+    built = []
+    suffix_table = quiver._suffix_table
+
+    def counted(*args):
+        built.append(len(table := suffix_table(*args)))
+        return table
+
+    monkeypatch.setattr(quiver, "_suffix_table", counted)
+    rows = enumerate_strata(spec, OrbitConvention.PARABOLIC)
+    candidates = 2**v
+    assert sum(built) <= candidates
+    if any(theta):
+        assert len(rows) == 2 ** (v - 1) - 1 and sum(built) < candidates
+    else:
+        assert len(rows) == candidates - 2 and sum(built) == candidates
 
 
 def test_walk_subdimensions_stay_in_range():
