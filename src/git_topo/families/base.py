@@ -39,8 +39,8 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # 0.13-0.3 us a unit.  A thin quiver builds only the rows theta
 # destabilizes, so on a 2-CPU x86 machine `analyze quiver --json` on a
 # 17-vertex thin path with 15 arrows (2^17 candidates x 32 weights) took
-# 0.25-0.36 s and 54 MB with theta = (16, -1, ..., -1), and 0.5-0.7 s and
-# 90 MB with theta = 0.  A quiver's d_min alone (`homotopy`, the path gate
+# 0.07-0.11 s and 60 MB with theta = (16, -1, ..., -1), and 0.13-0.20 s
+# and 102 MB with theta = 0.  A quiver's d_min alone (`homotopy`, the path gate
 # of `verify`) comes from a search that runs unlimited where this limit
 # admits the table; past it the search counts, in the same units, only
 # the tables it reads (`quiver._levels_work`).  At the limit they took
@@ -251,16 +251,6 @@ class StratumClass:
         return 2 * self.m - 2 * self.orbit_dim
 
 
-class _Texts(dict):
-    """Exact int -> its JSON text, encoded on first use.  Only exact ints
-    go in: True == 1 and hashes alike, so a bool would be given the text
-    of the int it equals."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = json_text(value)
-        return text
-
-
 def format_value(value) -> str:
     """An int, or a tuple of ints as its repr "(1, 0)", but "(5)" for a
     1-tuple."""
@@ -273,61 +263,54 @@ class StratumTexts:
     """A stratum table written as text, row by row, while it is built.
 
     `lines` gets each row's text line and `rows`, unless it is None, the
-    row's canonical JSON text.  The line format (`line`) and the JSON
-    template (`json_row`) live here and nowhere else.  Both take every
-    field already written: the descriptor, and m, orbit_dim and value
-    from `ints`, the table's cache of int texts.  The template's keys are
-    in sorted order, so no dict is built and nothing is sorted per row.
-    A quiver table is written by its walk, from label texts built once
-    per table; every other table by `add_classes`, which encodes each
-    descriptor and weight list with `json_text`.
+    row's canonical JSON text.  The line format and the JSON template live
+    here and nowhere else, split at the fields that vary per row: a line
+    is `line_head`, the descriptor and its line tail; a JSON text is
+    `json_head`, the descriptor's JSON, its middle, the comma-joined texts
+    of the factors' weight lists and its end.  The tails depend only on
+    m, orbit_dim and the torus weights (`tails`).  The template's keys
+    are in sorted order, so no dict is built and nothing is sorted per
+    row.  A quiver table is written by its walk, one f-string per row
+    from label texts built once per table and tails it builds once per
+    (m, orbit_dim); every other table by `add_classes`, which encodes
+    each descriptor and weight list with `json_text`.
     """
+
+    line_head = "  "
 
     def __init__(
         self, family: str, convention: OrbitConvention, with_json: bool
     ) -> None:
         self.lines: list[str] = []
         self.rows: list[str] | None = [] if with_json else None
-        self.ints = _Texts()
-        self._head = f'{{"convention":{json_text(convention.value)},"descriptor":'
+        self.json_head = f'{{"convention":{json_text(convention.value)},"descriptor":'
         self._family = f',"family":{json_text(family)},"m":'
 
-    def line(self, descriptor: str, m: str, orbit_dim: str, value: str) -> str:
-        return f"  {descriptor}: m={m}, orbit_dim={orbit_dim}, value={value}"
-
-    def json_row(
-        self,
-        descriptor: str,
-        m: str,
-        orbit_dim: str,
-        gl_weights: str,
-        torus_weights: str,
-        value: str,
-    ) -> str:
-        """gl_weights is the comma-joined text of the factors' weight lists,
-        torus_weights the text of the whole list."""
+    def tails(
+        self, m: int, orbit_dim: int, torus_weights: str = "[]"
+    ) -> tuple[str, str, str]:
+        """The line tail, the JSON middle and the JSON end of a row with
+        this m and orbit_dim; torus_weights is the JSON text of that list."""
+        value = 2 * (m - orbit_dim)
         return (
-            f'{self._head}{descriptor}{self._family}{m},"orbit_dim":{orbit_dim},'
-            f'"representative":{{"gl_weights":[{gl_weights}],'
-            f'"torus_weights":{torus_weights}}},"value":{value}}}'
+            f": m={m}, orbit_dim={orbit_dim}, value={value}",
+            f'{self._family}{m},"orbit_dim":{orbit_dim},'
+            '"representative":{"gl_weights":[',
+            f'],"torus_weights":{torus_weights}}},"value":{value}}}',
         )
 
     def add_classes(self, strata: Iterable[StratumClass]) -> None:
-        ints = self.ints
         for s in strata:
-            m, orbit, value = ints[s.m], ints[s.orbit_dim], ints[s.value]
+            rep = s.representative
+            line_tail, middle, end = self.tails(
+                s.m, s.orbit_dim, json_text(rep.torus_weights)
+            )
             line = ", ".join([f"{k}={format_value(v)}" for k, v in s.descriptor.items()])
-            self.lines.append(self.line(line, m, orbit, value))
+            self.lines.append(f"{self.line_head}{line}{line_tail}")
             if self.rows is not None:
-                rep = s.representative
-                self.rows.append(self.json_row(
-                    json_text(s.descriptor),
-                    m,
-                    orbit,
-                    ",".join(map(json_text, rep.gl_weights)),
-                    json_text(rep.torus_weights),
-                    value,
-                ))
+                descriptor = json_text(s.descriptor)
+                gl_weights = ",".join(map(json_text, rep.gl_weights))
+                self.rows.append(f"{self.json_head}{descriptor}{middle}{gl_weights}{end}")
 
 
 def check_stratum_work(classes: int, weights_per_class: int) -> None:

@@ -20,15 +20,16 @@ vertices of positive dimension that adds these terms as it fixes each
 vertex, from tables built once per enumeration, and skips each prefix
 that theta already rules out.  The walk carries each row's labels down
 with it, its sub_dim and its per-vertex weight tuples, as tuples for
-`StratumClass` rows or as JSON texts.  Its last few levels are not
-walked below every prefix: their completions are tabulated once per
-state of the earlier vertices they share arrows with, and each prefix
-keeps the entries theta admits.  From the texts `analyze` writes each
-row's text line and JSON text at the leaf.  `homotopy` and the
-path gate of `verify` need only the least value, and a branch and bound
-over the same levels finds it (`_least_row`): it cuts each prefix that
-cannot beat the best row found, so it visits a few prefixes where the
-walk visits every row, and it builds no row.
+`StratumClass` rows or as JSON texts, the sub_dim in the text line's
+spelling too.  Its last few levels are not walked below every prefix:
+their completions are tabulated once per state of the earlier vertices
+they share arrows with, and each prefix leaf hands its table to one
+call that keeps the entries theta admits.  From the texts `analyze`
+writes each row's text line and JSON text there, one f-string each.
+`homotopy` and the path gate of `verify` need only the least value,
+and a branch and bound over the same levels finds it (`_least_row`):
+it cuts each prefix that cannot beat the best row found, so it visits
+a few prefixes where the walk visits every row, and it builds no row.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from git_topo.errors import (
@@ -98,10 +99,12 @@ MAX_SEARCH_READS = 2**20
 
 # Most candidates of the last levels `_table` tabulates once per boundary
 # state (`_suffix_table`) instead of walking them below every prefix.  On
-# a 2-CPU x86 machine, `d_min` with JSON rows on the benchmark's thin
-# cycles of 10-16 vertices took its least time at 32-64 and 128 slowed the
-# 10- and 12-vertex ones; 64 also beat 32 on a complete 12-vertex quiver,
-# 6.6 against 7.7 ms, where every prefix has a boundary state of its own.
+# a 2-CPU x86 machine, `d_min` with JSON rows took its least time at 64
+# (or 32) on the benchmark's thin cycles of 10 and 12 vertices, which 128
+# slowed by 2-17 % and 256 by 27-44 %.  128 cut the 16-vertex cycle from
+# 18.0 to 16.8 ms and a complete 12-vertex quiver, where every prefix has
+# a boundary state of its own, from 3.7-4.4 to 3.1-4.4 ms, but saved only
+# 0.7-0.9 ms over the benchmark's ten thin analyses, under 1 % of a pass.
 SUFFIX_CANDIDATES = 64
 
 
@@ -378,36 +381,48 @@ class QuiverSpec(FamilySpec):
         Without texts that row is found by `_least_row`'s branch and
         bound, which visits only prefixes that can still beat the best
         row and builds no row.  With texts the table is walked whole
-        (`_table`): each row's text line, and its JSON text when
-        texts.rows is a list, is written from the walk's text labels, so
-        no per-row object exists.
+        (`_table`), one call per prefix leaf: each row's text line, and
+        its JSON text when texts.rows is a list, is one f-string of the
+        leaf's and its suffix entry's labels and the tails `texts.tails`
+        builds once per (m, orbit_dim), so no per-row object exists.  The
+        least row is found among those (m, orbit_dim) as their tails are
+        first built.
         """
         dim_g = group_dim(self.group())
         if texts is None:
             least = _least_row(self, convention)
             return None if least is None else 2 * (least - dim_g)
-        zero = ",".join("0" * self.vertex_count)
-        full = ",".join(map(str, self.dim_vector))
-        lines, rows, ints = texts.lines, texts.rows, texts.ints
-        line, json_row = texts.line, texts.json_row
+        lines, rows = texts.lines, texts.rows
+        line_head, json_head = texts.line_head, texts.json_head
+        # A row's tails by its m * span + orbit_dim, one int, as 0 <=
+        # orbit_dim <= dim_g; least is the least m - orbit_dim among them.
+        span = dim_g + 1
+        tails: dict[int, tuple[str, str, str]] = {}
         least = None
 
-        def keep(m: int, stabilizer: int, sub: str, rep: str) -> None:
+        def keep(theta_sum: int, m: int, stabilizer: int, sub: str, line: str,
+                 rep: str, table: list[tuple]) -> None:
             nonlocal least
-            if sub == zero or sub == full:
-                return
-            if least is None or m + stabilizer < least:
-                least = m + stabilizer
-            orbit = dim_g - stabilizer
-            m_text, orbit_text, value = ints[m], ints[orbit], ints[2 * (m - orbit)]
-            descriptor = f"sub_dim=({sub.replace(',', ', ')})"
-            lines.append(line(descriptor, m_text, orbit_text, value))
-            if rows is not None:
-                descriptor = f'{{"sub_dim":[{sub}]}}'
-                rows.append(json_row(descriptor, m_text, orbit_text, rep, "[]", value))
+            key_start = m * span + dim_g - stabilizer
+            line_start = f"{line_head}sub_dim=({line}"
+            json_start = f'{json_head}{{"sub_dim":[{sub}'
+            for theta_part, m_part, stab_part, sub_part, line_part, rep_part in table:
+                if theta_sum + theta_part < 0:
+                    continue
+                key = key_start + m_part * span - stab_part
+                row_tails = tails.get(key)
+                if row_tails is None:
+                    row_m, row_orbit = divmod(key, span)
+                    row_tails = tails[key] = texts.tails(row_m, row_orbit)
+                    if least is None or row_m - row_orbit < least:
+                        least = row_m - row_orbit
+                line_tail, middle, end = row_tails
+                lines.append(f"{line_start}{line_part}){line_tail}")
+                if rows is not None:
+                    rows.append(f"{json_start}{sub_part}]}}{middle}{rep}{rep_part}{end}")
 
         _table(self, convention, True, keep)
-        return None if least is None else 2 * (least - dim_g)
+        return None if least is None else 2 * least
 
 
 _ARROW_RE = re.compile(r"^(\d+)->(\d+)$")
@@ -451,14 +466,19 @@ def enumerate_strata(
     sums, its descriptor and representative the labels it chose.
     """
     dim_g = group_dim(spec.group())
-    zero, full = (0,) * spec.vertex_count, spec.dim_vector
     rows: list[StratumClass] = []
 
-    def keep(m: int, stabilizer: int, sub: tuple, rep: tuple) -> None:
-        if sub != zero and sub != full:
-            rows.append(
-                StratumClass({"sub_dim": sub}, OnePSClass(rep), m, dim_g - stabilizer)
-            )
+    def keep(theta_sum: int, m: int, stabilizer: int, sub: tuple, _: tuple,
+             rep: tuple, table: list[tuple]) -> None:
+        orbit = dim_g - stabilizer
+        for theta_part, m_part, stabilizer_part, sub_part, _, rep_part in table:
+            if theta_sum + theta_part >= 0:
+                rows.append(StratumClass(
+                    {"sub_dim": sub + sub_part},
+                    OnePSClass(rep + rep_part),
+                    m + m_part,
+                    orbit - stabilizer_part,
+                ))
 
     _table(spec, convention, False, keep)
     return rows
@@ -468,11 +488,14 @@ def _table(
     spec: QuiverSpec,
     convention: OrbitConvention,
     text: bool,
-    keep: Callable[[int, int, Any, Any], None],
+    keep: Callable[[int, int, int, Any, Any, Any, list[tuple]], None],
 ) -> None:
-    """Walk every d' with theta . d' >= 0, d' = 0 and d' = dim among them,
-    and call keep(m, stabilizer, sub, rep) on each, in lex order; see
-    `_walk_levels` for the labels sub and rep.
+    """Walk every d' other than 0 and dim with theta . d' >= 0, in lex
+    order, with one call keep(theta_sum, m, stabilizer, sub, line, rep,
+    table) per prefix leaf: its rows are the entries (theta part, m part,
+    stabilizer part, sub part, line part, rep part) of table, in order,
+    whose theta part brings theta_sum to 0 or more, each the leaf's sums
+    and labels plus the entry's parts; see `_walk_levels` for the labels.
 
     The levels split where the last ones, the suffix, hold at most
     SUFFIX_CANDIDATES candidates.  `_walk` runs over the levels before
@@ -480,10 +503,11 @@ def _table(
     prefix only through the boundary, the subdimensions of the earlier
     vertices that the suffix's pairs read, so each boundary state gets
     one table of every completion (`_suffix_table`), built the first
-    time a prefix reaches it.  At each prefix leaf the entries whose
-    theta part brings theta . d' to 0 or more are kept, in table order:
-    the walk's pruning only drops subtrees with no such leaf, so these
-    are the rows and the order the whole walk would give.
+    time a prefix reaches it.  At each prefix leaf keep gets the table,
+    less its first entry, d' = 0 on the suffix, when the prefix is all
+    zero, and less its last, d' = dim, when the prefix is full: the
+    walk's pruning only drops subtrees with no kept row, so the rows
+    are those and in the order the whole walk would give.
 
     `_check_table` refuses a table past its work limit before the walk
     starts.
@@ -500,44 +524,48 @@ def _table(
     boundary = sorted(
         {u for level in suffix for u, _ in level[5]} - {level[0] for level in suffix}
     )
+    zero = full = empty
+    for level in prefix:
+        zero, full = zero + level[6][0], full + level[6][-1]
     sub_dim = [0] * spec.vertex_count
     tables: dict[tuple[int, ...], list[tuple]] = {}
 
-    def leaf(theta_sum: int, m: int, stabilizer: int, sub: Any, rep: Any) -> None:
+    def leaf(theta_sum: int, m: int, stabilizer: int, sub: Any, line: Any,
+             rep: Any) -> None:
         key = tuple([sub_dim[u] for u in boundary])
         table = tables.get(key)
         if table is None:
             table = tables[key] = _suffix_table(suffix, sub_dim, shared)
-        for theta_part, m_part, stabilizer_part, sub_part, rep_part in table:
-            if theta_sum + theta_part >= 0:
-                keep(m + m_part, stabilizer + stabilizer_part,
-                     sub + sub_part, rep + rep_part)
+        if sub == zero or sub == full:
+            table = table[sub == zero : len(table) - (sub == full)]
+        keep(theta_sum, m, stabilizer, sub, line, rep, table)
 
     if prefix:
-        _walk(prefix, 0, sub_dim, 0, 0, 0, empty, empty, leaf)
+        _walk(prefix, 0, sub_dim, 0, 0, 0, empty, empty, empty, leaf)
     else:
-        leaf(0, 0, 0, empty, empty)
+        leaf(0, 0, 0, empty, empty, empty)
 
 
 def _suffix_rows(levels: list[tuple], empty: Any) -> list[tuple]:
     """Every completion of `levels`, the last levels of a walk, in lex
-    order, as (theta part, m part, stabilizer part, sub, rep): what those
-    levels add to a row, the m part counting only their loops and the
-    arrows among them.  Built level by level, each entry carrying its
+    order, as (theta part, m part, stabilizer part, sub, line, rep): what
+    those levels add to a row, the m part counting only their loops and
+    the arrows among them.  Built level by level, each entry carrying its
     subdimensions at these levels for the later levels' pairs."""
-    entries = [((), 0, 0, 0, empty, empty)]
+    entries = [((), 0, 0, 0, empty, empty, empty)]
     at: dict[int, int] = {}
-    for vertex, theta_vertex, _, own, stabilizers, pairs, subs, reps in levels:
+    for vertex, theta_vertex, _, own, stabilizers, pairs, subs, lines, reps in levels:
         inside = [(at[u], table) for u, table in pairs if u in at]
         at[vertex] = len(at)
         extended = []
-        for ks, theta, m, stabilizer, sub, rep in entries:
+        for ks, theta, m, stabilizer, sub, line, rep in entries:
             for k, added in enumerate(own):
                 for j, table in inside:
                     added += table[ks[j]][k]
                 extended.append((
                     ks + (k,), theta + theta_vertex * k, m + added,
-                    stabilizer + stabilizers[k], sub + subs[k], rep + reps[k],
+                    stabilizer + stabilizers[k], sub + subs[k], line + lines[k],
+                    rep + reps[k],
                 ))
         entries = extended
     return [entry[1:] for entry in entries]
@@ -558,8 +586,8 @@ def _suffix_table(
                 added = list(map(operator.add, added, table[sub_dim[u]]))
         m_parts = [m + a for m in m_parts for a in added]
     return [
-        (theta, m + m_part, stabilizer, sub, rep)
-        for (theta, m, stabilizer, sub, rep), m_part in zip(shared, m_parts)
+        (theta, m + m_part, stabilizer, sub, line, rep)
+        for (theta, m, stabilizer, sub, line, rep), m_part in zip(shared, m_parts)
     ]
 
 
@@ -580,7 +608,7 @@ def _walk_levels(
     """One level per positive vertex, in vertex order, for `_walk`.
 
     A level is (vertex, theta_vertex, rest, own, stabilizers, pairs, subs,
-    reps).  rest is the most theta . d' the later levels can add,
+    lines, reps).  rest is the most theta . d' the later levels can add,
     sum max(0, theta_v dim_v).  Indexed by the vertex's subdimension k,
     with weights[k] = 0^k (-1)^(d - k) its GL factor's weights (the
     subspace gets 0, so arrows into the quotient carry the negative
@@ -588,15 +616,17 @@ def _walk_levels(
     `factor_stabilizer_dim`.  pairs holds (earlier vertex, table) per
     earlier vertex that shares arrows with this one, and table[j][k] is
     the m of those arrows when the earlier vertex has subdimension j.
-    Each term is one `hom_negative_dim` of these weights.
+    Each term is one `hom_negative_dim` of these weights, counted once
+    per pair of weight tuples, and each stabilizer once per weight tuple.
 
-    subs[k] and reps[k] are the labels the level adds to a row: the
-    subdimensions from the previous positive vertex (or the first vertex)
-    through this one, and the last level through the last vertex, as a
-    tuple; and (weights[k],).  With text set they are the JSON texts of
-    those entries, comma-joined, with a leading comma past the first
-    level, so a leaf's labels are the row's sub_dim and gl_weights lists
-    without their brackets.
+    subs[k], lines[k] and reps[k] are the labels the level adds to a row:
+    the subdimensions from the previous positive vertex (or the first
+    vertex) through this one, and the last level through the last vertex,
+    as a tuple; (); and (weights[k],).  With text set they are the JSON
+    texts of those entries, comma-joined, with a leading comma past the
+    first level, so a leaf's labels are the row's sub_dim and gl_weights
+    lists without their brackets, and lines[k] is subs[k] spelled with
+    ", " for the text line.
     """
     positive = spec.positive_vertices
     if not positive:
@@ -605,12 +635,15 @@ def _walk_levels(
         tuple((0,) * k + (-1,) * (d - k) for k in range(d + 1))
         for d in (spec.dim_vector[v] for v in positive)
     ]
+    negative = cache(hom_negative_dim)
+    stabilizer = cache(factor_stabilizer_dim)
+    weights_text = cache(json_text)
     own = [[0] * len(ws) for ws in weights]
     pairs: list[dict[int, list[list[int]]]] = [{} for _ in positive]
     for source, target, mult in spec.representation:
         if source == target:
             for k, ws in enumerate(weights[source]):
-                own[source][k] += mult * hom_negative_dim(ws, ws)
+                own[source][k] += mult * negative(ws, ws)
             continue
         earlier, later = sorted((source, target))
         table = pairs[later].setdefault(
@@ -619,7 +652,7 @@ def _walk_levels(
         for j, early in enumerate(weights[earlier]):
             for k, late in enumerate(weights[later]):
                 ends = (early, late) if source == earlier else (late, early)
-                table[j][k] += mult * hom_negative_dim(*ends)
+                table[j][k] += mult * negative(*ends)
     levels = []
     rest = 0
     for i in reversed(range(len(positive))):
@@ -627,19 +660,21 @@ def _walk_levels(
         before = vertex - positive[i - 1] - 1 if i else vertex
         after = spec.vertex_count - vertex - 1 if i + 1 == len(positive) else 0
         subs = [(0,) * before + (k,) + (0,) * after for k in range(len(own[i]))]
+        lines = [()] * len(subs)
         reps = [(ws,) for ws in weights[i]]
         if text:
-            comma = "," if i else ""
-            subs = [comma + ",".join(map(str, sub)) for sub in subs]
-            reps = [comma + json_text(ws) for ws in weights[i]]
+            lines = [(", " if i else "") + ", ".join(map(str, sub)) for sub in subs]
+            subs = [("," if i else "") + ",".join(map(str, sub)) for sub in subs]
+            reps = [("," if i else "") + weights_text(ws) for ws in weights[i]]
         levels.append((
             vertex,
             spec.theta[vertex],
             rest,
             tuple(own[i]),
-            tuple(factor_stabilizer_dim(ws, convention) for ws in weights[i]),
+            tuple(stabilizer(ws, convention) for ws in weights[i]),
             tuple((u, tuple(map(tuple, table))) for u, table in pairs[i].items()),
             tuple(subs),
+            tuple(lines),
             tuple(reps),
         ))
         rest += max(0, spec.theta[vertex] * spec.dim_vector[vertex])
@@ -668,14 +703,15 @@ def _walk(
     m: int,
     stabilizer: int,
     sub: Any,
+    line: Any,
     rep: Any,
-    keep: Callable[[int, int, int, Any, Any], None],
+    keep: Callable[[int, int, int, Any, Any, Any], None],
 ) -> None:
     """Set sub_dim at this level's vertex and every later one, first vertex
-    slowest, and call keep(theta_sum, m, stabilizer, sub, rep) at each
-    leaf from which some choice at the table's later levels, those past
-    `levels`, reaches theta . d' >= 0; sub and rep have gained this
-    level's labels.
+    slowest, and call keep(theta_sum, m, stabilizer, sub, line, rep) at
+    each leaf from which some choice at the table's later levels, those
+    past `levels`, reaches theta . d' >= 0; the labels have gained this
+    level's.
 
     The sums run over the levels already set.  A value k is skipped when
     theta_sum + theta_vertex * k + rest < 0, as no completion reaches
@@ -687,7 +723,7 @@ def _walk(
     `_least_row`, which walks the same levels with no table, keeps its
     own stack.
     """
-    vertex, theta_vertex, rest, own, stabilizers, pairs, subs, reps = levels[level]
+    vertex, theta_vertex, rest, own, stabilizers, pairs, subs, lines, reps = levels[level]
     deeper = level + 1 < len(levels)
     for k, added in enumerate(own):
         theta_next = theta_sum + theta_vertex * k
@@ -700,10 +736,11 @@ def _walk(
             added += table[sub_dim[u]][k]
         if deeper:
             _walk(levels, level + 1, sub_dim, theta_next, m + added,
-                  stabilizer + stabilizers[k], sub + subs[k], rep + reps[k], keep)
+                  stabilizer + stabilizers[k], sub + subs[k], line + lines[k],
+                  rep + reps[k], keep)
         else:
             keep(theta_next, m + added, stabilizer + stabilizers[k],
-                 sub + subs[k], rep + reps[k])
+                 sub + subs[k], line + lines[k], rep + reps[k])
 
 
 def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
@@ -740,7 +777,7 @@ def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
             ) from None
     levels = [
         (vertex, theta_vertex, rest, tuple(map(operator.add, own, stabilizers)), pairs)
-        for vertex, theta_vertex, rest, own, stabilizers, pairs, _, _ in _walk_levels(
+        for vertex, theta_vertex, rest, own, stabilizers, pairs, *_ in _walk_levels(
             spec, convention, False
         )
     ]

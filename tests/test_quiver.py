@@ -500,10 +500,13 @@ def split_constants(spec: QuiverSpec) -> list[int]:
 @settings(max_examples=40, deadline=None)
 def test_every_split_gives_the_per_class_table(spec, convention):
     # Each split point of the walk's levels, the whole table in one suffix
-    # table and none in any, gives the rows of the per-class route; and
-    # the rows `d_min` writes as texts are the oracles' texts of them.
+    # table and none in any, gives the rows of the per-class route; the
+    # rows `d_min` writes as texts are the oracles' texts of them, and the
+    # d_min it finds while writing them, in either row form, is their
+    # least value.
     expected = per_class_table(spec, convention)
     strata = [StratumClass(*row) for row in expected]
+    least = min((s.value for s in strata), default=None)
     for constant in split_constants(spec):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quiver, "SUFFIX_CANDIDATES", constant)
@@ -512,7 +515,9 @@ def test_every_split_gives_the_per_class_table(spec, convention):
                 for s in enumerate_strata(spec, convention)
             ]
             report = summarize_strata(spec, convention, rows="json")
+            text_report = summarize_strata(spec, convention, rows="text")
         assert rows == expected
+        assert report.d_min == text_report.d_min == least
         assert render_connectivity_text(report) == oracle_connectivity_lines(
             report, strata
         )

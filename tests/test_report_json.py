@@ -75,12 +75,30 @@ def test_dag_reports_with_thresholds_match_the_oracle(n, k, convention, max_q):
     assert report.thresholds
 
 
+def thin_cycle_with_chords(v: int) -> QuiverSpec:
+    """A v-cycle of mixed orientation with v // 4 chords and theta
+    (v - 1, -1, ..., -1), the shape of the benchmark's thin analyses: its
+    2^(v - 1) - 1 strata are the subsets holding vertex 1."""
+    arrows = [(i, (i + 1) % v) if i % 3 else ((i + 1) % v, i) for i in range(v)]
+    arrows += [(3 * i, (3 * i + v // 2) % v) for i in range(v // 4)]
+    return QuiverSpec(v, tuple(arrows), (1,) * v, (v - 1,) + (-1,) * (v - 1))
+
+
 @pytest.mark.parametrize("convention", list(OrbitConvention))
 @pytest.mark.parametrize(
-    "spec", [ControlFamily(40, 1), ControlFamily(40, 2), DagFamily(40, 10)], ids=repr
+    "spec",
+    [
+        ControlFamily(40, 1),
+        ControlFamily(40, 2),
+        DagFamily(40, 10),
+        pytest.param(thin_cycle_with_chords(14), id="thin-cycle-14"),
+    ],
+    ids=repr,
 )
 def test_largest_benchmark_shapes_match_the_oracle(spec, convention):
-    assert_matches_oracle(spec, convention, max_q=5)
+    report = assert_matches_oracle(spec, convention, max_q=5)
+    if isinstance(spec, QuiverSpec):
+        assert len(report.texts.lines) == 2**13 - 1
 
 
 @pytest.mark.parametrize("max_q", [None, 3])

@@ -176,8 +176,7 @@ def test_path_gate_and_homotopy_build_no_row(monkeypatch):
         raise AssertionError("a stratum row was built")
 
     monkeypatch.setattr(quiver, "StratumClass", refuse)
-    monkeypatch.setattr(StratumTexts, "line", refuse)
-    monkeypatch.setattr(StratumTexts, "json_row", refuse)
+    monkeypatch.setattr(StratumTexts, "tails", refuse)
     after = [run(argv) for argv in (verify, homotopy)]
     for (code, out, text), (code_after, out_after, text_after) in zip(before, after):
         assert code == code_after == 0
@@ -190,11 +189,20 @@ def test_path_gate_and_homotopy_build_no_row(monkeypatch):
     assert json.loads(before[1][2])["d_min"] == 2
 
 
-def test_analyze_writes_no_json_row_without_json(monkeypatch):
-    def refuse(*args, **kwargs):
+class _Refused:
+    """A JSON row piece that refuses to be written into a text."""
+
+    def __format__(self, spec):
         raise AssertionError("a JSON row was written without --json")
 
-    monkeypatch.setattr(StratumTexts, "json_row", refuse)
+
+def test_analyze_writes_no_json_row_without_json(monkeypatch):
+    tails = StratumTexts.tails
+
+    def line_tail_only(self, *args):
+        return tails(self, *args)[0], _Refused(), _Refused()
+
+    monkeypatch.setattr(StratumTexts, "tails", line_tail_only)
     code, out, _ = run(["analyze", *_cycle(6)], json_out=False)
     assert code == 0 and out.count("sub_dim=") == 2 ** 5 - 1
     code, out, _ = run(["analyze", "control", "--n", "3", "--m", "2"], json_out=False)
