@@ -17,13 +17,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from git_topo.cli import main as git_topo
+from git_topo.families.base import integer
 
 KRONECKER = ["--arrows", "1->2,1->2", "--dim", "1,1", "--theta", "1,-1"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-q", type=int, default=5,
+    parser.add_argument("--max-q", type=integer, default=5,
                         help="top homotopy degree for the DAG table (default 5)")
     parser.add_argument("--json", metavar="DIR",
                         help="also write one canonical JSON report per table into DIR")

@@ -22,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from git_topo.families.base import integer
 from git_topo.families.control import ControlFamily
 from git_topo.families.dag import DagFamily
 from git_topo.families.quiver import kronecker_spec
@@ -48,17 +49,17 @@ def generic_hit_indices(config: TrialConfig) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=10000,
+    parser.add_argument("--seed", type=integer, default=0)
+    parser.add_argument("--trials", type=integer, default=10000,
                         help="generic-point trials per family (default 10000)")
-    parser.add_argument("--bound", type=int, default=9,
+    parser.add_argument("--bound", type=integer, default=9,
                         help="entry bound for integer draws (default 9)")
-    parser.add_argument("--paths", type=int, default=100,
+    parser.add_argument("--paths", type=integer, default=100,
                         help="quadratic paths per family (default 100)")
-    parser.add_argument("--path-samples", type=int, default=256)
-    parser.add_argument("--grid", type=int, default=2,
+    parser.add_argument("--path-samples", type=integer, default=256)
+    parser.add_argument("--grid", type=integer, default=2,
                         help="Kronecker oracle grid radius (default 2)")
-    parser.add_argument("--degenerate-trials", type=int, default=1000,
+    parser.add_argument("--degenerate-trials", type=integer, default=1000,
                         help="constructed rank-deficient DAG trials (default 1000)")
     args = parser.parse_args(argv)
 

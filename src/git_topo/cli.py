@@ -27,7 +27,12 @@ from typing import Callable, Iterable
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import DomainError, GitTopoError, SchemaError
 from git_topo.families import FAMILIES, DagInstance, dag_stabilize
-from git_topo.families.base import parse_int_list, rational_from_json, rational_to_str
+from git_topo.families.base import (
+    integer,
+    parse_int_list,
+    rational_from_json,
+    rational_to_str,
+)
 from git_topo.families.dag import dag_solve_mle
 from git_topo.groups import OrbitConvention
 from git_topo.harness import (
@@ -112,7 +117,7 @@ def _add_family_args(
 # --json and writes the chunks one by one, so no full copy of a large
 # table's JSON text is built.  `analyze` asks for the rows' JSON texts
 # only under --json: its table writes each row's text line, and its JSON
-# text with it, as the walk finds the row.
+# text with it, as the expansion lists the row.
 Handled = tuple[Callable[[], Iterable[str]], Callable[[], list[str]], int]
 
 
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="strata, d_min, connectivity")
     _add_family_args(analyze)
     analyze.add_argument(
-        "--max-q", type=int, default=None, help="include a homotopy table up to q"
+        "--max-q", type=integer, default=None, help="include a homotopy table up to q"
     )
     analyze.set_defaults(handler=cmd_analyze)
 
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     homotopy = sub.add_parser("homotopy", help="homotopy-group table")
     _add_family_args(homotopy)
-    homotopy.add_argument("--max-q", type=int, required=True, help="table up to q")
+    homotopy.add_argument("--max-q", type=integer, required=True, help="table up to q")
     homotopy.add_argument(
         "--assume-free-action",
         action="store_true",
@@ -280,12 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = {f.name: f.default for f in fields(TrialConfig)}
     for dest, field, text in _TRIAL_OPTIONS:
         flag = "--" + dest.replace("_", "-")
-        verify.add_argument(flag, type=int, help=f"{text} (default {defaults[field]})")
+        verify.add_argument(
+            flag, type=integer, help=f"{text} (default {defaults[field]})"
+        )
     verify.add_argument(
-        "--grid", type=int, help=f"Kronecker grid radius (default {DEFAULT_GRID})"
+        "--grid", type=integer, help=f"Kronecker grid radius (default {DEFAULT_GRID})"
     )
     verify.add_argument(
-        "--degenerate-trials", type=int, help="constructed rank-deficient DAG trials"
+        "--degenerate-trials", type=integer, help="constructed rank-deficient DAG trials"
     )
     verify.set_defaults(handler=cmd_verify)
 

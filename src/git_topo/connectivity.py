@@ -3,22 +3,25 @@
 The pipeline: a family's destabilizing classes each carry a value
 2m - 2*dim(orbit); the minimum d over classes makes the stable locus
 (d-2)-connected, and inside the validity window q < d-1 the homotopy
-groups of the free quotient match those of the group shifted by one.
+groups of the free quotient match those of G/K shifted by one, K the
+central elements of G that act trivially on V (`scalar_kernel`).
 Unitary homotopy is only trusted in the stable range i <= 2k-1;
 everything outside a proven window is reported Unknown, never guessed.
 A report keeps the table only as the text and JSON rows the family's
 `d_min` wrote (`families.base.StratumTexts`), or keeps d_min alone; the
-rows as `StratumClass` records are the family's `strata(convention)`.
+rows as `StratumClass` records are the family's `strata(convention)`,
+which every family builds through `families.base.strata_from_classes`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from git_topo.errors import DomainError, SizeLimitError
 from git_topo.families import FamilySpec
 from git_topo.families.base import StratumTexts
-from git_topo.groups import GroupSpec, OrbitConvention
+from git_topo.groups import TRIVIAL, GroupSpec, OrbitConvention
 
 NO_INFORMATION = "no_information"
 CONTRACTIBLE = "contractible"
@@ -90,17 +93,50 @@ def unitary_group_pi(i: int, k: int) -> AbelianGroup:
     return AbelianGroup.zero()
 
 
-def quotient_homotopy_group(
-    group: GroupSpec, d: int | None, q: int
-) -> AbelianGroup:
-    """pi_q of the free quotient of the stable locus, via pi_{q-1}(G).
+def scalar_kernel(group: GroupSpec, blocks) -> tuple[int, ...]:
+    """K, the central elements of G that act trivially on V = sum of the
+    Hom `blocks` (source, target, multiplicity), as one gcd per C* of K.
 
-    Only answers inside the validity window q < d-1 (path-connectedness
-    at q = 0 already needs d >= 2); outside it, Unknown.  d = None means
-    the stable locus is all of V (no destabilizing classes), which
-    removes the window bound.  Each GL factor contributes its unitary
-    homotopy in degree q-1 and each torus coordinate contributes Z
-    exactly at q-1 = 1; one Unknown summand makes the total Unknown.
+    A scalar t_i on each factor acts on Hom(S, T) by t_T / t_S, so K has
+    one C* per connected component of the block graph that does not touch
+    `TRIVIAL`.  Its generator wraps each factor's pi_1 = Z as often as the
+    factor's dimension, a torus coordinate's being 1; the gcd is theirs.
+    """
+    dims = (*group.gl_ranks, *(1,) * group.torus_rank)
+    # Union-find over the factors and TRIVIAL, which takes the last slot.
+    root = list(range(len(dims) + 1))
+
+    def find(x: int) -> int:
+        x = len(dims) if x == TRIVIAL else x
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for source, target, _ in blocks:
+        root[find(source)] = find(target)
+    fixed = find(TRIVIAL)
+    gcds: dict[int, int] = {}
+    for factor, dim in enumerate(dims):
+        component = find(factor)
+        if component != fixed:
+            gcds[component] = math.gcd(gcds.get(component, 0), dim)
+    return tuple(gcds.values())
+
+
+def quotient_homotopy_group(
+    group: GroupSpec, d: int | None, q: int, kernel: tuple[int, ...] = ()
+) -> AbelianGroup:
+    """pi_q of the free quotient of the stable locus, via pi_{q-1}(G/K).
+
+    kernel is K as `scalar_kernel` gives it, () for K trivial.  Only
+    answers inside the validity window q < d-1 (path-connectedness at
+    q = 0 already needs d >= 2); outside it, Unknown.  d = None means the
+    stable locus is all of V (no destabilizing classes), which removes
+    the window bound.  pi_1(G/K), the cokernel of pi_1(K) -> pi_1(G), is
+    Z^(factors - C*s of K) when every gcd is 1 and has torsion, so is
+    Unknown, otherwise.  In other degrees the torus K changes nothing:
+    each GL factor contributes its unitary homotopy in degree q-1, and
+    one Unknown summand makes the total Unknown.
     """
     if q < 0:
         raise DomainError("homotopy degree must be a natural number")
@@ -108,11 +144,13 @@ def quotient_homotopy_group(
         return AbelianGroup.unknown()
     if q == 0:
         return AbelianGroup.zero()
+    if q == 2:
+        if any(gcd > 1 for gcd in kernel):
+            return AbelianGroup.unknown()
+        return AbelianGroup(len(group.gl_ranks) + group.torus_rank - len(kernel))
     total = AbelianGroup.zero()
     for n in group.gl_ranks:
         total = total.direct_sum(unitary_group_pi(q - 1, n))
-    if q - 1 == 1 and group.torus_rank:
-        total = total.direct_sum(AbelianGroup.free(group.torus_rank))
     return total
 
 
@@ -196,8 +234,9 @@ def summarize_strata(
     homotopy: tuple[tuple[int, AbelianGroup], ...] = ()
     if max_q is not None:
         group = spec.group()
+        kernel = scalar_kernel(group, spec.representation)
         homotopy = tuple(
-            (q, quotient_homotopy_group(group, d, q)) for q in range(max_q + 1)
+            (q, quotient_homotopy_group(group, d, q, kernel)) for q in range(max_q + 1)
         )
     return ConnectivityReport(
         family=spec.name,

@@ -3,10 +3,11 @@
 Each family contributes two things downstream: a stability verdict for a
 point and a table of destabilizing strata (one per 1-PS class that can
 occur as a worst destabilizer).  The types here are family-agnostic; the
-per-family modules fill them in.  `strata_from_classes` builds a
+per-family modules fill them in.  `strata_from_classes` builds every
 family's stratum table from its 1-PS classes, counting each class's m
-from the family's representation; the quiver family sums the same
-per-block counts (`hom_negative_dim`) along one walk instead.  The JSON
+from the family's representation; the quiver family's `d_min` writes
+the same rows as texts from one expansion that sums the same per-block
+counts (`hom_negative_dim`) level by level.  The JSON
 and command-line primitives live here too, so each family module can
 encode and parse its own shapes, and so does `StratumTexts`, the one
 writer of a stratum row's text line and JSON text.  The rational reader
@@ -31,7 +32,11 @@ from git_topo.errors import SchemaError, SizeLimitError
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim, weight_counts
 from git_topo.linalg import ComplexRational, Matrix, is_integer
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# The one integer grammar of instance files and the command line; int()
+# alone would also take other scripts' digits, "_" and spaces.
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER)
+_RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?")
 
 # Most work, class count x weights per class, one stratum enumeration
 # accepts.  A class's weights are its 1-PS weights on G plus the
@@ -185,10 +190,17 @@ def int_list(value: Any, field: str) -> tuple[int, ...]:
     )
 
 
+def integer(text: str) -> int:
+    """A command-line integer in the grammar _INTEGER_RE; else ValueError."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    """A comma-separated command-line integer list."""
+    """A comma-separated command-line list of `integer`s, spaces allowed."""
     try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
+        return tuple(integer(tok.strip(" ")) for tok in text.split(","))
     except ValueError:
         raise SchemaError(f"{flag}: expected comma-separated integers") from None
 
@@ -270,7 +282,7 @@ class StratumTexts:
     of the factors' weight lists and its end.  The tails depend only on
     m, orbit_dim and the torus weights (`tails`).  The template's keys
     are in sorted order, so no dict is built and nothing is sorted per
-    row.  A quiver table is written by its walk, one f-string per row
+    row.  A quiver table is written by its expansion, one f-string per row
     from label texts built once per table and tails it builds once per
     (m, orbit_dim); every other table by `add_classes`, which encodes
     each descriptor and weight list with `json_text`.
@@ -401,7 +413,9 @@ class FamilySpec:
       Hom(source, target), and `strata(convention)`.  An endpoint indexes
       a factor of `group()`, its GL factors first and then its torus
       coordinates, or is `groups.TRIVIAL`, the trivial line;
-      every m is a sum of `hom_negative_dim` over the blocks;
+      `strata` lists the family's 1-PS classes through
+      `strata_from_classes`, so every m is a sum of `hom_negative_dim`
+      over the blocks;
     - `has_stable_points()`, whether V^st is non-empty;
     - `flat_size`, the integers in the flat encoding of a point that the
       harness samples in, `instance_from_flat(flat)` and
@@ -422,7 +436,8 @@ class FamilySpec:
     the fields, `thresholds(convention)` is empty, and
     `d_min(convention, texts)`, the least stratum value, reads it off
     `strata(convention)` and writes those rows to a `StratumTexts` when one
-    is given.
+    is given; the quiver family finds the same value and writes the same
+    rows without building a `StratumClass`.
     """
 
     name: str

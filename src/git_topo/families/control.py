@@ -21,6 +21,7 @@ from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
     check_stratum_work,
+    integer,
     matrix_from_json,
     matrix_to_json,
     require_int,
@@ -90,7 +91,7 @@ class ControlFamily(FamilySpec):
     m: int
 
     name = "control"
-    CLI_ARGS = (("n", int, "state dimension"), ("m", int, "input dimension"))
+    CLI_ARGS = (("n", integer, "state dimension"), ("m", integer, "input dimension"))
     DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
     def __post_init__(self) -> None:

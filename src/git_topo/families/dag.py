@@ -26,6 +26,7 @@ from git_topo.families.base import (
     StabilityStatus,
     StratumClass,
     check_stratum_work,
+    integer,
     matrix_from_json,
     matrix_to_json,
     require_int,
@@ -69,7 +70,10 @@ class DagFamily(FamilySpec):
     k: int
 
     name = "dag"
-    CLI_ARGS = (("samples", int, "sample count n"), ("parents", int, "parent count k"))
+    CLI_ARGS = (
+        ("samples", integer, "sample count n"),
+        ("parents", integer, "parent count k"),
+    )
     DEFAULT_CONVENTION = OrbitConvention.CENTRALIZER
 
     def __post_init__(self) -> None:

@@ -12,24 +12,17 @@ vertex subsets.  The best such subset is a maximum-weight closure, found
 by one s-t minimum cut in polynomial time (`_max_closure`), and the
 witness subset comes from that flow's residual graph; each spec builds
 its closure graph once and caches the verdict of points with no
-vanishing arrow.  The stratum enumeration works for arbitrary dimension
-vectors.  A sub-dimension vector's m is a sum over arrows of terms that
-depend only on the subdimensions at the two ends, and its orbit
-dimension a sum over vertices, so the table is one walk over the
-vertices of positive dimension that adds these terms as it fixes each
-vertex, from tables built once per enumeration, and skips each prefix
-that theta already rules out.  The walk carries each row's labels down
-with it, its sub_dim and its per-vertex weight tuples, as tuples for
-`StratumClass` rows or as JSON texts, the sub_dim in the text line's
-spelling too.  Its last few levels are not walked below every prefix:
-their completions are tabulated once per state of the earlier vertices
-they share arrows with, and each prefix leaf hands its table to one
-call that keeps the entries theta admits.  From the texts `analyze`
-writes each row's text line and JSON text there, one f-string each.
+vanishing arrow.  The stratum table works for arbitrary dimension
+vectors.  `enumerate_strata` lists it through `strata_from_classes`, one
+class per sub-dimension vector, as every family does.  `analyze` writes
+the same rows as texts from one expansion over the vertices of positive
+dimension (`_table`), which adds each arrow's m term and each vertex's
+stabilizer term as it fixes a vertex, drops each prefix that theta
+already rules out, and carries each row's labels as JSON texts.
 `homotopy` and the path gate of `verify` need only the least value,
-and a branch and bound over the same levels finds it (`_least_row`):
-it cuts each prefix that cannot beat the best row found, so it visits
-a few prefixes where the walk visits every row, and it builds no row.
+which a branch and bound over the same levels finds (`_least_row`): it
+cuts each prefix that cannot beat the best row found, and it builds no
+row.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from git_topo.errors import (
     DomainError,
@@ -64,6 +57,7 @@ from git_topo.families.base import (
     parse_int_list,
     require_int,
     require_list,
+    strata_from_classes,
 )
 from git_topo.groups import (
     GroupSpec,
@@ -92,13 +86,13 @@ MAX_CLOSURE_GRAPH_SIZE = 2500
 # this one the random quivers that reach it (21-59 vertices, dense arrows)
 # were refused after 0.22-0.42 s in-process and 0.35-0.54 s for the whole
 # `homotopy` command.  Where MAX_STRATUM_WORK admits the table the search
-# visits no prefix its walk does not, and runs with no budget:
+# visits only prefixes the table lists, and runs with no budget:
 # `homotopy` on the 16-vertex thin star with every arrow into its last
 # vertex, whose floors never cut, took 0.21-0.22 s in-process.
 MAX_SEARCH_READS = 2**20
 
 # Most candidates of the last levels `_table` tabulates once per boundary
-# state (`_suffix_table`) instead of walking them below every prefix.  On
+# state (`_suffix_table`) instead of expanding them below every prefix.  On
 # a 2-CPU x86 machine, `d_min` with JSON rows took its least time at 64
 # (or 32) on the benchmark's thin cycles of 10 and 12 vertices, which 128
 # slowed by 2-17 % and 256 by 27-44 %.  128 cut the 16-vertex cycle from
@@ -380,7 +374,7 @@ class QuiverSpec(FamilySpec):
 
         Without texts that row is found by `_least_row`'s branch and
         bound, which visits only prefixes that can still beat the best
-        row and builds no row.  With texts the table is walked whole
+        row and builds no row.  With texts the table is listed whole
         (`_table`), one call per prefix leaf: each row's text line, and
         its JSON text when texts.rows is a list, is one f-string of the
         leaf's and its suffix entry's labels and the tails `texts.tails`
@@ -421,19 +415,19 @@ class QuiverSpec(FamilySpec):
                 if rows is not None:
                     rows.append(f"{json_start}{sub_part}]}}{middle}{rep}{rep_part}{end}")
 
-        _table(self, convention, True, keep)
+        _table(self, convention, keep)
         return None if least is None else 2 * least
 
 
-_ARROW_RE = re.compile(r"^(\d+)->(\d+)$")
+_ARROW_RE = re.compile(r"([0-9]+)->([0-9]+)")
 
 
 def _parse_arrows(text: str) -> tuple[tuple[int, int], ...]:
     """A command-line arrow list "s->t,s->t", 1-indexed, made 0-based."""
     arrows = []
     for token in text.split(","):
-        token = token.strip()
-        match = _ARROW_RE.match(token)
+        token = token.strip(" ")
+        match = _ARROW_RE.fullmatch(token)
         if not match:
             raise SchemaError(
                 f"--arrows: {token!r} is not of the form 's->t' (1-indexed)"
@@ -458,132 +452,136 @@ def sub_dimension_vectors(spec: QuiverSpec) -> Iterator[tuple[int, ...]]:
 def enumerate_strata(
     spec: QuiverSpec, convention: OrbitConvention
 ) -> list[StratumClass]:
-    """Destabilizing classes, one per admissible subdimension vector.
-
-    A subdimension d' destabilizes when theta . d' >= 0.  The rows are the
-    leaves of one walk (`_table`) in the lex order of
-    `sub_dimension_vectors`, each row's m and orbit dimension the walk's
-    sums, its descriptor and representative the labels it chose.
-    """
-    dim_g = group_dim(spec.group())
-    rows: list[StratumClass] = []
-
-    def keep(theta_sum: int, m: int, stabilizer: int, sub: tuple, _: tuple,
-             rep: tuple, table: list[tuple]) -> None:
-        orbit = dim_g - stabilizer
-        for theta_part, m_part, stabilizer_part, sub_part, _, rep_part in table:
-            if theta_sum + theta_part >= 0:
-                rows.append(StratumClass(
-                    {"sub_dim": sub + sub_part},
-                    OnePSClass(rep + rep_part),
-                    m + m_part,
-                    orbit - stabilizer_part,
-                ))
-
-    _table(spec, convention, False, keep)
-    return rows
+    """Destabilizing classes through `strata_from_classes`, one per
+    subdimension vector d' with theta . d' >= 0, in the lex order of
+    `sub_dimension_vectors`.  The class of d' has weights 0^k (-1)^(d - k)
+    at a vertex of dimension d and subdimension k, so the arrows from the
+    subspace into the quotient carry the negative weights."""
+    _check_table(spec)
+    classes = (
+        ({"sub_dim": sub}, OnePSClass(tuple(
+            (0,) * k + (-1,) * (d - k) for k, d in zip(sub, spec.dim_vector) if d
+        )))
+        for sub in sub_dimension_vectors(spec)
+        if sum(map(operator.mul, spec.theta, sub)) >= 0
+    )
+    return strata_from_classes(spec, convention, classes)
 
 
 def _table(
     spec: QuiverSpec,
     convention: OrbitConvention,
-    text: bool,
-    keep: Callable[[int, int, int, Any, Any, Any, list[tuple]], None],
+    keep: Callable[[int, int, int, str, str, str, list[tuple]], None],
 ) -> None:
-    """Walk every d' other than 0 and dim with theta . d' >= 0, in lex
-    order, with one call keep(theta_sum, m, stabilizer, sub, line, rep,
-    table) per prefix leaf: its rows are the entries (theta part, m part,
-    stabilizer part, sub part, line part, rep part) of table, in order,
-    whose theta part brings theta_sum to 0 or more, each the leaf's sums
-    and labels plus the entry's parts; see `_walk_levels` for the labels.
+    """The rows of `enumerate_strata`, in its order, as texts: one call
+    keep(theta_sum, m, stabilizer, sub, line, rep, table) per prefix leaf,
+    whose rows are the entries (theta part, m part, stabilizer part, sub
+    part, line part, rep part) of table, in order, whose theta part brings
+    theta_sum to 0 or more, each the leaf's sums and labels plus the
+    entry's parts.  A level's labels, by its subdimension k, are the
+    sub_dim entries from the previous positive vertex (the last level's
+    through the last vertex), the same spelled with ", " for the text
+    line, and the weight list, as JSON texts with a leading comma past the
+    first level, so a row's are its sub_dim and gl_weights lists without
+    their brackets.
 
     The levels split where the last ones, the suffix, hold at most
-    SUFFIX_CANDIDATES candidates.  `_walk` runs over the levels before
-    it, the prefix, with its theta pruning.  A suffix row depends on its
-    prefix only through the boundary, the subdimensions of the earlier
-    vertices that the suffix's pairs read, so each boundary state gets
-    one table of every completion (`_suffix_table`), built the first
-    time a prefix reaches it.  At each prefix leaf keep gets the table,
-    less its first entry, d' = 0 on the suffix, when the prefix is all
-    zero, and less its last, d' = dim, when the prefix is full: the
-    walk's pruning only drops subtrees with no kept row, so the rows
-    are those and in the order the whole walk would give.
-
-    `_check_table` refuses a table past its work limit before the walk
-    starts.
+    SUFFIX_CANDIDATES candidates.  `_expand` lists the prefix's leaves
+    and, once per table, every completion of the suffix, from a start
+    past the most the suffix can subtract from theta . d', so that none
+    is pruned.  A
+    suffix row depends on its prefix only through the boundary, the
+    subdimensions of the earlier vertices that the suffix's pairs read,
+    so each boundary state gets one table of them (`_suffix_table`).  A
+    leaf gets it less its first entry, d' = 0 on the suffix, when the
+    prefix is all zero, and less its last, d' = dim, when it is full.
+    `_check_table` refuses the table first.
     """
     _check_table(spec)
-    empty = "" if text else ()
-    levels = _walk_levels(spec, convention, text)
+    levels = []
+    previous, last = -1, spec.positive_vertices[-1]
+    for vertex, *costs, weights in _walk_levels(spec, convention):
+        comma = "," if previous >= 0 else ""
+        zeros = "0," * (vertex - previous - 1)
+        tail = ",0" * (spec.vertex_count - vertex - 1) if vertex == last else ""
+        subs = [f"{comma}{zeros}{k}{tail}" for k in range(len(weights))]
+        lines = [sub.replace(",", ", ") for sub in subs]
+        reps = [comma + json_text(ws) for ws in weights]
+        levels.append((vertex, *costs, subs, lines, reps))
+        previous = vertex
     split, candidates = len(levels), 1
     while split and candidates * len(levels[split - 1][3]) <= SUFFIX_CANDIDATES:
         split -= 1
         candidates *= len(levels[split][3])
     prefix, suffix = levels[:split], levels[split:]
-    shared = _suffix_rows(suffix, empty)
+    start = sum(max(0, -spec.theta[v] * spec.dim_vector[v]) for v, *_ in suffix)
+    shared = [
+        (theta - start, m, stabilizer, sub, line, rep)
+        for _, theta, m, stabilizer, sub, line, rep in _expand(suffix, start)
+    ]
     boundary = sorted(
         {u for level in suffix for u, _ in level[5]} - {level[0] for level in suffix}
     )
-    zero = full = empty
-    for level in prefix:
-        zero, full = zero + level[6][0], full + level[6][-1]
-    sub_dim = [0] * spec.vertex_count
+    slots = [i for i, level in enumerate(prefix) if level[0] in boundary]
+    zero = (0,) * split
+    full = tuple(spec.dim_vector[v] for v, *_ in prefix)
     tables: dict[tuple[int, ...], list[tuple]] = {}
-
-    def leaf(theta_sum: int, m: int, stabilizer: int, sub: Any, line: Any,
-             rep: Any) -> None:
-        key = tuple([sub_dim[u] for u in boundary])
+    for ks, theta_sum, m, stabilizer, sub, line, rep in _expand(prefix, 0):
+        key = tuple([ks[i] for i in slots])
         table = tables.get(key)
         if table is None:
-            table = tables[key] = _suffix_table(suffix, sub_dim, shared)
-        if sub == zero or sub == full:
-            table = table[sub == zero : len(table) - (sub == full)]
+            table = tables[key] = _suffix_table(suffix, dict(zip(boundary, key)), shared)
+        if ks == zero or ks == full:
+            table = table[ks == zero : len(table) - (ks == full)]
         keep(theta_sum, m, stabilizer, sub, line, rep, table)
 
-    if prefix:
-        _walk(prefix, 0, sub_dim, 0, 0, 0, empty, empty, empty, leaf)
-    else:
-        leaf(0, 0, 0, empty, empty, empty)
 
+def _expand(levels: list[tuple], theta_start: int) -> list[tuple]:
+    """The leaves of `levels`, in lex order, as (choices, theta, m,
+    stabilizer, sub, line, rep): the subdimension chosen at each level,
+    theta_start plus theta . d' on these levels, the m of their loops and
+    of the arrows among them, their stabilizer, and their labels joined.
 
-def _suffix_rows(levels: list[tuple], empty: Any) -> list[tuple]:
-    """Every completion of `levels`, the last levels of a walk, in lex
-    order, as (theta part, m part, stabilizer part, sub, line, rep): what
-    those levels add to a row, the m part counting only their loops and
-    the arrows among them.  Built level by level, each entry carrying its
-    subdimensions at these levels for the later levels' pairs."""
-    entries = [((), 0, 0, 0, empty, empty, empty)]
+    A value k is skipped when theta + theta_vertex * k + rest < 0, as no
+    completion reaches theta . d' >= 0; past it, a larger k only lowers
+    the sum unless theta_vertex > 0.  So from theta_start = 0 neither
+    d' = 0 nor d' = dim is skipped, and no prefix with a kept row is.
+    """
+    entries = [((), theta_start, 0, 0, "", "", "")]
     at: dict[int, int] = {}
-    for vertex, theta_vertex, _, own, stabilizers, pairs, subs, lines, reps in levels:
+    for vertex, theta_vertex, rest, own, stabilizers, pairs, subs, lines, reps in levels:
         inside = [(at[u], table) for u, table in pairs if u in at]
         at[vertex] = len(at)
         extended = []
         for ks, theta, m, stabilizer, sub, line, rep in entries:
             for k, added in enumerate(own):
+                theta_next = theta + theta_vertex * k
+                if theta_next + rest < 0:
+                    if theta_vertex > 0:
+                        continue
+                    break
                 for j, table in inside:
                     added += table[ks[j]][k]
                 extended.append((
-                    ks + (k,), theta + theta_vertex * k, m + added,
-                    stabilizer + stabilizers[k], sub + subs[k], line + lines[k],
-                    rep + reps[k],
+                    ks + (k,), theta_next, m + added, stabilizer + stabilizers[k],
+                    sub + subs[k], line + lines[k], rep + reps[k],
                 ))
         entries = extended
-    return [entry[1:] for entry in entries]
+    return entries
 
 
 def _suffix_table(
-    levels: list[tuple], sub_dim: list[int], shared: list[tuple]
+    levels: list[tuple], boundary: dict[int, int], shared: list[tuple]
 ) -> list[tuple]:
-    """The rows of `_suffix_rows` completing a prefix that set sub_dim at
-    each earlier vertex: each m part gains the m of the arrows between
-    those vertices and `levels`."""
-    suffix_vertices = {level[0] for level in levels}
+    """The completions `shared` of `levels` below a prefix that chose
+    boundary[u] at each earlier vertex u those levels share arrows with:
+    each m part gains the m of those arrows."""
     m_parts = [0]
     for level in levels:
         added = [0] * len(level[3])
         for u, table in level[5]:
-            if u not in suffix_vertices:
-                added = list(map(operator.add, added, table[sub_dim[u]]))
+            if u in boundary:
+                added = list(map(operator.add, added, table[boundary[u]]))
         m_parts = [m + a for m in m_parts for a in added]
     return [
         (theta, m + m_part, stabilizer, sub, line, rep)
@@ -592,25 +590,27 @@ def _suffix_table(
 
 
 def _check_table(spec: QuiverSpec) -> None:
-    """Refuse a table past MAX_STRATUM_WORK: its work counts every
+    """Refuse a table past MAX_STRATUM_WORK, whose work counts every
     candidate d', each with sum dim_i weights on G and one weight per
-    arrow coordinate on V."""
+    arrow coordinate on V; then the zero dimension vector, which has
+    none."""
     dims = spec.dim_vector
     check_stratum_work(
         math.prod(d + 1 for d in dims),
         sum(dims) + sum(dims[s] * dims[t] for s, t in spec.arrows),
     )
+    if not spec.positive_vertices:
+        raise DomainError("the zero dimension vector has no strata")
 
 
-def _walk_levels(
-    spec: QuiverSpec, convention: OrbitConvention, text: bool
-) -> list[tuple]:
-    """One level per positive vertex, in vertex order, for `_walk`.
+def _walk_levels(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple]:
+    """One level per positive vertex, in vertex order, for `_table` and
+    `_least_row`.
 
-    A level is (vertex, theta_vertex, rest, own, stabilizers, pairs, subs,
-    lines, reps).  rest is the most theta . d' the later levels can add,
+    A level is (vertex, theta_vertex, rest, own, stabilizers, pairs,
+    weights).  rest is the most theta . d' the later levels can add,
     sum max(0, theta_v dim_v).  Indexed by the vertex's subdimension k,
-    with weights[k] = 0^k (-1)^(d - k) its GL factor's weights (the
+    weights[k] = 0^k (-1)^(d - k) is its GL factor's weight tuple (the
     subspace gets 0, so arrows into the quotient carry the negative
     weights), own[k] is the m of its loops and stabilizers[k] its
     `factor_stabilizer_dim`.  pairs holds (earlier vertex, table) per
@@ -618,26 +618,14 @@ def _walk_levels(
     the m of those arrows when the earlier vertex has subdimension j.
     Each term is one `hom_negative_dim` of these weights, counted once
     per pair of weight tuples, and each stabilizer once per weight tuple.
-
-    subs[k], lines[k] and reps[k] are the labels the level adds to a row:
-    the subdimensions from the previous positive vertex (or the first
-    vertex) through this one, and the last level through the last vertex,
-    as a tuple; (); and (weights[k],).  With text set they are the JSON
-    texts of those entries, comma-joined, with a leading comma past the
-    first level, so a leaf's labels are the row's sub_dim and gl_weights
-    lists without their brackets, and lines[k] is subs[k] spelled with
-    ", " for the text line.
     """
     positive = spec.positive_vertices
-    if not positive:
-        raise DomainError("the zero dimension vector has no strata")
     weights = [
         tuple((0,) * k + (-1,) * (d - k) for k in range(d + 1))
         for d in (spec.dim_vector[v] for v in positive)
     ]
     negative = cache(hom_negative_dim)
     stabilizer = cache(factor_stabilizer_dim)
-    weights_text = cache(json_text)
     own = [[0] * len(ws) for ws in weights]
     pairs: list[dict[int, list[list[int]]]] = [{} for _ in positive]
     for source, target, mult in spec.representation:
@@ -657,15 +645,6 @@ def _walk_levels(
     rest = 0
     for i in reversed(range(len(positive))):
         vertex = positive[i]
-        before = vertex - positive[i - 1] - 1 if i else vertex
-        after = spec.vertex_count - vertex - 1 if i + 1 == len(positive) else 0
-        subs = [(0,) * before + (k,) + (0,) * after for k in range(len(own[i]))]
-        lines = [()] * len(subs)
-        reps = [(ws,) for ws in weights[i]]
-        if text:
-            lines = [(", " if i else "") + ", ".join(map(str, sub)) for sub in subs]
-            subs = [("," if i else "") + ",".join(map(str, sub)) for sub in subs]
-            reps = [("," if i else "") + weights_text(ws) for ws in weights[i]]
         levels.append((
             vertex,
             spec.theta[vertex],
@@ -673,9 +652,7 @@ def _walk_levels(
             tuple(own[i]),
             tuple(stabilizer(ws, convention) for ws in weights[i]),
             tuple((u, tuple(map(tuple, table))) for u, table in pairs[i].items()),
-            tuple(subs),
-            tuple(lines),
-            tuple(reps),
+            weights[i],
         ))
         rest += max(0, spec.theta[vertex] * spec.dim_vector[vertex])
     return levels[::-1]
@@ -695,70 +672,22 @@ def _levels_work(spec: QuiverSpec) -> int:
     )
 
 
-def _walk(
-    levels: list[tuple],
-    level: int,
-    sub_dim: list[int],
-    theta_sum: int,
-    m: int,
-    stabilizer: int,
-    sub: Any,
-    line: Any,
-    rep: Any,
-    keep: Callable[[int, int, int, Any, Any, Any], None],
-) -> None:
-    """Set sub_dim at this level's vertex and every later one, first vertex
-    slowest, and call keep(theta_sum, m, stabilizer, sub, line, rep) at
-    each leaf from which some choice at the table's later levels, those
-    past `levels`, reaches theta . d' >= 0; the labels have gained this
-    level's.
-
-    The sums run over the levels already set.  A value k is skipped when
-    theta_sum + theta_vertex * k + rest < 0, as no completion reaches
-    theta . d' >= 0; past it, a larger k only lowers the sum unless
-    theta_vertex > 0.  So neither d' = 0 nor d' = dim is ever skipped.
-    `_table` passes the prefix of its levels, whose rest counts the
-    later levels too.  Recursion is one frame per prefix level, and the
-    work limit of a table admits at most 17 levels (17 x 2^17 weights);
-    `_least_row`, which walks the same levels with no table, keeps its
-    own stack.
-    """
-    vertex, theta_vertex, rest, own, stabilizers, pairs, subs, lines, reps = levels[level]
-    deeper = level + 1 < len(levels)
-    for k, added in enumerate(own):
-        theta_next = theta_sum + theta_vertex * k
-        if theta_next + rest < 0:
-            if theta_vertex > 0:
-                continue
-            break
-        sub_dim[vertex] = k
-        for u, table in pairs:
-            added += table[sub_dim[u]][k]
-        if deeper:
-            _walk(levels, level + 1, sub_dim, theta_next, m + added,
-                  stabilizer + stabilizers[k], sub + subs[k], line + lines[k],
-                  rep + reps[k], keep)
-        else:
-            keep(theta_next, m + added, stabilizer + stabilizers[k],
-                 sub + subs[k], line + lines[k], rep + reps[k])
-
-
 def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
     """The least m + stabilizer over the rows of `enumerate_strata`, None
-    when there is none, by a branch and bound over `_walk`'s levels.
+    when there is none, by a branch and bound over `_walk_levels`.
 
     Every m and stabilizer term a level adds is non-negative, so a
     prefix's m + stabilizer plus floors[i], the sum over the levels from
     i on of min over k of own[k] + stabilizers[k], bounds every
     completion from below; a prefix whose bound reaches the best row
-    found is cut, so the result is exact.  Otherwise the search keeps the
-    walk's rules: it skips the k theta rules out, and drops d' = 0 and
+    found is cut, so the result is exact.  Otherwise the search keeps
+    `_expand`'s rules: it skips the k theta rules out, and drops d' = 0 and
     d' = dim only at the leaves.  It is depth first on an explicit stack,
     the cheapest next k first, so its depth is not bounded by Python's
     recursion limit.
 
-    It visits only prefixes the walk of `_table` visits and reads the same
-    tables at each, so where the table's limit (`_check_table`) admits the
+    It visits only prefixes that `_table`'s expansions list and reads the
+    same tables at each, so where the table's limit (`_check_table`) admits the
     quiver it runs with no limit of its own.  Past that limit it has two:
     before the levels are built, `_levels_work` up to MAX_STRATUM_WORK,
     and while the search runs, its table reads up to MAX_SEARCH_READS.
@@ -777,8 +706,8 @@ def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
             ) from None
     levels = [
         (vertex, theta_vertex, rest, tuple(map(operator.add, own, stabilizers)), pairs)
-        for vertex, theta_vertex, rest, own, stabilizers, pairs, *_ in _walk_levels(
-            spec, convention, False
+        for vertex, theta_vertex, rest, own, stabilizers, pairs, _ in _walk_levels(
+            spec, convention
         )
     ]
     floors = [0] * (len(levels) + 1)

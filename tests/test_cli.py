@@ -239,6 +239,52 @@ def test_analyze_rejects_inadmissible_theta(capsys):
     assert "not admissible" in err
 
 
+KRONECKER_FLAGS = ["--arrows", "1->2,1->2", "--dim", "1,1", "--theta=1,-1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "control", "--n", "٣", "--m", "2"], "argument --n: invalid integer"),
+        (["analyze", "control", "--n", "1_0", "--m", "2"], "argument --n: invalid integer"),
+        (["analyze", "dag", "--samples", " 4", "--parents", "2"], "argument --samples"),
+        (["analyze", "quiver", "--arrows", "1->2", "--dim", "٢,٣", "--theta=3,-2"],
+         "--dim: expected comma-separated integers"),
+        (["analyze", "quiver", "--arrows", "1->2", "--dim", "2,3", "--theta=3,-٢"],
+         "--theta: expected comma-separated integers"),
+        (["analyze", "quiver", "--arrows", "1->2", "--dim", "2,\u20033", "--theta=3,-2"],
+         "--dim: expected comma-separated integers"),
+        (["analyze", "quiver", "--arrows", "١->٢", "--dim", "1,1", "--theta=1,-1"],
+         "--arrows: '١->٢' is not of the form"),
+        (["homotopy", "quiver", *KRONECKER_FLAGS, "--max-q", "٣", "--assume-free-action"],
+         "argument --max-q: invalid integer"),
+        (["verify", "quiver", *KRONECKER_FLAGS, "--trials", "1_0"],
+         "argument --trials: invalid integer"),
+        (["verify", "kronecker", "--grid", "２"], "argument --grid: invalid integer"),
+        (["verify", "kronecker", "--theta=١,-1"], "--theta: expected comma-separated"),
+    ],
+)
+def test_command_line_integers_are_ascii_digits(argv, message, capsys):
+    # int() and str.strip() read each of these as its ASCII spelling, which
+    # an instance file would refuse.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_command_line_integers_keep_their_ascii_spellings(capsys):
+    plain = run(capsys, "analyze", "control", "--n", "3", "--m", "2")
+    assert plain[0] == 0
+    assert run(capsys, "analyze", "control", "--n", "+3", "--m", "002") == plain
+    plain = run(capsys, "analyze", "quiver", *KRONECKER_FLAGS)
+    assert plain[0] == 0
+    spelled = ["--arrows", "01->2, 1->02", "--dim", "+1, 01", "--theta=+1,-01"]
+    assert run(capsys, "analyze", "quiver", *spelled) == plain
+
+
 def test_check_control_instance(capsys, tmp_path):
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(
@@ -1133,10 +1179,10 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_analyze_refuses_max_q_before_building_a_row(capsys, monkeypatch, tmp_path):
-    def enumerated(*args):
+    def tabulated(*args):
         raise AssertionError("stratum rows built before --max-q was checked")
 
-    monkeypatch.setattr(quiver, "enumerate_strata", enumerated)
+    monkeypatch.setattr(quiver.QuiverSpec, "d_min", tabulated)
     out_file = tmp_path / "err.json"
     argv = _thin_cycle(16, ",".join(["15"] + ["-1"] * 15))
     code, out, err = run(

@@ -7,6 +7,7 @@ from git_topo.connectivity import (
     NO_INFORMATION,
     AbelianGroup,
     quotient_homotopy_group,
+    scalar_kernel,
     summarize_strata,
     unitary_group_pi,
 )
@@ -128,7 +129,39 @@ def test_summarize_empty_strata_is_contractible():
     assert report.d_min is None
     assert report.connectivity == CONTRACTIBLE
     assert "no destabilizing classes: V^st = V" in report.notes
-    assert [g.descriptor() for _, g in report.homotopy] == ["0", "0", "Z"]
+    # G = C* acts trivially on V = C, so the quotient is C and pi_2 = 0.
+    assert [g.descriptor() for _, g in report.homotopy] == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "spec, kernel, table",
+    [
+        # The quotient is P^1.
+        (QuiverSpec(2, ((0, 1),) * 2, (1, 1), (1, -1)), (1,), ["0", "0", "Z", "unknown"]),
+        # The 3-Kronecker quiver at (2, 3): b_2 = 1.
+        (QuiverSpec(2, ((0, 1),) * 3, (2, 3), (3, -2)), (1,), ["0", "0", "Z", "0"]),
+        # Two Kronecker quivers glued at vertex 2: a P^1 bundle over P^1.
+        (
+            QuiverSpec(3, ((0, 1), (0, 1), (1, 2), (1, 2)), (1, 1, 1), (2, -1, -1)),
+            (1,),
+            ["0", "0", "Z^2", "unknown"],
+        ),
+        # pi_1(G/K) = Z + Z/2 has torsion, which an AbelianGroup cannot hold.
+        (QuiverSpec(2, ((0, 1),) * 5, (2, 2), (1, -1)), (2,), ["0", "0", "unknown", "0"]),
+        (ControlFamily(3, 2), (), None),
+        (DagFamily(10, 3), (), None),
+    ],
+    ids=["kronecker", "3-kronecker", "two-kroneckers", "torsion", "control", "dag"],
+)
+def test_homotopy_is_that_of_the_group_modulo_the_scalars_that_act_trivially(
+    spec, kernel, table
+):
+    group = spec.group()
+    assert scalar_kernel(group, spec.representation) == kernel
+    report = summarize_strata(spec, max_q=3)
+    if table is None:  # K trivial: the group's own table
+        table = [quotient_homotopy_group(group, report.d_min, q).descriptor() for q in range(4)]
+    assert [g.descriptor() for _, g in report.homotopy] == table
 
 
 def test_summarize_dag_headline():

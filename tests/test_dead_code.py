@@ -31,7 +31,6 @@ PACKAGE = ROOT / "src" / "git_topo"
 
 TEST_ORACLES = {
     "families.control.invariant_subspace_dim": "control checks and perfbench/reference.py",
-    "families.quiver.sub_dimension_vectors": "quiver stratum tables and perfbench/reference.py",
     "families.quiver.QuiverSpec.strata": (
         "the report oracles' quiver rows, against the rows the walk writes"
     ),

@@ -145,10 +145,10 @@ CLI = [
     (["analyze", "quiver", "--arrows", "1->2,2->2,2->4,3->1,1->2,4->1",
       "--dim", "2,3,0,1", "--theta=1,-1,5,1", "--orbit-convention", "centralizer"], 0,
      "931624f5780a34108f42fb8ca3406780161e24a6fe76e9dce15cf3ce07721697"),
-    # The 3-Kronecker quiver at dim (2, 3).
+    # The 3-Kronecker quiver at dim (2, 3); q = 2 is pi_1(G/K) = Z, K the scalars.
     (["homotopy", "quiver", "--arrows", "1->2,1->2,1->2", "--dim", "2,3",
       "--theta=3,-2", "--max-q", "5", "--assume-free-action"], 0,
-     "61c9056c53efc42b9c94ef221df840bfb24b55b9ff27a23474b640f12fb518fa"),
+     "2fb2966d357c0f07f9bb97ec5fc58e394a6852b31eafe3246b2c1da4e70a6656"),
     (["analyze", "quiver", "--dim", "1,1"], 2,
      "5189c5a9a5337d089254dbd9a62ca9ac7d2c32127b535779aebaaf4bcb055725"),
     (["verify", "dag", "--samples", "4"], 2,

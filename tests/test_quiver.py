@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 from itertools import combinations
@@ -407,6 +408,14 @@ def per_class_table(spec: QuiverSpec, convention: OrbitConvention) -> list[tuple
     return rows
 
 
+def written_rows(
+    spec: QuiverSpec, convention: OrbitConvention = OrbitConvention.PARABOLIC
+) -> list[dict]:
+    """The rows `d_min` writes as JSON texts, read back."""
+    report = summarize_strata(spec, convention, rows="json")
+    return [json.loads(row) for row in report.texts.rows]
+
+
 @st.composite
 def walk_quivers(draw):
     """Up to 5 vertices of dimension 0-3 and up to 7 arrows, loops and
@@ -438,11 +447,24 @@ def test_walk_matches_the_per_class_route(spec):
     # and loops; dimension-0 vertices; and theta that rules out whole
     # subtrees below the first vertex (the last two).
     for convention in OrbitConvention:
-        rows = [
-            (s.descriptor, s.representative, s.m, s.orbit_dim)
-            for s in enumerate_strata(spec, convention)
-        ]
-        assert rows == per_class_table(spec, convention)
+        assert_walk_writes(spec, convention, per_class_table(spec, convention))
+
+
+def assert_walk_writes(
+    spec: QuiverSpec, convention: OrbitConvention, expected: list[tuple]
+) -> None:
+    """The rows `d_min` writes, as text lines and JSON texts, are the
+    oracles' texts of the per-class rows `expected`, and the d_min it
+    finds while writing them, in either row form, is their least value."""
+    strata = [StratumClass(*row) for row in expected]
+    report = summarize_strata(spec, convention, rows="json")
+    text_report = summarize_strata(spec, convention, rows="text")
+    assert report.d_min == text_report.d_min == min(
+        (s.value for s in strata), default=None
+    )
+    assert render_connectivity_text(report) == oracle_connectivity_lines(report, strata)
+    assert render_connectivity_text(text_report) == render_connectivity_text(report)
+    assert "".join(report_to_json(report)) == oracle_report_text(report, strata)
 
 
 @st.composite
@@ -500,28 +522,18 @@ def split_constants(spec: QuiverSpec) -> list[int]:
 @settings(max_examples=40, deadline=None)
 def test_every_split_gives_the_per_class_table(spec, convention):
     # Each split point of the walk's levels, the whole table in one suffix
-    # table and none in any, gives the rows of the per-class route; the
-    # rows `d_min` writes as texts are the oracles' texts of them, and the
-    # d_min it finds while writing them, in either row form, is their
-    # least value.
+    # table and none in any, writes the rows of the per-class route, which
+    # `enumerate_strata` lists.
     expected = per_class_table(spec, convention)
-    strata = [StratumClass(*row) for row in expected]
-    least = min((s.value for s in strata), default=None)
+    rows = [
+        (s.descriptor, s.representative, s.m, s.orbit_dim)
+        for s in enumerate_strata(spec, convention)
+    ]
+    assert rows == expected
     for constant in split_constants(spec):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quiver, "SUFFIX_CANDIDATES", constant)
-            rows = [
-                (s.descriptor, s.representative, s.m, s.orbit_dim)
-                for s in enumerate_strata(spec, convention)
-            ]
-            report = summarize_strata(spec, convention, rows="json")
-            text_report = summarize_strata(spec, convention, rows="text")
-        assert rows == expected
-        assert report.d_min == text_report.d_min == least
-        assert render_connectivity_text(report) == oracle_connectivity_lines(
-            report, strata
-        )
-        assert "".join(report_to_json(report)) == oracle_report_text(report, strata)
+            assert_walk_writes(spec, convention, expected)
 
 
 @pytest.mark.parametrize("theta", [(0,) * 12, (11,) + (-1,) * 11], ids=["0", "11,-1"])
@@ -542,7 +554,7 @@ def test_suffix_tables_hold_no_more_entries_than_the_candidates(monkeypatch, the
         return table
 
     monkeypatch.setattr(quiver, "_suffix_table", counted)
-    rows = enumerate_strata(spec, OrbitConvention.PARABOLIC)
+    rows = summarize_strata(spec, OrbitConvention.PARABOLIC, rows="text").texts.lines
     candidates = 2**v
     assert sum(built) <= candidates
     if any(theta):
@@ -556,8 +568,7 @@ def test_walk_subdimensions_stay_in_range():
     # keeps every candidate, the other theta rules some out.
     for theta in [(0, 0, 0), (1, 0, -2)]:
         spec = QuiverSpec(3, ((0, 1),), (2, 0, 1), theta)
-        rows = enumerate_strata(spec, OrbitConvention.PARABOLIC)
-        subs = [s.descriptor["sub_dim"] for s in rows]
+        subs = [tuple(row["descriptor"]["sub_dim"]) for row in written_rows(spec)]
         assert subs == [
             sub for sub in sub_dimension_vectors(spec)
             if sum(a * d for a, d in zip(theta, sub)) >= 0
@@ -571,44 +582,17 @@ def test_walk_subdimensions_stay_in_range():
 @settings(max_examples=100, deadline=None)
 def test_walk_rows_have_one_entry_per_vertex(spec, convention):
     # One sub_dim entry per vertex and one GL factor per positive vertex,
-    # of its dimension, with d'_v zeros; rows do not share the walk's list.
-    rows = enumerate_strata(spec, convention)
-    for s in rows:
-        sub = s.descriptor["sub_dim"]
-        assert type(sub) is tuple and len(sub) == spec.vertex_count
-        factors = s.representative.gl_weights
+    # of its dimension, with d'_v zeros, in each row the walk writes.
+    rows = written_rows(spec, convention)
+    for row in rows:
+        sub = row["descriptor"]["sub_dim"]
+        assert len(sub) == spec.vertex_count
+        factors = row["representative"]["gl_weights"]
         assert len(factors) == len(spec.positive_vertices)
         for v, ws in zip(spec.positive_vertices, factors):
             assert len(ws) == spec.dim_vector[v]
             assert ws.count(0) == sub[v]
-    assert len({s.descriptor["sub_dim"] for s in rows}) == len(rows)
-
-
-def weight_types(lam: OnePSClass) -> tuple:
-    """The type of every container and weight in lam, nested as lam is."""
-    return (
-        type(lam.gl_weights),
-        tuple((type(ws), tuple(map(type, ws))) for ws in lam.gl_weights),
-        type(lam.torus_weights),
-        tuple(map(type, lam.torus_weights)),
-    )
-
-
-@given(walk_quivers(), st.sampled_from(list(OrbitConvention)))
-@settings(max_examples=150, deadline=None)
-def test_walk_representatives_equal_validated_classes(spec, convention):
-    # Rows are built without the constructor's checks; each must equal,
-    # type for type, the class the checking constructor makes from lists
-    # of the same weights and from the closed form 0^k (-1)^(d - k).
-    for s in enumerate_strata(spec, convention):
-        lam = s.representative
-        checked = OnePSClass(
-            [list(ws) for ws in lam.gl_weights], list(lam.torus_weights)
-        )
-        closed = quiver_representative(spec, s.descriptor["sub_dim"])
-        for built in (checked, closed):
-            assert s.representative == built
-            assert weight_types(s.representative) == weight_types(built)
+    assert len({tuple(row["descriptor"]["sub_dim"]) for row in rows}) == len(rows)
 
 
 def test_a_dropped_table_leaves_no_reference_cycle():
@@ -618,9 +602,9 @@ def test_a_dropped_table_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        rows = enumerate_strata(spec, OrbitConvention.PARABOLIC)
-        assert len(rows) == 2 ** (v - 1) - 1
-        del rows
+        report = summarize_strata(spec, OrbitConvention.PARABOLIC, rows="json")
+        assert len(report.texts.rows) == 2 ** (v - 1) - 1
+        del report
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -631,6 +615,6 @@ def test_thousands_of_dimension_0_vertices_cost_no_recursion():
     dims = (1,) + (0,) * (v - 2) + (1,)
     theta = (1,) + (0,) * (v - 2) + (-1,)
     spec = QuiverSpec(v, ((0, v - 1),), dims, theta)
-    (stratum,) = enumerate_strata(spec, OrbitConvention.PARABOLIC)
-    assert stratum.descriptor == {"sub_dim": (1,) + (0,) * (v - 1)}
-    assert (stratum.m, stratum.orbit_dim) == (1, 0)
+    (row,) = written_rows(spec)
+    assert row["descriptor"] == {"sub_dim": [1] + [0] * (v - 1)}
+    assert (row["m"], row["orbit_dim"]) == (1, 0)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from git_topo.cli import main
 from git_topo.connectivity import summarize_strata
 from git_topo.errors import SizeLimitError
-from git_topo.families import QuiverSpec, quiver
+from git_topo.families import QuiverSpec, base, quiver
 from git_topo.families.base import StratumTexts
 from git_topo.families.quiver import enumerate_strata
 from git_topo.groups import OrbitConvention
@@ -175,7 +175,7 @@ def test_path_gate_and_homotopy_build_no_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a stratum row was built")
 
-    monkeypatch.setattr(quiver, "StratumClass", refuse)
+    monkeypatch.setattr(base, "StratumClass", refuse)
     monkeypatch.setattr(StratumTexts, "tails", refuse)
     after = [run(argv) for argv in (verify, homotopy)]
     for (code, out, text), (code_after, out_after, text_after) in zip(before, after):
