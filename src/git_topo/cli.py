@@ -112,13 +112,13 @@ def _add_family_args(
     )
 
 
-# Each handler returns (encoder of its canonical JSON text as chunks,
-# renderer of its text lines, exit status).  main encodes only under
-# --json and writes the chunks one by one, so no full copy of a large
-# table's JSON text is built.  `analyze` asks for the rows' JSON texts
-# only under --json: its table writes each row's text line, and its JSON
-# text with it, as the expansion lists the row.
-Handled = tuple[Callable[[], Iterable[str]], Callable[[], list[str]], int]
+# Each handler returns (encoder of its canonical JSON text as chunks, its
+# text lines, exit status).  main encodes only under --json and writes
+# the chunks one by one, so no full copy of a large table's JSON text is
+# built.  `analyze` asks for the rows' JSON texts only under --json: its
+# table writes each row's text line, and its JSON text with it, as the
+# expansion lists the row.
+Handled = tuple[Callable[[], Iterable[str]], list[str], int]
 
 
 def _encoded(payload: dict) -> list[str]:
@@ -132,11 +132,7 @@ def cmd_analyze(args: argparse.Namespace) -> Handled:
         max_q=args.max_q,
         rows="text" if args.json is None else "json",
     )
-    return (
-        partial(report_to_json, report),
-        partial(render_connectivity_text, report),
-        0,
-    )
+    return partial(report_to_json, report), render_connectivity_text(report), 0
 
 
 def cmd_check(args: argparse.Namespace) -> Handled:
@@ -175,7 +171,7 @@ def cmd_check(args: argparse.Namespace) -> Handled:
         beta = dag_solve_mle(working)
         payload["mle"] = [rational_to_str(b) for b in beta]
         lines.append("mle: (" + ", ".join(rational_to_str(b) for b in beta) + ")")
-    return partial(_encoded, payload), lines.copy, 0
+    return partial(_encoded, payload), lines, 0
 
 
 def cmd_homotopy(args: argparse.Namespace) -> Handled:
@@ -188,7 +184,7 @@ def cmd_homotopy(args: argparse.Namespace) -> Handled:
     spec = _family_from_args(args)
     report = summarize_strata(spec, _convention_from_args(args), args.max_q, rows=None)
     encode = partial(_encoded, report_head_to_json(report))
-    return encode, partial(render_homotopy_text, report), 0
+    return encode, render_homotopy_text(report), 0
 
 
 def cmd_verify(args: argparse.Namespace) -> Handled:
@@ -236,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> Handled:
         "ok": ok,
         "reports": [harness_report_to_json(r) for r in reports],
     }
-    return partial(_encoded, payload), lines.copy, 0 if ok else 1
+    return partial(_encoded, payload), lines, 0 if ok else 1
 
 
 @cache
@@ -266,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--epsilon",
-        help=f"perturbation size p/q for --stabilize (default {DEFAULT_EPSILON})",
+        help=f"perturbation size p/q for --stabilize (default {DEFAULT_EPSILON}); "
+        "a negative one as --epsilon=-p/q",
     )
     check.set_defaults(handler=cmd_check)
 
@@ -308,12 +305,12 @@ def _run(args: argparse.Namespace) -> tuple[Iterable[str] | None, list[str], int
     """The handler's JSON text chunks (only under --json), text lines and
     exit status."""
     try:
-        encode, render, code = args.handler(args)
+        encode, lines, code = args.handler(args)
     except GitTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         error = {"type": type(exc).__name__, "message": str(exc)}
-        encode, render, code = partial(_encoded, {"error": error}), list, 2
-    return None if args.json is None else encode(), render(), code
+        encode, lines, code = partial(_encoded, {"error": error}), [], 2
+    return None if args.json is None else encode(), lines, code
 
 
 def main(argv: list[str] | None = None) -> int:

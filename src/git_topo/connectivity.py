@@ -5,8 +5,12 @@ The pipeline: a family's destabilizing classes each carry a value
 (d-2)-connected, and inside the validity window q < d-1 the homotopy
 groups of the free quotient match those of G/K shifted by one, K the
 central elements of G that act trivially on V (`scalar_kernel`).
-Unitary homotopy is only trusted in the stable range i <= 2k-1;
-everything outside a proven window is reported Unknown, never guessed.
+For G a product of GL factors and a torus that group has a closed form
+(`quotient_homotopy_group`): 0 at q = 0 and 1, Z^(factors - C*s of K)
+at q = 2 when K has no torsion to add, and past it Z^(GL factors) at
+even q, 0 at odd q, as long as q - 1 stays in the stable range
+q - 1 <= 2n - 1 of every GL(n).  Everything outside a proven window is
+reported Unknown, never guessed.
 A report keeps the table only as the text and JSON rows the family's
 `d_min` wrote (`families.base.StratumTexts`), or keeps d_min alone; the
 rows as `StratumClass` records are the family's `strata(convention)`,
@@ -42,29 +46,6 @@ class AbelianGroup:
         if self.rank is not None and self.rank < 0:
             raise DomainError("group rank cannot be negative")
 
-    @classmethod
-    def zero(cls) -> "AbelianGroup":
-        return cls(0)
-
-    @classmethod
-    def free(cls, rank: int) -> "AbelianGroup":
-        if rank < 1:
-            raise DomainError("free abelian groups here have rank at least 1")
-        return cls(rank)
-
-    @classmethod
-    def unknown(cls) -> "AbelianGroup":
-        return cls(None)
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.rank is None
-
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        if self.is_unknown or other.is_unknown:
-            return AbelianGroup.unknown()
-        return AbelianGroup(self.rank + other.rank)
-
     def descriptor(self) -> str:
         if self.rank is None:
             return "unknown"
@@ -73,24 +54,6 @@ class AbelianGroup:
         if self.rank == 1:
             return "Z"
         return f"Z^{self.rank}"
-
-
-def unitary_group_pi(i: int, k: int) -> AbelianGroup:
-    """pi_i(U(k)) in the stable range i <= 2k-1; Unknown beyond it.
-
-    Zero at i = 0, Z in odd degrees, zero in positive even degrees.
-    """
-    if i < 0:
-        raise DomainError("homotopy degree must be a natural number")
-    if k < 1:
-        raise DomainError("unitary rank must be positive")
-    if i == 0:
-        return AbelianGroup.zero()
-    if i > 2 * k - 1:
-        return AbelianGroup.unknown()
-    if i % 2 == 1:
-        return AbelianGroup.free(1)
-    return AbelianGroup.zero()
 
 
 def scalar_kernel(group: GroupSpec, blocks) -> tuple[int, ...]:
@@ -126,32 +89,36 @@ def scalar_kernel(group: GroupSpec, blocks) -> tuple[int, ...]:
 def quotient_homotopy_group(
     group: GroupSpec, d: int | None, q: int, kernel: tuple[int, ...] = ()
 ) -> AbelianGroup:
-    """pi_q of the free quotient of the stable locus, via pi_{q-1}(G/K).
+    """pi_q of the free quotient of the stable locus, pi_{q-1}(G/K), in
+    closed form.
 
     kernel is K as `scalar_kernel` gives it, () for K trivial.  Only
     answers inside the validity window q < d-1 (path-connectedness at
     q = 0 already needs d >= 2); outside it, Unknown.  d = None means the
     stable locus is all of V (no destabilizing classes), which removes
-    the window bound.  pi_1(G/K), the cokernel of pi_1(K) -> pi_1(G), is
-    Z^(factors - C*s of K) when every gcd is 1 and has torsion, so is
-    Unknown, otherwise.  In other degrees the torus K changes nothing:
-    each GL factor contributes its unitary homotopy in degree q-1, and
-    one Unknown summand makes the total Unknown.
+    the window bound.  Inside it:
+    - q = 0 and q = 1: 0, as the stable locus and G/K are connected.
+    - q = 2: pi_1(G/K), the cokernel of pi_1(K) -> pi_1(G), is
+      Z^(factors - C*s of K) when every gcd is 1; otherwise it has
+      torsion, so Unknown.
+    - q >= 3: the torus K changes nothing, and pi_{q-1}(U(n)) is Z in
+      odd degree q-1 and 0 in even degree, trusted only in Bott's stable
+      range q-1 <= 2n-1.  So Unknown if q > 2n for some GL factor of
+      rank n, else Z^(GL factors) for even q and 0 for odd q.
     """
     if q < 0:
         raise DomainError("homotopy degree must be a natural number")
     if d is not None and q >= d - 1:
-        return AbelianGroup.unknown()
-    if q == 0:
-        return AbelianGroup.zero()
+        return AbelianGroup(None)
+    if q < 2:
+        return AbelianGroup(0)
     if q == 2:
         if any(gcd > 1 for gcd in kernel):
-            return AbelianGroup.unknown()
+            return AbelianGroup(None)
         return AbelianGroup(len(group.gl_ranks) + group.torus_rank - len(kernel))
-    total = AbelianGroup.zero()
-    for n in group.gl_ranks:
-        total = total.direct_sum(unitary_group_pi(q - 1, n))
-    return total
+    if any(q > 2 * n for n in group.gl_ranks):
+        return AbelianGroup(None)
+    return AbelianGroup(0 if q % 2 else len(group.gl_ranks))
 
 
 @dataclass(frozen=True)

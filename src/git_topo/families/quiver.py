@@ -33,7 +33,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from git_topo.errors import (
     DomainError,
@@ -121,7 +121,8 @@ class QuiverSpec(FamilySpec):
     CLI_ARGS = (
         ("arrows", str, 'arrow list "s->t,s->t" (1-indexed)'),
         ("dim", str, "comma-separated dimension vector"),
-        ("theta", str, "comma-separated stability parameter"),
+        ("theta", str, "comma-separated stability parameter, as --theta=-1,1 "
+         "when it starts with a minus"),
     )
     DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
@@ -375,7 +376,7 @@ class QuiverSpec(FamilySpec):
         Without texts that row is found by `_least_row`'s branch and
         bound, which visits only prefixes that can still beat the best
         row and builds no row.  With texts the table is listed whole
-        (`_table`), one call per prefix leaf: each row's text line, and
+        (`_table`), one item per prefix leaf: each row's text line, and
         its JSON text when texts.rows is a list, is one f-string of the
         leaf's and its suffix entry's labels and the tails `texts.tails`
         builds once per (m, orbit_dim), so no per-row object exists.  The
@@ -393,10 +394,7 @@ class QuiverSpec(FamilySpec):
         span = dim_g + 1
         tails: dict[int, tuple[str, str, str]] = {}
         least = None
-
-        def keep(theta_sum: int, m: int, stabilizer: int, sub: str, line: str,
-                 rep: str, table: list[tuple]) -> None:
-            nonlocal least
+        for theta_sum, m, stabilizer, sub, line, rep, table in _table(self, convention):
             key_start = m * span + dim_g - stabilizer
             line_start = f"{line_head}sub_dim=({line}"
             json_start = f'{json_head}{{"sub_dim":[{sub}'
@@ -414,8 +412,6 @@ class QuiverSpec(FamilySpec):
                 lines.append(f"{line_start}{line_part}){line_tail}")
                 if rows is not None:
                     rows.append(f"{json_start}{sub_part}]}}{middle}{rep}{rep_part}{end}")
-
-        _table(self, convention, keep)
         return None if least is None else 2 * least
 
 
@@ -468,16 +464,12 @@ def enumerate_strata(
     return strata_from_classes(spec, convention, classes)
 
 
-def _table(
-    spec: QuiverSpec,
-    convention: OrbitConvention,
-    keep: Callable[[int, int, int, str, str, str, list[tuple]], None],
-) -> None:
-    """The rows of `enumerate_strata`, in its order, as texts: one call
-    keep(theta_sum, m, stabilizer, sub, line, rep, table) per prefix leaf,
-    whose rows are the entries (theta part, m part, stabilizer part, sub
-    part, line part, rep part) of table, in order, whose theta part brings
-    theta_sum to 0 or more, each the leaf's sums and labels plus the
+def _table(spec: QuiverSpec, convention: OrbitConvention) -> Iterator[tuple]:
+    """The rows of `enumerate_strata`, in its order, as texts: yields
+    (theta_sum, m, stabilizer, sub, line, rep, table) per prefix leaf, in
+    lex order, whose rows are the entries (theta part, m part, stabilizer
+    part, sub part, line part, rep part) of table, in order, whose theta
+    part brings theta_sum to 0 or more, each the leaf's sums and labels plus the
     entry's parts.  A level's labels, by its subdimension k, are the
     sub_dim entries from the previous positive vertex (the last level's
     through the last vertex), the same spelled with ", " for the text
@@ -489,13 +481,13 @@ def _table(
     SUFFIX_CANDIDATES candidates.  `_expand` lists the prefix's leaves
     and, once per table, every completion of the suffix, from a start
     past the most the suffix can subtract from theta . d', so that none
-    is pruned.  A
-    suffix row depends on its prefix only through the boundary, the
-    subdimensions of the earlier vertices that the suffix's pairs read,
-    so each boundary state gets one table of them (`_suffix_table`).  A
-    leaf gets it less its first entry, d' = 0 on the suffix, when the
-    prefix is all zero, and less its last, d' = dim, when it is full.
-    `_check_table` refuses the table first.
+    is pruned.  A suffix row depends on its prefix only through the
+    boundary, the subdimensions of the earlier vertices that the suffix's
+    pairs read, so each boundary state gets one table of them
+    (`_suffix_table`), built when its first leaf is yielded.  A leaf gets
+    it less its first entry, d' = 0 on the suffix, when the prefix is all
+    zero, and less its last, d' = dim, when it is full.  `_check_table`
+    refuses the table before the first leaf.
     """
     _check_table(spec)
     levels = []
@@ -533,7 +525,7 @@ def _table(
             table = tables[key] = _suffix_table(suffix, dict(zip(boundary, key)), shared)
         if ks == zero or ks == full:
             table = table[ks == zero : len(table) - (ks == full)]
-        keep(theta_sum, m, stabilizer, sub, line, rep, table)
+        yield theta_sum, m, stabilizer, sub, line, rep, table
 
 
 def _expand(levels: list[tuple], theta_start: int) -> list[tuple]:

@@ -1,4 +1,7 @@
+from itertools import combinations_with_replacement
+
 import pytest
+from homotopy_oracle import descriptor, quotient_pi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +12,6 @@ from git_topo.connectivity import (
     quotient_homotopy_group,
     scalar_kernel,
     summarize_strata,
-    unitary_group_pi,
 )
 from git_topo.errors import DomainError, SizeLimitError
 from git_topo.families.control import ControlFamily
@@ -30,10 +32,12 @@ def dimension_inequality(sphere_dim, stratum):
 
 
 def test_abelian_group_descriptors():
-    assert AbelianGroup.zero().descriptor() == "0"
-    assert AbelianGroup.free(1).descriptor() == "Z"
-    assert AbelianGroup.free(2).descriptor() == "Z^2"
-    assert AbelianGroup.unknown().descriptor() == "unknown"
+    assert AbelianGroup(0).descriptor() == "0"
+    assert AbelianGroup(1).descriptor() == "Z"
+    assert AbelianGroup(2).descriptor() == "Z^2"
+    assert AbelianGroup(None).descriptor() == "unknown"
+    with pytest.raises(DomainError):
+        AbelianGroup(-1)
 
 
 @given(st.one_of(st.none(), st.integers(0, 20)))
@@ -45,31 +49,30 @@ def test_abelian_group_parse_round_trip(rank):
     assert g.descriptor() == expected
 
 
-def test_direct_sum_rules():
-    z2 = AbelianGroup.free(2)
-    assert AbelianGroup.free(1).direct_sum(AbelianGroup.free(1)) == z2
-    assert z2.direct_sum(AbelianGroup.zero()) == z2
-    assert z2.direct_sum(AbelianGroup.unknown()).is_unknown
-
-
 def test_unitary_pi_stable_range():
-    assert unitary_group_pi(0, 1) == AbelianGroup.zero()
-    assert unitary_group_pi(1, 1) == AbelianGroup.free(1)
-    assert unitary_group_pi(2, 1).is_unknown  # beyond 2k-1 = 1
-    assert unitary_group_pi(3, 2) == AbelianGroup.free(1)
-    assert unitary_group_pi(4, 2).is_unknown
-    assert unitary_group_pi(5, 3) == AbelianGroup.free(1)
-    assert unitary_group_pi(4, 3) == AbelianGroup.zero()
+    # With one GL(k) factor and no torus, pi_q of the quotient is
+    # pi_{q-1}(U(k)): Z at odd q-1 <= 2k-1, 0 at even, Unknown beyond.
+    def pi(i, k):
+        return quotient_homotopy_group(GroupSpec((k,)), None, i + 1)
+
+    assert pi(0, 1) == AbelianGroup(0)
+    assert pi(1, 1) == AbelianGroup(1)
+    assert pi(2, 1).rank is None  # beyond 2k-1 = 1
+    assert pi(3, 2) == AbelianGroup(1)
+    assert pi(4, 2).rank is None
+    assert pi(5, 3) == AbelianGroup(1)
+    assert pi(4, 3) == AbelianGroup(0)
     with pytest.raises(DomainError):
-        unitary_group_pi(-1, 2)
+        quotient_homotopy_group(GroupSpec((2,)), None, -1)
     with pytest.raises(DomainError):
-        unitary_group_pi(1, 0)
+        GroupSpec((0,))
 
 
 @given(st.integers(1, 8))
 def test_unitary_pi_top_of_stable_range_is_z(k):
-    assert unitary_group_pi(2 * k - 1, k) == AbelianGroup.free(1)
-    assert unitary_group_pi(2 * k, k).is_unknown
+    group = GroupSpec((k,))
+    assert quotient_homotopy_group(group, None, 2 * k) == AbelianGroup(1)
+    assert quotient_homotopy_group(group, None, 2 * k + 1).rank is None
 
 
 def test_dimension_inequality_matches_connectivity():
@@ -87,26 +90,49 @@ def test_quotient_homotopy_headline_table():
     assert table == ["0", "0", "Z^2", "0", "Z", "0"]
 
 
+def test_closed_form_matches_the_per_factor_oracle():
+    # Every multiset of up to three GL ranks in 1..4, with a torus of rank
+    # up to 2, every window edge d (None: no window), every degree q and a
+    # few kernels, some with more C*s than G has factors: 187,425 cases.
+    shapes = [s for r in range(4) for s in combinations_with_replacement(range(1, 5), r)]
+    kernels = [(), (1,), (2,), (1, 1), (1, 3)]
+    for gl_ranks in shapes:
+        for torus in range(3):
+            group = GroupSpec(gl_ranks, torus)
+            for d in (None, *range(-2, 14)):
+                for q in range(-1, 20):
+                    for kernel in kernels:
+                        case = (gl_ranks, torus, d, q, kernel)
+                        try:
+                            expected = descriptor(quotient_pi(*case))
+                        except ValueError:
+                            with pytest.raises(DomainError):
+                                quotient_homotopy_group(group, d, q, kernel)
+                            continue
+                        got = quotient_homotopy_group(group, d, q, kernel).descriptor()
+                        assert got == expected, case
+
+
 def test_quotient_homotopy_window():
     group = GroupSpec((3,), torus_rank=1)
-    assert quotient_homotopy_group(group, 12, 11).is_unknown
-    assert quotient_homotopy_group(group, 12, 10).is_unknown  # pi_9(U(3)) unknown
-    assert quotient_homotopy_group(group, 2, 0) == AbelianGroup.zero()
-    assert quotient_homotopy_group(group, 2, 1).is_unknown
+    assert quotient_homotopy_group(group, 12, 11).rank is None
+    assert quotient_homotopy_group(group, 12, 10).rank is None  # pi_9(U(3)) unknown
+    assert quotient_homotopy_group(group, 2, 0) == AbelianGroup(0)
+    assert quotient_homotopy_group(group, 2, 1).rank is None
     # no destabilizing classes: no window bound at all
-    assert quotient_homotopy_group(group, None, 2) == AbelianGroup.free(2)
-    assert quotient_homotopy_group(group, None, 40).is_unknown
+    assert quotient_homotopy_group(group, None, 2) == AbelianGroup(2)
+    assert quotient_homotopy_group(group, None, 40).rank is None
 
 
 def test_quotient_homotopy_of_torus_only_group():
     torus = GroupSpec((), torus_rank=2)
-    assert quotient_homotopy_group(torus, None, 2) == AbelianGroup.free(2)
-    assert quotient_homotopy_group(torus, None, 3) == AbelianGroup.zero()
+    assert quotient_homotopy_group(torus, None, 2) == AbelianGroup(2)
+    assert quotient_homotopy_group(torus, None, 3) == AbelianGroup(0)
 
 
 def test_quotient_pi1_of_connected_group_vanishes():
     group = GroupSpec((2, 1), torus_rank=1)
-    assert quotient_homotopy_group(group, None, 1) == AbelianGroup.zero()
+    assert quotient_homotopy_group(group, None, 1) == AbelianGroup(0)
 
 
 def test_summarize_control_parabolic():
@@ -179,7 +205,7 @@ def test_summarize_dag_headline():
 def test_window_edge_is_always_unknown(q_extra, n, torus):
     group = GroupSpec((n,), torus_rank=torus)
     d = q_extra + 1  # so q = d - 1 + anything is outside
-    assert quotient_homotopy_group(group, d, d - 1 + q_extra).is_unknown
+    assert quotient_homotopy_group(group, d, d - 1 + q_extra).rank is None
 
 
 @pytest.mark.parametrize(
