@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from functools import cache, partial
 from typing import Callable, Iterable
 
@@ -279,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="seeded verification harness")
     _add_family_args(verify, extra=("kronecker",))
-    defaults = {f.name: f.default for f in fields(TrialConfig)}
+    # TrialConfig's fields past family_spec, with their defaults.
+    defaults = dict(zip(TrialConfig.FIELDS[1:], TrialConfig.__init__.__defaults__))
     for dest, field, text in _TRIAL_OPTIONS:
         flag = "--" + dest.replace("_", "-")
         verify.add_argument(

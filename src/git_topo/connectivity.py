@@ -20,11 +20,11 @@ which every family builds through `families.base.strata_from_classes`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from git_topo.errors import DomainError, SizeLimitError
 from git_topo.families import FamilySpec
 from git_topo.families.base import StratumTexts
+from git_topo.frozen import Frozen
 from git_topo.groups import TRIVIAL, GroupSpec, OrbitConvention
 
 NO_INFORMATION = "no_information"
@@ -36,14 +36,14 @@ CONTRACTIBLE = "contractible"
 MAX_HOMOTOPY_DEGREE = 4096
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """Zero, free abelian of known rank, or Unknown (rank None)."""
 
-    rank: int | None
+    __slots__ = FIELDS = ("rank",)
 
-    def __post_init__(self) -> None:
-        if self.rank is not None and self.rank < 0:
+    def __init__(self, rank: int | None) -> None:
+        object.__setattr__(self, "rank", rank)
+        if rank is not None and rank < 0:
             raise DomainError("group rank cannot be negative")
 
     def descriptor(self) -> str:
@@ -121,8 +121,7 @@ def quotient_homotopy_group(
     return AbelianGroup(0 if q % 2 else len(group.gl_ranks))
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(Frozen):
     """Everything the analyze pipeline knows about one family.
 
     connectivity is an integer bound, "no_information" when d_min <= 1,
@@ -133,14 +132,36 @@ class ConnectivityReport:
     report built with no rows has texts None.
     """
 
-    family: str
-    convention: OrbitConvention
-    d_min: int | None
-    connectivity: int | str
-    homotopy: tuple[tuple[int, AbelianGroup], ...] = ()
-    thresholds: tuple[tuple[str, int], ...] = ()
-    notes: tuple[str, ...] = ()
-    texts: StratumTexts | None = None
+    __slots__ = FIELDS = (
+        "family",
+        "convention",
+        "d_min",
+        "connectivity",
+        "homotopy",
+        "thresholds",
+        "notes",
+        "texts",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        convention: OrbitConvention,
+        d_min: int | None,
+        connectivity: int | str,
+        homotopy: tuple[tuple[int, AbelianGroup], ...] = (),
+        thresholds: tuple[tuple[str, int], ...] = (),
+        notes: tuple[str, ...] = (),
+        texts: StratumTexts | None = None,
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "d_min", d_min)
+        object.__setattr__(self, "connectivity", connectivity)
+        object.__setattr__(self, "homotopy", homotopy)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "texts", texts)
 
     def row_texts(self, with_json: bool) -> StratumTexts:
         """The rows as texts, with their JSON texts if with_json is set, as

@@ -23,12 +23,12 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from git_topo.errors import SchemaError, SizeLimitError
+from git_topo.frozen import Frozen
 from git_topo.groups import OnePSClass, OrbitConvention, orbit_dim, weight_counts
 from git_topo.linalg import ComplexRational, Matrix, is_integer
 
@@ -211,8 +211,7 @@ class Verdict(Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class StabilityStatus:
+class StabilityStatus(Frozen):
     """Outcome of a stability check, with machine-checkable evidence.
 
     evidence is a small dict of ints and tuples, read-only as stable
@@ -220,9 +219,14 @@ class StabilityStatus:
     DAG, support and theta_sum for quiver).
     """
 
-    verdict: Verdict
-    reason: str | None = None
-    evidence: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = FIELDS = ("verdict", "reason", "evidence")
+
+    def __init__(
+        self, verdict: Verdict, reason: str | None, evidence: Mapping[str, Any]
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "evidence", evidence)
 
     @classmethod
     @functools.cache
@@ -243,8 +247,7 @@ class StabilityStatus:
         return self.verdict is Verdict.STABLE
 
 
-@dataclass(frozen=True, slots=True)
-class StratumClass:
+class StratumClass(Frozen):
     """One destabilizing 1-PS class with its numerical data.
 
     m is the dimension of the negative-weight subspace at the class's
@@ -253,10 +256,19 @@ class StratumClass:
     The family and the orbit convention are the report's.
     """
 
-    descriptor: Mapping[str, Any]
-    representative: OnePSClass
-    m: int
-    orbit_dim: int
+    __slots__ = FIELDS = ("descriptor", "representative", "m", "orbit_dim")
+
+    def __init__(
+        self,
+        descriptor: Mapping[str, Any],
+        representative: OnePSClass,
+        m: int,
+        orbit_dim: int,
+    ) -> None:
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "orbit_dim", orbit_dim)
 
     @property
     def value(self) -> int:
@@ -400,14 +412,15 @@ def strata_from_classes(
     ]
 
 
-class FamilySpec:
+class FamilySpec(Frozen):
     """The shape of one model family, and the interface every family implements.
 
-    A family is a frozen dataclass subclass whose fields are its shape, in
-    the order of its command-line flags.  It supplies 11 members:
+    A family is a subclass whose `FIELDS`, a tuple of attribute names, is
+    its shape, in the order of its constructor's arguments.  It supplies
+    12 members:
 
-    - `name`, its registry key, and `CLI_ARGS`, a (dest, type, help)
-      triple per command-line flag;
+    - `FIELDS`; `name`, its registry key, and `CLI_ARGS`, a (dest, type,
+      help) triple per command-line flag;
     - `DEFAULT_CONVENTION`, `group()`, `representation`, V as a tuple of
       blocks (source, target, multiplicity), each `multiplicity` copies of
       Hom(source, target), and `strata(convention)`.  An endpoint indexes
@@ -425,13 +438,16 @@ class FamilySpec:
       `status_flat` of the instance cleared to integers.
 
     The base class gives the rest, which a family overrides where it
-    differs: `draw_flat(rng, bound)` draws `flat_size` integers in
-    [-bound, bound], `draw_generic` (the same, minus points generic
-    sampling excludes) calls `draw_flat`, `draw_generic_block` draws
-    the `draw_generic` points of consecutive trials in one packed pass,
-    `path_suspects(entry_polys, n_samples)`, the samples of a quadratic
-    path a certificate mod 2^61 - 1 cannot clear, is every sample,
-    `from_args(args)` passes the
+    differs: the constructor takes one value per field, in `FIELDS`
+    order, and calls `check_shape()`, which accepts every shape; a spec
+    is frozen, compares and hashes by its class and fields, and prints
+    as `Name(field=value, ...)` (`frozen.Frozen`).  `draw_flat(rng,
+    bound)` draws `flat_size` integers in [-bound, bound], `draw_generic`
+    (the same, minus points generic sampling excludes) calls
+    `draw_flat`, `draw_generic_block` draws the `draw_generic` points of
+    consecutive trials in one packed pass, `path_suspects(entry_polys,
+    n_samples)`, the samples of a quadratic path a certificate mod
+    2^61 - 1 cannot clear, is every sample, `from_args(args)` passes the
     flags to the constructor in order, `to_json()` writes the name and
     the fields, `thresholds(convention)` is empty, and
     `d_min(convention, texts)`, the least stratum value, reads it off
@@ -444,12 +460,21 @@ class FamilySpec:
     CLI_ARGS: tuple[tuple[str, type, str], ...]
     DEFAULT_CONVENTION: OrbitConvention
 
+    def __init__(self, *shape) -> None:
+        for name, value in zip(self.FIELDS, shape, strict=True):
+            object.__setattr__(self, name, value)
+        self.check_shape()
+
+    def check_shape(self) -> None:
+        """Raise DomainError or ShapeError on a shape the family refuses; a
+        family may also normalize its fields here, by object.__setattr__."""
+
     @classmethod
     def from_args(cls, args):
         return cls(*(getattr(args, dest) for dest, _, _ in cls.CLI_ARGS))
 
     def to_json(self) -> dict:
-        shape = {f.name: getattr(self, f.name) for f in fields(self)}
+        shape = {name: getattr(self, name) for name in self.FIELDS}
         return {"family": self.name, **shape}
 
     def draw_flat(self, rng, bound: int) -> list[int]:

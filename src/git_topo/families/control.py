@@ -10,7 +10,6 @@ A-invariant subspace containing the image of B.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +26,7 @@ from git_topo.families.base import (
     require_int,
     strata_from_classes,
 )
+from git_topo.frozen import Frozen
 from git_topo.groups import TRIVIAL, GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
     MAX_MINORS,
@@ -80,21 +80,18 @@ MIN_KRYLOV_CERTIFIED_N = 13
 MAX_EXACT_KRYLOV_N = 60
 
 
-@dataclass(frozen=True)
 class ControlFamily(FamilySpec):
     """Shape of the family: state dimension n, input dimension m.
 
     The flat encoding of a point is A row-major, then B row-major.
     """
 
-    n: int
-    m: int
-
+    FIELDS = ("n", "m")
     name = "control"
     CLI_ARGS = (("n", integer, "state dimension"), ("m", integer, "input dimension"))
     DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
-    def __post_init__(self) -> None:
+    def check_shape(self) -> None:
         check_integers("state dimension", (self.n,))
         check_integers("input dimension", (self.m,))
         if self.n < 1 or self.m < 1:
@@ -179,20 +176,21 @@ class ControlFamily(FamilySpec):
         return enumerate_strata(self, convention)
 
 
-@dataclass(frozen=True)
-class ControlInstance:
+class ControlInstance(Frozen):
     """One system: A is n x n, B is n x m, entries exact rationals."""
 
-    n: int
-    m: int
-    a: Matrix
-    b: Matrix
+    # No __slots__: vars(instance) lists the fields.
+    FIELDS = ("n", "m", "a", "b")
 
-    def __post_init__(self) -> None:
-        if (self.a.rows, self.a.cols) != (self.n, self.n):
-            raise ShapeError(f"A must be {self.n}x{self.n}")
-        if (self.b.rows, self.b.cols) != (self.n, self.m):
-            raise ShapeError(f"B must be {self.n}x{self.m}")
+    def __init__(self, n: int, m: int, a: Matrix, b: Matrix) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if (a.rows, a.cols) != (n, n):
+            raise ShapeError(f"A must be {n}x{n}")
+        if (b.rows, b.cols) != (n, m):
+            raise ShapeError(f"B must be {n}x{m}")
 
     def family(self) -> ControlFamily:
         return ControlFamily(self.n, self.m)

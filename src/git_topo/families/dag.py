@@ -15,7 +15,6 @@ torus, leaving the child in non-negative weight.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -32,6 +31,7 @@ from git_topo.families.base import (
     require_int,
     strata_from_classes,
 )
+from git_topo.frozen import Frozen
 from git_topo.groups import TRIVIAL, GroupSpec, OnePSClass, OrbitConvention
 from git_topo.linalg import (
     MAX_MINORS,
@@ -59,16 +59,13 @@ from git_topo.linalg import (
 MAX_CERTIFIED_K = 15
 
 
-@dataclass(frozen=True)
 class DagFamily(FamilySpec):
     """Shape of the family: n samples, k parent variables.
 
     The flat encoding of a point is Y row-major.
     """
 
-    n: int
-    k: int
-
+    FIELDS = ("n", "k")
     name = "dag"
     CLI_ARGS = (
         ("samples", integer, "sample count n"),
@@ -76,7 +73,7 @@ class DagFamily(FamilySpec):
     )
     DEFAULT_CONVENTION = OrbitConvention.CENTRALIZER
 
-    def __post_init__(self) -> None:
+    def check_shape(self) -> None:
         check_integers("sample count", (self.n,))
         check_integers("parent count", (self.k,))
         if self.n < 1 or self.k < 1:
@@ -167,17 +164,18 @@ class DagFamily(FamilySpec):
         )
 
 
-@dataclass(frozen=True)
-class DagInstance:
+class DagInstance(Frozen):
     """One data matrix Y, n x (k+1), last column the child."""
 
-    n: int
-    k: int
-    y: Matrix
+    # No __slots__: vars(instance) lists the fields.
+    FIELDS = ("n", "k", "y")
 
-    def __post_init__(self) -> None:
-        if (self.y.rows, self.y.cols) != (self.n, self.k + 1):
-            raise ShapeError(f"Y must be {self.n}x{self.k + 1}")
+    def __init__(self, n: int, k: int, y: Matrix) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "y", y)
+        if (y.rows, y.cols) != (n, k + 1):
+            raise ShapeError(f"Y must be {n}x{k + 1}")
 
     def family(self) -> DagFamily:
         return DagFamily(self.n, self.k)

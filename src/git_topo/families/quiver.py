@@ -31,7 +31,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -59,6 +58,7 @@ from git_topo.families.base import (
     require_list,
     strata_from_classes,
 )
+from git_topo.frozen import Frozen
 from git_topo.groups import (
     GroupSpec,
     OnePSClass,
@@ -102,7 +102,6 @@ MAX_SEARCH_READS = 2**20
 SUFFIX_CANDIDATES = 64
 
 
-@dataclass(frozen=True)
 class QuiverSpec(FamilySpec):
     """A quiver with dimension vector and admissible stability parameter.
 
@@ -112,11 +111,7 @@ class QuiverSpec(FamilySpec):
     a dimension-0 vertex.
     """
 
-    vertex_count: int
-    arrows: tuple[tuple[int, int], ...]
-    dim_vector: tuple[int, ...]
-    theta: tuple[int, ...]
-
+    FIELDS = ("vertex_count", "arrows", "dim_vector", "theta")
     name = "quiver"
     CLI_ARGS = (
         ("arrows", str, 'arrow list "s->t,s->t" (1-indexed)'),
@@ -126,7 +121,7 @@ class QuiverSpec(FamilySpec):
     )
     DEFAULT_CONVENTION = OrbitConvention.PARABOLIC
 
-    def __post_init__(self) -> None:
+    def check_shape(self) -> None:
         object.__setattr__(self, "arrows", tuple((s, t) for s, t in self.arrows))
         object.__setattr__(self, "dim_vector", tuple(self.dim_vector))
         object.__setattr__(self, "theta", tuple(self.theta))
@@ -752,27 +747,25 @@ def _least_row(spec: QuiverSpec, convention: OrbitConvention) -> int | None:
     return None if best == math.inf else best
 
 
-@dataclass(frozen=True)
-class ThinQuiverRep:
+class ThinQuiverRep(Frozen):
     """A representation of a thin quiver: one Gaussian rational per arrow.
 
     Arrows touching a dimension-0 vertex span a zero Hom space, so their
     values must be zero.
     """
 
-    spec: QuiverSpec
-    values: tuple[ComplexRational, ...]
+    __slots__ = FIELDS = ("spec", "values")
 
-    def __post_init__(self) -> None:
-        if not self.spec.is_thin():
+    def __init__(self, spec: QuiverSpec, values: tuple[ComplexRational, ...]) -> None:
+        object.__setattr__(self, "spec", spec)
+        if not spec.is_thin():
             raise DomainError("point-level checks require a thin dimension vector")
-        object.__setattr__(
-            self, "values", tuple(ComplexRational.of(v) for v in self.values)
-        )
-        if len(self.values) != len(self.spec.arrows):
+        values = tuple(ComplexRational.of(v) for v in values)
+        object.__setattr__(self, "values", values)
+        if len(values) != len(spec.arrows):
             raise ShapeError("need exactly one value per arrow")
-        for (s, t), v in zip(self.spec.arrows, self.values):
-            if v and (self.spec.dim_vector[s] == 0 or self.spec.dim_vector[t] == 0):
+        for (s, t), v in zip(spec.arrows, values):
+            if v and (spec.dim_vector[s] == 0 or spec.dim_vector[t] == 0):
                 raise DomainError(
                     f"arrow ({s + 1}, {t + 1}) touches a dimension-0 vertex; "
                     "its value must be zero"

@@ -16,11 +16,11 @@ multiplicities alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from git_topo.errors import DomainError, ShapeError
+from git_topo.frozen import Frozen
 from git_topo.linalg import check_integers
 
 
@@ -34,20 +34,20 @@ class OrbitConvention(Enum):
     PARABOLIC = "parabolic"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Frozen):
     """Shape of G = prod GL(n_i) x (C*)^torus_rank."""
 
-    gl_ranks: tuple[int, ...] = ()
-    torus_rank: int = 0
+    __slots__ = FIELDS = ("gl_ranks", "torus_rank")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gl_ranks", tuple(self.gl_ranks))
-        check_integers("GL factor rank", self.gl_ranks)
-        check_integers("torus rank", (self.torus_rank,))
-        if any(n <= 0 for n in self.gl_ranks):
+    def __init__(self, gl_ranks: tuple[int, ...] = (), torus_rank: int = 0) -> None:
+        gl_ranks = tuple(gl_ranks)
+        object.__setattr__(self, "gl_ranks", gl_ranks)
+        object.__setattr__(self, "torus_rank", torus_rank)
+        check_integers("GL factor rank", gl_ranks)
+        check_integers("torus rank", (torus_rank,))
+        if any(n <= 0 for n in gl_ranks):
             raise DomainError("GL factor ranks must be positive")
-        if self.torus_rank < 0:
+        if torus_rank < 0:
             raise DomainError("torus rank must be non-negative")
 
     def check_one_ps(self, lam: OnePSClass) -> None:
@@ -67,8 +67,7 @@ def group_dim(spec: GroupSpec) -> int:
     return sum(n * n for n in spec.gl_ranks) + spec.torus_rank
 
 
-@dataclass(frozen=True, slots=True)
-class OnePSClass:
+class OnePSClass(Frozen):
     """Representative of a conjugacy class of one-parameter subgroups.
 
     gl_weights[i] lists the diagonal weights on the i-th GL factor in
@@ -80,12 +79,15 @@ class OnePSClass:
     not an exact int.
     """
 
-    gl_weights: tuple[tuple[int, ...], ...] = ()
-    torus_weights: tuple[int, ...] = ()
+    __slots__ = FIELDS = ("gl_weights", "torus_weights")
 
-    def __post_init__(self) -> None:
-        gl_weights = tuple(map(tuple, self.gl_weights))
-        torus_weights = tuple(self.torus_weights)
+    def __init__(
+        self,
+        gl_weights: tuple[tuple[int, ...], ...] = (),
+        torus_weights: tuple[int, ...] = (),
+    ) -> None:
+        gl_weights = tuple(map(tuple, gl_weights))
+        torus_weights = tuple(torus_weights)
         object.__setattr__(self, "gl_weights", gl_weights)
         object.__setattr__(self, "torus_weights", torus_weights)
         check_integers("1-PS weight", itertools.chain(*gl_weights, torus_weights))

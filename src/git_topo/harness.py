@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,6 +49,7 @@ from git_topo.families import (
     kronecker_spec,
 )
 from git_topo.families.base import check_sampling_work
+from git_topo.frozen import Frozen
 from git_topo.groups import OrbitConvention
 from git_topo.rng import CounterRng
 
@@ -87,66 +87,100 @@ OP_KRONECKER_ORACLE = "kronecker_oracle"
 OP_CONSTRUCTED_DEGENERATES = "constructed_degenerates"
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(Frozen):
     """One harness run: a family plus sampling knobs.
 
     Identical configs produce identical reports (modulo elapsed time).
     """
 
-    family_spec: FamilySpec
-    trials: int = 1000
-    seed: int = 0
-    entry_bound: int = 9
-    paths: int = 0
-    path_samples: int = 256
-    convention: OrbitConvention | None = None
+    __slots__ = FIELDS = (
+        "family_spec",
+        "trials",
+        "seed",
+        "entry_bound",
+        "paths",
+        "path_samples",
+        "convention",
+    )
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
+    def __init__(
+        self,
+        family_spec: FamilySpec,
+        trials: int = 1000,
+        seed: int = 0,
+        entry_bound: int = 9,
+        paths: int = 0,
+        path_samples: int = 256,
+        convention: OrbitConvention | None = None,
+    ) -> None:
+        object.__setattr__(self, "family_spec", family_spec)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "entry_bound", entry_bound)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "path_samples", path_samples)
+        object.__setattr__(self, "convention", convention)
+        if trials < 1:
             raise DomainError("trials must be positive")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= seed < 2**64):
             raise DomainError("seed must fit in 64 unsigned bits")
-        if self.entry_bound < 1:
+        if entry_bound < 1:
             raise DomainError("entry bound must be positive")
-        if self.paths < 0:
+        if paths < 0:
             raise DomainError("path count cannot be negative")
-        if self.path_samples < 1:
+        if path_samples < 1:
             raise DomainError("path sample count must be positive")
-        if self.trials > MAX_TRIALS:
-            raise SizeLimitError(
-                f"{self.trials} trials refused: the limit is {MAX_TRIALS}"
-            )
-        points = max(self.paths, 1) * self.path_samples
+        if trials > MAX_TRIALS:
+            raise SizeLimitError(f"{trials} trials refused: the limit is {MAX_TRIALS}")
+        points = max(paths, 1) * path_samples
         if points > MAX_PATH_POINTS:
             raise SizeLimitError(
                 f"{points} path points (paths x path samples) refused: "
                 f"the limit is {MAX_PATH_POINTS}"
             )
         # Generic trials plus path points, each one point check.
-        check_sampling_work(
-            self.family_spec.flat_size, self.trials + self.paths * self.path_samples
-        )
+        check_sampling_work(family_spec.flat_size, trials + paths * path_samples)
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(Frozen):
     """Counters from one harness operation, plus the config that made them."""
 
-    op: str
-    config: TrialConfig | None
-    trials_run: int
-    unstable_hits: int = 0
-    path_failures: int = 0
-    oracle_mismatches: int = 0
-    elapsed_ms: int = 0
-    notes: tuple[str, ...] = ()
-    skipped: bool = False
+    __slots__ = FIELDS = (
+        "op",
+        "config",
+        "trials_run",
+        "unstable_hits",
+        "path_failures",
+        "oracle_mismatches",
+        "elapsed_ms",
+        "notes",
+        "skipped",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        op: str,
+        config: TrialConfig | None,
+        trials_run: int,
+        unstable_hits: int = 0,
+        path_failures: int = 0,
+        oracle_mismatches: int = 0,
+        elapsed_ms: int = 0,
+        notes: tuple[str, ...] = (),
+        skipped: bool = False,
+    ) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "trials_run", trials_run)
+        object.__setattr__(self, "unstable_hits", unstable_hits)
+        object.__setattr__(self, "path_failures", path_failures)
+        object.__setattr__(self, "oracle_mismatches", oracle_mismatches)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "skipped", skipped)
         if any(c < 0 for c in self.counters().values()):
             raise DomainError("harness counters cannot be negative")
-        if self.unstable_hits > self.trials_run:
+        if unstable_hits > trials_run:
             raise DomainError("unstable_hits cannot exceed trials_run")
 
     def counters(self) -> dict[str, int]:

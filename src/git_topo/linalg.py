@@ -35,11 +35,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from git_topo.errors import DomainError, ShapeError
+from git_topo.frozen import Frozen
 
 Rational = int | Fraction
 PivotRow = tuple[int, int, list[int]]  # see echelon_pivots
@@ -62,12 +62,14 @@ def is_rational(value: object) -> bool:
     return is_integer(value) or isinstance(value, Fraction)
 
 
-@dataclass(frozen=True)
-class ComplexRational:
+class ComplexRational(Frozen):
     """An exact Gaussian rational a + b*i with a, b in Q."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = FIELDS = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def of(value: "ComplexRational | Rational", im: Rational = 0) -> "ComplexRational":
@@ -87,23 +89,23 @@ class ComplexRational:
         return not self.is_zero()
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Dense immutable matrix with exact rational entries, stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = FIELDS = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        if rows < 0 or cols < 0:
             raise ShapeError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
+                f"expected {rows * cols} entries for a "
+                f"{rows}x{cols} matrix, got {len(entries)}"
             )
-        for e in self.entries:
+        for e in entries:
             if type(e) is not int and not is_rational(e):
                 raise DomainError(f"matrix entry {e!r} is not an exact rational")
 

@@ -8,15 +8,15 @@ integer products, so a verdict never rests on the package's rank code:
 - controllable: n columns of K whose n x n minor is nonzero;
 - uncontrollable: a nonzero integer vector w with w^T K = 0.
 
-Nothing here imports git_topo.  Minors use the Leibniz formula, the
-definition of the determinant, which is cheap at the small n the
-acceptance gate samples.
+Nothing here imports git_topo.  Minors use cofactor expansion along
+the first row, which is cheap at the small n the acceptance gate
+samples: a 3 x 3 minor is three 2 x 2 ones.
 """
 
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, permutations
-from math import lcm, prod
+from itertools import combinations
+from math import lcm
+from operator import mul
 
 MINOR = "minor"
 KERNEL = "kernel"
@@ -27,29 +27,30 @@ def krylov_matrix(a, b):
     columns = [list(col) for col in zip(*b)]
     block = columns
     for _ in range(len(a) - 1):
-        block = [[sum(x * y for x, y in zip(row, col)) for row in a] for col in block]
+        block = [[sum(map(mul, row, col)) for row in a] for col in block]
         columns = columns + block
     return [list(row) for row in zip(*columns)]
 
 
-@cache
-def _signed_permutations(n):
-    """(sign, p) for every permutation p of range(n)."""
-    return tuple(
-        ((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)), p)
-        for p in permutations(range(n))
-    )
-
-
 def determinant(square):
-    return sum(
-        sign * prod(row[c] for row, c in zip(square, p))
-        for sign, p in _signed_permutations(len(square))
-    )
+    return _minor(square, tuple(range(len(square))))
 
 
-def _minor(k, cols):
-    return determinant([[row[c] for c in cols] for row in k])
+def _minor(rows, cols):
+    """det of the square matrix of rows read on cols, by cofactor expansion
+    along its first row down to 2 x 2; len(rows) == len(cols)."""
+    if len(cols) < 3:
+        if len(cols) < 2:
+            return rows[0][cols[0]] if cols else 1
+        (a, b), (first, second) = cols, rows
+        return first[a] * second[b] - first[b] * second[a]
+    first, rest = rows[0], rows[1:]
+    det = 0
+    for i, c in enumerate(cols):
+        if first[c]:
+            term = first[c] * _minor(rest, cols[:i] + cols[i + 1 :])
+            det += -term if i % 2 else term
+    return det
 
 
 def _left_kernel_vector(k):

@@ -62,12 +62,10 @@ class ScalingPoint:
         return {**self.spec.to_json(), "values": list(self.flat)}
 
 
-@dataclass(frozen=True)
 class ScalingFamily(FamilySpec):
     """C^n under GL(1) scaling; a point is n (re, im) integer pairs."""
 
-    n: int
-
+    FIELDS = ("n",)
     name = "scaling"
     CLI_ARGS = (("n", int, "dimension"),)
     DEFAULT_CONVENTION = OrbitConvention.PARABOLIC

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +26,8 @@ from poly_oracle import control_suspects, dag_suspects
 
 
 def strip_time(report: HarnessReport) -> HarnessReport:
-    return replace(report, elapsed_ms=0)
+    fields = {name: getattr(report, name) for name in HarnessReport.FIELDS}
+    return HarnessReport(**{**fields, "elapsed_ms": 0})
 
 
 def test_generic_sampling_deterministic():
