@@ -74,7 +74,8 @@ MAX_POINT_ENTRIES = 2**16
 # and a half; it accepts 2^20 trials at (3, 2) and about 1700 at
 # (100, 1).  DAG and thin-quiver trials cost 0.3-0.6 us per integer
 # (13 us at DAG (10, 3), 20 ms at (16384, 3), 22 us on a 20-vertex thin
-# cycle), so their runs stop near 5-9 s: 419430 trials at DAG (10, 3) or
+# cycle; a DAG generic trial whose first k rows decide it, 5-6 us at
+# (10, 3)), so their runs stop near 5-9 s: 419430 trials at DAG (10, 3) or
 # on that cycle, 256 at (16384, 3), and every Kronecker run under
 # MAX_TRIALS.
 MAX_TRIAL_WORK = 2**24
@@ -445,7 +446,12 @@ class FamilySpec(Frozen):
     bound)` draws `flat_size` integers in [-bound, bound], `draw_generic`
     (the same, minus points generic sampling excludes) calls
     `draw_flat`, `draw_generic_block` draws the `draw_generic` points of
-    consecutive trials in one packed pass, `path_suspects(entry_polys,
+    consecutive trials in one packed pass, `count_generic_unstable(stream,
+    first, trials, bound)` counts the trials of such a block whose point
+    `status_flat` does not call Stable (the DAG family decides most
+    trials from the first k rows of the parent block, by one k x k
+    rank, and draws the whole point only where that block is singular),
+    `path_suspects(entry_polys,
     n_samples)`, the samples of a quadratic path a certificate mod
     2^61 - 1 cannot clear, is every sample, `from_args(args)` passes the
     flags to the constructor in order, `to_json()` writes the name and
@@ -501,6 +507,21 @@ class FamilySpec(Frozen):
             flat if flat is not None else self.draw_generic(stream.split(i), bound)
             for i, flat in enumerate(words, first)
         ]
+
+    def count_generic_unstable(
+        self, stream, first: int, trials: int, bound: int
+    ) -> int:
+        """How many of the `trials` trials from `first` on draw a point that
+        `status_flat` does not call Stable, drawn by `draw_generic_block`.
+
+        A family that can decide a trial from part of its point overrides
+        this, and must count exactly the same trials.
+        """
+        status = self.status_flat
+        return sum(
+            not status(flat).is_stable
+            for flat in self.draw_generic_block(stream, first, trials, bound)
+        )
 
     def path_suspects(self, entry_polys, n_samples: int) -> Sequence[int]:
         # Every sample, checked pointwise: cheap where a point check is, as

@@ -50,6 +50,10 @@ from git_topo.linalg import (
 # pointwise, in ms): at m = 1, 4.7 against 12.9 at n = 6, 17 against 21 at
 # n = 7, 58 against 31 at n = 8 and 191 against 52 at n = 9; at m = 2, 12
 # against 16 at n = 7 and 37 against 24 at n = 8: both lose from n = 8.
+# Once `minor_gcd` eliminated the rows its minors share only once, m = 2
+# came level at n = 8 (28-42 against 26-55, 7-9 paths), while m = 1,
+# whose Krylov matrix is square and has one minor, still lost (65-90
+# against 42-69).
 MAX_CERTIFIED_N = 7
 
 # Least state dimension n whose Krylov rank check first tries the

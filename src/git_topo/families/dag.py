@@ -52,11 +52,13 @@ from git_topo.linalg import (
 # certificate; past it every sample is checked pointwise.  A k x k minor
 # of degree 2k packs into 2k w bits, w growing as k, so the certificate
 # outgrows 256 pointwise checks (k^3, the elimination stopping after k of
-# the n rows): on a 2-CPU x86 machine at n = 2k (median of 9 random
-# paths, entries in [-9, 9], certificate against pointwise) it took 47
-# against 79 ms at k = 14, 76-79 against 102-106 at k = 15, 123-139
-# against 137-157 at k = 16 (level) and 182 against 161 at k = 17.
-MAX_CERTIFIED_K = 15
+# the n rows).  `minor_gcd` eliminates the k - 1 rows its minors share
+# once, so a path costs about one minor: on a 2-CPU x86 machine at
+# n = 2k (median of 7-9 random paths, entries in [-9, 9], certificate
+# against pointwise, three runs) it took 42-51 against 97-128 ms at
+# k = 15, 91-114 against 139-195 at k = 17, 192-239 against 213-296 at
+# k = 19 and 328-397 against 304-406 at k = 20 (level).
+MAX_CERTIFIED_K = 19
 
 
 class DagFamily(FamilySpec):
@@ -121,6 +123,32 @@ class DagFamily(FamilySpec):
             ),
             rank=r,
         )
+
+    def count_generic_unstable(
+        self, stream, first: int, trials: int, bound: int
+    ) -> int:
+        """`FamilySpec.count_generic_unstable`, each trial decided from its
+        first k rows where they suffice.
+
+        A trial draws only its first k(k + 1) - 1 words, which run through
+        the last parent entry of row k: while none of them is rejected,
+        `CounterRng.ints` gives the same first words whatever the count,
+        so they are the start of the trial's whole point.  Where the
+        leading k x k parent block has rank k, a nonzero k x k minor
+        proves that X has rank k, and the trial is Stable.  Any other
+        trial draws its whole point and asks `status_flat`.
+        """
+        k = self.k
+        if self.n < k:  # no point is Stable, and no k x k block exists
+            return super().count_generic_unstable(stream, first, trials, bound)
+        heads = stream.split_ints(first, trials, -bound, bound, k * (k + 1) - 1)
+        unstable = 0
+        for i, head in enumerate(heads, first):
+            if head is not None and parent_rank_ints(k, k, head) == k:
+                continue
+            flat = self.draw_generic(stream.split(i), bound)
+            unstable += not self.status_flat(flat).is_stable
+        return unstable
 
     def path_suspects(
         self, entry_polys: Sequence[Sequence[int]], n_samples: int

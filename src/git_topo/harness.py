@@ -13,10 +13,13 @@ premise does not hold.
 Every draw comes from a counter-based stream keyed by (seed, op, trial),
 so a report is a pure function of its TrialConfig.  The trial loops are
 family-agnostic: they work on each family's flat integer encoding
-through its spec (`draw_flat`, `draw_generic`, `status_flat`,
-`path_suspects`).  `status_flat` is the verdict `check` prints for the
-same point; an instance is built only to reproduce a single trial or to
-stabilize a constructed DAG sample.
+through its spec (`draw_flat`, `draw_generic`, `count_generic_unstable`,
+`status_flat`, `path_suspects`).  `status_flat` is the verdict `check`
+prints for the same point; an instance is built only to reproduce a
+single trial or to stabilize a constructed DAG sample.  Generic trials
+are counted by the spec's `count_generic_unstable`: by default
+`status_flat` on every drawn point, while the DAG family certifies most
+trials by the k x k rank of their first k rows and draws the rest whole.
 
 A path is certified once rather than checked at every sample: each
 entry of a path point is an integer quadratic in the sample index, so
@@ -72,8 +75,10 @@ MAX_TRIALS = 2**20
 MAX_PATH_POINTS = 2**20
 MAX_DEGENERATE_TRIALS = 2**16
 
-# Generic trials drawn per `draw_generic_block` call: one packed pass of
-# the rng, whose blocks hold 64 trials, and a bounded list of points.
+# Generic trials per `count_generic_unstable` call: one packed pass of the
+# rng, whose blocks hold 64 trials, and a bounded list of points (a DAG
+# block's hold only each trial's words through row k, for its k x k
+# certificate).
 _GENERIC_BLOCK = 64
 
 # Stream tags keep the per-op draws disjoint for a shared seed.
@@ -223,11 +228,16 @@ def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
     """Draw random integer instances and count non-Stable verdicts.
 
     Trial i checks `draw_instance(cfg, i)`'s point: the spec's
-    `draw_generic` on the stream keyed by (seed, op, i).  The points are
-    drawn 64 trials at a time by `draw_generic_block`, which computes
-    the words of every trial in a block in one packed pass and redraws
-    a trial through its own stream only where that pass cannot give its
-    point (a rejected word, or a quiver point at the origin).
+    `draw_generic` on the stream keyed by (seed, op, i).  The trials are
+    counted 64 at a time by the spec's `count_generic_unstable`.  By
+    default it draws the block by `draw_generic_block`, which computes
+    the words of every trial in one packed pass and redraws a trial
+    through its own stream only where that pass cannot give its point (a
+    rejected word, or a quiver point at the origin), and checks each
+    point with `status_flat`.  The DAG family draws each trial's words
+    only through row k: a nonsingular leading k x k parent block proves
+    the trial Stable, and any other trial draws its whole point and is
+    checked by `status_flat`, so the count is the same.
     """
     start = time.monotonic()
     spec = cfg.family_spec
@@ -238,9 +248,9 @@ def sample_generic_points(cfg: TrialConfig) -> HarnessReport:
     stream = CounterRng(cfg.seed, _OP_GENERIC)
     for first in range(0, cfg.trials, _GENERIC_BLOCK):
         trials = min(_GENERIC_BLOCK, cfg.trials - first)
-        for flat in spec.draw_generic_block(stream, first, trials, cfg.entry_bound):
-            if not spec.status_flat(flat).is_stable:
-                unstable += 1
+        unstable += spec.count_generic_unstable(
+            stream, first, trials, cfg.entry_bound
+        )
     return HarnessReport(
         op=OP_GENERIC_POINTS,
         config=cfg,

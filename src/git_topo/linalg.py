@@ -18,7 +18,8 @@ rows, column_pivots reads their columns, and nullspace and solve_square
 back-substitute on them in integers, each row cleared of denominators
 on its own; a Fraction is built only for each entry of the answer.  The
 same elimination takes the path certificates' minors, on polynomial
-entries packed into integers (Kronecker substitution); the module also
+entries packed into integers (Kronecker substitution), going on from
+the pivot rows of the rows consecutive minors share; the module also
 carries their gcd and root scan over F_p, p = 2^61 - 1.
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4], [3, 6]])
@@ -162,7 +163,9 @@ def integer_columns(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
     ], scales
 
 
-def echelon_pivots(rows: Iterable[Sequence[int]], ncols: int) -> list[PivotRow]:
+def echelon_pivots(
+    rows: Iterable[Sequence[int]], ncols: int, kept: Sequence[PivotRow] = ()
+) -> list[PivotRow]:
     """The pivot rows of fraction-free (Bareiss) elimination, a row at a time.
 
     Each new row is reduced by the pivot rows kept so far, in the order
@@ -185,9 +188,12 @@ def echelon_pivots(rows: Iterable[Sequence[int]], ncols: int) -> list[PivotRow]:
     pivot among the columns not yet pivots, pivot, the row on the columns
     left after it).  The pivot columns are those of the reduced row
     echelon form: the leading column of a vector in the row space is one
-    of them, and the kept rows have distinct leading columns.
+    of them, and the kept rows have distinct leading columns.  Given
+    `kept`, the pivot rows of earlier rows, the elimination goes on from
+    them as if those rows came first, and returns them followed by the
+    new pivot rows.
     """
-    kept: list[PivotRow] = []
+    kept = list(kept)
     kernel: list[int] = []
     for row in rows:
         if kernel and not sum(map(operator.mul, row, kernel)):
@@ -333,8 +339,12 @@ def hadamard_width(norms: Iterable[Sequence[int]], size: int) -> int:
     return (math.prod(sums[:size]).bit_length() + 1) // 2 + 2
 
 
-def packed_det(rows: Sequence[Sequence[int]], width: int) -> list[int]:
-    """The determinant over Z[x] of a square matrix packed at x = 2^width.
+def packed_det(
+    rows: Sequence[Sequence[int]], width: int, shared: Sequence[PivotRow] = ()
+) -> list[int]:
+    """The determinant over Z[x] of a square matrix packed at x = 2^width,
+    its first rows given by their pivot rows `shared` (echelon_pivots)
+    and its other rows by `rows`.
 
     One Bareiss elimination gives det(2^width): 0 for dependent rows, else
     the last pivot times the sign of the pivot columns' order, in which a
@@ -342,8 +352,9 @@ def packed_det(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     With each coefficient under 2^(width - 1) in size (hadamard_width),
     det(2^width) has one expansion in balanced digits of base 2^width.
     """
-    kept = echelon_pivots(rows, len(rows))
-    full = len(kept) == len(rows)
+    size = len(rows[0])
+    kept = echelon_pivots(rows, size, shared)
+    full = len(kept) == size
     value = kept[-1][1] * (-1) ** sum(q for q, _, _ in kept) if full else 0
     mask, half = (1 << width) - 1, 1 << (width - 1)
     coeffs = []
@@ -394,17 +405,27 @@ def minor_gcd(rows: Sequence[Sequence[int]], width: int) -> list[int]:
 
     rows has s columns, packed at a width at which every s x s minor
     unpacks (hadamard_width); the minors are its s x s row selections in
-    lexicographic order (packed_det), and the scan stops once the gcd is
-    a nonzero constant.  The gcd is an F_p[x]-combination of those minors,
-    so wherever it is nonzero mod p one of them is too, and the matrix has
+    lexicographic order, and the scan stops once the gcd is a nonzero
+    constant.  The first s - 1 rows, which the first minors share, are
+    eliminated once; packed_det reduces only the last row of each minor
+    that shares them against their pivot rows, and eliminates any other
+    minor whole.  The gcd is an F_p[x]-combination of those minors, so
+    wherever it is nonzero mod p one of them is too, and the matrix has
     full column rank there.  Zero when every minor taken is zero,
     including when there are fewer than s rows.
     """
+    s = len(rows[0])
+    shared = echelon_pivots(rows[: s - 1], s)
+    head = tuple(range(s - 1))
     g: list[int] = []
     for chosen in itertools.islice(
-        itertools.combinations(rows, len(rows[0])), MAX_MINORS
+        itertools.combinations(range(len(rows)), s), MAX_MINORS
     ):
-        g = poly_gcd(g, poly_mod(packed_det(chosen, width)))
+        if chosen[:-1] == head:
+            det = packed_det([rows[chosen[-1]]], width, shared)
+        else:
+            det = packed_det([rows[i] for i in chosen], width)
+        g = poly_gcd(g, poly_mod(det))
         if len(g) == 1:
             break
     return g

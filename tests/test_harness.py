@@ -476,3 +476,41 @@ def test_block_shapes_reach_every_redraw():
     assert None in stream.split_ints(0, 64, -(2**62), 2**62, 15)
     cfg = TrialConfig(ControlFamily(1, 1), trials=1000, seed=5, entry_bound=1)
     assert 250 < sample_generic_points(cfg).unstable_hits < 420
+
+
+# A DAG generic trial is decided from its first k rows where the leading
+# k x k parent block has rank k, and from its whole point otherwise
+# (`DagFamily.count_generic_unstable`).  At bound 1 the leading block is
+# singular in a third or more of the trials, and points that are not
+# Stable occur (2 in these 1500 (10, 3) trials, at 844 and 1383);
+# at bound 2^62 about half of all words are rejected, so almost every
+# trial's first k rows hold one.  No trial count is a multiple of 64.
+DAG_GENERIC = [
+    (DagFamily(3, 3), 1, 200),
+    (DagFamily(10, 3), 1, 1500),
+    (DagFamily(5, 1), 1, 1000),
+    (DagFamily(10, 3), 2**62, 70),
+    (DagFamily(3, 3), 2**62, 70),
+]
+
+
+@pytest.mark.parametrize("spec, bound, trials", DAG_GENERIC, ids=str)
+def test_dag_generic_counts_are_the_whole_point_verdicts(spec, bound, trials):
+    cfg = TrialConfig(spec, trials=trials, seed=1, entry_bound=bound)
+    hits = [
+        not spec.status_flat(draw_instance(cfg, i).y.entries).is_stable
+        for i in range(trials)
+    ]
+    stream = CounterRng(1, 0)  # seed 1's generic-points stream
+    assert [
+        spec.count_generic_unstable(stream, i, 1, bound) for i in range(trials)
+    ] == hits
+    assert sample_generic_points(cfg).unstable_hits == sum(hits)
+    if bound == 1:
+        assert sum(hits) >= 2
+
+
+def test_dag_generic_counts_without_a_k_x_k_block():
+    # With n < k no point is Stable, though the first k(k + 1) - 1 words
+    # would fill a k x k block past the point's end.
+    assert DagFamily(2, 3).count_generic_unstable(CounterRng(1, 0), 0, 70, 9) == 70

@@ -40,6 +40,7 @@ from git_topo.rng import CounterRng
 from git_topo.errors import ShapeError, DomainError
 
 from group_actions import matmul, unimodular_from_stream
+from poly_oracle import oracle_minor_gcd
 from poly_oracle import poly_gcd as oracle_gcd
 from rref_oracle import oracle_column_pivots, oracle_nullspace, oracle_solve_square
 
@@ -347,6 +348,9 @@ def square(entries):
 def test_packed_det_matches_leibniz_over_z(rows):
     packed, width = packed_rows(rows, len(rows))
     assert packed_det(packed, width) == leibniz_det(rows)
+    # The same determinant, its first rows given by their pivot rows.
+    shared = echelon_pivots(packed[:-1], len(rows))
+    assert packed_det(packed[-1:], width, shared) == leibniz_det(rows)
 
 
 @given(square(int_entries))
@@ -420,3 +424,38 @@ def test_poly_edge_cases():
     assert minor_gcd(rows[:2], width) == [0, 1]
     # A matrix with fewer rows than columns has no maximal minor.
     assert minor_gcd([[1, 2]], width) == []
+
+
+# minor_gcd eliminates the s - 1 rows the first minors share once.  Where
+# those rows are dependent, every minor that shares them is zero, and the
+# gcd comes from the minors that do not, which are among the first
+# MAX_MINORS = 4 only when there are at most s + 2 rows.
+def test_minors_that_share_dependent_rows_are_zero():
+    # The minors of [[x, 1, 0], [2x, 2, 0], [0, 0, 1], [1, 0, 0]] on rows
+    # (0, 1, 2) and (0, 1, 3) are zero, and the one on (0, 2, 3) is 1.
+    polys = [[[0, 1], [1], []], [[0, 2], [2], []], [[], [], [1]], [[1], [], []]]
+    rows, width = packed_rows(polys, 3)
+    assert minor_gcd(rows, width) == [1]
+    assert minor_gcd(rows[:3], width) == []
+
+
+@st.composite
+def shared_dependent_rows(draw):
+    """s columns, s - 1 to s + 3 rows, the last shared row (row s - 2) a
+    multiple of an earlier one, or zero at s = 2."""
+    s = draw(st.integers(2, 4))
+    count = draw(st.integers(s - 1, s + 3))
+    row = st.lists(int_polys, min_size=s, max_size=s)
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    factor = draw(int_polys) if s > 2 else []
+    source = rows[draw(st.integers(0, s - 3))] if s > 2 else [[]] * s
+    rows[s - 2] = [int_poly_mul(factor, e) for e in source]
+    return rows
+
+
+@given(st.one_of(shared_dependent_rows(), square(int_polys)))
+@settings(max_examples=80, deadline=None)
+def test_minor_gcd_matches_the_polynomial_oracle(rows):
+    packed, width = packed_rows(rows, len(rows[0]))
+    polys = [[poly_mod(e) for e in row] for row in rows]
+    assert minor_gcd(packed, width) == oracle_minor_gcd(polys)

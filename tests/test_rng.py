@@ -152,3 +152,38 @@ def test_split_ints_draws_points_past_a_block_trial_by_trial():
         ]
     with pytest.raises(DomainError, match=r"empty range \[1, 0\]"):
         stream.split_ints(0, 3, 1, 0, 4)
+
+
+# A trial's first c words do not depend on how many more it draws: while
+# none of them is rejected, `ints` consumes one word per integer, so the
+# c-word block draw is the start of the trial's whole C-word point.  DAG
+# generic sampling decides most trials from such a prefix.
+PREFIX_RANGES = [(-9, 9), (-1, 1), (-(2**62), 2**62)]
+
+
+@pytest.mark.parametrize("lo, hi", PREFIX_RANGES)
+@pytest.mark.parametrize("c, big_c", [(1, 2), (3, 8), (11, 40), (29, 120)])
+def test_a_block_prefix_is_the_start_of_the_whole_point(lo, hi, c, big_c):
+    stream = CounterRng(8, 0)
+    span = hi - lo + 1
+    limit = (1 << 64) - (1 << 64) % span
+    inside = after = 0
+    for first, trials in ((0, 64), (64, 70), (4000, 1)):
+        got = stream.split_ints(first, trials, lo, hi, c)
+        for i, prefix in enumerate(got, first):
+            words = stream.split(i)
+            rejected = [words.next64() >= limit for _ in range(big_c)]
+            if prefix is None:
+                assert any(rejected[:c])
+                inside += 1
+                continue
+            assert prefix == stream.split(i).ints(lo, hi, big_c)[:c]
+            after += any(rejected[c:])
+    if hi == 2**62:
+        # [-2^62, 2^62] has 2^63 + 1 values, so about half of all words are
+        # rejected: most prefixes hold a rejected word, and of the 1 in 2^c
+        # that do not, most see one after them.
+        assert inside
+        assert after or c > 3
+    else:
+        assert inside == after == 0
