@@ -41,9 +41,8 @@ class AbelianGroup(Frozen):
 
     __slots__ = FIELDS = ("rank",)
 
-    def __init__(self, rank: int | None) -> None:
-        object.__setattr__(self, "rank", rank)
-        if rank is not None and rank < 0:
+    def check_shape(self) -> None:
+        if self.rank is not None and self.rank < 0:
             raise DomainError("group rank cannot be negative")
 
     def descriptor(self) -> str:

@@ -25,7 +25,7 @@ import json
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from git_topo.errors import SchemaError, SizeLimitError
 from git_topo.frozen import Frozen
@@ -222,13 +222,6 @@ class StabilityStatus(Frozen):
 
     __slots__ = FIELDS = ("verdict", "reason", "evidence")
 
-    def __init__(
-        self, verdict: Verdict, reason: str | None, evidence: Mapping[str, Any]
-    ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "evidence", evidence)
-
     @classmethod
     @functools.cache
     def stable(cls, **evidence: Any) -> "StabilityStatus":
@@ -258,18 +251,6 @@ class StratumClass(Frozen):
     """
 
     __slots__ = FIELDS = ("descriptor", "representative", "m", "orbit_dim")
-
-    def __init__(
-        self,
-        descriptor: Mapping[str, Any],
-        representative: OnePSClass,
-        m: int,
-        orbit_dim: int,
-    ) -> None:
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "orbit_dim", orbit_dim)
 
     @property
     def value(self) -> int:
@@ -404,10 +385,10 @@ def strata_from_classes(
     group = spec.group()
     return [
         StratumClass(
-            descriptor=descriptor,
-            representative=rep,
-            m=negative_weight_dim(spec, rep),
-            orbit_dim=orbit_dim(group, rep, convention),
+            descriptor,
+            rep,
+            negative_weight_dim(spec, rep),
+            orbit_dim(group, rep, convention),
         )
         for descriptor, rep in classes
     ]
@@ -417,8 +398,7 @@ class FamilySpec(Frozen):
     """The shape of one model family, and the interface every family implements.
 
     A family is a subclass whose `FIELDS`, a tuple of attribute names, is
-    its shape, in the order of its constructor's arguments.  It supplies
-    12 members:
+    its shape, in constructor order.  It supplies 12 members:
 
     - `FIELDS`; `name`, its registry key, and `CLI_ARGS`, a (dest, type,
       help) triple per command-line flag;
@@ -438,42 +418,34 @@ class FamilySpec(Frozen):
       whose instance exposes `family()`, `to_json()` and `status()`, the
       `status_flat` of the instance cleared to integers.
 
-    The base class gives the rest, which a family overrides where it
-    differs: the constructor takes one value per field, in `FIELDS`
-    order, and calls `check_shape()`, which accepts every shape; a spec
-    is frozen, compares and hashes by its class and fields, and prints
-    as `Name(field=value, ...)` (`frozen.Frozen`).  `draw_flat(rng,
-    bound)` draws `flat_size` integers in [-bound, bound], `draw_generic`
-    (the same, minus points generic sampling excludes) calls
-    `draw_flat`, `draw_generic_block` draws the `draw_generic` points of
-    consecutive trials in one packed pass, `count_generic_unstable(stream,
-    first, trials, bound)` counts the trials of such a block whose point
-    `status_flat` does not call Stable (the DAG family decides most
-    trials from the first k rows of the parent block, by one k x k
-    rank, and draws the whole point only where that block is singular),
-    `path_suspects(entry_polys,
-    n_samples)`, the samples of a quadratic path a certificate mod
-    2^61 - 1 cannot clear, is every sample, `from_args(args)` passes the
-    flags to the constructor in order, `to_json()` writes the name and
-    the fields, `thresholds(convention)` is empty, and
-    `d_min(convention, texts)`, the least stratum value, reads it off
-    `strata(convention)` and writes those rows to a `StratumTexts` when one
-    is given; the quiver family finds the same value and writes the same
-    rows without building a `StratumClass`.
+    `frozen.Frozen` builds a spec, as it builds every record, from one
+    value per field in `FIELDS` order, and calls `check_shape()`, where a
+    family raises DomainError or ShapeError on a shape it refuses and may
+    normalize its fields; a spec is frozen, compares and hashes by its
+    class and fields, and prints as `Name(field=value, ...)`.  The base
+    class gives the rest, which a family overrides where it differs:
+    `draw_flat(rng, bound)` draws `flat_size` integers in [-bound,
+    bound], `draw_generic` (the same, minus points generic sampling
+    excludes) calls `draw_flat`, `draw_generic_block` draws the
+    `draw_generic` points of consecutive trials in one packed pass,
+    `count_generic_unstable(stream, first, trials, bound)` counts the
+    trials of such a block whose point `status_flat` does not call Stable
+    (the DAG family decides most trials from the first k rows of the
+    parent block, by one k x k rank, and draws the whole point only where
+    that block is singular), `path_suspects(entry_polys, n_samples)`, the
+    samples of a quadratic path a certificate mod 2^61 - 1 cannot clear,
+    is every sample, `from_args(args)` passes the flags to the constructor
+    in order, `to_json()` writes the name and the fields,
+    `thresholds(convention)` is empty, and `d_min(convention, texts)`, the
+    least stratum value, reads it off `strata(convention)` and writes
+    those rows to a `StratumTexts` when one is given; the quiver family
+    finds the same value and writes the same rows without building a
+    `StratumClass`.
     """
 
     name: str
     CLI_ARGS: tuple[tuple[str, type, str], ...]
     DEFAULT_CONVENTION: OrbitConvention
-
-    def __init__(self, *shape) -> None:
-        for name, value in zip(self.FIELDS, shape, strict=True):
-            object.__setattr__(self, name, value)
-        self.check_shape()
-
-    def check_shape(self) -> None:
-        """Raise DomainError or ShapeError on a shape the family refuses; a
-        family may also normalize its fields here, by object.__setattr__."""
 
     @classmethod
     def from_args(cls, args):

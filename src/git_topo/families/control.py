@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from git_topo.errors import DomainError, ShapeError, SizeLimitError
@@ -100,13 +99,10 @@ class ControlFamily(FamilySpec):
         check_integers("input dimension", (self.m,))
         if self.n < 1 or self.m < 1:
             raise DomainError("state and input dimensions must be positive")
+        object.__setattr__(self, "_group", GroupSpec((self.n,)))
 
     def group(self) -> GroupSpec:
         return self._group
-
-    @cached_property
-    def _group(self) -> GroupSpec:
-        return GroupSpec((self.n,))
 
     @property
     def representation(self) -> tuple[tuple[int, int, int], ...]:
@@ -183,18 +179,13 @@ class ControlFamily(FamilySpec):
 class ControlInstance(Frozen):
     """One system: A is n x n, B is n x m, entries exact rationals."""
 
-    # No __slots__: vars(instance) lists the fields.
-    FIELDS = ("n", "m", "a", "b")
+    __slots__ = FIELDS = ("n", "m", "a", "b")
 
-    def __init__(self, n: int, m: int, a: Matrix, b: Matrix) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if (a.rows, a.cols) != (n, n):
-            raise ShapeError(f"A must be {n}x{n}")
-        if (b.rows, b.cols) != (n, m):
-            raise ShapeError(f"B must be {n}x{m}")
+    def check_shape(self) -> None:
+        if (self.a.rows, self.a.cols) != (self.n, self.n):
+            raise ShapeError(f"A must be {self.n}x{self.n}")
+        if (self.b.rows, self.b.cols) != (self.n, self.m):
+            raise ShapeError(f"B must be {self.n}x{self.m}")
 
     def family(self) -> ControlFamily:
         return ControlFamily(self.n, self.m)

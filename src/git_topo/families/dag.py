@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from git_topo.errors import DomainError, PreconditionError, ShapeError
@@ -80,13 +79,10 @@ class DagFamily(FamilySpec):
         check_integers("parent count", (self.k,))
         if self.n < 1 or self.k < 1:
             raise DomainError("sample count and parent count must be positive")
+        object.__setattr__(self, "_group", GroupSpec((self.k,), torus_rank=1))
 
     def group(self) -> GroupSpec:
         return self._group
-
-    @cached_property
-    def _group(self) -> GroupSpec:
-        return GroupSpec((self.k,), torus_rank=1)
 
     @property
     def representation(self) -> tuple[tuple[int, int, int], ...]:
@@ -195,15 +191,11 @@ class DagFamily(FamilySpec):
 class DagInstance(Frozen):
     """One data matrix Y, n x (k+1), last column the child."""
 
-    # No __slots__: vars(instance) lists the fields.
-    FIELDS = ("n", "k", "y")
+    __slots__ = FIELDS = ("n", "k", "y")
 
-    def __init__(self, n: int, k: int, y: Matrix) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "y", y)
-        if (y.rows, y.cols) != (n, k + 1):
-            raise ShapeError(f"Y must be {n}x{k + 1}")
+    def check_shape(self) -> None:
+        if (self.y.rows, self.y.cols) != (self.n, self.k + 1):
+            raise ShapeError(f"Y must be {self.n}x{self.k + 1}")
 
     def family(self) -> DagFamily:
         return DagFamily(self.n, self.k)

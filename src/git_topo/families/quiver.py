@@ -756,11 +756,11 @@ class ThinQuiverRep(Frozen):
 
     __slots__ = FIELDS = ("spec", "values")
 
-    def __init__(self, spec: QuiverSpec, values: tuple[ComplexRational, ...]) -> None:
-        object.__setattr__(self, "spec", spec)
+    def check_shape(self) -> None:
+        spec = self.spec
         if not spec.is_thin():
             raise DomainError("point-level checks require a thin dimension vector")
-        values = tuple(ComplexRational.of(v) for v in values)
+        values = tuple(ComplexRational.of(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != len(spec.arrows):
             raise ShapeError("need exactly one value per arrow")

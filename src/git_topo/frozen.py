@@ -1,12 +1,14 @@
 """Immutable records: the one base class of the package's value types.
 
-A subclass names its fields, in constructor order, in `FIELDS`, and its
-`__init__` sets each with `object.__setattr__`.  Instances compare and
+A record names its fields, in constructor order, in `FIELDS`.  `Frozen`
+builds it: the constructor takes one value per field, sets each with
+`object.__setattr__`, and calls `check_shape()`, where a record checks
+its fields and may normalize them the same way.  A record writes out its
+`__init__` only when its signature has defaults.  Instances compare and
 hash by class and field values, print as `Name(field=value, ...)`, copy
 and pickle through the constructor, and refuse assignment and deletion.
-A `functools.cached_property` still fills in, as it writes the instance
-`__dict__` directly; a subclass without one declares
-`__slots__ = FIELDS`.
+A record declares `__slots__ = FIELDS` unless it keeps more than its
+fields: a `functools.cached_property` writes the instance `__dict__`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,19 @@ from __future__ import annotations
 class Frozen:
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.FIELDS):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(self.FIELDS)} values, "
+                f"one per field of {self.FIELDS}, but {len(values)} were given"
+            )
+        for name, value in zip(self.FIELDS, values):
+            object.__setattr__(self, name, value)
+        self.check_shape()
+
+    def check_shape(self) -> None:
+        """Raise on field values the record refuses; every value passes here."""
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.FIELDS])

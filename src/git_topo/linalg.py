@@ -68,10 +68,6 @@ class ComplexRational(Frozen):
 
     __slots__ = FIELDS = ("re", "im")
 
-    def __init__(self, re: Fraction, im: Fraction) -> None:
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
     @staticmethod
     def of(value: "ComplexRational | Rational", im: Rational = 0) -> "ComplexRational":
         if isinstance(value, ComplexRational):
@@ -95,18 +91,15 @@ class Matrix(Frozen):
 
     __slots__ = FIELDS = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        if rows < 0 or cols < 0:
+    def check_shape(self) -> None:
+        if self.rows < 0 or self.cols < 0:
             raise ShapeError("matrix dimensions must be non-negative")
-        if len(entries) != rows * cols:
+        if len(self.entries) != self.rows * self.cols:
             raise ShapeError(
-                f"expected {rows * cols} entries for a "
-                f"{rows}x{cols} matrix, got {len(entries)}"
+                f"expected {self.rows * self.cols} entries for a "
+                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
             )
-        for e in entries:
+        for e in self.entries:
             if type(e) is not int and not is_rational(e):
                 raise DomainError(f"matrix entry {e!r} is not an exact rational")
 

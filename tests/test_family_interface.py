@@ -13,6 +13,7 @@ Hom blocks; the tests at the end check the blocks against the group and
 dim V, and the weight count on them against `tests/weights_oracle.py`.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -249,6 +250,24 @@ def test_representation_blocks_index_the_group_and_sum_to_dim_v(spec):
 def test_each_family_builds_its_group_once(spec):
     # negative_weight_dim asks for the group once per stratum.
     assert spec.group() is spec.group()
+
+
+@pytest.mark.parametrize("family", [ControlFamily, DagFamily])
+def test_control_and_dag_specs_hold_everything_once_built(family):
+    # Their group is built in check_shape, so no cached_property adds a
+    # key to a spec's __dict__ after construction, which would send every
+    # later field read through a dict lookup.
+    assert not any(
+        isinstance(member, functools.cached_property)
+        for cls in family.__mro__
+        for member in vars(cls).values()
+    )
+    spec = family(3, 2)
+    keys = list(vars(spec))
+    spec.strata(spec.DEFAULT_CONVENTION)
+    spec.status_flat([1] * spec.flat_size)
+    spec.group()
+    assert list(vars(spec)) == keys
 
 
 one_ps_weight = st.integers(-2, 2)

@@ -1,7 +1,9 @@
 """The package's records are plain frozen classes, so a cold start of the
 CLI loads neither `dataclasses` nor `inspect`, and each record still
 refuses assignment, copies, and compares, and where it did hashes, by
-value."""
+value.  A record whose signature has no defaults is built by `Frozen`
+itself, and refuses a wrong number of values as a written-out
+constructor would."""
 
 import copy
 import pickle
@@ -17,6 +19,7 @@ from git_topo.families.control import ControlFamily, ControlInstance
 from git_topo.families.dag import DagFamily, DagInstance
 from git_topo.families.quiver import ThinQuiverRep, kronecker_spec
 from git_topo.groups import GroupSpec, OnePSClass, OrbitConvention
+from git_topo.frozen import Frozen
 from git_topo.harness import OP_GENERIC_POINTS, HarnessReport, TrialConfig
 from git_topo.linalg import ComplexRational, Matrix
 
@@ -96,3 +99,26 @@ def test_record_is_frozen_and_compares_by_value(name):
     if name in HASHABLE:
         assert hash(first) == hash(same)
         assert len({first, same, other}) == 2
+
+
+# The records whose constructors take defaults or keywords, and so write
+# out their __init__; Frozen builds every other record.
+WRITTEN_OUT = {
+    "TrialConfig",
+    "HarnessReport",
+    "ConnectivityReport",
+    "GroupSpec",
+    "OnePSClass",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - WRITTEN_OUT))
+def test_record_built_by_frozen_takes_one_value_per_field(name):
+    record = RECORDS[name](2)
+    cls = type(record)
+    assert cls.__init__ is Frozen.__init__
+    values = tuple(getattr(record, field) for field in cls.FIELDS)
+    assert cls(*values) == record
+    for wrong in (values[:-1], values + (values[-1],)):
+        with pytest.raises(TypeError, match=name):
+            cls(*wrong)

@@ -147,7 +147,8 @@ def test_every_spelling_gives_the_same_payload(tmp_path_factory, instance, data)
     )
     # Integer entries are read as ints, p/q entries as Fractions.
     plain = instance_from_json(files[SPELLINGS.index("plain")])
-    read = [e for m in vars(plain).values() if isinstance(m, Matrix) for e in m.entries]
+    matrices = [getattr(plain, field) for field in plain.FIELDS]
+    read = [e for m in matrices if isinstance(m, Matrix) for e in m.entries]
     written = [e for key in MATRIX_KEYS for row in instance.get(key, ()) for e in row]
     assert [type(e) for e in read] == [
         int if e.denominator == 1 else Fraction for e in written
